@@ -329,10 +329,13 @@ def _add_spec_args(p: argparse.ArgumentParser):
 def _add_quad_args(p: argparse.ArgumentParser):
     p.add_argument("--abs-tol", type=float, default=1e-10)
     p.add_argument("--truncation", type=float, default=None,
-                   help="override the automatic theta truncation")
-    p.add_argument("--max-panels", type=int, default=8192)
+                   help="override the automatic theta truncation (adaptive_panels only)")
+    p.add_argument("--max-panels", type=int, default=8192,
+                   help="panel budget (adaptive_panels only)")
     p.add_argument("--policy", default="zero_split_accelerated",
-                   choices=["zero_split_accelerated", "adaptive_panels"])
+                   choices=["zero_split_accelerated", "adaptive_panels"],
+                   help="zero_split_accelerated: rotated-contour rule; "
+                        "adaptive_panels: QUADPACK on the real axis")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -172,6 +172,10 @@ class MultistableSpec:
     breakpoint range of f; on each cell both f and alpha are constant, and
     reconstruction from the cells reproduces both (away from the
     measure-zero set of breakpoints).
+
+    ``groups`` is the derived view ``((alpha_g, W_g), ...)``, sorted by
+    exponent, with ``W_g`` the sum of ``|c|^alpha_g * (hi - lo)`` over the
+    nonzero cells whose exponent is ``alpha_g``.
     """
 
     f: StepFunction
@@ -182,12 +186,19 @@ class MultistableSpec:
     _abs_coef: np.ndarray = field(repr=False, default=None)
     _alph: np.ndarray = field(repr=False, default=None)
     _len: np.ndarray = field(repr=False, default=None)
+    groups: tuple[tuple[float, float], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         nz = [(lo, hi, c, a) for (lo, hi, c, a) in self.cells if c != 0.0]
         object.__setattr__(self, "_abs_coef", np.array([abs(c) for _, _, c, _ in nz]))
         object.__setattr__(self, "_alph", np.array([a for _, _, _, a in nz]))
         object.__setattr__(self, "_len", np.array([hi - lo for lo, hi, _, _ in nz]))
+        # exponent groups: W_g = sum |c|^alpha_g |cell| over the cells with alpha_g,
+        # so that the modular is sum_g W_g s^alpha_g
+        weights: dict[float, float] = {}
+        for c, a, ln in zip(self._abs_coef, self._alph, self._len):
+            weights[float(a)] = weights.get(float(a), 0.0) + float(c ** a * ln)
+        object.__setattr__(self, "groups", tuple(sorted(weights.items())))
 
     @property
     def is_zero(self) -> bool:

@@ -104,9 +104,9 @@ def eta_with_error(spec: MultistableSpec, moll: MollifierSpec, xi: float,
     body = 2.0 * moll.integrate(-np.expm1(-m_vals))
     # tail: 1 - e^-m <= m = sum_i W_i (theta/xi)^alpha_i; on the stub theta < 1
     # the same bound gives m <= (sum_i W_i) theta^a
-    groups = _group_weights(spec)
-    tail = sum(wgt * xi ** -alph * moll.tail_power_bound(alph) for wgt, alph in groups)
-    total_w = sum(wgt for wgt, _ in groups)
+    groups = spec.groups
+    tail = sum(wgt * xi ** -alph * moll.tail_power_bound(alph) for alph, wgt in groups)
+    total_w = sum(wgt for _, wgt in groups)
     err = 2.0 * tail + 2.0 * total_w * moll.stub_bound(spec.a) \
         + 4e-16 * (1.0 + abs(body))
     if cfg is not None and err > cfg.abs_tol:
@@ -119,21 +119,13 @@ def eta(spec: MultistableSpec, moll: MollifierSpec, xi: float,
     return eta_with_error(spec, moll, xi, cfg)[0]
 
 
-def _group_weights(spec: MultistableSpec):
-    """Pairs (sum |c|^alpha * len, alpha) grouped by distinct exponent."""
-    groups: dict[float, float] = {}
-    for c, a, ln in zip(spec._abs_coef, spec._alph, spec._len):
-        groups[float(a)] = groups.get(float(a), 0.0) + float(c ** a * ln)
-    return [(wgt, alph) for alph, wgt in sorted(groups.items())]
-
-
 def tau_with_error(spec: MultistableSpec, moll: MollifierSpec, xi: float,
                    cfg: QuadratureConfig | None = None) -> tuple[float, float]:
     """tau(xi) via the Fubini form: an exact cell sum against h_q values."""
     _check_xi(xi)
     val = 0.0
     err = 0.0
-    for wgt, alph in _group_weights(spec):
+    for alph, wgt in spec.groups:
         h, he = moll.h(alph)
         val += wgt * xi ** -alph * h
         err += wgt * xi ** -alph * he
@@ -155,12 +147,12 @@ def rho_with_error(spec: MultistableSpec, moll: MollifierSpec, xi: float,
     remainder = m_vals + np.expm1(-m_vals)  # m - 1 + e^-m >= 0
     body = 2.0 * moll.integrate_abs(np.abs(remainder))
     # tail: remainder <= m^2 / 2, expand the square over exponent groups
-    groups = _group_weights(spec)
+    groups = spec.groups
     tail = 0.0
-    for w1, a1 in groups:
-        for w2, a2 in groups:
+    for a1, w1 in groups:
+        for a2, w2 in groups:
             tail += 0.5 * w1 * w2 * xi ** -(a1 + a2) * moll.tail_power_bound(a1 + a2)
-    total_w = sum(wgt for wgt, _ in groups)
+    total_w = sum(wgt for _, wgt in groups)
     err = 2.0 * tail + total_w ** 2 * moll.stub_bound(2.0 * spec.a) \
         + 4e-16 * (1.0 + abs(body))
     if cfg is not None and err > cfg.abs_tol:
@@ -337,7 +329,7 @@ def verify_parseval(spec: MultistableSpec, moll: MollifierSpec,
         theta_side = 2.0 * moll.integrate(factor)
         theta_err = 2.0 * sum(
             wgt * delta ** alph * moll.tail_power_bound(alph)
-            for wgt, alph in _group_weights(spec)
+            for alph, wgt in spec.groups
         ) + 2.0 * moll.stub_bound(spec.b)
         # x side: transition band + everything beyond the bump support
         lo_x, hi_x = 1.0 / delta, b_edge / delta

@@ -1,4 +1,4 @@
-"""Oscillatory quadrature engine shared by the Fourier-inversion routines.
+"""Generic real-axis oscillatory quadrature.
 
 Semi-infinite integrals of the form
 
@@ -10,9 +10,16 @@ Gauss-Kronrod, and Euler-accelerating the resulting alternating series.
 For envelopes that die before oscillation matters the panel terms reach
 the tolerance directly and the alternating-series remainder bound is
 used instead.  The ``adaptive_panels`` policy delegates to QUADPACK on a
-truncated interval; it is retained as an independent cross-check and is
-expected to stall for very high frequencies, which the default policy
-handles via acceleration.
+truncated interval; it is expected to stall for very high frequencies,
+which the default policy handles via acceleration.
+
+This engine serves :func:`oscillatory_integral` for envelopes that need
+not extend off the real axis (``exp(-|t|^0.7)``, say) and the
+``adaptive_panels`` policy of the inversion routines.  Under the default
+policy the density, tail and cdf of the multistable law do not come
+through here: :mod:`multistable.inversion` integrates them with a fixed
+rule on a rotated ray, where the cf's analytic continuation lets the
+Fourier kernel decay.
 """
 
 from __future__ import annotations
@@ -45,7 +52,15 @@ class AccuracyError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerance / truncation / oscillation policy for theta-integrals."""
+    """Tolerance / truncation / oscillation policy for theta-integrals.
+
+    ``abs_tol`` is the absolute error a certified result must meet.
+    ``truncation_theta`` and ``max_panels`` apply only to the
+    ``adaptive_panels`` policy and to :func:`oscillatory_integral` /
+    :func:`fourier_integral`; the default policy's density, tail and cdf
+    use the rotated-contour rule of :mod:`multistable.inversion`, which
+    chooses its own truncation and node set.
+    """
 
     abs_tol: float = 1e-10
     truncation_theta: float | str = "auto"

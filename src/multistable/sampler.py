@@ -30,10 +30,7 @@ CHUNK = 1 << 20
 
 def mixture_decompose(spec: MultistableSpec) -> list[tuple[float, float]]:
     """Stable-mixture decomposition [(alpha_i, sigma_i)], sorted by alpha."""
-    groups: dict[float, float] = {}
-    for c, a, ln in zip(spec._abs_coef, spec._alph, spec._len):
-        groups[float(a)] = groups.get(float(a), 0.0) + float(c ** a * ln)
-    return [(a, w ** (1.0 / a)) for a, w in sorted(groups.items())]
+    return [(a, w ** (1.0 / a)) for a, w in spec.groups]
 
 
 def sample_standard_stable(alpha: float, rng: np.random.Generator,

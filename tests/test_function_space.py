@@ -186,3 +186,17 @@ def test_combine_steps_pointwise(rng):
     g = combine_steps([f1, f2], [2.0, -1.0])
     xs = rng.uniform(-1.0, 3.0, 500)
     assert np.allclose(g(xs), 2.0 * f1(xs) - 1.0 * f2(xs))
+
+
+def test_groups_view(rng):
+    # alpha 0.5 on two separated cells (one sign-flipped), 1.5 between them
+    spec = make((0.0, 1.0, 2.0, 4.0), (2.0, 0.0, -3.0), (1.0, 2.0), (0.5, 1.5, 0.5))
+    assert [a for a, _ in spec.groups] == [0.5]
+    assert spec.groups[0][1] == pytest.approx(2.0 ** 0.5 + 2.0 * 3.0 ** 0.5, rel=1e-15)
+    for _ in range(10):
+        spec = random_spec(rng)
+        alphas = [a for a, _ in spec.groups]
+        assert alphas == sorted(set(alphas))
+        for s in (0.3, 1.0, 7.0):
+            assert sum(w * s ** a for a, w in spec.groups) == pytest.approx(
+                spec.scaled_modular(s), rel=1e-13)
