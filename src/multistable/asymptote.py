@@ -10,7 +10,7 @@ data the tail asymptote
 
     T(lam) = integral |f(x)/lam|^alpha(x) C(alpha(x)) dx
 
-is an exact finite sum sum_i w_i lam^(-alpha_i).  The ratio
+is an exact finite sum sum_g w_g lam^(-alpha_g) over the exponent groups.  The ratio
 P(|I(f)| > lam) / T(lam) tends to 1 as lam grows, uniformly over the
 unit sphere of the quasinorm.
 """
@@ -50,7 +50,7 @@ def tail_constant(gamma: float) -> float:
 
 @dataclass(frozen=True)
 class TailAsymptote:
-    """Per-cell weights w_i = |c_i|^alpha_i * |cell_i| * C(alpha_i)."""
+    """Per exponent group weights w_g = W_g * C(alpha_g), from ``spec.groups``."""
 
     spec: MultistableSpec
     weights: np.ndarray
@@ -60,9 +60,8 @@ class TailAsymptote:
     def from_spec(spec: MultistableSpec) -> "TailAsymptote":
         if spec.is_zero:
             raise ValueError("tail asymptote undefined for f == 0")
-        consts = np.array([tail_constant(a) for a in spec._alph])
-        w = spec._abs_coef ** spec._alph * spec._len * consts
-        return TailAsymptote(spec, w, spec._alph.copy())
+        w = np.array([wgt * tail_constant(alph) for alph, wgt in spec.groups])
+        return TailAsymptote(spec, w, np.array([alph for alph, _ in spec.groups]))
 
     def __call__(self, lam) -> float | np.ndarray:
         lam = np.asarray(lam, dtype=float)
@@ -71,7 +70,7 @@ class TailAsymptote:
 
 
 def tail_asymptote(spec: MultistableSpec, lam: float) -> float:
-    """T(lam) = sum_i w_i lam^(-alpha_i), exact for step data."""
+    """T(lam) = sum_g w_g lam^(-alpha_g), exact for step data."""
     if lam <= 0.0:
         raise ValueError(f"lambda must be positive, got {lam}")
     return float(TailAsymptote.from_spec(spec)(lam))

@@ -395,7 +395,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spec_args(p)
     p.add_argument("--q", type=float, default=1.5)
     p.add_argument("--abs-tol", type=float, default=1e-10)
-    p.add_argument("--lambdas", type=float, nargs="*", default=None)
+    p.add_argument("--lambdas", type=float, nargs="*", default=None,
+                   help="lambda grid for lemma1 and lemma6 (default 10 50 100 1000); "
+                        "for lemma5 the xi grid (default 1 10 100)")
     p.add_argument("--deltas", type=float, nargs="*", default=[0.1, 1.0])
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)

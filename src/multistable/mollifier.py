@@ -22,7 +22,10 @@ in which the sin(theta)/theta parts of the flat and transition regions
 have cancelled analytically.  A and B are evaluated by Gauss-Legendre
 quadrature for small s and by the exact integration-by-parts boundary
 expansion for large s (S5' vanishes to fourth order at both endpoints,
-so the expansion starts at the fifth derivative and is stable).
+so the expansion starts at the fifth derivative and is stable).  Most of
+a table lies in the large-s regime; there the expansion runs in powers
+of r = 1/s, and its five lowest orders, which carry no boundary terms,
+collapse into a single factor r^5.
 
 A dense node/weight/value table over [0, theta_max] doubles as the fixed
 quadrature grid for every integral against phi_q; mass beyond theta_max
@@ -78,15 +81,23 @@ def _ab_small(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _ab_large(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # integration by parts from the top of the chain down to order 5; the five
+    # remaining steps have zero boundary terms and only rotate the pair,
+    # (i_sin, i_cos) -> (i_cos, -i_sin) / s each, i.e. (i_cos, -i_sin) / s^5
+    r = 1.0 / s
     sins, coss = np.sin(s), np.cos(s)
     i_sin = np.zeros_like(s)
     i_cos = np.zeros_like(s)
-    for k in range(10, -1, -1):
+    for k in range(10, 4, -1):
         i_sin, i_cos = (
-            (_CHAIN0[k] - _CHAIN1[k] * coss + i_cos) / s,
-            (_CHAIN1[k] * sins - i_sin) / s,
+            (_CHAIN0[k] - _CHAIN1[k] * coss + i_cos) * r,
+            (_CHAIN1[k] * sins - i_sin) * r,
         )
-    return i_sin, i_cos
+    # in place: a table is mostly large s, so every extra array here is large
+    r **= 5
+    i_cos *= r
+    i_sin *= r
+    return i_cos, np.negative(i_sin, out=i_sin)
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,9 +173,10 @@ class MollifierSpec:
         cached = self._h_cache.get(gamma)
         if cached is not None:
             return cached
-        body = 2.0 * self.integrate(self.nodes ** gamma)
+        powers = self.nodes ** gamma
+        body = 2.0 * self.integrate(powers)
         err = 2.0 * (self.tail_power_bound(gamma) + self.stub_bound(gamma))
-        err += 4e-16 * 2.0 * self.integrate_abs(self.nodes ** gamma)
+        err += 4e-16 * 2.0 * self.integrate_abs(powers)
         self._h_cache[gamma] = (body, err)
         return body, err
 

@@ -14,6 +14,18 @@ with m(s) the modular of f at scale factor s, and
 Each lemma's sandwich is checked on grids with the quadrature error
 budgets subtracted from the margins; the proof-internal constants are
 never computed explicitly, only fitted envelopes are reported.
+
+All theta integrals run on the mollifier table.  The modular there is
+evaluated by homogeneity of each exponent group,
+
+    m(s theta) = sum_g W_g s^alpha_g theta^alpha_g,
+
+so theta^alpha_g is computed once per group and every further scale s
+(s = 1/xi for eta and rho, s = delta for the Parseval theta side) costs
+one G-row matrix-vector product.  The lemma 1 and lemma 6 sweeps share
+these powers across their xi grids and evaluate each distinct xi once.
+Outside the table 1 - e^-m <= m, so the untabulated mass of every such
+integral is bounded group by group for any scale.
 """
 
 from __future__ import annotations
@@ -96,22 +108,49 @@ def _check_xi(xi: float):
         raise ValueError(f"xi must be >= 1, got {xi}")
 
 
+def _node_powers(spec: MultistableSpec, moll: MollifierSpec) -> np.ndarray:
+    """theta^alpha_g at the table nodes, one row per exponent group."""
+    powers = np.empty((len(spec.groups), moll.nodes.size))
+    for row, (alph, _) in zip(powers, spec.groups):
+        np.power(moll.nodes, alph, out=row)
+    return powers
+
+
+def _table_modular(spec: MultistableSpec, powers: np.ndarray, scale: float) -> np.ndarray:
+    """m(scale * theta) at the table nodes by homogeneity of each group:
+    sum_g W_g scale^alpha_g theta^alpha_g, one pass over the rows of ``powers``."""
+    return np.array([wgt * scale ** alph for alph, wgt in spec.groups]) @ powers
+
+
+def _group_budget(spec: MultistableSpec, moll: MollifierSpec, scale: float) -> float:
+    """Bound on the one-sided integral of |phi_q(theta)| m(scale * theta) outside
+    the table, i.e. over the stub [0, stub] and the tail beyond theta_max."""
+    return sum(wgt * scale ** alph * (moll.tail_power_bound(alph) + moll.stub_bound(alph))
+               for alph, wgt in spec.groups)
+
+
+def _eta(spec: MultistableSpec, moll: MollifierSpec, powers: np.ndarray,
+         xi: float) -> tuple[float, float]:
+    body = 2.0 * moll.integrate(-np.expm1(-_table_modular(spec, powers, 1.0 / xi)))
+    # outside the table 1 - e^-m <= m
+    err = 2.0 * _group_budget(spec, moll, 1.0 / xi) + 4e-16 * (1.0 + abs(body))
+    return max(body, 0.0), err
+
+
 def eta_with_error(spec: MultistableSpec, moll: MollifierSpec, xi: float,
                    cfg: QuadratureConfig | None = None) -> tuple[float, float]:
     """eta(xi) with an error bound (table quadrature + decay-envelope tail)."""
     _check_xi(xi)
-    m_vals = spec.scaled_modular(moll.nodes / xi)
-    body = 2.0 * moll.integrate(-np.expm1(-m_vals))
-    # tail: 1 - e^-m <= m = sum_i W_i (theta/xi)^alpha_i; on the stub theta < 1
-    # the same bound gives m <= (sum_i W_i) theta^a
-    groups = spec.groups
-    tail = sum(wgt * xi ** -alph * moll.tail_power_bound(alph) for alph, wgt in groups)
-    total_w = sum(wgt for _, wgt in groups)
-    err = 2.0 * tail + 2.0 * total_w * moll.stub_bound(spec.a) \
-        + 4e-16 * (1.0 + abs(body))
+    val, err = _eta(spec, moll, _node_powers(spec, moll), xi)
     if cfg is not None and err > cfg.abs_tol:
         raise AccuracyError("eta error bound exceeds abs_tol", err)
-    return max(body, 0.0), err
+    return val, err
+
+
+def _eta_sweep(spec: MultistableSpec, moll: MollifierSpec, xis) -> dict:
+    """eta at each distinct xi, with the node powers shared across the sweep."""
+    powers = _node_powers(spec, moll)
+    return {xi: _eta(spec, moll, powers, xi) for xi in set(xis)}
 
 
 def eta(spec: MultistableSpec, moll: MollifierSpec, xi: float,
@@ -143,7 +182,7 @@ def rho_with_error(spec: MultistableSpec, moll: MollifierSpec, xi: float,
                    cfg: QuadratureConfig | None = None) -> tuple[float, float]:
     """rho(xi): the absolute exponential remainder integrated against |phi_q|."""
     _check_xi(xi)
-    m_vals = spec.scaled_modular(moll.nodes / xi)
+    m_vals = _table_modular(spec, _node_powers(spec, moll), 1.0 / xi)
     remainder = m_vals + np.expm1(-m_vals)  # m - 1 + e^-m >= 0
     body = 2.0 * moll.integrate_abs(np.abs(remainder))
     # tail: remainder <= m^2 / 2, expand the square over exponent groups
@@ -211,12 +250,13 @@ def verify_lemma1(spec: MultistableSpec, moll: MollifierSpec,
     """eta(q^(j0+1)) <= P(|I(f)| > lam) <= eta(q^(j0-1)) over a lambda grid."""
     cfg = cfg or QuadratureConfig()
     q = moll.q
+    js = [j0(float(lam), q) for lam in lambdas]
+    etas = _eta_sweep(spec, moll, [q ** (j + d) for j in js for d in (1, -1)])
     rows = []
     ok_all = True
-    for lam in lambdas:
-        j = j0(float(lam), q)
-        lo, lo_err = eta_with_error(spec, moll, q ** (j + 1))
-        hi, hi_err = eta_with_error(spec, moll, q ** (j - 1))
+    for lam, j in zip(lambdas, js):
+        lo, lo_err = etas[q ** (j + 1)]
+        hi, hi_err = etas[q ** (j - 1)]
         p, p_err = tail_probability_with_error(spec, float(lam), cfg)
         ok = (lo - lo_err <= p + p_err) and (p - p_err <= hi + hi_err)
         rows.append({
@@ -268,14 +308,15 @@ def verify_lemma6(spec: MultistableSpec, moll: MollifierSpec,
     a, b = spec.a, spec.b
     lo_edge = q ** (-2.0 * b)
     hi_edge = q ** (3.0 * b)
+    lams = [float(lam) for lam in lambda_grid]
+    js = [j0(lam, q) for lam in lams]
+    etas = _eta_sweep(spec, moll, [q ** (j + d) for j in js for d in (1, -1)])
     rows = []
     middle_ok = True
     c_fit = 0.0
-    for lam in lambda_grid:
-        lam = float(lam)
-        j = j0(lam, q)
-        e_lo, e_lo_err = eta_with_error(spec, moll, q ** (j + 1))
-        e_hi, e_hi_err = eta_with_error(spec, moll, q ** (j - 1))
+    for lam, j in zip(lams, js):
+        e_lo, e_lo_err = etas[q ** (j + 1)]
+        e_hi, e_hi_err = etas[q ** (j - 1)]
         t = tail_asymptote(spec, lam)
         r_lo, r_hi = e_lo / t, e_hi / t
         middle = e_lo <= e_hi + e_lo_err + e_hi_err
@@ -313,24 +354,21 @@ def verify_parseval(spec: MultistableSpec, moll: MollifierSpec,
     """
     from scipy.integrate import quad
 
-    from .charfn import cf_profile
     from .inversion import density, tail_probability_with_error
 
     cfg = cfg or QuadratureConfig()
     b_edge = (1.0 + moll.q) / 2.0
+    powers = _node_powers(spec, moll)
     rows = []
     ok_all = True
     for delta in deltas:
         delta = float(delta)
         if delta <= 0.0:
             raise ValueError("delta must be positive")
-        # theta side on the table
-        factor = 1.0 - cf_profile(spec, delta * moll.nodes)
+        # theta side on the table; outside it 1 - cf(delta theta) <= m(delta theta)
+        factor = -np.expm1(-_table_modular(spec, powers, delta))
         theta_side = 2.0 * moll.integrate(factor)
-        theta_err = 2.0 * sum(
-            wgt * delta ** alph * moll.tail_power_bound(alph)
-            for alph, wgt in spec.groups
-        ) + 2.0 * moll.stub_bound(spec.b)
+        theta_err = 2.0 * _group_budget(spec, moll, delta)
         # x side: transition band + everything beyond the bump support
         lo_x, hi_x = 1.0 / delta, b_edge / delta
         band, band_err = quad(
@@ -343,7 +381,8 @@ def verify_parseval(spec: MultistableSpec, moll: MollifierSpec,
         ok = abs(theta_side - x_side) <= tol
         rows.append({
             "delta": delta, "theta_side": theta_side, "x_side": x_side,
-            "difference": theta_side - x_side, "tolerance": tol, "ok": ok,
+            "difference": theta_side - x_side, "theta_err": theta_err, "x_err": x_err,
+            "tolerance": tol, "ok": ok,
         })
         ok_all &= ok
     return LemmaReport("parseval", ok_all, rows, {"q": moll.q})

@@ -133,3 +133,14 @@ class TestScalingBounds:
             xi = float(rng.uniform(1.0, 50.0))
             delta = float(rng.uniform(0.05, 20.0))
             assert all(scaling_bounds_check(spec, xi, delta))
+
+
+def test_group_weights_match_per_cell_sum(rng):
+    # T summed per exponent group equals the per-cell sum of the closed form
+    lams = np.geomspace(1.0, 1e8, 97)
+    specs = [fixture(n) for n in ("cauchy", "two_exp", "three_cell", "wide_narrow")]
+    specs += [random_spec(rng) for _ in range(20)]
+    for spec in specs:
+        cells = [(hi - lo, abs(c), a) for lo, hi, c, a in spec.cells if c != 0.0]
+        ref = sum(ln * c ** a * tail_constant(a) * lams ** -a for ln, c, a in cells)
+        assert np.allclose(TailAsymptote.from_spec(spec)(lams), ref, rtol=1e-14, atol=0.0)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from multistable.mollifier import build_mollifier, smoothstep_c5
+from multistable.mollifier import _CHAIN0, _CHAIN1, _ab_large, build_mollifier, smoothstep_c5
 
 
 def test_q_must_exceed_one():
@@ -91,3 +91,27 @@ def test_h_cache_and_error_reporting(moll15):
     assert e1 < 1e-6
     with pytest.raises(ValueError):
         moll15.h(2.0)
+
+
+def _ab_large_reference(s):
+    """The eleven-step integration-by-parts recurrence, dividing by s each step."""
+    sins, coss = np.sin(s), np.cos(s)
+    i_sin = np.zeros_like(s)
+    i_cos = np.zeros_like(s)
+    for k in range(10, -1, -1):
+        i_sin, i_cos = (
+            (_CHAIN0[k] - _CHAIN1[k] * coss + i_cos) / s,
+            (_CHAIN1[k] * sins - i_sin) / s,
+        )
+    return i_sin, i_cos
+
+
+def test_ab_large_matches_reference_recurrence():
+    s = np.concatenate([np.linspace(25.0, 40.0, 20001), np.geomspace(40.0, 1e6, 20001)])
+    a_ref, b_ref = _ab_large_reference(s)
+    a, b = _ab_large(s)
+    # multiplying by a rounded 1/s moves each of the six boundary steps by an
+    # ulp or two of the leading term 2 * 332640 / s^6 (the fifth-order chain value)
+    tol = 16.0 * np.finfo(float).eps * 2.0 * abs(_CHAIN0[5]) / s ** 6
+    assert np.all(np.abs(a - a_ref) <= tol)
+    assert np.all(np.abs(b - b_ref) <= tol)

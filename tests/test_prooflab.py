@@ -1,10 +1,16 @@
+import dataclasses
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from multistable import prooflab
 from multistable.asymptote import tail_asymptote, tail_constant
-from multistable.fixtures import fixture
+from multistable.fixtures import fixture, random_spec
+from multistable.function_space import ExponentFunction, StepFunction, refine
 from multistable.inversion import tail_probability
 from multistable.prooflab import (
     eta,
@@ -198,3 +204,77 @@ class TestLemmaSweeps:
         assert rep.passed
         for row in rep.grid:
             assert abs(row["difference"]) <= row["tolerance"]
+
+
+class TestTableKernel:
+    """The group-power table kernel against the direct per-cell modular."""
+
+    @staticmethod
+    def _direct(spec, moll, scale):
+        return spec.scaled_modular(scale * moll.nodes)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), shared=st.booleans(),
+           log_xi=st.floats(0.0, 6.0), log_delta=st.floats(-2.0, 2.0))
+    def test_matches_per_cell_formula(self, moll2, seed, shared, log_xi, log_delta):
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        alpha_range = (0.3, 1.9)
+        if shared:  # every cell gets one exponent, so the cells merge into one group
+            alpha = float(rng.uniform(0.3, 1.9))
+            alpha_range = (alpha, alpha)
+        spec = random_spec(rng, alpha_range=alpha_range)
+        xi, delta = 10.0 ** log_xi, 10.0 ** log_delta
+        m = self._direct(spec, moll2, 1.0 / xi)
+        eta_ref = 2.0 * moll2.integrate(-np.expm1(-m))
+        rho_ref = 2.0 * moll2.integrate_abs(np.abs(m + np.expm1(-m)))
+        assert abs(eta(spec, moll2, xi) - eta_ref) <= 1e-15
+        # rho reaches ~1e2 at xi near 1, where one ulp is ~1e-14
+        assert abs(rho(spec, moll2, xi) - rho_ref) <= 1e-15 * max(1.0, rho_ref)
+        powers = prooflab._node_powers(spec, moll2)
+        theta_side = 2.0 * moll2.integrate(
+            -np.expm1(-prooflab._table_modular(spec, powers, delta)))
+        theta_ref = 2.0 * moll2.integrate(-np.expm1(-self._direct(spec, moll2, delta)))
+        assert abs(theta_side - theta_ref) <= 1e-15
+
+    def test_parseval_theta_side_uses_the_kernel(self, moll15):
+        rep = verify_parseval(TWO_EXP, moll15, [0.1, 1.0], CFG)
+        for row in rep.grid:
+            m = self._direct(TWO_EXP, moll15, row["delta"])
+            assert row["theta_side"] == pytest.approx(
+                2.0 * moll15.integrate(-np.expm1(-m)), abs=1e-15)
+
+    @pytest.mark.parametrize("spec", [CAUCHY, TWO_EXP, fixture("three_cell")])
+    def test_sweep_rows_equal_single_calls(self, moll125, spec):
+        lams = [10.0, 12.0, 50.0, 100.0, 1000.0]  # 10 and 12 share j0 at q = 1.25
+        q = moll125.q
+        rep1 = verify_lemma1(spec, moll125, lams, CFG)
+        rep6 = verify_lemma6(spec, moll125, lams, CFG)
+        for r1, r6 in zip(rep1.grid, rep6.grid):
+            j = r1["j0"]
+            lo = eta_with_error(spec, moll125, q ** (j + 1))[0]
+            hi = eta_with_error(spec, moll125, q ** (j - 1))[0]
+            assert r1["eta_upper_arg"] == lo and r1["eta_lower_arg"] == hi
+            t = tail_asymptote(spec, r6["lambda"])
+            assert r6["ratio_lower"] == lo / t and r6["ratio_upper"] == hi / t
+
+    def test_parseval_stub_budget_carries_weights_and_scale(self, moll15):
+        # alpha = 0.1 with W = 1e4 next to alpha = 1.9: the untabulated stub
+        # [0, stub] holds mass 2 int phi_q (1 - cf(delta theta)), which a
+        # weightless stub_bound(b) misses by 24 orders of magnitude
+        spec = refine(StepFunction((0.0, 1e4, 1e4 + 1.0), (1.0, 1.0)),
+                      ExponentFunction((1e4,), (0.1, 1.9)))
+        assert spec.groups == ((0.1, 1e4), (1.9, 1.0))
+        delta = 10.0
+        with mp.workdps(30):
+            stub_mass = float(2 * mp.quad(
+                lambda t: moll15.phi(float(t)) * -mp.expm1(
+                    -sum(w * (delta * t) ** a for a, w in spec.groups)),
+                [0, moll15.stub]))
+        assert 2.0 * moll15.stub_bound(spec.b) < 1e-30 < stub_mass
+        # with the decay envelope switched off only the stub part remains
+        stub_only = dataclasses.replace(moll15, decay_coeff=0.0)
+        assert 2.0 * prooflab._group_budget(spec, stub_only, delta) >= stub_mass
+        rep = verify_parseval(spec, moll15, [delta], CFG)
+        row = rep.grid[0]
+        assert row["theta_err"] == 2.0 * prooflab._group_budget(spec, moll15, delta)
+        assert row["tolerance"] >= row["theta_err"] + row["x_err"]
