@@ -25,7 +25,7 @@ from scipy.special import gamma as _gamma_fn
 
 from .function_space import MultistableSpec, quasinorm
 from .inversion import tail_probability_with_error
-from .quadrature import QuadratureConfig
+from .quadrature import QuadratureConfig, _certify
 
 __all__ = [
     "tail_constant",
@@ -48,7 +48,7 @@ def tail_constant(gamma: float) -> float:
     return (1.0 - gamma) / (_gamma_fn(2.0 - gamma) * math.cos(0.5 * math.pi * gamma))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TailAsymptote:
     """Per exponent group weights w_g = W_g * C(alpha_g), from ``spec.groups``."""
 
@@ -95,10 +95,7 @@ def ratio_with_error(spec: MultistableSpec, lam: float,
     _require_unit_sphere(spec)
     t = tail_asymptote(spec, lam)
     p, perr = tail_probability_with_error(spec, lam, cfg)
-    if perr > cfg.abs_tol:
-        from .quadrature import AccuracyError
-
-        raise AccuracyError("tail probability inside ratio did not meet abs_tol", perr)
+    _certify("tail probability inside ratio", perr, cfg)
     return p / t, perr / t
 
 

@@ -38,7 +38,7 @@ from .function_space import (
     quasinorm,
     refine,
 )
-from .inversion import density_with_error, tail_probability_with_error
+from .inversion import _certified_density, density_with_error, tail_probability_with_error
 from .mollifier import build_mollifier
 from .prooflab import (
     verify_elementary_inequality,
@@ -48,7 +48,7 @@ from .prooflab import (
     verify_lemma6,
     verify_parseval,
 )
-from .quadrature import AccuracyError, QuadratureConfig
+from .quadrature import AccuracyError, QuadratureConfig, _certify
 from .sampler import mc_tail, sample
 
 OUTDIR_ENV = "MULTISTABLE_OUTDIR"
@@ -126,12 +126,7 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 def _cfg(args) -> QuadratureConfig:
-    return QuadratureConfig(
-        abs_tol=args.abs_tol,
-        truncation_theta="auto" if args.truncation is None else args.truncation,
-        max_panels=args.max_panels,
-        oscillation_policy=args.policy,
-    )
+    return QuadratureConfig(abs_tol=args.abs_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -160,14 +155,9 @@ def _cmd_density(args) -> int:
     rows = []
     clamped = 0
     for x in sorted(args.x):
-        val, err = density_with_error(spec, x, cfg)
-        if err > cfg.abs_tol:
-            raise AccuracyError(f"density at x={x} did not meet abs_tol", err)
-        if val < 0.0:
-            if val < -cfg.abs_tol:
-                raise AccuracyError(f"density at x={x} significantly negative", abs(val))
-            val = 0.0
-            clamped += 1
+        raw, err = density_with_error(spec, x, cfg)
+        val = _certified_density(f"density at x={x}", raw, err, cfg)
+        clamped += raw < 0.0
         rows.append([float(x), val, err])
     if clamped > 0.01 * len(rows):
         print(f"error: {clamped}/{len(rows)} density values needed clamping to 0",
@@ -185,8 +175,7 @@ def _cmd_tail(args) -> int:
     rows = []
     for lam in sorted(args.lambdas):
         val, err = tail_probability_with_error(spec, lam, cfg)
-        if err > cfg.abs_tol:
-            raise AccuracyError(f"tail at lambda={lam} did not meet abs_tol", err)
+        _certify(f"tail at lambda={lam}", err, cfg)
         rows.append([float(lam), val, err])
     out = _outpath(args, "tail.csv")
     _write_csv(out, ["x_or_lambda", "value", "est_error"], rows)
@@ -244,7 +233,7 @@ _LEMMA_DEFAULT_LAMBDAS = [10.0, 50.0, 100.0, 1000.0]
 
 
 def _cmd_verify(args) -> int:
-    cfg = QuadratureConfig(abs_tol=args.abs_tol)
+    cfg = _cfg(args)
     which = args.lemma
     if which == "lemma2":
         rng = np.random.Generator(np.random.Philox(key=args.seed))
@@ -328,14 +317,6 @@ def _add_spec_args(p: argparse.ArgumentParser):
 
 def _add_quad_args(p: argparse.ArgumentParser):
     p.add_argument("--abs-tol", type=float, default=1e-10)
-    p.add_argument("--truncation", type=float, default=None,
-                   help="override the automatic theta truncation (adaptive_panels only)")
-    p.add_argument("--max-panels", type=int, default=8192,
-                   help="panel budget (adaptive_panels only)")
-    p.add_argument("--policy", default="zero_split_accelerated",
-                   choices=["zero_split_accelerated", "adaptive_panels"],
-                   help="zero_split_accelerated: rotated-contour rule; "
-                        "adaptive_panels: QUADPACK on the real axis")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -394,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
                                      "lemma6", "parseval", "remarks"])
     _add_spec_args(p)
     p.add_argument("--q", type=float, default=1.5)
-    p.add_argument("--abs-tol", type=float, default=1e-10)
+    _add_quad_args(p)
     p.add_argument("--lambdas", type=float, nargs="*", default=None,
                    help="lambda grid for lemma1 and lemma6 (default 10 50 100 1000); "
                         "for lemma5 the xi grid (default 1 10 100)")

@@ -26,10 +26,9 @@ Kronrod-minus-Gauss difference per panel, the remainder of the
 first-order stub on [0, t_lo], a truncation bound beyond the last panel
 and a roundoff bound.
 
-The ``adaptive_panels`` policy keeps the real-axis route through
-:func:`quadrature.fourier_integral`: there the envelope
-cf(theta) <= exp(-m1 theta^a) for theta >= 1, with m1 the modular at
-scale 1, gives a rigorous incomplete-gamma bound on the truncated mass.
+This rule is the only inversion route; :mod:`multistable.quadrature`
+contributes the shared :class:`QuadratureConfig`, :class:`AccuracyError`
+and certification check, but none of its real-axis engine.
 """
 
 from __future__ import annotations
@@ -41,9 +40,8 @@ import numpy as np
 from scipy.special import exp1, gammaincc, gammaln
 from scipy.special import gamma as _gamma_fn
 
-from .charfn import cf_profile
-from .function_space import MultistableSpec, modular_integral
-from .quadrature import ADAPTIVE, AccuracyError, QuadratureConfig, fourier_integral
+from .function_space import MultistableSpec
+from .quadrature import AccuracyError, QuadratureConfig, _certify
 
 __all__ = [
     "density",
@@ -423,81 +421,29 @@ def _ray_integral(spec: MultistableSpec, omega: float, kind: str) -> tuple[float
     return float(np.clip(p, 0.0, 1.0)), 2.0 / math.pi * err + 2.0 * _EPS * abs(p)
 
 
-def _tail(spec: MultistableSpec, lam: float, cfg: QuadratureConfig) -> tuple[float, float]:
-    if cfg.oscillation_policy == ADAPTIVE:
-        val, err = _sine_integral(spec, lam, cfg)
-        p = 1.0 - (2.0 / math.pi) * val
-        return float(np.clip(p, 0.0, 1.0)), (2.0 / math.pi) * err
-    return _ray_integral(spec, lam, "tail")
-
-
-# ---------------------------------------------------------------------------
-# real-axis route of the adaptive_panels policy
-
-def _envelope_tail_mass(spec: MultistableSpec, theta: float) -> float:
-    """Rigorous bound on integral_theta^inf cf(t) dt.
-
-    Uses cf(t) <= exp(-m1 t^a), valid for t >= 1; below 1 the crude bound
-    cf <= 1 covers the gap, so the result is a certificate for any theta.
-    """
-    a = spec.a
-    m1 = modular_integral(spec, 1.0)
-    below = max(0.0, 1.0 - theta)
-    theta = max(theta, 1.0)
-    # integral_T^inf exp(-m1 t^a) dt = Gamma(1/a, m1 T^a) / (a m1^(1/a))
-    z = m1 * theta ** a
-    return below + float(_gamma_fn(1.0 / a) * gammaincc(1.0 / a, z) / (a * m1 ** (1.0 / a)))
-
-
-def _truncation_point(spec: MultistableSpec, cfg: QuadratureConfig) -> float:
-    """Truncation with envelope tail mass below abs_tol/2 (>= 1 always)."""
-    if cfg.truncation_theta != "auto":
-        return float(cfg.truncation_theta)
-    m1 = modular_integral(spec, 1.0)
-    a = spec.a
-    # solve exp(-Theta^a m1) = abs_tol/2 as the starting point
-    theta = max(1.0, (math.log(2.0 / cfg.abs_tol) / m1) ** (1.0 / a))
-    while _envelope_tail_mass(spec, theta) > cfg.abs_tol / 2 and theta < 1e12:
-        theta *= 1.5
-    return theta
-
-
-def _sine_integral(spec: MultistableSpec, x: float,
-                   cfg: QuadratureConfig) -> tuple[float, float]:
-    """integral_0^inf sin(x theta) cf(theta)/theta dtheta for x >= 0."""
-    theta_trunc = _truncation_point(spec, cfg)
-
-    def env(t):
-        t = np.asarray(t, dtype=float)
-        safe = np.where(t > 0.0, t, 1.0)
-        return cf_profile(spec, t) / safe
-
-    return fourier_integral(
-        env, x, "sin", cfg,
-        theta_trunc=theta_trunc,
-        tail_bound=lambda T: _envelope_tail_mass(spec, T) / max(T, 1.0),
-    )
-
-
 # ---------------------------------------------------------------------------
 # public entry points
 
 def density_with_error(spec: MultistableSpec, x: float,
                        cfg: QuadratureConfig | None = None) -> tuple[float, float]:
-    """Density at x and a bound on the absolute error."""
-    cfg = cfg or QuadratureConfig()
+    """Density at x and a bound on the absolute error.
+
+    The rule picks its own nodes, so cfg is not read; the bound is
+    returned as is and certified by :func:`density`.
+    """
     _require_nonzero(spec)
     if math.isnan(x):
         raise ValueError("x is NaN")
-    if cfg.oscillation_policy != ADAPTIVE:
-        return _ray_integral(spec, abs(x), "density")
-    theta_trunc = _truncation_point(spec, cfg)
-    val, err = fourier_integral(
-        lambda t: cf_profile(spec, t), abs(x), "cos", cfg,
-        theta_trunc=theta_trunc,
-        tail_bound=lambda T: _envelope_tail_mass(spec, T),
-    )
-    return val / math.pi, err / math.pi
+    return _ray_integral(spec, abs(x), "density")
+
+
+def _certified_density(what: str, val: float, err: float, cfg: QuadratureConfig) -> float:
+    """A density value whose bound meets cfg.abs_tol, with quadrature noise in
+    [-abs_tol, 0) clamped to 0; anything more negative raises."""
+    _certify(what, err, cfg)
+    if val < -cfg.abs_tol:
+        raise AccuracyError(f"{what} came out significantly negative", abs(val))
+    return max(val, 0.0)
 
 
 def density(spec: MultistableSpec, x: float,
@@ -509,22 +455,16 @@ def density(spec: MultistableSpec, x: float,
     """
     cfg = cfg or QuadratureConfig()
     val, err = density_with_error(spec, x, cfg)
-    if err > cfg.abs_tol:
-        raise AccuracyError("density quadrature did not meet abs_tol", err)
-    if val < 0.0:
-        if val < -cfg.abs_tol:
-            raise AccuracyError("density came out significantly negative", abs(val))
-        val = 0.0
-    return val
+    return _certified_density("density", val, err, cfg)
 
 
 def tail_probability_with_error(spec: MultistableSpec, lam: float,
                                 cfg: QuadratureConfig | None = None) -> tuple[float, float]:
-    cfg = cfg or QuadratureConfig()
+    """P(|I(f)| > lam) and a bound on the absolute error; cfg is not read."""
     _require_nonzero(spec)
     if not lam > 0.0:
         raise ValueError(f"lambda must be positive, got {lam}")
-    return _tail(spec, lam, cfg)
+    return _ray_integral(spec, lam, "tail")
 
 
 def tail_probability(spec: MultistableSpec, lam: float,
@@ -532,8 +472,7 @@ def tail_probability(spec: MultistableSpec, lam: float,
     """P(|I(f)| > lam), clipped to [0, 1]."""
     cfg = cfg or QuadratureConfig()
     p, err = tail_probability_with_error(spec, lam, cfg)
-    if err > cfg.abs_tol:
-        raise AccuracyError("tail-probability quadrature did not meet abs_tol", err)
+    _certify("tail probability", err, cfg)
     return p
 
 
@@ -547,9 +486,8 @@ def cdf(spec: MultistableSpec, x: float, cfg: QuadratureConfig | None = None) ->
         return 1.0 if x > 0 else 0.0
     if x == 0.0:
         return 0.5
-    p, err = _tail(spec, abs(x), cfg)
-    if err / 2.0 > cfg.abs_tol:
-        raise AccuracyError("cdf quadrature did not meet abs_tol", err / 2.0)
+    p, err = _ray_integral(spec, abs(x), "tail")
+    _certify("cdf", err / 2.0, cfg)
     return float(np.clip(1.0 - 0.5 * p if x > 0 else 0.5 * p, 0.0, 1.0))
 
 
@@ -561,24 +499,3 @@ def interval_probability(spec: MultistableSpec, lo: float, hi: float,
         raise ValueError(f"need lo <= hi, got ({lo}, {hi})")
     p = cdf(spec, hi, cfg) - cdf(spec, lo, cfg)
     return float(np.clip(p, 0.0, 1.0))
-
-
-def tail_via_density(spec: MultistableSpec, lam: float,
-                     cfg: QuadratureConfig | None = None,
-                     density_tol: float | None = None) -> float:
-    """P(|I(f)| > lam) = 1 - 2 integral_0^lam D(x) dx, integrating the density.
-
-    A deliberately independent route from the tail integral: the x-axis
-    integral is driven adaptively over pointwise density evaluations, so
-    the two paths share no quadrature decisions.  Used for cross-checks.
-    """
-    from scipy.integrate import quad
-
-    cfg = cfg or QuadratureConfig()
-    dtol = density_tol if density_tol is not None else cfg.abs_tol
-
-    dcfg = QuadratureConfig(abs_tol=dtol, truncation_theta=cfg.truncation_theta,
-                            max_panels=cfg.max_panels)
-    body, err = quad(lambda x: density(spec, x, dcfg), 0.0, lam,
-                     epsabs=cfg.abs_tol / 4, epsrel=1e-12, limit=400)
-    return float(np.clip(1.0 - 2.0 * body, 0.0, 1.0))

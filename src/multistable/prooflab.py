@@ -40,7 +40,7 @@ from .asymptote import TailAsymptote, tail_asymptote
 from .function_space import MultistableSpec, quasinorm
 from .inversion import tail_probability_with_error
 from .mollifier import MollifierSpec
-from .quadrature import AccuracyError, QuadratureConfig
+from .quadrature import QuadratureConfig, _certify
 
 __all__ = [
     "h_q",
@@ -142,8 +142,7 @@ def eta_with_error(spec: MultistableSpec, moll: MollifierSpec, xi: float,
     """eta(xi) with an error bound (table quadrature + decay-envelope tail)."""
     _check_xi(xi)
     val, err = _eta(spec, moll, _node_powers(spec, moll), xi)
-    if cfg is not None and err > cfg.abs_tol:
-        raise AccuracyError("eta error bound exceeds abs_tol", err)
+    _certify("eta error bound", err, cfg)
     return val, err
 
 
@@ -168,8 +167,7 @@ def tau_with_error(spec: MultistableSpec, moll: MollifierSpec, xi: float,
         h, he = moll.h(alph)
         val += wgt * xi ** -alph * h
         err += wgt * xi ** -alph * he
-    if cfg is not None and err > cfg.abs_tol:
-        raise AccuracyError("tau error bound exceeds abs_tol", err)
+    _certify("tau error bound", err, cfg)
     return val, err
 
 
@@ -194,8 +192,7 @@ def rho_with_error(spec: MultistableSpec, moll: MollifierSpec, xi: float,
     total_w = sum(wgt for _, wgt in groups)
     err = 2.0 * tail + total_w ** 2 * moll.stub_bound(2.0 * spec.a) \
         + 4e-16 * (1.0 + abs(body))
-    if cfg is not None and err > cfg.abs_tol:
-        raise AccuracyError("rho error bound exceeds abs_tol", err)
+    _certify("rho error bound", err, cfg)
     return body, err
 
 

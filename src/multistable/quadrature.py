@@ -9,17 +9,15 @@ zeros of the trigonometric factor, integrating each panel with adaptive
 Gauss-Kronrod, and Euler-accelerating the resulting alternating series.
 For envelopes that die before oscillation matters the panel terms reach
 the tolerance directly and the alternating-series remainder bound is
-used instead.  The ``adaptive_panels`` policy delegates to QUADPACK on a
-truncated interval; it is expected to stall for very high frequencies,
-which the default policy handles via acceleration.
+used instead.
 
-This engine serves :func:`oscillatory_integral` for envelopes that need
-not extend off the real axis (``exp(-|t|^0.7)``, say) and the
-``adaptive_panels`` policy of the inversion routines.  Under the default
-policy the density, tail and cdf of the multistable law do not come
-through here: :mod:`multistable.inversion` integrates them with a fixed
-rule on a rotated ray, where the cf's analytic continuation lets the
-Fourier kernel decay.
+This engine serves only :func:`oscillatory_integral`, for envelopes that
+need not extend off the real axis (``exp(-|t|^0.7)``, say).  The density,
+tail and cdf of the multistable law do not come through here:
+:mod:`multistable.inversion` integrates them with a fixed rule on a
+rotated ray, where the cf's analytic continuation lets the Fourier
+kernel decay.  The module also holds what every certified result shares:
+:class:`QuadratureConfig` and :class:`AccuracyError`.
 """
 
 from __future__ import annotations
@@ -35,9 +33,6 @@ __all__ = ["QuadratureConfig", "AccuracyError", "oscillatory_integral", "fourier
 
 _EPS = np.finfo(float).eps
 
-ZERO_SPLIT = "zero_split_accelerated"
-ADAPTIVE = "adaptive_panels"
-
 
 class AccuracyError(RuntimeError):
     """Raised when a quadrature cannot meet the requested tolerance.
@@ -50,33 +45,36 @@ class AccuracyError(RuntimeError):
         self.achieved = achieved
 
 
+def _certify(what: str, err: float, cfg: QuadratureConfig | None) -> None:
+    """Raise :class:`AccuracyError` when the error bound err exceeds cfg.abs_tol.
+
+    A cfg of None asks for no certificate.
+    """
+    if cfg is not None and err > cfg.abs_tol:
+        raise AccuracyError(f"{what} did not meet abs_tol", err)
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerance / truncation / oscillation policy for theta-integrals.
+    """Tolerance and truncation for certified integrals.
 
     ``abs_tol`` is the absolute error a certified result must meet.
-    ``truncation_theta`` and ``max_panels`` apply only to the
-    ``adaptive_panels`` policy and to :func:`oscillatory_integral` /
-    :func:`fourier_integral`; the default policy's density, tail and cdf
-    use the rotated-contour rule of :mod:`multistable.inversion`, which
-    chooses its own truncation and node set.
+    ``truncation_theta`` and ``max_panels`` apply only to
+    :func:`oscillatory_integral` / :func:`fourier_integral`; the density,
+    tail and cdf use the rotated-contour rule of
+    :mod:`multistable.inversion`, which chooses its own truncation and
+    node set.
     """
 
     abs_tol: float = 1e-10
     truncation_theta: float | str = "auto"
     max_panels: int = 8192
-    oscillation_policy: str = ZERO_SPLIT
 
     def __post_init__(self):
         if self.abs_tol <= 0.0:
             raise ValueError("abs_tol must be positive")
         if self.max_panels < 1:
             raise ValueError("max_panels must be at least 1")
-        if self.oscillation_policy not in (ZERO_SPLIT, ADAPTIVE):
-            raise ValueError(
-                f"unknown oscillation_policy {self.oscillation_policy!r}; "
-                f"expected {ZERO_SPLIT!r} or {ADAPTIVE!r}"
-            )
         if not (self.truncation_theta == "auto" or
                 (isinstance(self.truncation_theta, (int, float)) and self.truncation_theta > 0)):
             raise ValueError("truncation_theta must be 'auto' or a positive real")
@@ -233,11 +231,10 @@ def _zero_split(env: Callable, omega: float, kernel: str,
 
 
 def _nonoscillatory(env: Callable, cfg: QuadratureConfig,
-                    theta_trunc: float | None,
-                    tail_bound: Callable[[float], float] | None) -> tuple[float, float]:
+                    theta_trunc: float | None) -> tuple[float, float]:
     """integral_0^inf env on geometric panels; env must decay."""
     if theta_trunc is not None:
-        # adaptive integration of [0, trunc] + analytic tail
+        # adaptive integration of [0, trunc]; the caller owns the mass beyond
         tol = cfg.abs_tol / 2
         edges = [0.0, min(1.0, theta_trunc)]
         while edges[-1] < theta_trunc:
@@ -247,8 +244,7 @@ def _nonoscillatory(env: Callable, cfg: QuadratureConfig,
             v, e = adaptive_gk(env, a, b, tol / len(edges))
             total += v
             toterr += e
-        tail = tail_bound(theta_trunc) if tail_bound is not None else 0.0
-        return total, toterr + tail
+        return total, toterr
     # no truncation available: geometric panels with decay-ratio remainder
     total, toterr = adaptive_gk(env, 0.0, 1.0, cfg.abs_tol * 1e-2)
     a, b = 1.0, 2.0
@@ -268,15 +264,14 @@ def _nonoscillatory(env: Callable, cfg: QuadratureConfig,
 
 
 def fourier_integral(env: Callable, omega: float, kernel: str, cfg: QuadratureConfig,
-                     theta_trunc: float | None = None,
-                     tail_bound: Callable[[float], float] | None = None,
-                     ) -> tuple[float, float]:
+                     theta_trunc: float | None = None) -> tuple[float, float]:
     """integral_0^inf env(theta) * kernel(omega * theta) dtheta -> (value, error bound).
 
     ``env`` must accept numpy arrays and should decrease monotonically for
     the alternating-series machinery to apply.  ``kernel`` is "cos" or
-    "sin"; omega must be nonnegative.  ``theta_trunc``/``tail_bound`` are
-    used by the non-oscillatory and adaptive-panel paths.
+    "sin"; omega must be nonnegative.  ``theta_trunc`` cuts the
+    non-oscillatory (omega = 0) integral; its bound leaves out the mass
+    beyond the cut.
     """
     if kernel not in ("cos", "sin"):
         raise ValueError("kernel must be 'cos' or 'sin'")
@@ -285,38 +280,8 @@ def fourier_integral(env: Callable, omega: float, kernel: str, cfg: QuadratureCo
     if omega == 0.0:
         if kernel == "sin":
             return 0.0, 0.0
-        return _nonoscillatory(env, cfg, theta_trunc, tail_bound)
-
-    if cfg.oscillation_policy == ADAPTIVE:
-        return _adaptive_panels(env, omega, kernel, cfg, theta_trunc, tail_bound)
+        return _nonoscillatory(env, cfg, theta_trunc)
     return _zero_split(env, omega, kernel, cfg)
-
-
-def _adaptive_panels(env, omega, kernel, cfg, theta_trunc, tail_bound):
-    import warnings
-
-    from scipy.integrate import IntegrationWarning, quad
-
-    if theta_trunc is None:
-        if cfg.truncation_theta == "auto":
-            raise ValueError(
-                "adaptive_panels needs a truncation point: pass truncation_theta "
-                "or provide a tail bound")
-        theta_trunc = float(cfg.truncation_theta)
-    trig = math.cos if kernel == "cos" else math.sin
-
-    def f(t):
-        return float(env(np.asarray([t]))[0]) * trig(omega * t)
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, err = quad(f, 0.0, theta_trunc, epsabs=cfg.abs_tol / 2, epsrel=1e-13,
-                        limit=cfg.max_panels)
-    tail = tail_bound(theta_trunc) if tail_bound is not None else 0.0
-    err = err + tail
-    if err > cfg.abs_tol:
-        raise AccuracyError("adaptive panels did not meet abs_tol", err)
-    return val, err
 
 
 def oscillatory_integral(integrand: Callable, frequency: float,
@@ -329,6 +294,5 @@ def oscillatory_integral(integrand: Callable, frequency: float,
     cfg = cfg or QuadratureConfig()
     trunc = None if cfg.truncation_theta == "auto" else float(cfg.truncation_theta)
     val, err = fourier_integral(integrand, frequency, kernel, cfg, theta_trunc=trunc)
-    if err > cfg.abs_tol:
-        raise AccuracyError("requested tolerance not met", err)
+    _certify("oscillatory integral", err, cfg)
     return val

@@ -33,6 +33,15 @@ def mixture_decompose(spec: MultistableSpec) -> list[tuple[float, float]]:
     return [(a, w ** (1.0 / a)) for a, w in spec.groups]
 
 
+def _cms(alpha: float, u: np.ndarray, w: np.ndarray | None) -> np.ndarray:
+    """Chambers-Mallows-Stuck: a standard symmetric alpha-stable variate from
+    u ~ Uniform(-pi/2, pi/2) and w ~ Exp(1); alpha = 1 is tan(u) and ignores w."""
+    if alpha == 1.0:
+        return np.tan(u)
+    return (np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)
+            * (np.cos((1.0 - alpha) * u) / w) ** ((1.0 - alpha) / alpha))
+
+
 def sample_standard_stable(alpha: float, rng: np.random.Generator,
                            size: int | None = None):
     """Draws of a standard symmetric alpha-stable variate, cf exp(-|theta|^alpha)."""
@@ -40,12 +49,8 @@ def sample_standard_stable(alpha: float, rng: np.random.Generator,
         raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
     n = 1 if size is None else size
     u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, n)
-    if alpha == 1.0:
-        z = np.tan(u)
-    else:
-        w = rng.standard_exponential(n)
-        z = (np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)
-             * (np.cos((1.0 - alpha) * u) / w) ** ((1.0 - alpha) / alpha))
+    w = None if alpha == 1.0 else rng.standard_exponential(n)
+    z = _cms(alpha, u, w)
     return float(z[0]) if size is None else z
 
 
@@ -70,12 +75,7 @@ def sample(spec: MultistableSpec, n: int, seed: int = 0,
             # fixed draw counts per group keep substreams aligned across chunks
             u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, m)
             w = rng.standard_exponential(m)
-            if alpha == 1.0:
-                z = np.tan(u)
-            else:
-                z = (np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)
-                     * (np.cos((1.0 - alpha) * u) / w) ** ((1.0 - alpha) / alpha))
-            acc += sigma * z
+            acc += sigma * _cms(alpha, u, w)
         out[start:start + m] = acc
         start += m
         chunk_index += 1

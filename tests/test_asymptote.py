@@ -55,6 +55,12 @@ class TestTailAsymptote:
         assert tail_asymptote(CAUCHY, 100.0) == pytest.approx(
             2.0 / math.pi / 100.0, rel=1e-14)
 
+    def test_hashable_by_identity(self):
+        asym = TailAsymptote.from_spec(fixture("two_exp"))
+        assert hash(asym) == hash(asym)
+        assert asym == asym
+        assert asym != TailAsymptote.from_spec(fixture("two_exp"))
+
     def test_lambda_one_weight_sum(self):
         spec = fixture("two_exp")
         asym = TailAsymptote.from_spec(spec)

@@ -125,8 +125,7 @@ class TestRunCommand:
 
     def test_tail_accuracy_error_exit(self, tmp_path, capsys):
         rc = run_command(["tail", "--fixture", "cauchy", "--lambdas", "10000",
-                          "--policy", "adaptive_panels", "--truncation", "50",
-                          "--max-panels", "40", "--out", str(tmp_path / "t.csv")])
+                          "--abs-tol", "1e-25", "--out", str(tmp_path / "t.csv")])
         assert rc == 3
         assert "accuracy error" in capsys.readouterr().err
 
@@ -189,3 +188,15 @@ class TestRunCommand:
         draws = np.load(out)
         assert draws.shape == (1000,)
         assert Path(str(out) + ".summary.csv").exists()
+
+
+@pytest.mark.parametrize("flag", [["--policy", "adaptive_panels"], ["--truncation", "50"],
+                                  ["--max-panels", "40"]])
+@pytest.mark.parametrize("cmd,grid", [("density", "--x"), ("tail", "--lambdas"),
+                                      ("ratio-scan", "--lambdas")])
+def test_real_axis_knobs_rejected(cmd, grid, flag, tmp_path):
+    # the rotated-contour rule is the only inversion route, so nothing selects
+    # or tunes another
+    rc = run_command([cmd, "--fixture", "cauchy", grid, "10", *flag,
+                      "--out", str(tmp_path / "o.csv")])
+    assert rc == 2

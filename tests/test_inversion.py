@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from multistable.fixtures import fixture
-from multistable.function_space import ExponentFunction, StepFunction, refine
+from multistable.function_space import ExponentFunction, MultistableSpec, StepFunction, refine
 from multistable.inversion import (
     cdf,
     density,
     interval_probability,
     tail_probability,
-    tail_via_density,
 )
 from multistable.quadrature import QuadratureConfig
 
@@ -101,6 +100,26 @@ class TestInterval:
         for x in (0.5, 2.0):
             assert cdf(TWO_EXP, x, CFG) + cdf(TWO_EXP, -x, CFG) == pytest.approx(
                 1.0, abs=2e-10)
+
+
+def tail_via_density(spec: MultistableSpec, lam: float,
+                     cfg: QuadratureConfig | None = None,
+                     density_tol: float | None = None) -> float:
+    """P(|I(f)| > lam) = 1 - 2 integral_0^lam D(x) dx, integrating the density.
+
+    A deliberately independent route from the tail integral: the x-axis
+    integral is driven adaptively over pointwise density evaluations, so
+    the two paths share no quadrature decisions.  Used for cross-checks.
+    """
+    from scipy.integrate import quad
+
+    cfg = cfg or QuadratureConfig()
+    dtol = density_tol if density_tol is not None else cfg.abs_tol
+
+    dcfg = QuadratureConfig(abs_tol=dtol)
+    body, err = quad(lambda x: density(spec, x, dcfg), 0.0, lam,
+                     epsabs=cfg.abs_tol / 4, epsrel=1e-12, limit=400)
+    return float(np.clip(1.0 - 2.0 * body, 0.0, 1.0))
 
 
 class TestCrossRoutes:

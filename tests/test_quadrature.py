@@ -22,8 +22,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             QuadratureConfig(max_panels=0)
         with pytest.raises(ValueError):
-            QuadratureConfig(oscillation_policy="fft")
-        with pytest.raises(ValueError):
             QuadratureConfig(truncation_theta=-3.0)
 
 
@@ -88,19 +86,19 @@ def test_negative_frequency():
 
 
 def test_accuracy_error_carries_achieved_bound():
-    cfg = QuadratureConfig(abs_tol=1e-12, oscillation_policy="adaptive_panels",
-                           truncation_theta=50.0, max_panels=3)
+    cfg = QuadratureConfig(abs_tol=1e-16, max_panels=48)
     with pytest.raises(AccuracyError) as exc:
         oscillatory_integral(lambda t: np.exp(-t) / t, 5000.0, cfg, kernel="sin")
     assert exc.value.achieved > 0.0
 
 
 def test_adaptive_panels_matches_default_policy():
+    # QUADPACK's weighted cosine rule on [0, 2000] is an independent reference;
+    # the envelope beyond 2000 is below e^-200
+    from scipy.integrate import quad
+
     env = lambda t: np.exp(-(np.abs(t) ** 0.7))
     a = QuadratureConfig(abs_tol=1e-10)
-    b = QuadratureConfig(abs_tol=1e-10, oscillation_policy="adaptive_panels",
-                         truncation_theta=2000.0, max_panels=5000)
     va, _ = fourier_integral(env, 3.0, "cos", a)
-    vb, _ = fourier_integral(env, 3.0, "cos", b,
-                             tail_bound=lambda T: math.exp(-T ** 0.7) * 3)
+    vb, _ = quad(env, 0.0, 2000.0, weight="cos", wvar=3.0, epsabs=1e-12, limit=5000)
     assert va == pytest.approx(vb, abs=2e-10)
