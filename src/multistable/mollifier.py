@@ -11,21 +11,34 @@ ends of the transition.  The mollifier itself is the inverse transform
 
     phi_q(theta) = (1/pi) integral_0^(1+w) cos(theta x) bump(x) dx,   w = (q-1)/2.
 
-Writing the transition integral in terms of s = theta * w gives the
-numerically exact two-regime form
+It has a closed form.  One integration by parts moves the derivative onto
+the bump, which is flat except on [1, 1+w], where bump' = -S5'((x-1)/w)/w:
 
-    pi * phi_q(theta) = w cos(theta) A(s)/s + B(s) sin(theta)/theta,
-    A(s) = integral_0^1 S5'(u) sin(s u) du,
-    B(s) = integral_0^1 S5'(u) cos(s u) du,
+    pi * phi_q(theta) = (1/theta) integral_0^1 S5'(u) sin(theta (1 + w u)) du.
 
-in which the sin(theta)/theta parts of the flat and transition regions
-have cancelled analytically.  A and B are evaluated by Gauss-Legendre
-quadrature for small s and by the exact integration-by-parts boundary
-expansion for large s (S5' vanishes to fourth order at both endpoints,
-so the expansion starts at the fifth derivative and is stable).  Most of
-a table lies in the large-s regime; there the expansion runs in powers
-of r = 1/s, and its five lowest orders, which carry no boundary terms,
-collapse into a single factor r^5.
+Write 1 + w u = (1 + w/2) + w (u - 1/2) and expand the sine.  S5'(u) =
+2772 u^5 (1-u)^5 is symmetric about u = 1/2, so the sin(w theta (u - 1/2))
+half integrates to zero and what is left factors:
+
+    pi * phi_q(theta) = G(w theta) sin((1 + w/2) theta) / theta,
+    G(s) = integral_0^1 S5'(u) cos(s (u - 1/2)) du = 10395 j5(s/2) / (s/2)^5,
+
+with j5 the spherical Bessel function (the Poisson integral
+j_n(x) = x^n / (2^(n+1) n!) integral_-1^1 cos(x t) (1 - t^2)^n dt with n = 5;
+10395 = 11!! makes G(0) = 1).  DLMF 10.49.3 gives it in elementary terms;
+with x = s/2 and r = 1/x,
+
+    G = 10395 r^6 [(15 - 420 r^2 + 945 r^4) r sin(x) - (1 - 105 r^2 + 945 r^4) cos(x)].
+
+As x -> 0 that bracket cancels through eleven orders, so the explicit form
+serves only from x = 12.5 (s = 25) on, where r^2 <= 0.0064 and its
+coefficients lose less than two bits.  Below the crossover G is a plain
+real integral of a polynomial against cos(s v) with |s v| <= 12.5, which a
+64-point Gauss-Legendre rule resolves to rounding; the rule's nodes come in
+pairs u = 1/2 +- v, so it needs only 32 cosines per point.  The crossover
+stays at s = 25: the explicit form would hold a little lower, but only
+1-3% of a table's nodes lie below s = 25, and the crossover also fixes
+where the decay envelope is fitted (theta_fit = 1.5 * 25 / w).
 
 A dense node/weight/value table over [0, theta_max] doubles as the fixed
 quadrature grid for every integral against phi_q; mass beyond theta_max
@@ -47,25 +60,15 @@ _S5 = np.zeros(12)
 _S5[6:] = [462.0, -1980.0, 3465.0, -3080.0, 1386.0, -252.0]
 _S5P = npoly.polyder(_S5)  # = 2772 u^5 (1-u)^5
 
-# endpoint values of the derivative chain of S5' (k = 0..10); the chain
-# vanishes through order 4, which is what makes the boundary expansion stable
-_CHAIN0 = []
-_CHAIN1 = []
-_poly = _S5P.copy()
-for _ in range(11):
-    _CHAIN0.append(float(npoly.polyval(0.0, _poly)))
-    _CHAIN1.append(float(npoly.polyval(1.0, _poly)))
-    _poly = npoly.polyder(_poly) if len(_poly) > 1 else np.zeros(1)
-_CHAIN0 = np.array(_CHAIN0)
-_CHAIN1 = np.array(_CHAIN1)
-
-# 64-point Gauss-Legendre on [0, 1] resolves sin(s u) to machine precision
-# for s up to the crossover
+# 64-point Gauss-Legendre on [0, 1] with S5' folded into the weights; the
+# node pairs u = 1/2 +- v/2 share cos(x v), so each pair keeps one weight
 _GLX, _GLW = np.polynomial.legendre.leggauss(64)
-_GLX = 0.5 * (_GLX + 1.0)
-_GLW = 0.5 * _GLW
-_S5P_AT_GL = npoly.polyval(_GLX, _S5P)
+_GLW = 0.5 * _GLW * npoly.polyval(0.5 * (_GLX + 1.0), _S5P)
+_GLV, _GLW = _GLX[32:], _GLW[32:] + _GLW[31::-1]
 _S_CROSSOVER = 25.0
+# points per vectorized pass: a block's temporaries stay in cache and their
+# memory is reused, where whole-table temporaries are fresh pages each time
+_BLOCK = 16384
 
 
 def smoothstep_c5(t):
@@ -74,30 +77,17 @@ def smoothstep_c5(t):
     return npoly.polyval(t, _S5)
 
 
-def _ab_small(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    args = np.multiply.outer(s, _GLX)
-    w = _GLW * _S5P_AT_GL
-    return np.sin(args) @ w, np.cos(args) @ w
+def _g_near(x: np.ndarray) -> np.ndarray:
+    """G(2x) for x < 12.5 by the folded Gauss-Legendre rule."""
+    return np.cos(np.multiply.outer(x, _GLV)) @ _GLW
 
 
-def _ab_large(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # integration by parts from the top of the chain down to order 5; the five
-    # remaining steps have zero boundary terms and only rotate the pair,
-    # (i_sin, i_cos) -> (i_cos, -i_sin) / s each, i.e. (i_cos, -i_sin) / s^5
-    r = 1.0 / s
-    sins, coss = np.sin(s), np.cos(s)
-    i_sin = np.zeros_like(s)
-    i_cos = np.zeros_like(s)
-    for k in range(10, 4, -1):
-        i_sin, i_cos = (
-            (_CHAIN0[k] - _CHAIN1[k] * coss + i_cos) * r,
-            (_CHAIN1[k] * sins - i_sin) * r,
-        )
-    # in place: a table is mostly large s, so every extra array here is large
-    r **= 5
-    i_cos *= r
-    i_sin *= r
-    return i_cos, np.negative(i_sin, out=i_sin)
+def _g_far(x: np.ndarray, sin_x: np.ndarray, cos_x: np.ndarray) -> np.ndarray:
+    """G(2x) = 10395 j5(x) / x^5 for x >= 12.5, Horner in r^2 = 1/x^2."""
+    r = 1.0 / x
+    r2 = r * r
+    return 10395.0 * r2 ** 3 * (((945.0 * r2 - 420.0) * r2 + 15.0) * r * sin_x
+                                - ((945.0 * r2 - 105.0) * r2 + 1.0) * cos_x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,22 +116,36 @@ class MollifierSpec:
         return 1.0 - npoly.polyval(t, _S5)
 
     def phi(self, theta):
-        """phi_q(theta), exact two-regime evaluation; accepts arrays."""
+        """phi_q(theta) = G(w theta) sin((1 + w/2) theta) / (pi theta); accepts arrays."""
         t = np.abs(np.asarray(theta, dtype=float))
-        scalar = t.ndim == 0
-        t = np.atleast_1d(t)
-        s = t * self.w
-        A = np.empty_like(s)
-        B = np.empty_like(s)
-        small = s < _S_CROSSOVER
-        if small.any():
-            A[small], B[small] = _ab_small(s[small])
-        if (~small).any():
-            A[~small], B[~small] = _ab_large(s[~small])
-        a_over_s = np.where(s > 0.0, A / np.where(s > 0.0, s, 1.0), 0.5)
-        sinc = np.where(t > 0.0, np.sin(t) / np.where(t > 0.0, t, 1.0), 1.0)
-        out = (self.w * np.cos(t) * a_over_s + B * sinc) / math.pi
-        return float(out[0]) if scalar else out
+        flat = t.ravel()
+        order = None
+        if not (flat[1:] >= flat[:-1]).all():
+            order = np.argsort(flat)
+            flat = flat[order]
+        out = np.empty_like(flat)
+        for i in range(0, flat.size, _BLOCK):
+            out[i:i + _BLOCK] = self._phi_sorted(flat[i:i + _BLOCK])
+        if order is not None:
+            out[order] = out.copy()
+        return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
+
+    def _phi_sorted(self, t: np.ndarray) -> np.ndarray:
+        # t ascending and nonnegative: each regime, and theta = 0, is one slice
+        x = (0.5 * self.w) * t
+        split = int(np.searchsorted(x, 0.5 * _S_CROSSOVER))
+        zeros = int(np.searchsorted(t, 0.0, side="right"))
+        sin_x, cos_x = np.sin(x), np.cos(x)
+        # sin((1 + w/2) t) = sin(t + x) from the unrounded arguments: rounding
+        # the product would move the phase by an ulp of t, which costs a
+        # relative error of about eps * t next to each zero
+        out = np.sin(t) * cos_x + np.cos(t) * sin_x
+        out[zeros:] /= t[zeros:]
+        out[:zeros] = 1.0 + 0.5 * self.w
+        out[:split] *= _g_near(x[:split])
+        out[split:] *= _g_far(x[split:], sin_x[split:], cos_x[split:])
+        out /= math.pi
+        return out
 
     # -- integrals against the table ------------------------------------------
 

@@ -56,18 +56,17 @@ def _certify(what: str, err: float, cfg: QuadratureConfig | None) -> None:
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerance and truncation for certified integrals.
+    """Tolerance and panel budget for certified integrals.
 
     ``abs_tol`` is the absolute error a certified result must meet.
-    ``truncation_theta`` and ``max_panels`` apply only to
-    :func:`oscillatory_integral` / :func:`fourier_integral`; the density,
-    tail and cdf use the rotated-contour rule of
-    :mod:`multistable.inversion`, which chooses its own truncation and
-    node set.
+    ``max_panels`` bounds the panels of :func:`oscillatory_integral` /
+    :func:`fourier_integral`, which integrate the whole half-line and
+    bound its remainder themselves; the density, tail and cdf use the
+    rotated-contour rule of :mod:`multistable.inversion`, which chooses
+    its own truncation and node set.
     """
 
     abs_tol: float = 1e-10
-    truncation_theta: float | str = "auto"
     max_panels: int = 8192
 
     def __post_init__(self):
@@ -75,9 +74,6 @@ class QuadratureConfig:
             raise ValueError("abs_tol must be positive")
         if self.max_panels < 1:
             raise ValueError("max_panels must be at least 1")
-        if not (self.truncation_theta == "auto" or
-                (isinstance(self.truncation_theta, (int, float)) and self.truncation_theta > 0)):
-            raise ValueError("truncation_theta must be 'auto' or a positive real")
 
 
 # ---------------------------------------------------------------------------
@@ -230,22 +226,8 @@ def _zero_split(env: Callable, omega: float, kernel: str,
         f"within {cfg.max_panels} panels", best_err)
 
 
-def _nonoscillatory(env: Callable, cfg: QuadratureConfig,
-                    theta_trunc: float | None) -> tuple[float, float]:
-    """integral_0^inf env on geometric panels; env must decay."""
-    if theta_trunc is not None:
-        # adaptive integration of [0, trunc]; the caller owns the mass beyond
-        tol = cfg.abs_tol / 2
-        edges = [0.0, min(1.0, theta_trunc)]
-        while edges[-1] < theta_trunc:
-            edges.append(min(theta_trunc, edges[-1] * 2.0))
-        total, toterr = 0.0, 0.0
-        for a, b in zip(edges, edges[1:]):
-            v, e = adaptive_gk(env, a, b, tol / len(edges))
-            total += v
-            toterr += e
-        return total, toterr
-    # no truncation available: geometric panels with decay-ratio remainder
+def _nonoscillatory(env: Callable, cfg: QuadratureConfig) -> tuple[float, float]:
+    """integral_0^inf env on geometric panels with a decay-ratio remainder; env must decay."""
     total, toterr = adaptive_gk(env, 0.0, 1.0, cfg.abs_tol * 1e-2)
     a, b = 1.0, 2.0
     prev = math.inf
@@ -263,15 +245,15 @@ def _nonoscillatory(env: Callable, cfg: QuadratureConfig,
                         toterr + prev)
 
 
-def fourier_integral(env: Callable, omega: float, kernel: str, cfg: QuadratureConfig,
-                     theta_trunc: float | None = None) -> tuple[float, float]:
+def fourier_integral(env: Callable, omega: float, kernel: str,
+                     cfg: QuadratureConfig) -> tuple[float, float]:
     """integral_0^inf env(theta) * kernel(omega * theta) dtheta -> (value, error bound).
 
     ``env`` must accept numpy arrays and should decrease monotonically for
     the alternating-series machinery to apply.  ``kernel`` is "cos" or
-    "sin"; omega must be nonnegative.  ``theta_trunc`` cuts the
-    non-oscillatory (omega = 0) integral; its bound leaves out the mass
-    beyond the cut.
+    "sin"; omega must be nonnegative.  The bound covers the whole
+    half-line: at omega = 0 the geometric panels run until the envelope's
+    decay ratio bounds the remainder.
     """
     if kernel not in ("cos", "sin"):
         raise ValueError("kernel must be 'cos' or 'sin'")
@@ -280,7 +262,7 @@ def fourier_integral(env: Callable, omega: float, kernel: str, cfg: QuadratureCo
     if omega == 0.0:
         if kernel == "sin":
             return 0.0, 0.0
-        return _nonoscillatory(env, cfg, theta_trunc)
+        return _nonoscillatory(env, cfg)
     return _zero_split(env, omega, kernel, cfg)
 
 
@@ -292,7 +274,6 @@ def oscillatory_integral(integrand: Callable, frequency: float,
     Raises :class:`AccuracyError` when the tolerance cannot be certified.
     """
     cfg = cfg or QuadratureConfig()
-    trunc = None if cfg.truncation_theta == "auto" else float(cfg.truncation_theta)
-    val, err = fourier_integral(integrand, frequency, kernel, cfg, theta_trunc=trunc)
+    val, err = fourier_integral(integrand, frequency, kernel, cfg)
     _certify("oscillatory integral", err, cfg)
     return val

@@ -90,6 +90,7 @@ def mc_tail(draws: np.ndarray, lam: float) -> tuple[float, float]:
     if lam < 0.0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")
     n = draws.size
-    p = float(np.count_nonzero(np.abs(draws) > lam)) / n
+    # two comparisons instead of an |draws| temporary; NaN fails both
+    p = float(np.count_nonzero(draws > lam) + np.count_nonzero(draws < -lam)) / n
     se = math.sqrt(p * (1.0 - p) / n)
     return p, se

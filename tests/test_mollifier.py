@@ -1,9 +1,11 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
-from multistable.mollifier import _CHAIN0, _CHAIN1, _ab_large, build_mollifier, smoothstep_c5
+from multistable.mollifier import build_mollifier, smoothstep_c5
 
 
 def test_q_must_exceed_one():
@@ -93,25 +95,84 @@ def test_h_cache_and_error_reporting(moll15):
         moll15.h(2.0)
 
 
-def _ab_large_reference(s):
-    """The eleven-step integration-by-parts recurrence, dividing by s each step."""
-    sins, coss = np.sin(s), np.cos(s)
-    i_sin = np.zeros_like(s)
-    i_cos = np.zeros_like(s)
+# An independent evaluation of phi_q in the two-regime A/B form
+#
+#     pi phi_q(theta) = w cos(theta) A(s)/s + B(s) sin(theta)/theta,   s = w theta,
+#     A(s), B(s) = integral_0^1 S5'(u) (sin, cos)(s u) du,
+#
+# with A and B by 64-point Gauss-Legendre for s < 25 and by the eleven-step
+# integration-by-parts recurrence over the derivative chain of S5' above.
+_S5P = 2772.0 * npoly.polymul(npoly.polypow([0.0, 1.0], 5), npoly.polypow([1.0, -1.0], 5))
+_CHAIN0, _CHAIN1 = [], []
+_poly = _S5P
+for _ in range(11):
+    _CHAIN0.append(float(npoly.polyval(0.0, _poly)))
+    _CHAIN1.append(float(npoly.polyval(1.0, _poly)))
+    _poly = npoly.polyder(_poly) if len(_poly) > 1 else np.zeros(1)
+_GLU, _GLW = np.polynomial.legendre.leggauss(64)
+_GLU = 0.5 * (_GLU + 1.0)
+_GLW = 0.5 * _GLW * npoly.polyval(_GLU, _S5P)
+
+
+def _ab_reference(s):
+    a, b = np.empty_like(s), np.empty_like(s)
+    small = s < 25.0
+    args = np.multiply.outer(s[small], _GLU)
+    a[small], b[small] = np.sin(args) @ _GLW, np.cos(args) @ _GLW
+    big = s[~small]
+    sins, coss = np.sin(big), np.cos(big)
+    i_sin = np.zeros_like(big)
+    i_cos = np.zeros_like(big)
     for k in range(10, -1, -1):
         i_sin, i_cos = (
-            (_CHAIN0[k] - _CHAIN1[k] * coss + i_cos) / s,
-            (_CHAIN1[k] * sins - i_sin) / s,
+            (_CHAIN0[k] - _CHAIN1[k] * coss + i_cos) / big,
+            (_CHAIN1[k] * sins - i_sin) / big,
         )
-    return i_sin, i_cos
+    a[~small], b[~small] = i_sin, i_cos
+    return a, b
 
 
-def test_ab_large_matches_reference_recurrence():
-    s = np.concatenate([np.linspace(25.0, 40.0, 20001), np.geomspace(40.0, 1e6, 20001)])
-    a_ref, b_ref = _ab_large_reference(s)
-    a, b = _ab_large(s)
-    # multiplying by a rounded 1/s moves each of the six boundary steps by an
-    # ulp or two of the leading term 2 * 332640 / s^6 (the fifth-order chain value)
-    tol = 16.0 * np.finfo(float).eps * 2.0 * abs(_CHAIN0[5]) / s ** 6
-    assert np.all(np.abs(a - a_ref) <= tol)
-    assert np.all(np.abs(b - b_ref) <= tol)
+def _phi_reference(w, theta):
+    """phi_q at theta > 0 in the two-regime A/B form."""
+    s = w * theta
+    a, b = _ab_reference(s)
+    return (w * np.cos(theta) * a / s + b * np.sin(theta) / theta) / math.pi
+
+
+def test_phi_matches_two_regime_reference(moll125, moll15, moll2):
+    for moll in (moll125, moll15, moll2):
+        # every table node, and the crossover s = w theta = 25 and its neighbours
+        crossover = 25.0 / moll.w
+        ts = np.concatenate([moll.nodes, [np.nextafter(crossover, 0.0), crossover,
+                                          np.nextafter(crossover, np.inf)]])
+        assert np.all(np.abs(moll.phi(ts) - _phi_reference(moll.w, ts)) <= 4e-15)
+        assert np.all(np.abs(moll.phi_values - _phi_reference(moll.w, moll.nodes)) <= 4e-15)
+
+
+def _phi_mpmath(q, theta):
+    """(1/pi) integral_0^(1+w) cos(theta x) bump(x) dx at 30 digits.
+
+    The flat part integrates to sin(theta)/theta; the transition [1, 1+w] is
+    split wherever theta x crosses a multiple of pi.
+    """
+    with mp.workdps(30):
+        w = (mp.mpf(q) - 1) / 2
+        th = mp.mpf(theta)
+
+        def integrand(x):
+            u = (x - 1) / w
+            s5 = u ** 6 * (462 - 1980 * u + 3465 * u ** 2 - 3080 * u ** 3
+                           + 1386 * u ** 4 - 252 * u ** 5)
+            return mp.cos(th * x) * (1 - s5)
+
+        ks = range(int(mp.ceil(th / mp.pi)), int(mp.floor(th * (1 + w) / mp.pi)) + 1)
+        pts = [mp.mpf(1)] + [k * mp.pi / th for k in ks] + [1 + w]
+        return (mp.sin(th) / th + mp.quad(integrand, pts, method="gauss-legendre")) / mp.pi
+
+
+def test_phi_far_field_matches_mpmath(moll125, moll15, moll2):
+    # past the crossover phi_q decays like theta^-6, so check relative accuracy
+    for moll in (moll125, moll15, moll2):
+        for theta in np.geomspace(25.0 / moll.w, 200.0 / moll.w, 4):
+            ref = _phi_mpmath(moll.q, theta)
+            assert abs(float((moll.phi(theta) - ref) / ref)) <= 1e-10

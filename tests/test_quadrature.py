@@ -21,8 +21,6 @@ class TestConfig:
             QuadratureConfig(abs_tol=0.0)
         with pytest.raises(ValueError):
             QuadratureConfig(max_panels=0)
-        with pytest.raises(ValueError):
-            QuadratureConfig(truncation_theta=-3.0)
 
 
 def test_adaptive_gk_smooth():
@@ -34,6 +32,16 @@ def test_adaptive_gk_endpoint_kink():
     # integrand with an x^0.3 endpoint singularity in the derivative
     val, err = adaptive_gk(lambda x: x ** 0.3, 0.0, 1.0, 1e-12)
     assert val == pytest.approx(1.0 / 1.3, abs=1e-10)
+
+
+def test_zero_frequency_integrates_the_whole_half_line():
+    # the omega = 0 route has no cut-off: its bound covers the mass beyond the
+    # last panel, so e^-t integrates to 1 and not to 1 - 1/e on [0, 1]
+    cfg = QuadratureConfig()
+    assert oscillatory_integral(lambda t: np.exp(-t), 0.0, cfg) == pytest.approx(
+        1.0, abs=cfg.abs_tol)
+    with pytest.raises(TypeError):
+        QuadratureConfig(truncation_theta=1.0)
 
 
 class TestClosedForms:

@@ -106,6 +106,12 @@ class TestMcTail:
         with pytest.raises(ValueError):
             mc_tail(np.array([1.0]), -1.0)
 
+    def test_count_matches_abs_on_edge_values(self):
+        draws = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0, 2.5, -0.5])
+        for lam in (0.0, 0.5, 1.0, 2.0, np.inf):
+            p, _ = mc_tail(draws, lam)
+            assert p == np.count_nonzero(np.abs(draws) > lam) / draws.size
+
 
 @pytest.fixture(scope="module")
 def big_draws():
