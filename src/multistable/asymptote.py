@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as _gamma_fn
 
 from .function_space import MultistableSpec, quasinorm
 from .inversion import tail_probability_with_error
@@ -45,7 +44,7 @@ def tail_constant(gamma: float) -> float:
         raise ValueError(f"gamma must lie in (0, 2), got {gamma}")
     if abs(gamma - 1.0) < _GAMMA_SWITCH:
         return 2.0 / math.pi
-    return (1.0 - gamma) / (_gamma_fn(2.0 - gamma) * math.cos(0.5 * math.pi * gamma))
+    return (1.0 - gamma) / (math.gamma(2.0 - gamma) * math.cos(0.5 * math.pi * gamma))
 
 
 @dataclass(frozen=True, eq=False)

@@ -125,6 +125,22 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
             fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
+# rows per formatted block of a one-column CSV: one string operation per
+# block instead of per row, with memory bounded by the block
+_CSV_BLOCK = 1 << 16
+
+
+def _write_column(path: Path, header: str, values: np.ndarray) -> None:
+    """One float column as CSV, byte-identical to _write_csv: "%.17g" % x is
+    format(x, ".17g")."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        for i in range(0, values.size, _CSV_BLOCK):
+            block = values[i:i + _CSV_BLOCK].tolist()
+            fh.write(("%.17g\n" * len(block)) % tuple(block))
+
+
 def _cfg(args) -> QuadratureConfig:
     return QuadratureConfig(abs_tol=args.abs_tol)
 
@@ -224,7 +240,7 @@ def _cmd_sample(args) -> int:
     if args.format == "npy":
         np.save(out, draws)
     else:
-        _write_csv(out, ["draw"], [[float(d)] for d in draws])
+        _write_column(out, "draw", draws)
     print(f"wrote {out}")
     return 0
 

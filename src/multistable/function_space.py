@@ -8,18 +8,19 @@ through the modular integral
 where the exponent alpha(x) is itself piecewise constant with values in
 (0, 2).  For f != 0 the modular is continuous and strictly decreasing in
 lam, so the quasinorm ||f|| -- the unique lam with M(f, lam) = 1 -- is
-found by bracketed root finding.  All integrals reduce to closed-form
-sums over the cells of the common refinement of f and alpha, so nothing
-in this module involves quadrature error.
+found by monotone Newton iteration on the exponent-group sum (see
+:func:`exp_sum_root`).  All integrals reduce to closed-form sums over the
+cells of the common refinement of f and alpha, so nothing in this module
+involves quadrature error.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "ExponentFunction",
@@ -27,12 +28,13 @@ __all__ = [
     "MultistableSpec",
     "refine",
     "modular_integral",
+    "exp_sum_root",
     "quasinorm",
     "normalize_to_sphere",
     "combine_steps",
 ]
 
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
 
 
 def _check_breakpoints(bp: Sequence[float], what: str) -> tuple[float, ...]:
@@ -254,40 +256,49 @@ def modular_integral(spec: MultistableSpec, scale: float) -> float:
     return float(spec.scaled_modular(1.0 / scale))
 
 
+_NEWTON_CAP = 64  # far more steps than any start needs (the start is at most G times y)
+
+
+def exp_sum_root(y: float, terms, step_tol: float = 0.0) -> float:
+    """u with sum c e^(alpha u) = y > 0, for terms [(c, alpha)] with c, alpha > 0.
+
+    The left side is convex and increasing in u.  Newton starts where one
+    term alone reaches y, which lies on the root's right, so the iterates
+    decrease monotonically onto the root.  It stops once a step falls to
+    ``step_tol`` plus a few ulps of u (by convexity the error left is then
+    about b step^2 or less, b the largest alpha), once the sum is no longer
+    above y (exact iterates never cross the root, so that is rounding), or
+    after a cap of steps.
+    """
+    u = min(math.log(y / c) / al for c, al in terms)
+    for _ in range(_NEWTON_CAP):
+        f, df = -y, 0.0
+        for c, al in terms:
+            v = c * math.exp(al * u)
+            f += v
+            df += al * v
+        if f <= 0.0:
+            break
+        step = f / df
+        u -= step
+        if step <= step_tol + 4.0 * _EPS * (1.0 + abs(u)):
+            break
+    return u
+
+
 def quasinorm(spec: MultistableSpec, rel_tol: float = 1e-12) -> float:
     """The unique lam > 0 with modular_integral(spec, lam) == 1 (0 for f == 0).
 
-    The modular is strictly decreasing in lam, so a doubling bracket
-    around scale 1 always exists; the bracketed root is then polished to
-    ``rel_tol``.
+    With u = -log lam the modular is sum_g W_g e^(alpha_g u) over
+    ``spec.groups``, whose root :func:`exp_sum_root` finds to a relative
+    step of ``rel_tol / 4``.
     """
     if rel_tol <= 0.0:
         raise ValueError("rel_tol must be positive")
     if spec.is_zero:
         return 0.0
-    m1 = modular_integral(spec, 1.0)
-    if m1 == 1.0:
-        return 1.0
-    lo = hi = 1.0
-    if m1 > 1.0:
-        # modular too big: grow the scale
-        while modular_integral(spec, hi) > 1.0:
-            hi *= 4.0
-        lo = hi / 4.0
-    else:
-        while modular_integral(spec, lo) < 1.0:
-            lo /= 4.0
-        hi = lo * 4.0
-    return float(
-        brentq(
-            lambda lam: modular_integral(spec, lam) - 1.0,
-            lo,
-            hi,
-            xtol=1e-300,
-            rtol=max(4 * _EPS, rel_tol / 4.0),
-            maxiter=300,
-        )
-    )
+    u = exp_sum_root(1.0, [(w, al) for al, w in spec.groups], 0.25 * rel_tol)
+    return math.exp(-u)
 
 
 def normalize_to_sphere(spec: MultistableSpec, rel_tol: float = 1e-12) -> MultistableSpec:

@@ -37,10 +37,8 @@ import math
 import weakref
 
 import numpy as np
-from scipy.special import exp1, gammaincc, gammaln
-from scipy.special import gamma as _gamma_fn
 
-from .function_space import MultistableSpec
+from .function_space import MultistableSpec, exp_sum_root
 from .quadrature import AccuracyError, QuadratureConfig, _certify
 
 __all__ = [
@@ -97,37 +95,34 @@ _GRID = 1.0 / 8.0           # s-spacing of the table that places the level edges
 _DECAY = 45.0               # envelopes are cut where they fall below e^-45
 _REL = 2.0 ** -60           # stub and truncation bounds aim below this share of the result
 _MAX_PANELS = 8192          # budget of one call: about 170 000 nodes
-_NEWTON = 8                 # Newton steps; convex and started on the right, so monotone
 # roundings behind one node's share of the sum: about 10 to form the value,
 # 21 in its panel's dot product, the rest in the pairwise sum over panels
 _ROUNDINGS = 40.0
 
 
-def _solve_log(y: float, lin: float, terms) -> float:
-    """u with lin e^u + sum c e^(alpha u) = y > 0, for terms [(c, alpha)] with c > 0.
+def _log_exp1(x: float) -> float:
+    """Upper bound on log E1(x), E1(x) = int_x^inf e^-v / v dv, for x > 0: A&S 5.1.20
+    gives E1(x) < e^-x ln(1 + 1/x), within a factor 1 + 1/(2x) for large x."""
+    return math.log(math.log1p(1.0 / x)) - x
 
-    The left side is convex and increasing in u.  Newton starts where one
-    term alone reaches y, which lies on the root's right, so the iterates
-    decrease monotonically onto the root.
-    """
-    u = min(math.log(y / c) / al for c, al in terms)
-    if lin > 0.0:
-        u = min(u, math.log(y / lin))
-    for _ in range(_NEWTON):
-        e = lin * math.exp(u) if lin > 0.0 else 0.0
-        f, df = e - y, e
-        for c, al in terms:
-            v = c * math.exp(al * u)
-            f += v
-            df += al * v
-        u -= f / df
-    return u
+
+def _exp1(x: float) -> float:
+    return math.exp(_log_exp1(x))
 
 
 def _log_upper_gamma(s: float, x: float) -> float:
-    """log Gamma(s, x), Gamma(s, x) = int_x^inf v^(s-1) e^-v dv, for s > 0, x >= 0."""
-    q = float(gammaincc(s, x))
-    return float(gammaln(s)) + math.log(q) if q > 0.0 else -math.inf
+    """Upper bound on log Gamma(s, x), Gamma(s, x) = int_x^inf v^(s-1) e^-v dv, s, x > 0.
+
+    For s <= 1, v^(s-1) <= x^(s-1) on [x, inf), so Gamma(s, x) <= x^(s-1) e^-x.
+    For s > 1, log(v/x) <= (v - x)/x gives v^(s-1) e^-v <= x^(s-1) e^-x
+    e^(-(1 - (s-1)/x)(v - x)), so Gamma(s, x) <= x^(s-1) e^-x x / (x - s + 1)
+    when x > s - 1.  Otherwise the bound is inf.
+    """
+    if s <= 1.0:
+        return (s - 1.0) * math.log(x) - x
+    if x > s - 1.0:
+        return (s - 1.0) * math.log(x) - x + math.log(x / (x - s + 1.0))
+    return math.inf
 
 
 def _upper_gamma(s: float, x: float) -> float:
@@ -154,15 +149,17 @@ class _Ray:
                                self.w * np.sin(self.alph * phi)])
         self.decay = [(w * math.cos(al * phi), al) for al, w in self.groups]
         terms = [(w, al) for al, w in self.groups]
-        self.t_cf = math.exp(_solve_log(1.0, 0.0, terms))
-        self.s_cf = _solve_log(_DECAY, 0.0, self.decay)      # |cf| <= e^-45 beyond
+        self.t_cf = math.exp(exp_sum_root(1.0, terms))       # 1 / quasinorm
+        self.s_cf = exp_sum_root(_DECAY, self.decay)         # |cf| <= e^-45 beyond
         # leading terms of the tail and density expansions, for scale only
         sin_half = np.sin(0.5 * math.pi * self.alph)
-        self.tail_w = self.w * (2.0 / math.pi) * _gamma_fn(self.alph) * sin_half
-        self.dens_w = self.w * _gamma_fn(self.alph + 1.0) * sin_half / math.pi
+        self.tail_w = (self.w * (2.0 / math.pi) * sin_half
+                       * np.array([math.gamma(al) for al in self.alph_list]))
+        self.dens_w = (self.w * sin_half / math.pi
+                       * np.array([math.gamma(al + 1.0) for al in self.alph_list]))
         # D(0) <= min_g Gamma(1 + 1/alpha_g) W_g^(-1/alpha_g) / pi, capped below overflow
-        log_d0 = np.min(gammaln(1.0 + 1.0 / self.alph) - np.log(self.w) / self.alph)
-        self.d0 = math.exp(min(float(log_d0), _LOG_HUGE)) / math.pi
+        log_d0 = min(math.lgamma(1.0 + 1.0 / al) - math.log(w) / al for al, w in self.groups)
+        self.d0 = math.exp(min(log_d0, _LOG_HUGE)) / math.pi
 
 
 # The constants depend only on the immutable spec and cost about a sixth of
@@ -239,7 +236,7 @@ def _truncation(ray: _Ray, kind: str, omega: float, tgt: float) -> tuple[float, 
     for _ in range(4):
         if kind == "density":
             # e^{-(k t + R(t))} with k t + R(t) >= K (t/T)^p, p = min(a, 1)
-            s_hi = _solve_log(decay, k, ray.decay)
+            s_hi = exp_sum_root(decay, ([(k, 1.0)] if k > 0.0 else []) + ray.decay)
             if s_hi > _LOG_HUGE:
                 raise AccuracyError("the density's integrand outlives the floating-point "
                                     "range of theta", math.inf)
@@ -249,13 +246,13 @@ def _truncation(ray: _Ray, kind: str, omega: float, tgt: float) -> tuple[float, 
             bound = math.exp(log_bound) if log_bound < _LOG_HUGE else math.inf
         elif kind == "tail-cf":
             # |e^{i w theta} - 1| |cf| / t <= 2 e^{-R(T) (t/T)^a} / t
-            s_hi = _solve_log(decay, 0.0, ray.decay)
-            bound = 2.0 * float(exp1(decay)) / ray.a
+            s_hi = exp_sum_root(decay, ray.decay)
+            bound = 2.0 * _exp1(decay) / ray.a
         else:
             # |1 - cf| <= min(2, M(t)); the tail divides by t, the density does not
             s_hi = math.log(decay / k)
             if kind == "tail":
-                bound = min(2.0 * float(exp1(decay)),
+                bound = min(2.0 * _exp1(decay),
                             sum(w * k ** -al * _upper_gamma(al, decay) for al, w in ray.groups))
             else:
                 bound = min(2.0 * math.exp(-decay) / k,
@@ -268,7 +265,7 @@ def _truncation(ray: _Ray, kind: str, omega: float, tgt: float) -> tuple[float, 
         # the cf's phase is not resolved where |cf| <= e^-45: bound what it adds,
         # once for the integral and once for the rule's sum
         t_end = math.exp(ray.s_cf)
-        kernel = float(exp1(k * t_end)) if kind == "tail" else math.exp(-k * t_end) / k
+        kernel = _exp1(k * t_end) if kind == "tail" else math.exp(-k * t_end) / k
         bound += 2.0 * math.exp(-_DECAY) * kernel
     return s_hi, bound
 

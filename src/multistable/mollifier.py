@@ -113,7 +113,9 @@ class MollifierSpec:
         """The Fourier transform: 1 on [-1,1], 0 outside [-(1+q)/2, (1+q)/2]."""
         ax = np.abs(np.asarray(x, dtype=float))
         t = np.clip((ax - 1.0) / self.w, 0.0, 1.0)
-        return 1.0 - npoly.polyval(t, _S5)
+        # 1 - S5(t) = S5(1 - t): the upper half is evaluated without the
+        # cancellation that leaves 1 - S5(1 - 8e-16) at -1e-13
+        return np.where(t <= 0.5, 1.0 - npoly.polyval(t, _S5), npoly.polyval(1.0 - t, _S5))
 
     def phi(self, theta):
         """phi_q(theta) = G(w theta) sin((1 + w/2) theta) / (pi theta); accepts arrays."""

@@ -38,9 +38,9 @@ import numpy as np
 
 from .asymptote import TailAsymptote, tail_asymptote
 from .function_space import MultistableSpec, quasinorm
-from .inversion import tail_probability_with_error
+from .inversion import density, tail_probability_with_error
 from .mollifier import MollifierSpec
-from .quadrature import QuadratureConfig, _certify
+from .quadrature import QuadratureConfig, _certify, adaptive_gk
 
 __all__ = [
     "h_q",
@@ -347,12 +347,9 @@ def verify_parseval(spec: MultistableSpec, moll: MollifierSpec,
         integral (1 - bump(delta x)) D(x) dx = integral phi_q(theta) (1 - cf(delta theta)) dtheta
 
     computed by independent routes (x-side drives the density pointwise,
-    theta-side uses the mollifier table).
+    theta-side uses the mollifier table).  The x-side band is integrated by
+    :func:`~multistable.quadrature.adaptive_gk` with the density as integrand.
     """
-    from scipy.integrate import quad
-
-    from .inversion import density, tail_probability_with_error
-
     cfg = cfg or QuadratureConfig()
     b_edge = (1.0 + moll.q) / 2.0
     powers = _node_powers(spec, moll)
@@ -368,9 +365,10 @@ def verify_parseval(spec: MultistableSpec, moll: MollifierSpec,
         theta_err = 2.0 * _group_budget(spec, moll, delta)
         # x side: transition band + everything beyond the bump support
         lo_x, hi_x = 1.0 / delta, b_edge / delta
-        band, band_err = quad(
-            lambda x: (1.0 - float(moll.bump(delta * x))) * density(spec, x, cfg),
-            lo_x, hi_x, epsabs=cfg.abs_tol, epsrel=1e-12, limit=200)
+        band, band_err = adaptive_gk(
+            lambda xs: ((1.0 - moll.bump(delta * xs))
+                        * [density(spec, x, cfg) for x in xs.tolist()]),
+            lo_x, hi_x, cfg.abs_tol)
         beyond, beyond_err = tail_probability_with_error(spec, hi_x, cfg)
         x_side = 2.0 * band + beyond
         x_err = 2.0 * band_err + beyond_err + 2.0 * (hi_x - lo_x) * cfg.abs_tol

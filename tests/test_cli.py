@@ -1,10 +1,15 @@
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from multistable import cli
 from multistable.cli import (
     SpecFormatError,
     emit_spec,
@@ -148,6 +153,15 @@ class TestRunCommand:
         assert report["lemma"] == "lemma3" and report["passed"] is True
         assert (tmp_path / "rep.csv").exists()
 
+    def test_verify_lemma1_at_q_where_the_bump_cancelled(self, tmp_path):
+        # at q = 1.3 the transition's top end rounds to t = 1 - 8e-16, where
+        # 1 - S5(t) used to come out at -1e-13 and fail the build check
+        out = tmp_path / "l1.json"
+        rc = run_command(["verify", "lemma1", "--fixture", "cauchy", "--q", "1.3",
+                          "--out", str(out)])
+        assert rc == 0
+        assert json.loads(out.read_text())["passed"] is True
+
     def test_verify_lemma5_fixture(self, tmp_path):
         out = tmp_path / "l5.json"
         rc = run_command(["verify", "lemma5", "--fixture", "two_exp",
@@ -190,6 +204,31 @@ class TestRunCommand:
         assert Path(str(out) + ".summary.csv").exists()
 
 
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_sample_csv_blocks_match_per_row_format(tmp_path, monkeypatch):
+    # the block writer against the per-row _fmt path, across several blocks
+    # and a partial last one, on negatives, subnormals, huge values and -0
+    monkeypatch.setattr(cli, "_CSV_BLOCK", 7)
+    rng = np.random.default_rng(5)
+    edge = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
+            -1.7976931348623157e308, 1.7976931348623157e308, 1e300, -1e-300,
+            0.1, 1.0 / 3.0, -2.5, 123456789.0]
+    values = np.concatenate([edge, rng.standard_cauchy(50) * 10.0 ** rng.integers(-300, 300, 50)])
+    cli._write_column(tmp_path / "block.csv", "draw", values)
+    cli._write_csv(tmp_path / "rows.csv", ["draw"], [[float(v)] for v in values])
+    assert _sha256(tmp_path / "block.csv") == _sha256(tmp_path / "rows.csv")
+    # end to end: the CSV of `sample` is the per-row format of its npy draws
+    for fmt in ("csv", "npy"):
+        assert run_command(["sample", "--fixture", "three_cell", "--n", "3001", "--seed", "9",
+                            "--format", fmt, "--out", str(tmp_path / f"s.{fmt}")]) == 0
+    draws = np.load(tmp_path / "s.npy")
+    cli._write_csv(tmp_path / "ref.csv", ["draw"], [[float(d)] for d in draws])
+    assert _sha256(tmp_path / "s.csv") == _sha256(tmp_path / "ref.csv")
+
+
 @pytest.mark.parametrize("flag", [["--policy", "adaptive_panels"], ["--truncation", "50"],
                                   ["--max-panels", "40"]])
 @pytest.mark.parametrize("cmd,grid", [("density", "--x"), ("tail", "--lambdas"),
@@ -200,3 +239,20 @@ def test_real_axis_knobs_rejected(cmd, grid, flag, tmp_path):
     rc = run_command([cmd, "--fixture", "cauchy", grid, "10", *flag,
                       "--out", str(tmp_path / "o.csv")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["tail", "--fixture", "two_exp", "--lambdas", "10", "10000"],
+    ["verify", "lemma1", "--fixture", "cauchy", "--q", "1.25"],
+    ["verify", "parseval", "--fixture", "two_exp"],
+])
+def test_cli_runs_with_scipy_blocked(argv, tmp_path):
+    # scipy is a test oracle only: the library and the CLI must not import it
+    src = str(Path(cli.__file__).resolve().parents[2])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, str(Path(__file__).with_name("run_without_scipy.py")), *argv,
+         "--out", str(tmp_path / ("out.json" if argv[0] == "verify" else "out.csv"))],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

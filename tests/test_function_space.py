@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from multistable.fixtures import random_spec
@@ -156,6 +158,37 @@ class TestQuasinorm:
             spec = random_spec(rng)
             lam = quasinorm(spec)
             assert modular_integral(spec, lam) == pytest.approx(1.0, abs=1e-12)
+
+
+def _brentq_quasinorm(spec):
+    """Test-only oracle: a doubling bracket around scale 1, then brentq."""
+    def excess(lam):
+        return modular_integral(spec, lam) - 1.0
+    lo = hi = 1.0
+    if excess(1.0) > 0.0:
+        while excess(hi) > 0.0:
+            hi *= 4.0
+        lo = hi / 4.0
+    else:
+        while excess(lo) < 0.0:
+            lo /= 4.0
+        hi = lo * 4.0
+    return brentq(excess, lo, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps, maxiter=300)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cells=st.lists(st.tuples(st.floats(0.05, 1.99), st.floats(-6.0, 6.0),
+                                st.floats(0.01, 4.0), st.booleans()),
+                      min_size=1, max_size=5),
+       rel_tol=st.sampled_from([1e-8, 1e-12]))
+def test_quasinorm_root_property(cells, rel_tol):
+    # one cell per (alpha, log10 |c|, width, sign); alpha down to 0.05, |c| in 1e-6..1e6
+    edges = np.concatenate([[0.0], np.cumsum([w for _, _, w, _ in cells])])
+    coefs = [(-1.0 if neg else 1.0) * 10.0 ** e for _, e, _, neg in cells]
+    spec = make(tuple(edges), coefs, tuple(edges[1:-1]), [a for a, *_ in cells])
+    lam = quasinorm(spec, rel_tol=rel_tol)
+    assert modular_integral(spec, lam) == pytest.approx(1.0, rel=rel_tol)
+    assert lam == pytest.approx(_brentq_quasinorm(spec), rel=rel_tol)
 
 
 class TestNormalize:

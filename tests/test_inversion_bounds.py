@@ -13,7 +13,14 @@ import pytest
 
 from multistable.fixtures import fixture
 from multistable.function_space import ExponentFunction, StepFunction, refine
-from multistable.inversion import cdf, density, density_with_error, tail_probability_with_error
+from multistable.inversion import (
+    _log_exp1,
+    _log_upper_gamma,
+    cdf,
+    density,
+    density_with_error,
+    tail_probability_with_error,
+)
 from multistable.quadrature import AccuracyError, QuadratureConfig
 
 CAUCHY = fixture("cauchy")
@@ -150,3 +157,24 @@ class TestSmallExponent:
             return
         assert time.perf_counter() - start < 5.0
         assert abs(large_x_series(alpha, x, what) - value) <= err
+
+
+class TestTruncationSpecialFunctionBounds:
+    # The truncation bounds use closed-form upper bounds on E1 and Gamma(s, x);
+    # each must lie above the true value and within a factor 2 of it.
+    @pytest.mark.parametrize("x", [0.3, 0.5, 1.0, 3.0, 10.0, 45.0, 100.0, 700.0, 1e3])
+    def test_exp1(self, x):
+        with mp.workdps(30):
+            excess = mp.mpf(_log_exp1(x)) - mp.log(mp.e1(x))
+        assert 0.0 <= excess <= math.log(2.0), x
+
+    @pytest.mark.parametrize("s", [0.01, 0.3, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
+                             + [1.0 / a for a in (0.6, 0.3, 0.1, 0.05)])
+    @pytest.mark.parametrize("x", [45.0, 60.0, 100.0, 1e3])
+    def test_upper_gamma(self, s, x):
+        with mp.workdps(30):
+            excess = mp.mpf(_log_upper_gamma(s, x)) - mp.log(mp.gammainc(s, x, mp.inf))
+        assert 0.0 <= excess <= math.log(2.0), (s, x)
+
+    def test_upper_gamma_out_of_range_is_infinite(self):
+        assert _log_upper_gamma(20.0, 10.0) == math.inf

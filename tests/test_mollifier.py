@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath as mp
@@ -45,6 +46,24 @@ class TestBump:
         vals = moll15.bump(xs)
         assert np.allclose(vals, moll15.bump(-xs))
         assert np.all((vals >= 0.0) & (vals <= 1.0))
+
+    def test_vanishes_at_the_edge_for_every_q(self, moll15):
+        # the build's bump checks on the q grid 1.01..3.00; near the top end of
+        # the transition 1 - S5(t) cancelled (-1.08e-13 at q = 1.3)
+        for i in range(101, 301):
+            q = i / 100.0
+            moll = dataclasses.replace(moll15, q=q, w=(q - 1.0) / 2.0)
+            edge = (1.0 + q) / 2.0
+            assert float(moll.bump(1.0)) == 1.0, q
+            assert abs(float(moll.bump(edge))) <= 1e-14, q
+            vals = moll.bump(np.linspace(0.0, 1.1 * edge, 2001))
+            assert vals.min() >= 0.0 and vals.max() <= 1.0, q
+
+    def test_builds_across_q(self):
+        # full builds (table, decay fit and every build check) on a coarser grid;
+        # q = 1.05, 1.3 and 1.8 raised before the bump fix
+        for i in range(21, 61):
+            assert build_mollifier(i / 20.0).q == i / 20.0
 
 
 class TestPhi:

@@ -206,6 +206,24 @@ class TestLemmaSweeps:
             assert abs(row["difference"]) <= row["tolerance"]
 
 
+    @pytest.mark.parametrize("tol", [1e-10, 1e-13])
+    def test_parseval_x_side_matches_mpmath(self, moll15, tol):
+        # Cauchy: D(x) = 1 / (pi (1 + x^2)) and P(|I| > x) = 1 - 2 atan(x) / pi, so
+        # the x side is a 30-digit integral of a polynomial bump times a rational
+        q, w = moll15.q, moll15.w
+        s5 = [0, 0, 0, 0, 0, 0, 462, -1980, 3465, -3080, 1386, -252]
+        rep = verify_parseval(CAUCHY, moll15, [0.1, 1.0], QuadratureConfig(abs_tol=tol))
+        for row in rep.grid:
+            with mp.workdps(30):
+                d = mp.mpf(row["delta"])
+                lo, hi = 1 / d, (1 + mp.mpf(q)) / 2 / d
+                # 1 - bump(d x) = S5((d x - 1) / w) on the band
+                band = mp.quad(lambda x: mp.polyval(s5[::-1], (d * x - 1) / mp.mpf(w))
+                               / (mp.pi * (1 + x * x)), [lo, hi])
+                ref = 2 * band + 1 - 2 * mp.atan(hi) / mp.pi
+            assert abs(row["x_side"] - ref) <= row["x_err"], row
+
+
 class TestTableKernel:
     """The group-power table kernel against the direct per-cell modular."""
 
