@@ -280,33 +280,26 @@ def _cmd_verify(args) -> int:
             gammas = [round(g, 10) for g in np.arange(0.3, 1.95, 0.1)]
             rep = verify_lemma3(moll, gammas)
             header = ["gamma", "lower", "C", "upper", "margin_lower", "margin_upper"]
-            rows = [[r["gamma"], r["lower"], r["C"], r["upper"],
-                     r["margin_lower"], r["margin_upper"]] for r in rep.grid]
         else:
             spec = _load_spec(args)
             lambdas = args.lambdas or _LEMMA_DEFAULT_LAMBDAS
             if which == "lemma1":
                 rep = verify_lemma1(spec, moll, lambdas, cfg)
                 header = ["lambda", "eta_upper_arg", "tail", "eta_lower_arg"]
-                rows = [[r["lambda"], r["eta_upper_arg"], r["tail"], r["eta_lower_arg"]]
-                        for r in rep.grid]
             elif which == "lemma5":
                 xis = args.lambdas or [1.0, 10.0, 100.0]
                 rep = verify_lemma5(spec, moll, xis)
                 header = ["xi", "T_qxi", "tau", "T_xi_over_q"]
-                rows = [[r["xi"], r["T_qxi"], r["tau"], r["T_xi_over_q"]] for r in rep.grid]
             elif which == "lemma6":
                 rep = verify_lemma6(spec, moll, lambdas, cfg)
                 header = ["lambda", "ratio_lower", "ratio_upper", "envelope_needed"]
-                rows = [[r["lambda"], r["ratio_lower"], r["ratio_upper"],
-                         r["envelope_needed"]] for r in rep.grid]
             elif which == "parseval":
                 rep = verify_parseval(spec, moll, args.deltas, cfg)
                 header = ["delta", "theta_side", "x_side", "difference", "tolerance"]
-                rows = [[r["delta"], r["theta_side"], r["x_side"], r["difference"],
-                         r["tolerance"]] for r in rep.grid]
             else:
                 raise SpecFormatError(f"unknown verify target {which!r}")
+        # each header names grid keys, so the CSV is the grid's columns
+        rows = [[r[k] for k in header] for r in rep.grid]
         report = rep.to_dict()
 
     out_json = _outpath(args, f"verify_{which}.json")

@@ -177,34 +177,30 @@ class MultistableSpec:
 
     ``groups`` is the derived view ``((alpha_g, W_g), ...)``, sorted by
     exponent, with ``W_g`` the sum of ``|c|^alpha_g * (hi - lo)`` over the
-    nonzero cells whose exponent is ``alpha_g``.
+    nonzero cells whose exponent is ``alpha_g``.  It is the only
+    representation of the data that the numerics read: the modular, the
+    asymptote, the inversion constants, the sampler's mixture and every
+    lemma quantity are sums over the groups.
     """
 
     f: StepFunction
     alpha: ExponentFunction
     cells: tuple[tuple[float, float, float, float], ...]
-
-    # cached arrays over nonzero cells, set in __post_init__
-    _abs_coef: np.ndarray = field(repr=False, default=None)
-    _alph: np.ndarray = field(repr=False, default=None)
-    _len: np.ndarray = field(repr=False, default=None)
     groups: tuple[tuple[float, float], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        nz = [(lo, hi, c, a) for (lo, hi, c, a) in self.cells if c != 0.0]
-        object.__setattr__(self, "_abs_coef", np.array([abs(c) for _, _, c, _ in nz]))
-        object.__setattr__(self, "_alph", np.array([a for _, _, _, a in nz]))
-        object.__setattr__(self, "_len", np.array([hi - lo for lo, hi, _, _ in nz]))
-        # exponent groups: W_g = sum |c|^alpha_g |cell| over the cells with alpha_g,
-        # so that the modular is sum_g W_g s^alpha_g
+        # W_g = sum |c|^alpha_g |cell| over the cells with alpha_g, so that the
+        # modular is sum_g W_g s^alpha_g
         weights: dict[float, float] = {}
-        for c, a, ln in zip(self._abs_coef, self._alph, self._len):
-            weights[float(a)] = weights.get(float(a), 0.0) + float(c ** a * ln)
+        for lo, hi, c, a in self.cells:
+            if c != 0.0:
+                a = float(a)
+                weights[a] = weights.get(a, 0.0) + float(abs(c) ** a * (hi - lo))
         object.__setattr__(self, "groups", tuple(sorted(weights.items())))
 
     @property
     def is_zero(self) -> bool:
-        return self._abs_coef.size == 0
+        return not self.groups
 
     @property
     def a(self) -> float:
@@ -215,15 +211,11 @@ class MultistableSpec:
         return self.alpha.b
 
     def scaled_modular(self, s):
-        """integral |s * f(x)|^alpha(x) dx for scale factor(s) s >= 0; vectorized."""
-        s = np.asarray(s, dtype=float)
-        if self.is_zero:
-            return np.zeros(s.shape) if s.shape else 0.0
-        prod = np.multiply.outer(s, self._abs_coef)
-        vals = np.where(prod > 0.0, prod, 1.0) ** self._alph
-        vals = np.where(prod > 0.0, vals, 0.0)
-        out = vals @ self._len
-        return out if s.shape else float(out)
+        """integral |s * f(x)|^alpha(x) dx = sum_g W_g s^alpha_g for scale factor(s)
+        s >= 0; vectorized."""
+        alph, wgt = np.array(self.groups).reshape(-1, 2).T
+        out = np.power.outer(np.asarray(s, dtype=float), alph) @ wgt
+        return out if out.shape else float(out)
 
     def with_coefficients_scaled(self, delta: float) -> "MultistableSpec":
         cells = tuple((lo, hi, delta * c, a) for (lo, hi, c, a) in self.cells)

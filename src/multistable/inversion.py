@@ -13,7 +13,8 @@ too, and
 
 Each call integrates one exponentially decaying, non-oscillatory function
 with a fixed rule: Gauss-Kronrod panels (the 10 Gauss-Legendre nodes and
-their 21-point Kronrod extension) in s = log t, each spanning at most a
+their 21-point Kronrod extension, the table shared with
+:mod:`multistable.quadrature`) in s = log t, each spanning at most a
 factor 8 in t and a bounded change of the integrand's complex exponent,
 all evaluated in one vectorized pass.  For x * t_cf >= 1 (t_cf: the
 scale where the modular is 1) the density integrates e^{i x theta}(cf - 1)
@@ -27,8 +28,9 @@ first-order stub on [0, t_lo], a truncation bound beyond the last panel
 and a roundoff bound.
 
 This rule is the only inversion route; :mod:`multistable.quadrature`
-contributes the shared :class:`QuadratureConfig`, :class:`AccuracyError`
-and certification check, but none of its real-axis engine.
+contributes the shared :class:`QuadratureConfig`, :class:`AccuracyError`,
+certification check and Gauss-Kronrod table, but none of its real-axis
+engine.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import weakref
 import numpy as np
 
 from .function_space import MultistableSpec, exp_sum_root
-from .quadrature import AccuracyError, QuadratureConfig, _certify
+from .quadrature import _WG21, _WK21, _X21, AccuracyError, QuadratureConfig, _certify
 
 __all__ = [
     "density",
@@ -50,6 +52,7 @@ __all__ = [
     "tail_probability_with_error",
 ]
 
+
 def _require_nonzero(spec: MultistableSpec):
     if spec.is_zero:
         raise ValueError("f == 0: the law is a point mass at 0 and has no density")
@@ -57,33 +60,6 @@ def _require_nonzero(spec: MultistableSpec):
 
 # ---------------------------------------------------------------------------
 # rotated-contour rule
-
-# Gauss-Kronrod 10/21 pair on [-1, 1] (QUADPACK qk21); Gauss weights are 0
-# at the Kronrod-only nodes.
-_XK_HALF = np.array([
-    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
-    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
-    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
-    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
-    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
-])
-_WK_HALF = np.array([
-    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
-    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
-    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
-    0.123491976262065851077600525614132, 0.134709217311473325928054001771707,
-    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
-])
-_WK0 = 0.149445554002916905664936468389821
-_WG_HALF = np.array([
-    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
-    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
-    0.295524224714752870173892994651338,
-])
-_X21 = np.concatenate([-_XK_HALF, [0.0], _XK_HALF[::-1]])
-_WK21 = np.concatenate([_WK_HALF, [_WK0], _WK_HALF[::-1]])
-_WG21 = np.zeros(21)
-_WG21[1:20:2] = np.concatenate([_WG_HALF, _WG_HALF[::-1]])
 
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)

@@ -48,7 +48,8 @@ is bounded through a fitted power-law decay envelope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -58,17 +59,26 @@ __all__ = ["MollifierSpec", "build_mollifier", "smoothstep_c5"]
 # degree-11 C^5 smoothstep, coefficient array in increasing powers
 _S5 = np.zeros(12)
 _S5[6:] = [462.0, -1980.0, 3465.0, -3080.0, 1386.0, -252.0]
-_S5P = npoly.polyder(_S5)  # = 2772 u^5 (1-u)^5
 
-# 64-point Gauss-Legendre on [0, 1] with S5' folded into the weights; the
+# 64-point Gauss-Legendre on [0, 1] with S5'(u) = 2772 (u(1-u))^5 folded into
+# the weights (u(1-u) = (1 - x^2)/4 at the node x); folded in this factored
+# form the weights sum to 1 + 2e-15, from the monomials to 1 + 2e-14.  The
 # node pairs u = 1/2 +- v/2 share cos(x v), so each pair keeps one weight
 _GLX, _GLW = np.polynomial.legendre.leggauss(64)
-_GLW = 0.5 * _GLW * npoly.polyval(0.5 * (_GLX + 1.0), _S5P)
+_GLW = 0.5 * _GLW * 2772.0 * (0.25 * (1.0 - _GLX * _GLX)) ** 5
 _GLV, _GLW = _GLX[32:], _GLW[32:] + _GLW[31::-1]
 _S_CROSSOVER = 25.0
 # points per vectorized pass: a block's temporaries stay in cache and their
 # memory is reused, where whole-table temporaries are fresh pages each time
 _BLOCK = 16384
+# largest phi_q table: the node count grows like w^-1.5 (q = 1.05 needs 3.2M
+# nodes, q = 1.01 would need 34M, about 800 MB over three arrays)
+_MAX_TABLE_NODES = 1 << 22
+# h values per table, keyed by gamma: the lemma 5 and tau sweeps repeat
+# exponents, and one h is a power over the whole table.  Keyed by the
+# (identity-hashed) table, so a dataclasses.replace copy starts empty; weak
+# keys never keep a table alive
+_H_MEMO: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def smoothstep_c5(t):
@@ -105,7 +115,6 @@ class MollifierSpec:
     theta_fit: float               # envelope valid for theta >= theta_fit
     table_resolution: int
     stub: float                    # untabulated initial interval [0, stub]
-    _h_cache: dict = field(default_factory=dict, repr=False)
 
     # -- pointwise evaluation ------------------------------------------------
 
@@ -176,25 +185,34 @@ class MollifierSpec:
         """h_q(gamma) = integral |theta|^gamma phi_q(theta) dtheta, with error bound."""
         if not (0.0 < gamma < 2.0):
             raise ValueError(f"gamma must lie in (0, 2), got {gamma}")
-        cached = self._h_cache.get(gamma)
-        if cached is not None:
-            return cached
-        powers = self.nodes ** gamma
-        body = 2.0 * self.integrate(powers)
-        err = 2.0 * (self.tail_power_bound(gamma) + self.stub_bound(gamma))
-        err += 4e-16 * 2.0 * self.integrate_abs(powers)
-        self._h_cache[gamma] = (body, err)
-        return body, err
+        memo = _H_MEMO.setdefault(self, {})
+        cached = memo.get(gamma)
+        if cached is None:
+            powers = self.nodes ** gamma
+            body = 2.0 * self.integrate(powers)
+            err = 2.0 * (self.tail_power_bound(gamma) + self.stub_bound(gamma))
+            err += 4e-16 * 2.0 * self.integrate_abs(powers)
+            cached = memo[gamma] = (body, err)
+        return cached
 
 
 def _build_panels(theta_max: float, res: int) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """Graded-then-uniform Gauss-Legendre panels on (stub, theta_max]."""
-    gx, gw = np.polynomial.legendre.leggauss(res)
+    """Graded-then-uniform Gauss-Legendre panels on (stub, theta_max].
+
+    Raises ValueError, before allocating the table, when it would exceed
+    _MAX_TABLE_NODES nodes.
+    """
     # dyadic grading toward 0 keeps theta^gamma factors exact for gamma < 2
     edges = [0.5 * math.pi / 2 ** k for k in range(42, 0, -1)]
     stub = edges[0]
     step = 0.5 * math.pi
     n_uniform = int(math.ceil((theta_max - edges[-1]) / step))
+    n_nodes = res * (len(edges) - 1 + n_uniform)
+    if n_nodes > _MAX_TABLE_NODES:
+        raise ValueError(f"the phi_q table up to theta = {theta_max:.3g} needs {n_nodes} "
+                         f"nodes, more than the budget of {_MAX_TABLE_NODES}; "
+                         "choose a larger q")
+    gx, gw = np.polynomial.legendre.leggauss(res)
     edges = np.concatenate([edges, edges[-1] + step * np.arange(1, n_uniform + 1)])
     los, his = edges[:-1], edges[1:]
     mid = 0.5 * (los + his)

@@ -36,8 +36,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .asymptote import TailAsymptote, tail_asymptote
-from .function_space import MultistableSpec, quasinorm
+from .asymptote import _require_unit_sphere, tail_asymptote, tail_constant
+from .function_space import MultistableSpec
 from .inversion import density, tail_probability_with_error
 from .mollifier import MollifierSpec
 from .quadrature import QuadratureConfig, _certify, adaptive_gk
@@ -217,8 +217,6 @@ def verify_elementary_inequality(u_samples: Sequence[float]) -> bool:
 
 def verify_lemma3(moll: MollifierSpec, gammas: Sequence[float]) -> LemmaReport:
     """q^-gamma h_q(gamma) <= C(gamma) <= q^gamma h_q(gamma) on a gamma grid."""
-    from .asymptote import tail_constant
-
     q = moll.q
     rows = []
     ok_all = True
@@ -299,8 +297,7 @@ def verify_lemma6(spec: MultistableSpec, moll: MollifierSpec,
     plus the exact middle inequality eta(q^(j0+1)) <= eta(q^(j0-1)).
     The spec must lie on the unit sphere.
     """
-    if abs(quasinorm(spec) - 1.0) > 1e-6:
-        raise ValueError("lemma6 sweep requires a unit-sphere spec")
+    _require_unit_sphere(spec)
     q = moll.q
     a, b = spec.a, spec.b
     lo_edge = q ** (-2.0 * b)

@@ -17,7 +17,11 @@ tail and cdf of the multistable law do not come through here:
 :mod:`multistable.inversion` integrates them with a fixed rule on a
 rotated ray, where the cf's analytic continuation lets the Fourier
 kernel decay.  The module also holds what every certified result shares:
-:class:`QuadratureConfig` and :class:`AccuracyError`.
+:class:`QuadratureConfig`, :class:`AccuracyError` and the one panel rule
+table, the QUADPACK Gauss-Kronrod 10/21 pair (``_X21``, ``_WK21``,
+``_WG21``).  :func:`adaptive_gk` applies it panel by panel with QUADPACK's
+error heuristic; the inversion rule evaluates it on all its panels at once
+with a closed-form error bound.
 """
 
 from __future__ import annotations
@@ -77,48 +81,43 @@ class QuadratureConfig:
 
 
 # ---------------------------------------------------------------------------
-# Gauss-Kronrod 7-15 panel rule (standard QUADPACK abscissae)
+# Gauss-Kronrod 10/21 pair on [-1, 1] (QUADPACK qk21), the library's one panel
+# rule; Gauss weights are 0 at the Kronrod-only nodes
 
-_XGK = np.array([
-    0.991455371120812639206854697526329,
-    0.949107912342758524526189684047851,
-    0.864864423359769072789712788640926,
-    0.741531185599394439863864773280788,
-    0.586087235467691130294144838258730,
-    0.405845151377397166906606412076961,
-    0.207784955007898467600689403773245,
+_XK_HALF = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
 ])
-_WGK = np.array([
-    0.022935322010529224963732008058970,
-    0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518,
-    0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550,
-    0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649,
+_WK_HALF = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077600525614132, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
 ])
-_WGK0 = 0.209482141084727828012999174891714
-_WG = np.array([
-    0.129484966168869693270611432679082,
-    0.279705391489276667901467771423780,
-    0.381830050505118944950369775488975,
+_WK0 = 0.149445554002916905664936468389821
+_WG_HALF = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
 ])
-_WG0 = 0.417959183673469387755102040816327
-
-_NODES = np.concatenate([-_XGK, [0.0], _XGK[::-1]])
-_WK = np.concatenate([_WGK, [_WGK0], _WGK[::-1]])
-_WGF = np.zeros(15)
-_WGF[1:14:2] = np.concatenate([_WG, [_WG0], _WG[::-1]])
+_X21 = np.concatenate([-_XK_HALF, [0.0], _XK_HALF[::-1]])
+_WK21 = np.concatenate([_WK_HALF, [_WK0], _WK_HALF[::-1]])
+_WG21 = np.zeros(21)
+_WG21[1:20:2] = np.concatenate([_WG_HALF, _WG_HALF[::-1]])
 
 
-def _gk15(f: Callable, a: float, b: float) -> tuple[float, float]:
+def _gk21(f: Callable, a: float, b: float) -> tuple[float, float]:
     h = 0.5 * (b - a)
-    x = 0.5 * (a + b) + h * _NODES
+    x = 0.5 * (a + b) + h * _X21
     y = np.asarray(f(x), dtype=float)
-    k = h * float(_WK @ y)
-    g = h * float(_WGF @ y)
+    k = h * float(_WK21 @ y)
+    g = h * float(_WG21 @ y)
     err = abs(k - g)
-    resasc = abs(h) * float(_WK @ np.abs(y - k / (b - a)))
+    resasc = abs(h) * float(_WK21 @ np.abs(y - k / (b - a)))
     if resasc != 0.0 and err != 0.0:
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
     return k, err
@@ -127,7 +126,7 @@ def _gk15(f: Callable, a: float, b: float) -> tuple[float, float]:
 def adaptive_gk(f: Callable, a: float, b: float, tol: float,
                 max_intervals: int = 400) -> tuple[float, float]:
     """Globally adaptive Gauss-Kronrod on [a, b]; returns (value, error bound)."""
-    val, err = _gk15(f, a, b)
+    val, err = _gk21(f, a, b)
     heap = [(-err, a, b, val, err)]
     total, toterr = val, err
     n = 1
@@ -140,8 +139,8 @@ def adaptive_gk(f: Callable, a: float, b: float, tol: float,
                 break
             continue
         mid = 0.5 * (lo + hi)
-        v1, e1 = _gk15(f, lo, mid)
-        v2, e2 = _gk15(f, mid, hi)
+        v1, e1 = _gk21(f, lo, mid)
+        v2, e2 = _gk21(f, mid, hi)
         total += v1 + v2 - v
         toterr += e1 + e2 - e
         heapq.heappush(heap, (-e1, lo, mid, v1, e1))

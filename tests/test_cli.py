@@ -162,6 +162,16 @@ class TestRunCommand:
         assert rc == 0
         assert json.loads(out.read_text())["passed"] is True
 
+    def test_verify_refuses_a_table_over_budget(self, tmp_path, capsys):
+        # q = 1.01 would need a 34M-node phi_q table (about 800 MB); the build
+        # refuses before allocating it
+        out = tmp_path / "l1.json"
+        rc = run_command(["verify", "lemma1", "--fixture", "cauchy", "--q", "1.01",
+                          "--out", str(out)])
+        assert rc == 2
+        assert "budget" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_verify_lemma5_fixture(self, tmp_path):
         out = tmp_path / "l5.json"
         rc = run_command(["verify", "lemma5", "--fixture", "two_exp",

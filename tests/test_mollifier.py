@@ -114,6 +114,47 @@ def test_h_cache_and_error_reporting(moll15):
         moll15.h(2.0)
 
 
+def test_h_memo_is_per_table(moll15):
+    # a copy made by dataclasses.replace must not answer from the original's memo
+    v, _ = moll15.h(1.1)
+    doubled = dataclasses.replace(moll15, phi_values=2.0 * moll15.phi_values)
+    assert doubled.h(1.1)[0] == pytest.approx(2.0 * v, rel=1e-14)
+    assert moll15.h(1.1)[0] == v
+
+
+def _s5_mp(u):
+    return u ** 6 * (462 - 1980 * u + 3465 * u ** 2 - 3080 * u ** 3 + 1386 * u ** 4 - 252 * u ** 5)
+
+
+def _h_mpmath(q, gamma):
+    """h_q(gamma) at 30 digits by the identity h_q(gamma) = gamma C(gamma)
+    integral_1^inf x^(-1-gamma) (1 - bump(x)) dx, C the stable tail constant
+    (|theta|^gamma is a superposition of 1 - cos(theta x), and phi_q
+    transforms back to the bump)."""
+    with mp.workdps(30):
+        q, g = mp.mpf(q), mp.mpf(gamma)
+        w = (q - 1) / 2
+        c = (1 - g) / (mp.gamma(2 - g) * mp.cos(mp.pi * g / 2))
+        band = mp.quad(lambda x: x ** (-1 - g) * _s5_mp((x - 1) / w), [1, 1 + w])
+        return g * c * (band + (1 + w) ** -g / g)
+
+
+def test_h_within_its_bound_against_mpmath(moll125, moll15, moll2):
+    # with the S5' weights folded from the monomials, h_q(0.3) at q = 1.25 was
+    # 1.7e-14 off against a bound of 2.6e-15
+    for moll in (moll125, moll15, moll2):
+        for gamma in (0.3, 0.5, 1.1, 1.7):
+            val, err = moll.h(gamma)
+            assert abs(float(val - _h_mpmath(moll.q, gamma))) <= err, (moll.q, gamma)
+
+
+def test_table_node_budget():
+    # the table grows like w^-1.5: q = 1.02 would need 12M nodes, q = 1.01 34M
+    for q in (1.01, 1.02, 1.04):
+        with pytest.raises(ValueError, match="budget"):
+            build_mollifier(q)
+
+
 # An independent evaluation of phi_q in the two-regime A/B form
 #
 #     pi phi_q(theta) = w cos(theta) A(s)/s + B(s) sin(theta)/theta,   s = w theta,
@@ -130,7 +171,8 @@ for _ in range(11):
     _poly = npoly.polyder(_poly) if len(_poly) > 1 else np.zeros(1)
 _GLU, _GLW = np.polynomial.legendre.leggauss(64)
 _GLU = 0.5 * (_GLU + 1.0)
-_GLW = 0.5 * _GLW * npoly.polyval(_GLU, _S5P)
+# S5' in factored form: folded from the monomials the weights sum to 1 + 2e-14
+_GLW = 0.5 * _GLW * 2772.0 * (_GLU * (1.0 - _GLU)) ** 5
 
 
 def _ab_reference(s):
@@ -179,10 +221,7 @@ def _phi_mpmath(q, theta):
         th = mp.mpf(theta)
 
         def integrand(x):
-            u = (x - 1) / w
-            s5 = u ** 6 * (462 - 1980 * u + 3465 * u ** 2 - 3080 * u ** 3
-                           + 1386 * u ** 4 - 252 * u ** 5)
-            return mp.cos(th * x) * (1 - s5)
+            return mp.cos(th * x) * (1 - _s5_mp((x - 1) / w))
 
         ks = range(int(mp.ceil(th / mp.pi)), int(mp.floor(th * (1 + w) / mp.pi)) + 1)
         pts = [mp.mpf(1)] + [k * mp.pi / th for k in ks] + [1 + w]
@@ -195,3 +234,15 @@ def test_phi_far_field_matches_mpmath(moll125, moll15, moll2):
         for theta in np.geomspace(25.0 / moll.w, 200.0 / moll.w, 4):
             ref = _phi_mpmath(moll.q, theta)
             assert abs(float((moll.phi(theta) - ref) / ref)) <= 1e-10
+
+
+def test_phi_near_origin_matches_mpmath(moll125, moll15, moll2):
+    # near theta = 0, phi_q is about (1 + w/2) / pi times the S5'-weighted
+    # Gauss-Legendre sum; with weights folded from the monomial S5' that sum
+    # was 1 + 2.1e-14 and phi came out 7e-15 to 1e-14 high
+    for moll in (moll125, moll15, moll2):
+        with mp.workdps(30):
+            at_zero = (1 + (mp.mpf(moll.q) - 1) / 4) / mp.pi
+        assert abs(float(moll.phi(0.0) - at_zero)) <= 1e-15
+        for theta in (1e-9, 1e-3, 0.3, 1.0, 2.5, 7.0):
+            assert abs(float(moll.phi(theta) - _phi_mpmath(moll.q, theta))) <= 1e-15, theta
