@@ -37,12 +37,20 @@ real integral of a polynomial against cos(s v) with |s v| <= 12.5, which a
 64-point Gauss-Legendre rule resolves to rounding; the rule's nodes come in
 pairs u = 1/2 +- v, so it needs only 32 cosines per point.  The crossover
 stays at s = 25: the explicit form would hold a little lower, but only
-1-3% of a table's nodes lie below s = 25, and the crossover also fixes
-where the decay envelope is fitted (theta_fit = 1.5 * 25 / w).
+1-3% of a table's nodes lie below s = 25.
 
-A dense node/weight/value table over [0, theta_max] doubles as the fixed
-quadrature grid for every integral against phi_q; mass beyond theta_max
-is bounded through a fitted power-law decay envelope.
+The same form bounds the decay.  With a = (15 - 420 r^2 + 945 r^4) r and
+b = 1 - 105 r^2 + 945 r^4, the coefficients of sin(x) and cos(x) above,
+a^2 + b^2 = 1 + 15 r^2 + 315 r^4 + 6300 r^6 + 99225 r^8 + 893025 r^10 has
+positive coefficients, so |G(2x)| <= 10395 r^6 hypot(a, b) with hypot(a, b)
+decreasing in x.  As |sin((1 + w/2) theta)| <= 1 and r = 2 / (w theta), for
+theta >= theta_fit = 37.5 / w (x >= 18.75, past the crossover)
+
+    |phi_q(theta)| <= 10395 (2/w)^6 hypot(a, b)|_(x=18.75) / pi * theta^-7,
+
+with hypot(a, b) = 1.02243 at x = 18.75.  A dense node/weight/value table
+over [0, theta_max] doubles as the fixed quadrature grid for every integral
+against phi_q; this proven envelope bounds the mass beyond theta_max.
 """
 
 from __future__ import annotations
@@ -68,11 +76,17 @@ _GLX, _GLW = np.polynomial.legendre.leggauss(64)
 _GLW = 0.5 * _GLW * 2772.0 * (0.25 * (1.0 - _GLX * _GLX)) ** 5
 _GLV, _GLW = _GLX[32:], _GLW[32:] + _GLW[31::-1]
 _S_CROSSOVER = 25.0
+# the proven envelope holds from x = w theta / 2 = 18.75 on
+_X_ENVELOPE = 18.75
+# Gauss-Legendre order per table panel; bound on the envelope's theta^1.9 tail
+_TABLE_RESOLUTION, _TAIL_TOL = 16, 1e-8
+# largest q: at q = 1e100 the tail bound's theta_max^(gamma - 6) overflows
+_MAX_Q = 1e6
 # points per vectorized pass: a block's temporaries stay in cache and their
 # memory is reused, where whole-table temporaries are fresh pages each time
 _BLOCK = 16384
-# largest phi_q table: the node count grows like w^-1.5 (q = 1.05 needs 3.2M
-# nodes, q = 1.01 would need 34M, about 800 MB over three arrays)
+# largest phi_q table: the node count grows like w^-1.5 (q = 1.04 needs 4.0M
+# nodes, q = 1.01 would need 30M, about 720 MB over three arrays)
 _MAX_TABLE_NODES = 1 << 22
 # h values per table, keyed by gamma: the lemma 5 and tau sweeps repeat
 # exponents, and one h is a power over the whole table.  Keyed by the
@@ -100,9 +114,43 @@ def _g_far(x: np.ndarray, sin_x: np.ndarray, cos_x: np.ndarray) -> np.ndarray:
                                 - ((945.0 * r2 - 105.0) * r2 + 1.0) * cos_x)
 
 
+def _phi(w: float, theta):
+    """phi_q at theta for the transition half-width w; accepts arrays."""
+    t = np.abs(np.asarray(theta, dtype=float))
+    flat = t.ravel()
+    order = None
+    if not (flat[1:] >= flat[:-1]).all():
+        order = np.argsort(flat)
+        flat = flat[order]
+    out = np.empty_like(flat)
+    for i in range(0, flat.size, _BLOCK):
+        out[i:i + _BLOCK] = _phi_sorted(w, flat[i:i + _BLOCK])
+    if order is not None:
+        out[order] = out.copy()
+    return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
+
+
+def _phi_sorted(w: float, t: np.ndarray) -> np.ndarray:
+    # t ascending and nonnegative: each regime, and theta = 0, is one slice
+    x = (0.5 * w) * t
+    split = int(np.searchsorted(x, 0.5 * _S_CROSSOVER))
+    zeros = int(np.searchsorted(t, 0.0, side="right"))
+    sin_x, cos_x = np.sin(x), np.cos(x)
+    # sin((1 + w/2) t) = sin(t + x) from the unrounded arguments: rounding
+    # the product would move the phase by an ulp of t, which costs a
+    # relative error of about eps * t next to each zero
+    out = np.sin(t) * cos_x + np.cos(t) * sin_x
+    out[zeros:] /= t[zeros:]
+    out[:zeros] = 1.0 + 0.5 * w
+    out[:split] *= _g_near(x[:split])
+    out[split:] *= _g_far(x[split:], sin_x[split:], cos_x[split:])
+    out /= math.pi
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class MollifierSpec:
-    """Mollifier for a fixed q > 1, with its quadrature table and decay model."""
+    """Mollifier for a fixed q > 1, with its quadrature table and decay envelope."""
 
     q: float
     w: float                       # transition half-width (q - 1) / 2
@@ -111,9 +159,8 @@ class MollifierSpec:
     weights: np.ndarray
     phi_values: np.ndarray         # phi_q at the nodes
     decay_coeff: float             # |phi_q(theta)| <= decay_coeff * theta^(-decay_power)
-    decay_power: float             # fitted, clamped to [5, 7.5]
+    decay_power: float             # 7, from the closed form of phi_q
     theta_fit: float               # envelope valid for theta >= theta_fit
-    table_resolution: int
     stub: float                    # untabulated initial interval [0, stub]
 
     # -- pointwise evaluation ------------------------------------------------
@@ -128,35 +175,7 @@ class MollifierSpec:
 
     def phi(self, theta):
         """phi_q(theta) = G(w theta) sin((1 + w/2) theta) / (pi theta); accepts arrays."""
-        t = np.abs(np.asarray(theta, dtype=float))
-        flat = t.ravel()
-        order = None
-        if not (flat[1:] >= flat[:-1]).all():
-            order = np.argsort(flat)
-            flat = flat[order]
-        out = np.empty_like(flat)
-        for i in range(0, flat.size, _BLOCK):
-            out[i:i + _BLOCK] = self._phi_sorted(flat[i:i + _BLOCK])
-        if order is not None:
-            out[order] = out.copy()
-        return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
-
-    def _phi_sorted(self, t: np.ndarray) -> np.ndarray:
-        # t ascending and nonnegative: each regime, and theta = 0, is one slice
-        x = (0.5 * self.w) * t
-        split = int(np.searchsorted(x, 0.5 * _S_CROSSOVER))
-        zeros = int(np.searchsorted(t, 0.0, side="right"))
-        sin_x, cos_x = np.sin(x), np.cos(x)
-        # sin((1 + w/2) t) = sin(t + x) from the unrounded arguments: rounding
-        # the product would move the phase by an ulp of t, which costs a
-        # relative error of about eps * t next to each zero
-        out = np.sin(t) * cos_x + np.cos(t) * sin_x
-        out[zeros:] /= t[zeros:]
-        out[:zeros] = 1.0 + 0.5 * self.w
-        out[:split] *= _g_near(x[:split])
-        out[split:] *= _g_far(x[split:], sin_x[split:], cos_x[split:])
-        out /= math.pi
-        return out
+        return _phi(self.w, theta)
 
     # -- integrals against the table ------------------------------------------
 
@@ -196,24 +215,24 @@ class MollifierSpec:
         return cached
 
 
-def _build_panels(theta_max: float, res: int) -> tuple[np.ndarray, np.ndarray, float, float]:
+def _build_panels(theta_max: float, unit: float) -> tuple[np.ndarray, np.ndarray, float, float]:
     """Graded-then-uniform Gauss-Legendre panels on (stub, theta_max].
 
+    Uniform panels of width ``unit`` follow dyadic ones that halve toward 0.
     Raises ValueError, before allocating the table, when it would exceed
     _MAX_TABLE_NODES nodes.
     """
     # dyadic grading toward 0 keeps theta^gamma factors exact for gamma < 2
-    edges = [0.5 * math.pi / 2 ** k for k in range(42, 0, -1)]
+    edges = [unit / 2 ** k for k in range(42, 0, -1)]
     stub = edges[0]
-    step = 0.5 * math.pi
-    n_uniform = int(math.ceil((theta_max - edges[-1]) / step))
-    n_nodes = res * (len(edges) - 1 + n_uniform)
+    n_uniform = int(math.ceil((theta_max - edges[-1]) / unit))
+    n_nodes = _TABLE_RESOLUTION * (len(edges) - 1 + n_uniform)
     if n_nodes > _MAX_TABLE_NODES:
         raise ValueError(f"the phi_q table up to theta = {theta_max:.3g} needs {n_nodes} "
                          f"nodes, more than the budget of {_MAX_TABLE_NODES}; "
                          "choose a larger q")
-    gx, gw = np.polynomial.legendre.leggauss(res)
-    edges = np.concatenate([edges, edges[-1] + step * np.arange(1, n_uniform + 1)])
+    gx, gw = np.polynomial.legendre.leggauss(_TABLE_RESOLUTION)
+    edges = np.concatenate([edges, edges[-1] + unit * np.arange(1, n_uniform + 1)])
     los, his = edges[:-1], edges[1:]
     mid = 0.5 * (los + his)
     half = 0.5 * (his - los)
@@ -222,54 +241,32 @@ def _build_panels(theta_max: float, res: int) -> tuple[np.ndarray, np.ndarray, f
     return nodes, weights, stub, float(edges[-1])
 
 
-def build_mollifier(q: float, table_resolution: int = 16,
-                    tail_tol: float = 1e-8) -> MollifierSpec:
-    """Construct the mollifier for q > 1 and verify its invariants.
+def build_mollifier(q: float) -> MollifierSpec:
+    """Construct the mollifier for 1 < q <= 1e6 and verify its invariants.
 
-    ``table_resolution`` is the Gauss-Legendre order per panel;
-    ``tail_tol`` controls how far the table extends (the decay-envelope
-    bound on a theta^1.9-weighted tail is pushed below it).
+    Raises ValueError for any other q, and for a q so close to 1 that the
+    table would exceed its node budget.
     """
-    if q <= 1.0:
-        raise ValueError(f"q must exceed 1, got {q}")
-    if table_resolution < 4:
-        raise ValueError("table_resolution must be at least 4")
+    if not 1.0 < q <= _MAX_Q:
+        raise ValueError(f"q must lie in (1, {_MAX_Q:g}], got {q}")
     w = (q - 1.0) / 2.0
 
-    probe = MollifierSpec(q=q, w=w, theta_max=math.inf, nodes=np.empty(0),
-                          weights=np.empty(0), phi_values=np.empty(0),
-                          decay_coeff=math.inf, decay_power=5.0,
-                          theta_fit=math.inf, table_resolution=table_resolution,
-                          stub=0.0)
-
-    # fit the decay envelope |phi| <= A theta^(-p) beyond theta_fit
-    theta_fit = 1.5 * _S_CROSSOVER / w
-    ts = np.linspace(theta_fit, 8.0 * theta_fit, 4001)
-    vals = np.abs(probe.phi(ts))
-    # block maxima over ~2pi windows give the oscillation envelope
-    block = max(8, int(2.0 * math.pi / (ts[1] - ts[0])))
-    nblk = len(ts) // block
-    bt = ts[: nblk * block].reshape(nblk, block)
-    bv = vals[: nblk * block].reshape(nblk, block)
-    peak_t = bt[np.arange(nblk), np.argmax(bv, axis=1)]
-    peak_v = bv.max(axis=1)
-    keep = peak_v > 0
-    slope, intercept = np.polyfit(np.log(peak_t[keep]), np.log(peak_v[keep]), 1)
-    p = float(np.clip(-slope, 5.0, 7.5))
-    coeff = 1.5 * float(np.max(peak_v * peak_t ** p))
+    # the proven envelope |phi| <= coeff theta^-p beyond theta_fit (module docstring)
+    hypot_ab = math.sqrt(npoly.polyval(_X_ENVELOPE ** -2, [1, 15, 315, 6300, 99225, 893025]))
+    coeff = 10395.0 * (2.0 / w) ** 6 * hypot_ab / math.pi
+    p = 7.0
+    theta_fit = 2.0 * _X_ENVELOPE / w
 
     # extend the table until the worst weighted tail (gamma = 1.9) is small
-    theta_max = (coeff / ((p - 2.9) * tail_tol)) ** (1.0 / (p - 2.9))
+    theta_max = (coeff / ((p - 2.9) * _TAIL_TOL)) ** (1.0 / (p - 2.9))
     theta_max = max(theta_max, 2.0 * theta_fit)
 
-    nodes, weights, stub, last_edge = _build_panels(theta_max, table_resolution)
-    phi_values = probe.phi(nodes)
-
+    # panels of pi/2, or of pi/(2w) once G(w theta) varies faster than the sine
+    nodes, weights, stub, last_edge = _build_panels(theta_max, 0.5 * math.pi / max(1.0, w))
     moll = MollifierSpec(
         q=q, w=w, theta_max=last_edge,
-        nodes=nodes, weights=weights, phi_values=phi_values,
-        decay_coeff=coeff, decay_power=p, theta_fit=theta_fit,
-        table_resolution=table_resolution, stub=stub,
+        nodes=nodes, weights=weights, phi_values=_phi(w, nodes),
+        decay_coeff=coeff, decay_power=p, theta_fit=theta_fit, stub=stub,
     )
 
     _verify_build(moll)
@@ -277,28 +274,24 @@ def build_mollifier(q: float, table_resolution: int = 16,
 
 
 def _verify_build(moll: MollifierSpec):
-    """Build-time invariant checks on the bump and the table."""
+    """Build-time invariant checks on the bump and the table; raise ValueError."""
     b_edge = (1.0 + moll.q) / 2.0
     if not math.isclose(float(moll.bump(1.0)), 1.0, abs_tol=1e-14):
-        raise AssertionError("bump must equal 1 at |x| = 1")
+        raise ValueError("bump must equal 1 at |x| = 1")
     if abs(float(moll.bump(b_edge))) > 1e-14:
-        raise AssertionError("bump must vanish at |x| = (1+q)/2")
+        raise ValueError("bump must vanish at |x| = (1+q)/2")
     xs = np.linspace(0.0, b_edge * 1.1, 2001)
     bs = moll.bump(xs)
     if bs.min() < -1e-12 or bs.max() > 1.0 + 1e-12:
-        raise AssertionError("bump values must stay in [0, 1]")
+        raise ValueError("bump values must stay in [0, 1]")
     # C^5 junctions: first five derivatives of the transition vanish at its ends
     poly = _S5
     for k in range(1, 6):
         poly = npoly.polyder(poly)
         if abs(npoly.polyval(0.0, poly)) > 1e-9 or abs(npoly.polyval(1.0, poly)) > 1e-9:
-            raise AssertionError(f"smoothstep derivative {k} does not vanish at a junction")
+            raise ValueError(f"smoothstep derivative {k} does not vanish at a junction")
     # normalization: integral phi = bump(0) = 1
     total = 2.0 * moll.integrate(np.ones_like(moll.nodes))
     budget = 2.0 * (moll.tail_power_bound(0.0) + moll.stub_bound(0.0)) + 1e-10
     if abs(total - 1.0) > budget + 1e-9:
-        raise AssertionError(f"integral of phi_q is {total}, expected 1")
-    # decay envelope holds where the model claims it does
-    ts = np.geomspace(moll.theta_fit, moll.theta_max, 2000)
-    if np.any(np.abs(moll.phi(ts)) > moll.decay_coeff * ts ** -moll.decay_power):
-        raise AssertionError("fitted decay envelope is violated inside the table")
+        raise ValueError(f"integral of phi_q is {total}, expected 1")

@@ -36,6 +36,8 @@ import numpy as np
 __all__ = ["QuadratureConfig", "AccuracyError", "oscillatory_integral", "fourier_integral"]
 
 _EPS = np.finfo(float).eps
+# most panels adaptive_gk splits [a, b] into
+_MAX_INTERVALS = 400
 
 
 class AccuracyError(RuntimeError):
@@ -123,14 +125,13 @@ def _gk21(f: Callable, a: float, b: float) -> tuple[float, float]:
     return k, err
 
 
-def adaptive_gk(f: Callable, a: float, b: float, tol: float,
-                max_intervals: int = 400) -> tuple[float, float]:
+def adaptive_gk(f: Callable, a: float, b: float, tol: float) -> tuple[float, float]:
     """Globally adaptive Gauss-Kronrod on [a, b]; returns (value, error bound)."""
     val, err = _gk21(f, a, b)
     heap = [(-err, a, b, val, err)]
     total, toterr = val, err
     n = 1
-    while toterr > tol and n < max_intervals:
+    while toterr > tol and n < _MAX_INTERVALS:
         negerr, lo, hi, v, e = heapq.heappop(heap)
         if hi - lo <= 64 * _EPS * max(abs(lo), abs(hi), 1.0):
             # interval exhausted at machine resolution

@@ -58,9 +58,8 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=chunk_index << 128))
 
 
-def sample(spec: MultistableSpec, n: int, seed: int = 0,
-           chunk_size: int = CHUNK) -> np.ndarray:
-    """n independent draws of I(f); deterministic for a given seed."""
+def sample(spec: MultistableSpec, n: int, seed: int = 0) -> np.ndarray:
+    """n independent draws of I(f); chunk k of CHUNK draws is Philox substream k."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     mixture = mixture_decompose(spec)
@@ -68,7 +67,7 @@ def sample(spec: MultistableSpec, n: int, seed: int = 0,
     start = 0
     chunk_index = 0
     while start < n:
-        m = min(chunk_size, n - start)
+        m = min(CHUNK, n - start)
         rng = _chunk_rng(seed, chunk_index)
         acc = np.zeros(m)
         for alpha, sigma in mixture:

@@ -163,7 +163,7 @@ class TestRunCommand:
         assert json.loads(out.read_text())["passed"] is True
 
     def test_verify_refuses_a_table_over_budget(self, tmp_path, capsys):
-        # q = 1.01 would need a 34M-node phi_q table (about 800 MB); the build
+        # q = 1.01 would need a 30M-node phi_q table (about 720 MB); the build
         # refuses before allocating it
         out = tmp_path / "l1.json"
         rc = run_command(["verify", "lemma1", "--fixture", "cauchy", "--q", "1.01",
@@ -171,6 +171,18 @@ class TestRunCommand:
         assert rc == 2
         assert "budget" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("q,code", [("nan", 2), ("inf", 2), ("1e7", 2), ("1.01", 2),
+                                        ("50", 0)])
+    def test_verify_lemma3_every_q_builds_or_exits_2(self, q, code, tmp_path, capsys):
+        # every q either builds or is refused with a message: nan, inf and
+        # 1e7 lie outside (1, 1e6], q = 1.01 exceeds the node budget
+        out = tmp_path / "l3.json"
+        assert run_command(["verify", "lemma3", "--q", q, "--out", str(out)]) == code
+        if code:
+            assert capsys.readouterr().err.startswith("error: ")
+        else:
+            assert json.loads(out.read_text())["passed"] is True
 
     def test_verify_lemma5_fixture(self, tmp_path):
         out = tmp_path / "l5.json"

@@ -4,15 +4,25 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
-from multistable.mollifier import build_mollifier, smoothstep_c5
+from multistable.mollifier import _verify_build, build_mollifier, smoothstep_c5
 
 
 def test_q_must_exceed_one():
-    for bad in (1.0, 0.5, -2.0):
+    # and be finite and at most 1e6: at q = 1e100 the tail bound overflows
+    for bad in (1.0, 0.5, -2.0, math.nan, math.inf, 1e7, 1e100):
         with pytest.raises(ValueError):
             build_mollifier(bad)
+
+
+def test_build_check_raises_value_error(moll15):
+    # a table that integrates to 2 instead of 1 fails the normalization check
+    doubled = dataclasses.replace(moll15, phi_values=2.0 * moll15.phi_values)
+    with pytest.raises(ValueError, match="integral of phi_q"):
+        _verify_build(doubled)
 
 
 def test_smoothstep_midpoint_symmetry():
@@ -60,7 +70,7 @@ class TestBump:
             assert vals.min() >= 0.0 and vals.max() <= 1.0, q
 
     def test_builds_across_q(self):
-        # full builds (table, decay fit and every build check) on a coarser grid;
+        # full builds (table, decay envelope and every build check) on a coarser grid;
         # q = 1.05, 1.3 and 1.8 raised before the bump fix
         for i in range(21, 61):
             assert build_mollifier(i / 20.0).q == i / 20.0
@@ -89,6 +99,27 @@ class TestPhi:
             assert moll.decay_power >= 5.0
             ts = np.geomspace(moll.theta_fit, moll.theta_max, 500)
             assert np.all(np.abs(moll.phi(ts)) <= moll.decay_coeff * ts ** -moll.decay_power)
+
+
+@settings(max_examples=8, deadline=None)
+@given(q=st.floats(1.05, 3.0))
+def test_proven_envelope_beyond_the_table(q):
+    # the envelope is proven for every theta >= theta_fit, so check it out to
+    # a hundred times the table's end, where no table node lies
+    moll = build_mollifier(q)
+    assert moll.decay_power == 7.0
+    ts = np.geomspace(moll.theta_fit, 100.0 * moll.theta_max, 4000)
+    assert np.all(np.abs(moll.phi(ts)) <= moll.decay_coeff * ts ** -7.0)
+
+
+def test_tables_integrate_to_one_within_the_envelope_bound(moll125, moll2):
+    # the mass the table misses is what the envelope and the stub bound; for
+    # w >> 1 the panels shrink with 1/w to resolve G(w theta), and on pi/2
+    # panels q = 100 integrated to 1.00000069
+    for moll in (moll125, moll2, *(build_mollifier(q) for q in (30.0, 100.0, 1e3, 1e6))):
+        total = 2.0 * moll.integrate(np.ones_like(moll.nodes))
+        budget = 2.0 * (moll.tail_power_bound(0.0) + moll.stub_bound(0.0))
+        assert abs(total - 1.0) <= budget + 1e-14, moll.q
 
 
 def test_weighted_moments_stabilize(moll15):
@@ -149,8 +180,8 @@ def test_h_within_its_bound_against_mpmath(moll125, moll15, moll2):
 
 
 def test_table_node_budget():
-    # the table grows like w^-1.5: q = 1.02 would need 12M nodes, q = 1.01 34M
-    for q in (1.01, 1.02, 1.04):
+    # the table grows like w^-1.5: q = 1.03 would need 6.0M nodes, q = 1.01 30M
+    for q in (1.01, 1.02, 1.03):
         with pytest.raises(ValueError, match="budget"):
             build_mollifier(q)
 
