@@ -316,6 +316,19 @@ def _cmd_verify(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+def _count(text: str) -> int:
+    """argparse type for a number of draws: a whole number >= 1, also written
+    with an exponent (1e7)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 1.0 and value.is_integer()):
+        raise argparse.ArgumentTypeError(f"expected a whole number >= 1 such as 1000000 "
+                                         f"or 1e7, got {text!r}")
+    return int(value)
+
+
 def _add_spec_args(p: argparse.ArgumentParser):
     p.add_argument("--spec", help="path to a JSON spec file")
     p.add_argument("--fixture", choices=fixtures.fixture_names(),
@@ -372,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="Monte Carlo draws of I(f)")
     _add_spec_args(p)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_count, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=["csv", "npy"], default="csv")
     p.add_argument("--summary", action="store_true")

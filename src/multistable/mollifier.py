@@ -78,7 +78,8 @@ _GLV, _GLW = _GLX[32:], _GLW[32:] + _GLW[31::-1]
 _S_CROSSOVER = 25.0
 # the proven envelope holds from x = w theta / 2 = 18.75 on
 _X_ENVELOPE = 18.75
-# Gauss-Legendre order per table panel; bound on the envelope's theta^1.9 tail
+# Gauss-Legendre order per table panel; bound on the envelope's theta^gamma
+# tails for gamma in [0, 1.9]
 _TABLE_RESOLUTION, _TAIL_TOL = 16, 1e-8
 # largest q: at q = 1e100 the tail bound's theta_max^(gamma - 6) overflows
 _MAX_Q = 1e6
@@ -257,8 +258,10 @@ def build_mollifier(q: float) -> MollifierSpec:
     p = 7.0
     theta_fit = 2.0 * _X_ENVELOPE / w
 
-    # extend the table until the worst weighted tail (gamma = 1.9) is small
-    theta_max = (coeff / ((p - 2.9) * _TAIL_TOL)) ** (1.0 / (p - 2.9))
+    # extend the table until every weighted tail for gamma in [0, 1.9] is small:
+    # the log of the bound is convex in gamma, so its worst is gamma = 1.9 while
+    # theta_max >= 1 and gamma = 0 below (large q)
+    theta_max = max((coeff / (k * _TAIL_TOL)) ** (1.0 / k) for k in (p - 2.9, p - 1.0))
     theta_max = max(theta_max, 2.0 * theta_fit)
 
     # panels of pi/2, or of pi/(2w) once G(w theta) varies faster than the sine

@@ -226,6 +226,22 @@ class TestRunCommand:
         assert Path(str(out) + ".summary.csv").exists()
 
 
+@pytest.mark.parametrize("text,n", [("1e7", 10 ** 7), ("1000000", 10 ** 6), ("2.5e3", 2500)])
+def test_sample_count_accepts_whole_numbers(text, n):
+    args = cli.build_parser().parse_args(["sample", "--fixture", "cauchy", "--n", text])
+    assert args.n == n and type(args.n) is int
+
+
+@pytest.mark.parametrize("text", ["1.5", "0", "-3", "nan", "inf", "ten"])
+def test_sample_count_refuses_others(text, tmp_path, capsys):
+    out = tmp_path / "s.npy"
+    rc = run_command(["sample", "--fixture", "cauchy", "--n", text, "--format", "npy",
+                      "--out", str(out)])
+    assert rc == 2
+    assert "argument --n" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 

@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
-from multistable.mollifier import _verify_build, build_mollifier, smoothstep_c5
+from multistable.mollifier import (
+    _TAIL_TOL,
+    _build_panels,
+    _verify_build,
+    build_mollifier,
+    smoothstep_c5,
+)
 
 
 def test_q_must_exceed_one():
@@ -120,6 +126,28 @@ def test_tables_integrate_to_one_within_the_envelope_bound(moll125, moll2):
         total = 2.0 * moll.integrate(np.ones_like(moll.nodes))
         budget = 2.0 * (moll.tail_power_bound(0.0) + moll.stub_bound(0.0))
         assert abs(total - 1.0) <= budget + 1e-14, moll.q
+
+
+@pytest.mark.parametrize("q", [300.0, 500.0, 1e3, 1e6])
+def test_large_q_tails_within_tolerance(q):
+    # from q = 300 on theta_max < 1, where gamma = 0 has the largest tail bound;
+    # sized by gamma = 1.9 alone, q = 500 left 3.7e-8 and q = 1e3 1.85e-7
+    moll = build_mollifier(q)
+    for gamma in (0.0, 1.9):
+        assert moll.tail_power_bound(gamma) <= 1e-8, gamma
+
+
+@pytest.mark.parametrize("q", [1.25, 1.5, 2.0, 3.0])
+def test_small_q_tables_keep_the_gamma_19_sizing(q):
+    # theorem-cli's q values: theta_max >= 1, so the gamma = 1.9 solution is the
+    # larger one and the table is byte-identical to one sized by it alone
+    moll = build_mollifier(q)
+    k = moll.decay_power - 2.9
+    theta_max = max((moll.decay_coeff / (k * _TAIL_TOL)) ** (1.0 / k), 2.0 * moll.theta_fit)
+    nodes, weights, stub, last_edge = _build_panels(theta_max, 0.5 * math.pi / max(1.0, moll.w))
+    assert (last_edge, stub) == (moll.theta_max, moll.stub)
+    assert nodes.tobytes() == moll.nodes.tobytes()
+    assert weights.tobytes() == moll.weights.tobytes()
 
 
 def test_weighted_moments_stabilize(moll15):
