@@ -232,7 +232,7 @@ def _cmd_sample(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     if args.summary:
         qs = [0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99]
-        rows = [[float(q), float(np.quantile(draws, q))] for q in qs]
+        rows = [[q, float(v)] for q, v in zip(qs, np.quantile(draws, qs))]
         for lam in args.tail_at:
             p, se = mc_tail(draws, lam)
             rows.append([float(lam), p])

@@ -31,6 +31,13 @@ This rule is the only inversion route; :mod:`multistable.quadrature`
 contributes the shared :class:`QuadratureConfig`, :class:`AccuracyError`,
 certification check and Gauss-Kronrod table, but none of its real-axis
 engine.
+
+The same rule integrates against the mollifier phi_q of
+:mod:`multistable.mollifier`, whose kernel H(z) = G(w z) e^{i(1+w/2) z}
+averages e^{i lam z} over lam in [1, 1 + w]: :func:`eta_integral` (the
+kind "eta", the tail with H(xi theta) in place of e^{i xi theta}) gives
+eta and the Parseval theta side, and :func:`h_integral` gives h_q on the
+ray psi = pi/2, where its integrand is positive.
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ import weakref
 import numpy as np
 
 from .function_space import MultistableSpec, exp_sum_root
+from .mollifier import _S_CROSSOVER, _far_amplitude, _kernel
 from .quadrature import _WG21, _WK21, _X21, AccuracyError, QuadratureConfig, _certify
 
 __all__ = [
@@ -74,6 +82,11 @@ _MAX_PANELS = 8192          # budget of one call: about 170 000 nodes
 # roundings behind one node's share of the sum: about 10 to form the value,
 # 21 in its panel's dot product, the rest in the pairwise sum over panels
 _ROUNDINGS = 40.0
+# further roundings in one value of the mollifier kernel H: the 12-term
+# Gauss-Legendre sum and the complex products after it
+_KERNEL_ROUNDINGS = 48.0
+# in the far field H carries r^6, r = 2 / (w z): the exponent's extra rate in log t
+_FAR_POWER = 6.0
 
 
 def _log_exp1(x: float) -> float:
@@ -150,12 +163,13 @@ def _ray(spec: MultistableSpec) -> _Ray:
     return ray
 
 
-# The four integrands, as functions of t on the ray (theta = t e^{i phi}):
+# The integrands, as functions of t on the ray (theta = t e^{i phi}):
 #
 #   "density"    e^{i w theta} cf(theta) e^{i phi}          D = Re(int) / pi
 #   "density-1"  e^{i w theta} (cf(theta) - 1) e^{i phi}    D = Re(int) / pi,       w t_cf >= 1
 #   "tail"       e^{i w theta} (1 - cf(theta)) / t          P = 2 Im(int) / pi,     w t_cf >= 1
 #   "tail-cf"    (e^{i w theta} - 1) cf(theta) / t          P = 1 - 2 Im(int) / pi, small w
+#   "eta"        H(w theta) (1 - cf(theta)) / t             eta = 2 Im(int) / pi
 #
 # The "-1" and "tail" forms vanish like m(theta) near 0, so a small density
 # or tail keeps its relative accuracy; "tail-cf" decays with the cf instead
@@ -246,42 +260,63 @@ def _truncation(ray: _Ray, kind: str, omega: float, tgt: float) -> tuple[float, 
     return s_hi, bound
 
 
-def _panels(ray: _Ray, lin: float, log_w0: np.ndarray, s_lo: float, s_hi: float,
-            s_c: float) -> tuple[np.ndarray, np.ndarray]:
+def _panels(al: np.ndarray, lin: float, log_w0: np.ndarray, s_lo: float, s_hi: float,
+            s_c: float, fast: tuple[float, float] = (0.0, 0.0),
+            power: tuple[float, float] = (0.0, 0.0)) -> tuple[np.ndarray, np.ndarray]:
     """Panels (lo, width) covering [s_lo, s_hi] in sigma = log(t / t0).
 
     Phi(sigma) = lin e^sigma + sum w0 e^{alpha min(sigma, s_c)}, with
     lin = omega t0 and w0 = W t0^alpha = e^log_w0, bounds the change of the
     integrand's complex exponent; beyond s_c the cf's phase is left
-    unresolved.  Edges sit near the levels Phi = j pi, read off a table of
-    Phi.  Each gap is then cut into equal pieces at most log 8 wide and at
-    most _REACH / Phi' wide, with Phi' = dPhi/dsigma at the gap's right
-    end, its largest value on the gap.  So no panel sees Phi change by
-    more than _REACH, whatever the table's accuracy, and none is so wide
-    that the rule's complex neighbourhood turns theta out of the sector
-    where the cf decays.
+    unresolved.  A second kernel term ``fast = (lin_f, s_f)`` adds
+    lin_f e^{min(sigma, s_f)}, and ``power = (p, s_x)`` adds
+    p max(sigma - s_x, 0), an algebraic factor t^-p from s_x on.  Edges sit
+    near the levels Phi = j pi, read off a table of Phi.  Each gap is then
+    cut into equal pieces at most log 8 wide and at most _REACH / Phi'
+    wide, with Phi' = dPhi/dsigma at the gap's right end, its largest value
+    on the gap.  So no panel sees Phi change by more than _REACH, whatever
+    the table's accuracy, and none is so wide that the rule's complex
+    neighbourhood turns theta out of the sector where the cf decays.
     """
-    al = ray.alph
-    # below start every term of Phi is under _TURN / (groups + 1)
-    share = _TURN / (al.size + 1)
-    start = min((math.log(share) - lw) / a for lw, a in zip(log_w0.tolist(), ray.alph_list))
+    lin_f, s_f = fast
+    p_x, s_x = power
+    s_f, s_x = min(max(s_f, s_lo), s_hi), min(max(s_x, s_lo), s_hi)
+    # below start every term of Phi is under _TURN / (terms + 1)
+    share = _TURN / (al.size + 1 + (lin_f > 0.0))
+    start = min(((math.log(share) - lw) / a for lw, a in zip(log_w0.tolist(), al.tolist())),
+                default=s_hi)
     if lin > 0.0:
         start = min(start, math.log(share / lin))
+    if lin_f > 0.0:
+        start = min(start, math.log(share / lin_f))
+    if p_x > 0.0:
+        start = min(start, s_x)
     start = min(max(start, s_lo), s_hi)
     n = int((s_hi - start) / _GRID) + 1
     grid = start + (s_hi - start) / n * np.arange(n + 1)
     kern = lin * np.exp(grid)
     cf_terms = np.exp(np.multiply.outer(al, np.minimum(grid, s_c)) + log_w0[:, None])
     phi = kern + cf_terms.sum(axis=0)
+    cuts = [s_lo, s_c, s_hi]
+    if lin_f > 0.0:
+        phi += lin_f * np.exp(np.minimum(grid, s_f))
+        cuts.append(s_f)
+    if p_x > 0.0:
+        phi += p_x * np.maximum(grid - s_x, 0.0)
+        cuts.append(s_x)
     levels = np.arange(math.floor(phi[0] / _TURN) + 1, math.ceil(phi[-1] / _TURN)) * _TURN
-    edges = np.concatenate(([s_lo], np.interp(levels, phi, grid), [s_c, s_hi]))
+    edges = np.concatenate((np.interp(levels, phi, grid), cuts))
     edges.sort()
     left, right = edges[:-1], edges[1:]
     gaps = right - left
     # Phi' is convex, so interpolating its table overestimates it; past s_c only
-    # the kernel term moves
+    # the kernel term moves; the fast and algebraic terms enter exactly
     slope = np.where(left < s_c, np.interp(right, grid, kern + al @ cf_terms),
                      lin * np.exp(right))
+    if lin_f > 0.0:
+        slope += np.where(left < s_f, lin_f * np.exp(right), 0.0)
+    if p_x > 0.0:
+        slope += np.where(left >= s_x, p_x, 0.0)
     pieces = np.ceil(gaps * np.maximum(1.0 / _LN8, slope / _REACH)).astype(np.int64)
     if pieces.sum() > _MAX_PANELS:
         raise AccuracyError(f"rotated-contour rule needs {pieces.sum()} panels, "
@@ -291,8 +326,24 @@ def _panels(ray: _Ray, lin: float, log_w0: np.ndarray, s_lo: float, s_hi: float,
     return np.repeat(edges[:-1], pieces) + k * width, width
 
 
+def _rule(lo: np.ndarray, width: np.ndarray, integrand) -> tuple[float, float, float]:
+    """The Gauss-Kronrod sum over the panels (lo, width) in sigma, with the sum
+    of the per-panel Kronrod-minus-Gauss differences and the roundoff bound.
+
+    ``integrand(sigma)`` returns the values and their roundoff in units of eps.
+    """
+    half = 0.5 * width
+    sigma = (lo + half)[:, None] + half[:, None] * _X21
+    f, node_err = integrand(sigma.ravel())
+    f = f.reshape(sigma.shape)
+    kron = (f @ _WK21) * half
+    gauss = (f @ _WG21) * half
+    rounding = _EPS * float((node_err.reshape(sigma.shape) @ _WK21) @ half)
+    return float(np.sum(kron)), float(np.sum(np.abs(kron - gauss))), rounding
+
+
 def _integrand(ray: _Ray, kind: str, omega: float, t0: float, sigma: np.ndarray,
-               ) -> tuple[np.ndarray, np.ndarray]:
+               w: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """The integrand's wanted part times t (the ds = dt/t weight) at t = t0 e^sigma,
     and a bound on its roundoff in units of eps.
 
@@ -330,6 +381,16 @@ def _integrand(ray: _Ray, kind: str, omega: float, t0: float, sigma: np.ndarray,
     if kind == "tail":
         kern = np.exp(-kappa)
         f = -kern * (np.sin(beta) * q_r + np.cos(beta) * q_i)
+    elif kind == "eta":
+        # the mollifier kernel H(omega theta) in place of e^{i w theta}: kern
+        # bounds |H|, its phases turn at most (1 + w) omega t per unit of s,
+        # and its far form carries r^6
+        h_r, h_i, kern = _kernel(w, wt, ray.cos, ray.sin)
+        f = -(h_r * q_i + h_i * q_r)
+        wt = (1.0 + w) * wt
+        return f, kern * (qa * (_ROUNDINGS + _KERNEL_ROUNDINGS + 4.0 * wt
+                                + asig * (_FAR_POWER + wt))
+                          + cf * (dm + ray.b * big_m * asig))
     else:
         kern = t * np.exp(-kappa)
         gam = ray.phi + beta
@@ -339,8 +400,17 @@ def _integrand(ray: _Ray, kind: str, omega: float, t0: float, sigma: np.ndarray,
                       + cf * (dm + ray.b * big_m * asig))
 
 
-def _ray_integral(spec: MultistableSpec, omega: float, kind: str) -> tuple[float, float]:
-    """D(omega) for kind "density" or P(|I| > omega) for kind "tail", with error bound."""
+def _ray_integral(spec: MultistableSpec, omega: float, kind: str,
+                  w: float = 0.0) -> tuple[float, float]:
+    """D(omega) for kind "density", P(|I| > omega) for kind "tail", with error bound.
+
+    Kind "eta" gives E[1 - bump(I / omega)] for the mollifier's bump of
+    half-width w: the tail smoothed over [omega, (1 + w) omega], with the
+    kernel H(omega theta) of :func:`multistable.mollifier._kernel` in place
+    of e^{i omega theta}.  As |H(omega theta)| <= e^{-omega Im theta} and
+    |H(omega theta) - 1| <= (1 + w/2) omega |theta|, it shares the tail's
+    truncation, and its stub with omega (1 + w/2) in the remainder.
+    """
     if math.isinf(omega):
         return 0.0, 0.0
     ray = _ray(spec)
@@ -350,11 +420,12 @@ def _ray_integral(spec: MultistableSpec, omega: float, kind: str) -> tuple[float
     elif (kind == "tail" and omega * ray.t_cf < 1.0
           and math.log(omega * ray.sin) + ray.s_cf < math.log(_DECAY)):
         kind = "tail-cf"        # the cf dies before the kernel does
+    shape = "tail" if kind == "eta" else kind
     t0 = ray.t_cf if omega == 0.0 else min(1.0 / omega, ray.t_cf)
     s0 = math.log(t0)
     with np.errstate(over="ignore"):
-        if kind == "tail":
-            scale = min(1.0, float(np.sum(ray.tail_w * omega ** -al)))
+        if shape == "tail":     # eta >= P(|I| > (1 + w) omega)
+            scale = min(1.0, float(np.sum(ray.tail_w * (omega * (1.0 + w)) ** -al)))
         elif kind == "tail-cf":
             scale = 1.0
         elif omega > 0.0:
@@ -364,27 +435,33 @@ def _ray_integral(spec: MultistableSpec, omega: float, kind: str) -> tuple[float
     tgt = max(_REL * scale, _TINY)
 
     # stub [0, t_lo]: every remainder term falls at least as fast as t^p
-    _, rem0 = _stub(ray, kind, omega, s0)
+    rate = omega * (1.0 + 0.5 * w)
+    _, rem0 = _stub(ray, shape, rate, s0)
     s_lo = s0
     if rem0 > tgt:
-        s_lo = s0 + math.log(tgt / rem0) / _stub_power(ray, kind)
-    stub, stub_rem = _stub(ray, kind, omega, s_lo)
-    s_hi, trunc = _truncation(ray, kind, omega, tgt)
+        s_lo = s0 + math.log(tgt / rem0) / _stub_power(ray, shape)
+    stub, stub_rem = _stub(ray, shape, rate, s_lo)
+    s_hi, trunc = _truncation(ray, shape, omega, tgt)
     # resolve the cf's phase to the end unless the kernel alone cuts the integrand
-    s_c = min(ray.s_cf, s_hi) if kind in ("tail", "density-1") else s_hi
-    lo, width = _panels(ray, omega * t0, np.log(ray.w) + al * s0,
-                        s_lo - s0, s_hi - s0, s_c - s0)
+    s_c = min(ray.s_cf, s_hi) if kind in ("tail", "density-1", "eta") else s_hi
+    fast, power = (0.0, 0.0), (0.0, 0.0)
+    if kind == "eta":
+        # H's e^{i(1+w) z} term is e^{-45} of its e^{i z} term from s_f on, where
+        # its phase is left unresolved: bound what it adds, once for the
+        # integral and once for the rule's sum (|1 - cf| <= 2)
+        s_f = math.log(_DECAY / (w * omega * ray.sin))
+        if s_f < s_hi:
+            trunc += 4.0 * _far_amplitude(0.5 * _DECAY / ray.sin) * _exp1(_DECAY * (1.0 + w) / w)
+        fast = (w * omega * t0, s_f - s0)
+        power = (_FAR_POWER, math.log(_S_CROSSOVER / (w * omega)) - s0)
+    lo, width = _panels(al, omega * t0, np.log(ray.w) + al * s0,
+                        s_lo - s0, s_hi - s0, s_c - s0, fast, power)
 
     # nodes in sigma = s - s0, so rounding moves a node by eps |sigma| at most
-    half = 0.5 * width
-    sigma = (lo + half)[:, None] + half[:, None] * _X21
-    f, node_err = _integrand(ray, kind, omega, t0, sigma.ravel())
-    f = f.reshape(sigma.shape)
-    kron = (f @ _WK21) * half
-    gauss = (f @ _WG21) * half
-    rounding = _EPS * float((node_err.reshape(sigma.shape) @ _WK21) @ half)
-    total = float(np.sum(kron)) + (stub.real if kind.startswith("density") else stub.imag)
-    err = float(np.sum(np.abs(kron - gauss))) + stub_rem + trunc + rounding
+    body, kg, rounding = _rule(lo, width,
+                               lambda sigma: _integrand(ray, kind, omega, t0, sigma, w))
+    total = body + (stub.real if kind.startswith("density") else stub.imag)
+    err = kg + stub_rem + trunc + rounding
     if kind.startswith("density"):
         d = total / math.pi
         return d, err / math.pi + 2.0 * _EPS * abs(d)
@@ -392,6 +469,61 @@ def _ray_integral(spec: MultistableSpec, omega: float, kind: str) -> tuple[float
     if kind == "tail-cf":
         p = 1.0 - p
     return float(np.clip(p, 0.0, 1.0)), 2.0 / math.pi * err + 2.0 * _EPS * abs(p)
+
+
+def h_integral(w: float, gamma: float) -> tuple[float, float]:
+    """h_q(gamma) = 2 int_0^inf theta^gamma phi_q(theta) dtheta for the mollifier
+    of half-width w, 0 < gamma < 2, and a bound on its absolute error.
+
+    On the ray psi = pi/2 (see :mod:`multistable.mollifier`) it is
+    (2/pi) sin(pi gamma/2) int_0^inf K(t) t^gamma ds with s = log t and
+    K(t) = H(i t) = int_0^1 S5'(u) e^{-t (1 + w u)} du, so 1 - (1 + w/2) t
+    <= K(t) <= e^{-t}: the stub takes K = 1, the truncation K <= e^{-t}.
+    By the same form h_q(gamma) >= (2/pi) sin(pi gamma/2) Gamma(gamma)
+    (1 + w)^-gamma, which sets the target of the stub and truncation bounds.
+    """
+    sg = math.sin(0.5 * math.pi * gamma)
+    tgt = max(_REL * 2.0 / math.pi * sg * math.gamma(gamma) * (1.0 + w) ** -gamma, _TINY)
+    # stub: sg int_0^T K t^(gamma-1) dt = sg T^gamma / gamma within sg (1 + w/2) T^(gamma+1)/(gamma+1)
+    rate = 1.0 + 0.5 * w
+    t_lo = (tgt * (gamma + 1.0) / (sg * rate)) ** (1.0 / (gamma + 1.0))
+    stub = sg * t_lo ** gamma / gamma
+    stub_rem = sg * rate * t_lo ** (gamma + 1.0) / (gamma + 1.0)
+    # truncation: sg int_T^inf K t^(gamma-1) dt <= sg Gamma(gamma, T)
+    t_hi = _DECAY
+    for _ in range(4):
+        trunc = sg * _upper_gamma(gamma, t_hi)
+        if trunc <= tgt:
+            break
+        t_hi += math.log(trunc / tgt) + 1.0
+    s_lo, s_hi = math.log(t_lo), math.log(t_hi)
+    # the e^{-(1+w) t} term of K is e^{-45} of the e^{-t} one from t_f = 45 / w on
+    s_f = math.log(_DECAY / w)
+    if s_f < s_hi:
+        trunc += 4.0 * sg * _far_amplitude(0.5 * _DECAY) * (1.0 + w) ** -gamma \
+            * _upper_gamma(gamma, _DECAY * (1.0 + w) / w)
+    lo, width = _panels(np.empty(0), 1.0, np.empty(0), s_lo, s_hi, s_hi,
+                        (w, s_f), (_FAR_POWER, math.log(_S_CROSSOVER / w)))
+
+    def integrand(sigma):
+        t = np.exp(sigma)
+        k, _, bound = _kernel(w, t, 0.0, 1.0)     # H(i t) is real
+        tg = sg * t ** gamma
+        wt = (1.0 + w) * t
+        return k * tg, bound * tg * (_ROUNDINGS + _KERNEL_ROUNDINGS + 4.0 * wt
+                                     + np.abs(sigma) * (gamma + _FAR_POWER + wt))
+
+    body, kg, rounding = _rule(lo, width, integrand)
+    h = 2.0 / math.pi * (body + stub)
+    return h, 2.0 / math.pi * (kg + stub_rem + trunc + rounding) + 2.0 * _EPS * h
+
+
+def eta_integral(spec: MultistableSpec, xi: float, w: float) -> tuple[float, float]:
+    """2 int_0^inf phi_q(theta) (1 - cf(theta / xi)) dtheta = E[1 - bump(I / xi)] for
+    the mollifier of half-width w and any xi > 0, with an absolute error bound."""
+    if spec.is_zero:
+        return 0.0, 0.0
+    return _ray_integral(spec, xi, "eta", w)
 
 
 # ---------------------------------------------------------------------------

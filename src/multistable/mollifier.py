@@ -34,8 +34,9 @@ As x -> 0 that bracket cancels through eleven orders, so the explicit form
 serves only from x = 12.5 (s = 25) on, where r^2 <= 0.0064 and its
 coefficients lose less than two bits.  Below the crossover G is a plain
 real integral of a polynomial against cos(s v) with |s v| <= 12.5, which a
-64-point Gauss-Legendre rule resolves to rounding; the rule's nodes come in
-pairs u = 1/2 +- v, so it needs only 32 cosines per point.  The crossover
+24-point Gauss-Legendre rule with S5' folded into its weights resolves to
+4e-16, at real and at complex s (against mpmath); the rule's nodes come in
+pairs u = 1/2 +- v, so it needs only 12 cosines per point.  The crossover
 stays at s = 25: the explicit form would hold a little lower, but only
 1-3% of a table's nodes lie below s = 25.
 
@@ -48,9 +49,42 @@ theta >= theta_fit = 37.5 / w (x >= 18.75, past the crossover)
 
     |phi_q(theta)| <= 10395 (2/w)^6 hypot(a, b)|_(x=18.75) / pi * theta^-7,
 
-with hypot(a, b) = 1.02243 at x = 18.75.  A dense node/weight/value table
-over [0, theta_max] doubles as the fixed quadrature grid for every integral
-against phi_q; this proven envelope bounds the mass beyond theta_max.
+with hypot(a, b) = 1.02243 at x = 18.75.
+
+The product continues to complex arguments as an average of Fourier kernels,
+
+    H(z) = G(w z) e^{i (1 + w/2) z} = integral_0^1 S5'(u) e^{i z (1 + w u)} du,
+
+so |H(z)| <= e^{-Im z} in the upper half plane (Paley-Wiener: the bump's
+transition band is [1, 1 + w]) and pi phi_q(theta) = Im H(theta) / theta on
+the real axis.  Let F be real on the real axis, analytic and of at most
+polynomial growth in a sector above it, and small enough at 0 that F / theta
+is integrable there.  Turning the half-line onto a ray theta = t e^{i psi} in
+that sector gives
+
+    integral_0^inf phi_q(theta) F(theta) dtheta = (1/pi) Im integral_ray H(theta) F(theta) / theta dtheta.
+
+eta (F = 1 - e^{-m(theta/xi)}), the Parseval theta side (F = 1 - cf(delta
+theta)) and h_q (F = theta^gamma) are integrands of the ray rule in
+:mod:`multistable.inversion` in this form.  For h_q the ray turns to
+psi = pi/2, where H(i t) = G(i w t) e^{-(1 + w/2) t} is positive:
+
+    h_q(gamma) = (2/pi) sin(pi gamma / 2) integral_0^inf G(i w t) e^{-(1+w/2) t} t^(gamma-1) dt.
+
+:func:`_kernel` evaluates H on a ray.  With x = w z / 2 = x_r + i x_i, below
+the crossover |x| < 12.5 the Gauss-Legendre sum takes cos(x v) =
+cos(x_r v) cosh(x_i v) - i sin(x_r v) sinh(x_i v) in real arithmetic; from
+it on, sin x and cos x split the explicit form into e^{i z} and
+e^{i (1 + w) z} terms,
+
+    H(z) = (10395 / 2) r^6 e^{i z} [(i a - b) - e^{2 i x} (i a + b)],
+
+where |e^{2 i x}| <= 1 and |e^{i z}| <= 1, so nothing overflows at any q.
+
+rho integrates |phi_q|, which is not analytic, so it alone keeps a dense
+node/weight/value table over [0, theta_max].  The table is built on first
+use and kept in a weak memo; the proven envelope above bounds the mass
+beyond theta_max.
 """
 
 from __future__ import annotations
@@ -68,13 +102,15 @@ __all__ = ["MollifierSpec", "build_mollifier", "smoothstep_c5"]
 _S5 = np.zeros(12)
 _S5[6:] = [462.0, -1980.0, 3465.0, -3080.0, 1386.0, -252.0]
 
-# 64-point Gauss-Legendre on [0, 1] with S5'(u) = 2772 (u(1-u))^5 folded into
-# the weights (u(1-u) = (1 - x^2)/4 at the node x); folded in this factored
-# form the weights sum to 1 + 2e-15, from the monomials to 1 + 2e-14.  The
-# node pairs u = 1/2 +- v/2 share cos(x v), so each pair keeps one weight
-_GLX, _GLW = np.polynomial.legendre.leggauss(64)
+# 24-point Gauss-Legendre on [0, 1] with S5'(u) = 2772 (u(1-u))^5 folded into
+# the weights (u(1-u) = (1 - x^2)/4 at the node x).  The node pairs
+# u = 1/2 +- v/2 share cos(x v), so each pair keeps one weight; the weights
+# are scaled to sum to 1, G(0), which they miss by up to 4e-15 as folded.
+# 16 points fall short of 1e-15 from |x| = 4.9 on, 20 from |x| = 9.1
+_GLX, _GLW = np.polynomial.legendre.leggauss(24)
 _GLW = 0.5 * _GLW * 2772.0 * (0.25 * (1.0 - _GLX * _GLX)) ** 5
-_GLV, _GLW = _GLX[32:], _GLW[32:] + _GLW[31::-1]
+_GLV, _GLW = _GLX[12:], _GLW[12:] + _GLW[11::-1]
+_GLW /= _GLW.sum()
 _S_CROSSOVER = 25.0
 # the proven envelope holds from x = w theta / 2 = 18.75 on
 _X_ENVELOPE = 18.75
@@ -89,11 +125,12 @@ _BLOCK = 16384
 # largest phi_q table: the node count grows like w^-1.5 (q = 1.04 needs 4.0M
 # nodes, q = 1.01 would need 30M, about 720 MB over three arrays)
 _MAX_TABLE_NODES = 1 << 22
-# h values per table, keyed by gamma: the lemma 5 and tau sweeps repeat
-# exponents, and one h is a power over the whole table.  Keyed by the
-# (identity-hashed) table, so a dataclasses.replace copy starts empty; weak
-# keys never keep a table alive
+# h values per mollifier, keyed by gamma: the lemma 5 and tau sweeps repeat
+# exponents.  Keyed by the (identity-hashed) spec, so a dataclasses.replace
+# copy starts empty; weak keys never keep a spec alive
 _H_MEMO: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+# the rho table of each mollifier, built on first use, keyed the same way
+_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def smoothstep_c5(t):
@@ -102,67 +139,113 @@ def smoothstep_c5(t):
     return npoly.polyval(t, _S5)
 
 
-def _g_near(x: np.ndarray) -> np.ndarray:
-    """G(2x) for x < 12.5 by the folded Gauss-Legendre rule."""
-    return np.cos(np.multiply.outer(x, _GLV)) @ _GLW
+def _sin_cos(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sin x, cos x) from tau = tan(x/2), each within a few units of 2^-53
+    absolute: np.tan costs a tenth of np.sin or np.cos.  In place on two
+    buffers, as fresh temporaries of this size cost more than the sums."""
+    sin = np.multiply(x, 0.5)
+    np.tan(sin, out=sin)
+    cos = np.multiply(sin, sin)
+    cos += 1.0
+    np.divide(2.0, cos, out=cos)              # 2 / (1 + tau^2)
+    sin *= cos
+    cos -= 1.0
+    return sin, cos
 
 
-def _g_far(x: np.ndarray, sin_x: np.ndarray, cos_x: np.ndarray) -> np.ndarray:
-    """G(2x) = 10395 j5(x) / x^5 for x >= 12.5, Horner in r^2 = 1/x^2."""
-    r = 1.0 / x
+def _far_amplitude(x):
+    """Bound on (10395/2) |r|^6 (|a| + |b|) at |x| >= 12.5, r = 1/x: each
+    coefficient at most its all-positive form in |r|, which falls with |x|."""
+    u = 1.0 / x
+    u2 = u * u
+    return 5197.5 * u2 * u2 * u2 * (((((945.0 * u + 945.0) * u + 420.0) * u + 105.0) * u
+                                     + 15.0) * u + 1.0)
+
+
+def _kernel(w: float, rho: np.ndarray, cos_psi: float, sin_psi: float,
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """H(z) = G(w z) e^{i (1 + w/2) z} at z = rho e^{i psi}, rho >= 0, 0 <= psi <= pi/2.
+
+    Returns (Re H, Im H, bound) with |H| <= bound <= e^{-Im z}; each part's
+    rounding is a few units of 2^-53 times bound, plus the phase errors of
+    rounding Re z and w Re z.  No complex transcendental: sines and cosines
+    of real arguments, e^{-Im} factors, and complex algebra.
+    """
+    bound = np.exp(-sin_psi * rho)                      # |e^{i z}|
+    # the phase (1 + w/2) Re z comes from the unrounded Re z and x_r, as
+    # e^{i z} e^{i x}: rounding their sum would move it by an ulp of Re z
+    sin_z, cos_z = _sin_cos(cos_psi * rho)
+    h = bound * (cos_z + 1j * sin_z)                    # e^{i z}
+    x = 0.5 * w * rho                                   # |x|
+    near = x < 0.5 * _S_CROSSOVER
+
+    # e^{i x} sum_k W_k cos(x v_k), x = x_r + i x_i, in cos(x_r v) cosh(x_i v)
+    # - i sin(x_r v) sinh(x_i v) scaled by e^{-x_i}, so no factor exceeds e^{12.5}
+    x_r, x_i = x[near] * cos_psi, x[near] * sin_psi
+    sin_v, cos_v = _sin_cos(np.multiply.outer(x_r, _GLV))
+    e = np.exp(np.multiply.outer(x_i, _GLV))
+    e_inv = 1.0 / e
+    cos_v *= e + e_inv
+    np.subtract(e_inv, e, out=e)
+    sin_v *= e
+    sin_x, cos_x = _sin_cos(x_r)
+    h[near] *= (np.exp(-x_i) * (cos_x + 1j * sin_x)
+                * (cos_v @ (0.5 * _GLW) + 1j * (sin_v @ (0.5 * _GLW))))
+
+    # the explicit form: e^{i z} (10395/2) r^6 ((i a - b) - e^{2 i x} (i a + b)), r = 1/x
+    far = ~near
+    x_f = x[far]
+    r = 1.0 / (x_f * complex(cos_psi, sin_psi))
     r2 = r * r
-    return 10395.0 * r2 ** 3 * (((945.0 * r2 - 420.0) * r2 + 15.0) * r * sin_x
-                                - ((945.0 * r2 - 105.0) * r2 + 1.0) * cos_x)
+    ia = 1j * r * ((945.0 * r2 - 420.0) * r2 + 15.0)
+    b = (945.0 * r2 - 105.0) * r2 + 1.0
+    sin_2x, cos_2x = _sin_cos((2.0 * cos_psi) * x_f)
+    e2x = np.exp((-2.0 * sin_psi) * x_f) * (cos_2x + 1j * sin_2x)
+    h[far] *= 5197.5 * r2 * r2 * r2 * ((ia - b) - e2x * (ia + b))
+    bound[far] *= 2.0 * _far_amplitude(x_f)
+    return h.real, h.imag, bound
 
 
 def _phi(w: float, theta):
-    """phi_q at theta for the transition half-width w; accepts arrays."""
+    """phi_q at theta for the transition half-width w, Im H(theta) / (pi theta);
+    accepts arrays."""
     t = np.abs(np.asarray(theta, dtype=float))
     flat = t.ravel()
-    order = None
-    if not (flat[1:] >= flat[:-1]).all():
-        order = np.argsort(flat)
-        flat = flat[order]
     out = np.empty_like(flat)
     for i in range(0, flat.size, _BLOCK):
-        out[i:i + _BLOCK] = _phi_sorted(w, flat[i:i + _BLOCK])
-    if order is not None:
-        out[order] = out.copy()
+        block = flat[i:i + _BLOCK]
+        out[i:i + _BLOCK] = _kernel(w, block, 1.0, 0.0)[1]
+    np.divide(out, flat, out=out, where=flat > 0.0)
+    out[flat == 0.0] = 1.0 + 0.5 * w          # H(theta) / theta -> 1 + w/2
+    out /= math.pi
     return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 
 
-def _phi_sorted(w: float, t: np.ndarray) -> np.ndarray:
-    # t ascending and nonnegative: each regime, and theta = 0, is one slice
-    x = (0.5 * w) * t
-    split = int(np.searchsorted(x, 0.5 * _S_CROSSOVER))
-    zeros = int(np.searchsorted(t, 0.0, side="right"))
-    sin_x, cos_x = np.sin(x), np.cos(x)
-    # sin((1 + w/2) t) = sin(t + x) from the unrounded arguments: rounding
-    # the product would move the phase by an ulp of t, which costs a
-    # relative error of about eps * t next to each zero
-    out = np.sin(t) * cos_x + np.cos(t) * sin_x
-    out[zeros:] /= t[zeros:]
-    out[:zeros] = 1.0 + 0.5 * w
-    out[:split] *= _g_near(x[:split])
-    out[split:] *= _g_far(x[split:], sin_x[split:], cos_x[split:])
-    out /= math.pi
-    return out
+@dataclass(frozen=True)
+class _Table:
+    """Gauss-Legendre nodes on (stub, theta_max] with phi_q at each node."""
+
+    theta_max: float
+    stub: float                    # untabulated initial interval [0, stub]
+    nodes: np.ndarray
+    weights: np.ndarray
+    phi_values: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
 class MollifierSpec:
-    """Mollifier for a fixed q > 1, with its quadrature table and decay envelope."""
+    """Mollifier for a fixed q > 1 and its proven decay envelope.
+
+    ``theta_max``, ``stub``, ``nodes``, ``weights`` and ``phi_values``
+    describe the dense table that only rho integrates over; reading any of
+    them builds it on first use.
+    """
 
     q: float
     w: float                       # transition half-width (q - 1) / 2
-    theta_max: float
-    nodes: np.ndarray              # quadrature nodes on (0, theta_max)
-    weights: np.ndarray
-    phi_values: np.ndarray         # phi_q at the nodes
     decay_coeff: float             # |phi_q(theta)| <= decay_coeff * theta^(-decay_power)
     decay_power: float             # 7, from the closed form of phi_q
     theta_fit: float               # envelope valid for theta >= theta_fit
-    stub: float                    # untabulated initial interval [0, stub]
 
     # -- pointwise evaluation ------------------------------------------------
 
@@ -178,7 +261,20 @@ class MollifierSpec:
         """phi_q(theta) = G(w theta) sin((1 + w/2) theta) / (pi theta); accepts arrays."""
         return _phi(self.w, theta)
 
-    # -- integrals against the table ------------------------------------------
+    # -- the rho table ---------------------------------------------------------
+
+    @property
+    def _table(self) -> _Table:
+        table = _TABLES.get(self)
+        if table is None:
+            table = _TABLES[self] = _build_table(self)
+        return table
+
+    theta_max = property(lambda self: self._table.theta_max)
+    stub = property(lambda self: self._table.stub)
+    nodes = property(lambda self: self._table.nodes, doc="quadrature nodes on (stub, theta_max]")
+    weights = property(lambda self: self._table.weights)
+    phi_values = property(lambda self: self._table.phi_values, doc="phi_q at the nodes")
 
     def integrate(self, factor_values: np.ndarray) -> float:
         """sum of weights * phi * factor over the table (one-sided, theta > 0)."""
@@ -202,17 +298,16 @@ class MollifierSpec:
     # -- h_q -------------------------------------------------------------------
 
     def h(self, gamma: float) -> tuple[float, float]:
-        """h_q(gamma) = integral |theta|^gamma phi_q(theta) dtheta, with error bound."""
+        """h_q(gamma) = integral |theta|^gamma phi_q(theta) dtheta, with error bound,
+        by the ray rule at psi = pi/2 (module docstring)."""
         if not (0.0 < gamma < 2.0):
             raise ValueError(f"gamma must lie in (0, 2), got {gamma}")
         memo = _H_MEMO.setdefault(self, {})
         cached = memo.get(gamma)
         if cached is None:
-            powers = self.nodes ** gamma
-            body = 2.0 * self.integrate(powers)
-            err = 2.0 * (self.tail_power_bound(gamma) + self.stub_bound(gamma))
-            err += 4e-16 * 2.0 * self.integrate_abs(powers)
-            cached = memo[gamma] = (body, err)
+            from .inversion import h_integral  # inversion imports this module
+
+            cached = memo[gamma] = h_integral(self.w, gamma)
         return cached
 
 
@@ -242,42 +337,50 @@ def _build_panels(theta_max: float, unit: float) -> tuple[np.ndarray, np.ndarray
     return nodes, weights, stub, float(edges[-1])
 
 
+def _build_table(moll: MollifierSpec) -> _Table:
+    """The rho table: panels up to where the envelope bounds every weighted tail.
+
+    Raises ValueError, before allocating, for a table over the node budget,
+    and after building it for a table that does not integrate to 1.
+    """
+    # extend the table until every weighted tail for gamma in [0, 1.9] is small:
+    # the log of the bound is convex in gamma, so its worst is gamma = 1.9 while
+    # theta_max >= 1 and gamma = 0 below (large q)
+    coeff, p = moll.decay_coeff, moll.decay_power
+    theta_max = max((coeff / (k * _TAIL_TOL)) ** (1.0 / k) for k in (p - 2.9, p - 1.0))
+    theta_max = max(theta_max, 2.0 * moll.theta_fit)
+    # panels of pi/2, or of pi/(2w) once G(w theta) varies faster than the sine
+    nodes, weights, stub, last_edge = _build_panels(theta_max, 0.5 * math.pi / max(1.0, moll.w))
+    table = _Table(theta_max=last_edge, stub=stub, nodes=nodes, weights=weights,
+                   phi_values=_phi(moll.w, nodes))
+    # normalization: integral phi = bump(0) = 1, up to the mass outside the table
+    total = 2.0 * float(weights @ table.phi_values)
+    outside = coeff * last_edge ** (1.0 - p) / (p - 1.0) \
+        + (1.0 + 0.5 * moll.w) / math.pi * stub
+    if abs(total - 1.0) > 2.0 * outside + 1e-10 + 1e-9:
+        raise ValueError(f"integral of phi_q is {total}, expected 1")
+    return table
+
+
 def build_mollifier(q: float) -> MollifierSpec:
     """Construct the mollifier for 1 < q <= 1e6 and verify its invariants.
 
-    Raises ValueError for any other q, and for a q so close to 1 that the
-    table would exceed its node budget.
+    Raises ValueError for any other q.  Builds no table: rho builds its
+    table on first use.
     """
     if not 1.0 < q <= _MAX_Q:
         raise ValueError(f"q must lie in (1, {_MAX_Q:g}], got {q}")
     w = (q - 1.0) / 2.0
-
-    # the proven envelope |phi| <= coeff theta^-p beyond theta_fit (module docstring)
+    # the proven envelope |phi| <= coeff theta^-7 beyond theta_fit (module docstring)
     hypot_ab = math.sqrt(npoly.polyval(_X_ENVELOPE ** -2, [1, 15, 315, 6300, 99225, 893025]))
-    coeff = 10395.0 * (2.0 / w) ** 6 * hypot_ab / math.pi
-    p = 7.0
-    theta_fit = 2.0 * _X_ENVELOPE / w
-
-    # extend the table until every weighted tail for gamma in [0, 1.9] is small:
-    # the log of the bound is convex in gamma, so its worst is gamma = 1.9 while
-    # theta_max >= 1 and gamma = 0 below (large q)
-    theta_max = max((coeff / (k * _TAIL_TOL)) ** (1.0 / k) for k in (p - 2.9, p - 1.0))
-    theta_max = max(theta_max, 2.0 * theta_fit)
-
-    # panels of pi/2, or of pi/(2w) once G(w theta) varies faster than the sine
-    nodes, weights, stub, last_edge = _build_panels(theta_max, 0.5 * math.pi / max(1.0, w))
-    moll = MollifierSpec(
-        q=q, w=w, theta_max=last_edge,
-        nodes=nodes, weights=weights, phi_values=_phi(w, nodes),
-        decay_coeff=coeff, decay_power=p, theta_fit=theta_fit, stub=stub,
-    )
-
+    moll = MollifierSpec(q=q, w=w, decay_coeff=10395.0 * (2.0 / w) ** 6 * hypot_ab / math.pi,
+                         decay_power=7.0, theta_fit=2.0 * _X_ENVELOPE / w)
     _verify_build(moll)
     return moll
 
 
 def _verify_build(moll: MollifierSpec):
-    """Build-time invariant checks on the bump and the table; raise ValueError."""
+    """Build-time invariant checks on the bump; raise ValueError."""
     b_edge = (1.0 + moll.q) / 2.0
     if not math.isclose(float(moll.bump(1.0)), 1.0, abs_tol=1e-14):
         raise ValueError("bump must equal 1 at |x| = 1")
@@ -293,8 +396,3 @@ def _verify_build(moll: MollifierSpec):
         poly = npoly.polyder(poly)
         if abs(npoly.polyval(0.0, poly)) > 1e-9 or abs(npoly.polyval(1.0, poly)) > 1e-9:
             raise ValueError(f"smoothstep derivative {k} does not vanish at a junction")
-    # normalization: integral phi = bump(0) = 1
-    total = 2.0 * moll.integrate(np.ones_like(moll.nodes))
-    budget = 2.0 * (moll.tail_power_bound(0.0) + moll.stub_bound(0.0)) + 1e-10
-    if abs(total - 1.0) > budget + 1e-9:
-        raise ValueError(f"integral of phi_q is {total}, expected 1")

@@ -15,17 +15,19 @@ Each lemma's sandwich is checked on grids with the quadrature error
 budgets subtracted from the margins; the proof-internal constants are
 never computed explicitly, only fitted envelopes are reported.
 
-All theta integrals run on the mollifier table.  The modular there is
-evaluated by homogeneity of each exponent group,
+eta, h_q (and so tau) and the Parseval theta side are integrals of
+analytic functions against phi_q.  They run on the rotated-ray rule of
+:mod:`multistable.inversion` through the identity
 
-    m(s theta) = sum_g W_g s^alpha_g theta^alpha_g,
+    integral_0^inf phi_q F dtheta = (1/pi) Im integral_ray G(w theta) e^{i(1+w/2) theta} F(theta) / theta dtheta
 
-so theta^alpha_g is computed once per group and every further scale s
-(s = 1/xi for eta and rho, s = delta for the Parseval theta side) costs
-one G-row matrix-vector product.  The lemma 1 and lemma 6 sweeps share
-these powers across their xi grids and evaluate each distinct xi once.
-Outside the table 1 - e^-m <= m, so the untabulated mass of every such
-integral is bounded group by group for any scale.
+(see :mod:`multistable.mollifier`), so each carries the rule's error
+bound: Kronrod-minus-Gauss, stub, truncation and roundoff.  The Parseval
+theta side at delta is eta at xi = 1/delta.  Only rho, which integrates
+the non-analytic |phi_q|, runs on the mollifier's dense table, built on
+its first use; the modular there is m(theta/xi) = sum_g W_g xi^-alpha_g
+theta^alpha_g, and outside the table m - 1 + e^-m <= m^2/2 bounds the
+untabulated mass group by group.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import numpy as np
 
 from .asymptote import _require_unit_sphere, tail_asymptote, tail_constant
 from .function_space import MultistableSpec
-from .inversion import density, tail_probability_with_error
+from .inversion import density, eta_integral, tail_probability_with_error
 from .mollifier import MollifierSpec
 from .quadrature import QuadratureConfig, _certify, adaptive_gk
 
@@ -108,48 +110,18 @@ def _check_xi(xi: float):
         raise ValueError(f"xi must be >= 1, got {xi}")
 
 
-def _node_powers(spec: MultistableSpec, moll: MollifierSpec) -> np.ndarray:
-    """theta^alpha_g at the table nodes, one row per exponent group."""
-    powers = np.empty((len(spec.groups), moll.nodes.size))
-    for row, (alph, _) in zip(powers, spec.groups):
-        np.power(moll.nodes, alph, out=row)
-    return powers
-
-
-def _table_modular(spec: MultistableSpec, powers: np.ndarray, scale: float) -> np.ndarray:
-    """m(scale * theta) at the table nodes by homogeneity of each group:
-    sum_g W_g scale^alpha_g theta^alpha_g, one pass over the rows of ``powers``."""
-    return np.array([wgt * scale ** alph for alph, wgt in spec.groups]) @ powers
-
-
-def _group_budget(spec: MultistableSpec, moll: MollifierSpec, scale: float) -> float:
-    """Bound on the one-sided integral of |phi_q(theta)| m(scale * theta) outside
-    the table, i.e. over the stub [0, stub] and the tail beyond theta_max."""
-    return sum(wgt * scale ** alph * (moll.tail_power_bound(alph) + moll.stub_bound(alph))
-               for alph, wgt in spec.groups)
-
-
-def _eta(spec: MultistableSpec, moll: MollifierSpec, powers: np.ndarray,
-         xi: float) -> tuple[float, float]:
-    body = 2.0 * moll.integrate(-np.expm1(-_table_modular(spec, powers, 1.0 / xi)))
-    # outside the table 1 - e^-m <= m
-    err = 2.0 * _group_budget(spec, moll, 1.0 / xi) + 4e-16 * (1.0 + abs(body))
-    return max(body, 0.0), err
-
-
 def eta_with_error(spec: MultistableSpec, moll: MollifierSpec, xi: float,
                    cfg: QuadratureConfig | None = None) -> tuple[float, float]:
-    """eta(xi) with an error bound (table quadrature + decay-envelope tail)."""
+    """eta(xi) with the ray rule's error bound."""
     _check_xi(xi)
-    val, err = _eta(spec, moll, _node_powers(spec, moll), xi)
+    val, err = eta_integral(spec, xi, moll.w)
     _certify("eta error bound", err, cfg)
     return val, err
 
 
 def _eta_sweep(spec: MultistableSpec, moll: MollifierSpec, xis) -> dict:
-    """eta at each distinct xi, with the node powers shared across the sweep."""
-    powers = _node_powers(spec, moll)
-    return {xi: _eta(spec, moll, powers, xi) for xi in set(xis)}
+    """eta at each distinct xi of a sweep, each evaluated once."""
+    return {xi: eta_integral(spec, xi, moll.w) for xi in set(xis)}
 
 
 def eta(spec: MultistableSpec, moll: MollifierSpec, xi: float,
@@ -180,7 +152,7 @@ def rho_with_error(spec: MultistableSpec, moll: MollifierSpec, xi: float,
                    cfg: QuadratureConfig | None = None) -> tuple[float, float]:
     """rho(xi): the absolute exponential remainder integrated against |phi_q|."""
     _check_xi(xi)
-    m_vals = _table_modular(spec, _node_powers(spec, moll), 1.0 / xi)
+    m_vals = spec.scaled_modular(moll.nodes / xi)
     remainder = m_vals + np.expm1(-m_vals)  # m - 1 + e^-m >= 0
     body = 2.0 * moll.integrate_abs(np.abs(remainder))
     # tail: remainder <= m^2 / 2, expand the square over exponent groups
@@ -344,22 +316,19 @@ def verify_parseval(spec: MultistableSpec, moll: MollifierSpec,
         integral (1 - bump(delta x)) D(x) dx = integral phi_q(theta) (1 - cf(delta theta)) dtheta
 
     computed by independent routes (x-side drives the density pointwise,
-    theta-side uses the mollifier table).  The x-side band is integrated by
-    :func:`~multistable.quadrature.adaptive_gk` with the density as integrand.
+    theta-side is eta at xi = 1/delta on the rotated ray).  The x-side band
+    is integrated by :func:`~multistable.quadrature.adaptive_gk` with the
+    density as integrand.
     """
     cfg = cfg or QuadratureConfig()
     b_edge = (1.0 + moll.q) / 2.0
-    powers = _node_powers(spec, moll)
     rows = []
     ok_all = True
     for delta in deltas:
         delta = float(delta)
         if delta <= 0.0:
             raise ValueError("delta must be positive")
-        # theta side on the table; outside it 1 - cf(delta theta) <= m(delta theta)
-        factor = -np.expm1(-_table_modular(spec, powers, delta))
-        theta_side = 2.0 * moll.integrate(factor)
-        theta_err = 2.0 * _group_budget(spec, moll, delta)
+        theta_side, theta_err = eta_integral(spec, 1.0 / delta, moll.w)
         # x side: transition band + everything beyond the bump support
         lo_x, hi_x = 1.0 / delta, b_edge / delta
         band, band_err = adaptive_gk(

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import math
@@ -18,6 +19,7 @@ from multistable.cli import (
     run_command,
 )
 from multistable.function_space import quasinorm
+from multistable.sampler import mc_tail
 
 CAUCHY_DOC = {
     "breakpoints": [0.0, 1.0],
@@ -162,21 +164,12 @@ class TestRunCommand:
         assert rc == 0
         assert json.loads(out.read_text())["passed"] is True
 
-    def test_verify_refuses_a_table_over_budget(self, tmp_path, capsys):
-        # q = 1.01 would need a 30M-node phi_q table (about 720 MB); the build
-        # refuses before allocating it
-        out = tmp_path / "l1.json"
-        rc = run_command(["verify", "lemma1", "--fixture", "cauchy", "--q", "1.01",
-                          "--out", str(out)])
-        assert rc == 2
-        assert "budget" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("q,code", [("nan", 2), ("inf", 2), ("1e7", 2), ("1.01", 2),
+    @pytest.mark.parametrize("q,code", [("nan", 2), ("inf", 2), ("1e7", 2), ("1.01", 0),
                                         ("50", 0)])
     def test_verify_lemma3_every_q_builds_or_exits_2(self, q, code, tmp_path, capsys):
         # every q either builds or is refused with a message: nan, inf and
-        # 1e7 lie outside (1, 1e6], q = 1.01 exceeds the node budget
+        # 1e7 lie outside (1, 1e6]; q = 1.01 builds no table, as h_q runs on
+        # the rotated ray
         out = tmp_path / "l3.json"
         assert run_command(["verify", "lemma3", "--q", q, "--out", str(out)]) == code
         if code:
@@ -224,6 +217,24 @@ class TestRunCommand:
         draws = np.load(out)
         assert draws.shape == (1000,)
         assert Path(str(out) + ".summary.csv").exists()
+
+    def test_sample_summary_matches_single_quantiles(self, tmp_path):
+        # the summary takes every quantile in one np.quantile pass; each value
+        # must equal its own single-quantile call exactly
+        out = tmp_path / "s.npy"
+        rc = run_command(["sample", "--fixture", "two_exp", "--n", "10001", "--seed", "5",
+                          "--format", "npy", "--summary", "--tail-at", "2.0",
+                          "--out", str(out)])
+        assert rc == 0
+        draws = np.load(out)
+        with open(str(out) + ".summary.csv", newline="") as fh:
+            rows = [(float(r["quantile_or_lambda"]), float(r["value"]))
+                    for r in csv.DictReader(fh)]
+        quantiles = [0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99]
+        assert [q for q, _ in rows[:-1]] == quantiles
+        for q, value in rows[:-1]:
+            assert value == float(np.quantile(draws, q)), q
+        assert rows[-1] == (2.0, mc_tail(draws, 2.0)[0])
 
 
 @pytest.mark.parametrize("text,n", [("1e7", 10 ** 7), ("1000000", 10 ** 6), ("2.5e3", 2500)])

@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
+from multistable import mollifier
 from multistable.mollifier import (
     _TAIL_TOL,
     _build_panels,
-    _verify_build,
+    _kernel,
     build_mollifier,
     smoothstep_c5,
 )
@@ -24,11 +25,14 @@ def test_q_must_exceed_one():
             build_mollifier(bad)
 
 
-def test_build_check_raises_value_error(moll15):
-    # a table that integrates to 2 instead of 1 fails the normalization check
-    doubled = dataclasses.replace(moll15, phi_values=2.0 * moll15.phi_values)
+def test_build_check_raises_value_error(monkeypatch):
+    # a table that integrates to 2 instead of 1 fails the normalization check,
+    # which runs where the table is built: on first reading it
+    moll = build_mollifier(1.5)
+    phi = mollifier._phi
+    monkeypatch.setattr(mollifier, "_phi", lambda w, theta: 2.0 * phi(w, theta))
     with pytest.raises(ValueError, match="integral of phi_q"):
-        _verify_build(doubled)
+        moll.nodes
 
 
 def test_smoothstep_midpoint_symmetry():
@@ -173,12 +177,12 @@ def test_h_cache_and_error_reporting(moll15):
         moll15.h(2.0)
 
 
-def test_h_memo_is_per_table(moll15):
+def test_h_memo_is_per_table(moll15, moll2):
     # a copy made by dataclasses.replace must not answer from the original's memo
     v, _ = moll15.h(1.1)
-    doubled = dataclasses.replace(moll15, phi_values=2.0 * moll15.phi_values)
-    assert doubled.h(1.1)[0] == pytest.approx(2.0 * v, rel=1e-14)
-    assert moll15.h(1.1)[0] == v
+    other = dataclasses.replace(moll15, q=2.0, w=0.5)
+    assert other.h(1.1) == moll2.h(1.1)
+    assert moll15.h(1.1)[0] == v != other.h(1.1)[0]
 
 
 def _s5_mp(u):
@@ -198,20 +202,85 @@ def _h_mpmath(q, gamma):
         return g * c * (band + (1 + w) ** -g / g)
 
 
+_H_GAMMAS = (0.3, 0.5, 0.7, 1.1, 1.5, 1.7, 1.9)
+
+
 def test_h_within_its_bound_against_mpmath(moll125, moll15, moll2):
-    # with the S5' weights folded from the monomials, h_q(0.3) at q = 1.25 was
-    # 1.7e-14 off against a bound of 2.6e-15
-    for moll in (moll125, moll15, moll2):
-        for gamma in (0.3, 0.5, 1.1, 1.7):
+    # with the S5' weights folded from the monomials, the table's h_q(0.3) at
+    # q = 1.25 was 1.7e-14 off against a bound of 2.6e-15
+    for moll in (moll125, moll15, moll2, *(build_mollifier(q) for q in (1.01, 50.0, 1e6))):
+        for gamma in _H_GAMMAS:
             val, err = moll.h(gamma)
             assert abs(float(val - _h_mpmath(moll.q, gamma))) <= err, (moll.q, gamma)
 
 
+def _h_ray_mpmath(q, gamma):
+    """h_q(gamma) at 30 digits on the ray psi = pi/2: (2/pi) sin(pi gamma/2)
+    integral_0^inf G(i w t) e^{-(1+w/2) t} t^(gamma-1) dt with G(i y) =
+    0F1(; 13/2; y^2/16), integrated in s = log t."""
+    with mp.workdps(30):
+        w, g = (mp.mpf(q) - 1) / 2, mp.mpf(gamma)
+
+        def integrand(s):
+            t = mp.exp(s)
+            return mp.hyp0f1(mp.mpf(13) / 2, (w * t) ** 2 / 16) * mp.exp(g * s - (1 + w / 2) * t)
+
+        # the transition to the e^-t tail sits near t = 1 / w; past t = 120
+        # the integrand is below e^-t t^gamma < 1e-50
+        pts = sorted({-mp.inf, -mp.log(w), mp.mpf(0), mp.log(10), mp.log(120)})
+        return 2 / mp.pi * mp.sin(mp.pi * g / 2) * mp.quad(integrand, pts)
+
+
+@pytest.mark.parametrize("q", [1.01, 1.25, 2.0, 50.0])
+def test_h_within_its_bound_against_mpmath_on_the_ray(q):
+    moll = build_mollifier(q)
+    for gamma in _H_GAMMAS:
+        val, err = moll.h(gamma)
+        assert abs(float(val - _h_ray_mpmath(q, gamma))) <= err, gamma
+
+
 def test_table_node_budget():
-    # the table grows like w^-1.5: q = 1.03 would need 6.0M nodes, q = 1.01 30M
+    # the rho table grows like w^-1.5: q = 1.03 would need 6.0M nodes, q = 1.01
+    # 30M; the mollifier builds, and reading its table raises before allocating
     for q in (1.01, 1.02, 1.03):
+        moll = build_mollifier(q)
         with pytest.raises(ValueError, match="budget"):
-            build_mollifier(q)
+            moll.nodes
+
+
+def test_build_allocates_no_table():
+    for q in (1.01, 1.25, 2.0, 50.0):
+        moll = build_mollifier(q)
+        assert moll not in mollifier._TABLES
+
+
+def _h_of_z_mpmath(w, rho, psi):
+    """H(z) = G(w z) e^{i(1+w/2) z} at z = rho e^{i psi}, 30 digits, with
+    G(2x) = 10395 j5(x) / x^5 and j5(x) = sqrt(pi / (2x)) J_{11/2}(x)."""
+    with mp.workdps(30):
+        z = mp.mpf(rho) * (mp.j if psi == "pi/2" else mp.expj(mp.mpf(psi)))
+        x = mp.mpf(w) * z / 2
+        g = 10395 * mp.sqrt(mp.pi / (2 * x)) * mp.besselj(mp.mpf(11) / 2, x) / x ** 5
+        return complex(g * mp.expj((1 + mp.mpf(w) / 2) * z))
+
+
+@pytest.mark.parametrize("w", [0.005, 0.5, 24.5, 5e3])
+def test_kernel_matches_besselj_across_the_crossover(w):
+    # both sides of |x| = |w z| / 2 = 12.5, on the real axis, on rays and on
+    # the imaginary axis; |H| <= bound <= e^{-Im z}, and the error is a few
+    # units of 2^-53 times the bound, plus the rounding of the phases
+    eps = 2.0 ** -53
+    xs = [1e-3, 0.3, 2.0, 5.0, 12.0, float(np.nextafter(12.5, 0.0)), 12.5, 13.0, 30.0, 1e3]
+    for psi in (0.0, 0.3, math.pi / 4, 1.2, "pi/2"):
+        cos_psi, sin_psi = (0.0, 1.0) if psi == "pi/2" else (math.cos(psi), math.sin(psi))
+        rho = 2.0 * np.array(xs) / w
+        re, im, bound = _kernel(w, rho, cos_psi, sin_psi)
+        for k, r in enumerate(rho.tolist()):
+            ref = _h_of_z_mpmath(w, r, psi)
+            assert abs(ref) <= bound[k] * (1.0 + 1e-12), (psi, xs[k])
+            assert bound[k] <= math.exp(-sin_psi * r) * (1.0 + 1e-15), (psi, xs[k])
+            err = abs(complex(re[k], im[k]) - ref)
+            assert err <= eps * bound[k] * (8.0 + 4.0 * (1.0 + w) * r), (psi, xs[k])
 
 
 # An independent evaluation of phi_q in the two-regime A/B form

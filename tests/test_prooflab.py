@@ -1,5 +1,5 @@
-import dataclasses
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multistable import prooflab
+from multistable import inversion
 from multistable.asymptote import tail_asymptote, tail_constant
 from multistable.fixtures import fixture, random_spec
 from multistable.function_space import ExponentFunction, StepFunction, refine
-from multistable.inversion import tail_probability
+from multistable.inversion import eta_integral, tail_probability
+from multistable.mollifier import build_mollifier
 from multistable.prooflab import (
     eta,
     eta_with_error,
@@ -224,12 +225,18 @@ class TestLemmaSweeps:
             assert abs(row["x_side"] - ref) <= row["x_err"], row
 
 
-class TestTableKernel:
-    """The group-power table kernel against the direct per-cell modular."""
+def _table_route(spec, moll, scale):
+    """The former table route for 2 int phi_q (1 - cf(scale theta)) dtheta: the
+    GL16 table sum with m evaluated per cell, and its budget (the envelope
+    and stub bounds group by group, plus 4e-16 relative)."""
+    body = 2.0 * moll.integrate(-np.expm1(-spec.scaled_modular(scale * moll.nodes)))
+    budget = sum(wgt * scale ** alph * (moll.tail_power_bound(alph) + moll.stub_bound(alph))
+                 for alph, wgt in spec.groups)
+    return body, 2.0 * budget + 4e-16 * (1.0 + abs(body))
 
-    @staticmethod
-    def _direct(spec, moll, scale):
-        return spec.scaled_modular(scale * moll.nodes)
+
+class TestTableKernel:
+    """eta, rho and the Parseval theta side against the table route."""
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), shared=st.booleans(),
@@ -242,24 +249,24 @@ class TestTableKernel:
             alpha_range = (alpha, alpha)
         spec = random_spec(rng, alpha_range=alpha_range)
         xi, delta = 10.0 ** log_xi, 10.0 ** log_delta
-        m = self._direct(spec, moll2, 1.0 / xi)
-        eta_ref = 2.0 * moll2.integrate(-np.expm1(-m))
+        eta_ref, eta_ref_err = _table_route(spec, moll2, 1.0 / xi)
+        val, err = eta_with_error(spec, moll2, xi)
+        assert abs(val - eta_ref) <= err + eta_ref_err
+        # rho stays on the table; it reaches ~1e2 at xi near 1, where one ulp is ~1e-14
+        m = spec.scaled_modular(moll2.nodes / xi)
         rho_ref = 2.0 * moll2.integrate_abs(np.abs(m + np.expm1(-m)))
-        assert abs(eta(spec, moll2, xi) - eta_ref) <= 1e-15
-        # rho reaches ~1e2 at xi near 1, where one ulp is ~1e-14
         assert abs(rho(spec, moll2, xi) - rho_ref) <= 1e-15 * max(1.0, rho_ref)
-        powers = prooflab._node_powers(spec, moll2)
-        theta_side = 2.0 * moll2.integrate(
-            -np.expm1(-prooflab._table_modular(spec, powers, delta)))
-        theta_ref = 2.0 * moll2.integrate(-np.expm1(-self._direct(spec, moll2, delta)))
-        assert abs(theta_side - theta_ref) <= 1e-15
+        theta_ref, theta_ref_err = _table_route(spec, moll2, delta)
+        theta_side, theta_err = eta_integral(spec, 1.0 / delta, moll2.w)
+        assert abs(theta_side - theta_ref) <= theta_err + theta_ref_err
 
     def test_parseval_theta_side_uses_the_kernel(self, moll15):
         rep = verify_parseval(TWO_EXP, moll15, [0.1, 1.0], CFG)
         for row in rep.grid:
-            m = self._direct(TWO_EXP, moll15, row["delta"])
-            assert row["theta_side"] == pytest.approx(
-                2.0 * moll15.integrate(-np.expm1(-m)), abs=1e-15)
+            theta_side, theta_err = eta_integral(TWO_EXP, 1.0 / row["delta"], moll15.w)
+            assert (row["theta_side"], row["theta_err"]) == (theta_side, theta_err)
+            ref, ref_err = _table_route(TWO_EXP, moll15, row["delta"])
+            assert abs(theta_side - ref) <= theta_err + ref_err
 
     @pytest.mark.parametrize("spec", [CAUCHY, TWO_EXP, fixture("three_cell")])
     def test_sweep_rows_equal_single_calls(self, moll125, spec):
@@ -276,23 +283,120 @@ class TestTableKernel:
             assert r6["ratio_lower"] == lo / t and r6["ratio_upper"] == hi / t
 
     def test_parseval_stub_budget_carries_weights_and_scale(self, moll15):
-        # alpha = 0.1 with W = 1e4 next to alpha = 1.9: the untabulated stub
-        # [0, stub] holds mass 2 int phi_q (1 - cf(delta theta)), which a
-        # weightless stub_bound(b) misses by 24 orders of magnitude
+        # alpha = 0.1 with W = 1e4 next to alpha = 1.9: near theta = 0 the theta
+        # side's integrand is the modular, whose weights and scale the ray
+        # rule's stub remainder must carry; a weightless one misses the true
+        # remainder by orders of magnitude
         spec = refine(StepFunction((0.0, 1e4, 1e4 + 1.0), (1.0, 1.0)),
                       ExponentFunction((1e4,), (0.1, 1.9)))
         assert spec.groups == ((0.1, 1e4), (1.9, 1.0))
-        delta = 10.0
-        with mp.workdps(30):
-            stub_mass = float(2 * mp.quad(
-                lambda t: moll15.phi(float(t)) * -mp.expm1(
-                    -sum(w * (delta * t) ** a for a, w in spec.groups)),
-                [0, moll15.stub]))
-        assert 2.0 * moll15.stub_bound(spec.b) < 1e-30 < stub_mass
-        # with the decay envelope switched off only the stub part remains
-        stub_only = dataclasses.replace(moll15, decay_coeff=0.0)
-        assert 2.0 * prooflab._group_budget(spec, stub_only, delta) >= stub_mass
+        unit = refine(StepFunction((0.0, 1.0, 2.0), (1.0, 1.0)), ExponentFunction((1.0,), (0.1, 1.9)))
+        assert unit.groups == ((0.1, 1.0), (1.9, 1.0))
+        delta, w = 10.0, moll15.w
+        omega = 1.0 / delta
+        ray = inversion._ray(spec)
+        rate = omega * (1.0 + 0.5 * w)
+        for s in (-200.0, -120.0):
+            value, rem = inversion._stub(ray, "tail", rate, s)
+            with mp.workdps(30):
+                rot = mp.expj(ray.phi)
+                c13, wm = mp.mpf(13) / 2, mp.mpf(w)
+
+                def integrand(v):
+                    th = mp.exp(v) * rot
+                    z = omega * th
+                    h = mp.hyp0f1(c13, -(wm * z) ** 2 / 16) * mp.expj((1 + wm / 2) * z)
+                    m = sum(wgt * th ** alph for alph, wgt in spec.groups)
+                    return mp.im(h * -mp.expm1(-m))
+
+                true = float(mp.quad(integrand, [-mp.inf, s]) - value.imag)
+            weightless = inversion._stub(inversion._ray(unit), "tail", rate, s)[1]
+            assert weightless < 1e-6 * abs(true) and abs(true) <= rem, s
         rep = verify_parseval(spec, moll15, [delta], CFG)
         row = rep.grid[0]
-        assert row["theta_err"] == 2.0 * prooflab._group_budget(spec, moll15, delta)
+        assert row["theta_err"] == eta_integral(spec, omega, w)[1]
         assert row["tolerance"] >= row["theta_err"] + row["x_err"]
+
+    def test_rho_refuses_a_table_over_budget(self):
+        # q = 1.01 would need a 30M-node phi_q table (about 720 MB): the mollifier
+        # builds, eta and tau run on the ray, and rho refuses before allocating
+        moll = build_mollifier(1.01)
+        assert eta(CAUCHY, moll, 10.0) > 0.0 and tau(CAUCHY, moll, 10.0) > 0.0
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="budget"):
+                rho_with_error(CAUCHY, moll, 10.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+# ---------------------------------------------------------------------------
+# 30-digit mpmath oracle on the ray
+
+with mp.workdps(30):
+    _GL24 = mp.calculus.quadrature.GaussLegendre(mp.mp).calc_nodes(4, mp.mp.prec)
+
+
+def _eta_mpmath(spec, xi, q):
+    """2 int phi_q(theta) (1 - cf(theta / xi)) dtheta at 30 digits, as
+    (2/pi) Im int H(xi theta) (1 - cf(theta)) ds on theta = e^{s + i psi}
+    with the library's angle psi and H(z) = 0F1(; 13/2; -(w z)^2 / 16)
+    e^{i (1 + w/2) z}.  Below the point where the integrand's phase reaches
+    1, tanh-sinh on (-inf, s_1]; beyond it, a 24-node Gauss-Legendre rule on
+    each piece over which a float bound on the phase turns by 2 pi (it
+    agreed with adaptive Gauss-Legendre to 4e-28 on this test's grid).  The
+    kernel is cut at e^-90."""
+    psi = inversion._ray(spec).phi
+    w = (q - 1.0) / 2.0
+    t_hi = 90.0 / (xi * math.sin(psi))
+    t_fast = min(t_hi, 90.0 / ((1.0 + w) * xi * math.sin(psi)))
+    t_cf = [(90.0 / (wgt * math.cos(alph * psi))) ** (1.0 / alph) for alph, wgt in spec.groups]
+
+    def phase(t):
+        return xi * (t + w * min(t, t_fast)) + sum(
+            wgt * min(t, tc) ** alph for (alph, wgt), tc in zip(spec.groups, t_cf))
+
+    grid = np.linspace(math.log(t_hi) - 60.0, math.log(t_hi), 20001)
+    turn = np.array([phase(math.exp(v)) for v in grid.tolist()])
+    cuts = np.interp(np.arange(1.0, turn[-1], 2.0 * math.pi), turn, grid).tolist()
+    with mp.workdps(30):
+        wm, xim = mp.mpf(w), mp.mpf(xi)
+        rot = mp.expj(mp.mpf(psi))
+        groups = [(mp.mpf(alph), mp.mpf(wgt) * mp.expj(mp.mpf(alph) * mp.mpf(psi)))
+                  for alph, wgt in spec.groups]
+        k_z, y2 = 1j * xim * (1 + wm / 2) * rot, -(wm * xim * rot) ** 2 / 16
+        c13 = mp.mpf(13) / 2
+
+        def integrand(v):
+            t = mp.exp(v)
+            m = sum(c * mp.exp(alph * v) for alph, c in groups)
+            one_cf = -mp.expm1(-m) if abs(m) < 0.01 else 1 - mp.exp(-m)
+            return mp.im(mp.hyp0f1(c13, y2 * t * t) * mp.exp(k_z * t) * one_cf)
+
+        pts = [mp.mpf(v) for v in sorted({*cuts, math.log(t_hi)})]
+        total = mp.quad(integrand, [-mp.inf, pts[0]])
+        for a, b in zip(pts[:-1], pts[1:]):
+            mid, half = (a + b) / 2, (b - a) / 2
+            total += half * mp.fsum(wk * integrand(mid + half * xk) for xk, wk in _GL24)
+        return 2 / mp.pi * total
+
+
+class TestRayOracle:
+    """|value - mpmath| <= err for the ray kinds, against the 30-digit oracle."""
+
+    @pytest.mark.parametrize("name", ["cauchy", "two_exp", "three_cell"])
+    @pytest.mark.parametrize("q", [1.01, 1.25, 2.0, 50.0])
+    def test_eta_within_its_bound(self, name, q):
+        spec, moll = fixture(name), build_mollifier(q)
+        for xi in (1.0, 10.0, 1e3):
+            val, err = eta_with_error(spec, moll, xi)
+            assert abs(float(val - _eta_mpmath(spec, xi, q))) <= err, xi
+
+    def test_parseval_theta_side_within_its_bound(self, moll15):
+        rep = verify_parseval(TWO_EXP, moll15, [0.1, 1.0, 10.0], CFG)
+        assert rep.passed
+        for row in rep.grid:
+            ref = _eta_mpmath(TWO_EXP, 1.0 / row["delta"], moll15.q)
+            assert abs(float(row["theta_side"] - ref)) <= row["theta_err"], row["delta"]
