@@ -48,7 +48,7 @@ import weakref
 import numpy as np
 
 from .function_space import MultistableSpec, exp_sum_root
-from .mollifier import _S_CROSSOVER, _far_amplitude, _kernel
+from .mollifier import _S_CROSSOVER, _far_amplitude, _kernel, _sin_cos
 from .quadrature import _WG21, _WK21, _X21, AccuracyError, QuadratureConfig, _certify
 
 __all__ = [
@@ -79,9 +79,18 @@ _GRID = 1.0 / 8.0           # s-spacing of the table that places the level edges
 _DECAY = 45.0               # envelopes are cut where they fall below e^-45
 _REL = 2.0 ** -60           # stub and truncation bounds aim below this share of the result
 _MAX_PANELS = 8192          # budget of one call: about 170 000 nodes
-# roundings behind one node's share of the sum: about 10 to form the value,
-# 21 in its panel's dot product, the rest in the pairwise sum over panels
-_ROUNDINGS = 40.0
+# columns: the Kronrod weights and the Kronrod-minus-Gauss weights
+_W21 = np.stack((_WK21, _WK21 - _WG21), axis=1)
+# Roundoff behind one node's share of the sum, in units of eps times the
+# sizes of its components.  Counted in units of eps/2, the most one
+# operation rounds by (each exp, expm1 and tan is within 1 ulp, two units):
+# at most 28 to form a value (density-1: the half-angle cosine 7, cf - 1
+# from tan(m_i/2) 12, t e^{-kappa} 6, three products and a difference 3;
+# the other kinds take less), 21 in its panel's Kronrod dot product, 1 for
+# the half width and at most 31 in numpy's pairwise sum over at most
+# _MAX_PANELS panels.  That is 81 units, 40.5 eps; 44 leaves room for
+# second-order terms.
+_ROUNDINGS = 44.0
 # further roundings in one value of the mollifier kernel H: the 12-term
 # Gauss-Legendre sum and the complex products after it
 _KERNEL_ROUNDINGS = 48.0
@@ -140,12 +149,15 @@ class _Ray:
         terms = [(w, al) for al, w in self.groups]
         self.t_cf = math.exp(exp_sum_root(1.0, terms))       # 1 / quasinorm
         self.s_cf = exp_sum_root(_DECAY, self.decay)         # |cf| <= e^-45 beyond
-        # leading terms of the tail and density expansions, for scale only
+        self.log_w = np.log(self.w)
+        # leading terms c x^-p of the tail and density expansions, for scale only
         sin_half = np.sin(0.5 * math.pi * self.alph)
-        self.tail_w = (self.w * (2.0 / math.pi) * sin_half
-                       * np.array([math.gamma(al) for al in self.alph_list]))
-        self.dens_w = (self.w * sin_half / math.pi
-                       * np.array([math.gamma(al + 1.0) for al in self.alph_list]))
+        tail_w = (self.w * (2.0 / math.pi) * sin_half
+                  * np.array([math.gamma(al) for al in self.alph_list]))
+        dens_w = (self.w * sin_half / math.pi
+                  * np.array([math.gamma(al + 1.0) for al in self.alph_list]))
+        self.tail_terms = list(zip(tail_w.tolist(), self.alph_list))
+        self.dens_terms = list(zip(dens_w.tolist(), (self.alph + 1.0).tolist()))
         # D(0) <= min_g Gamma(1 + 1/alpha_g) W_g^(-1/alpha_g) / pi, capped below overflow
         log_d0 = min(math.lgamma(1.0 + 1.0 / al) - math.log(w) / al for al, w in self.groups)
         self.d0 = math.exp(min(log_d0, _LOG_HUGE)) / math.pi
@@ -175,8 +187,27 @@ def _ray(spec: MultistableSpec) -> _Ray:
 # or tail keeps its relative accuracy; "tail-cf" decays with the cf instead
 # of the kernel, and serves w t_cf < 1 where the cf dies first.
 
-def _stub(ray: _Ray, kind: str, omega: float, s: float) -> tuple[complex, float]:
-    """First-order int_0^{e^s} of the integrand, and a bound on its remainder.
+def _power_sum(terms: list[tuple[float, float]], x: float) -> float:
+    """sum c x^-p over the (c, p) terms, inf where a power overflows."""
+    total = 0.0
+    try:
+        for c, p in terms:
+            total += c * x ** -p
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
+    return total
+
+
+def _unit(p: float) -> float:
+    """p clipped to [0, 1]; NaN passes through."""
+    return 0.0 if p < 0.0 else 1.0 if p > 1.0 else p
+
+
+def _stub(ray: _Ray, kind: str, omega: float, s: float,
+          tgt: float = math.inf) -> tuple[float, complex, float]:
+    """First-order int_0^{e^s} of the integrand and a bound on its remainder,
+    with the end moved down from e^s when that bound exceeds tgt:
+    (log of the end, value, bound).
 
     With M(t) = sum W t^alpha >= |m|, |e^{i w theta} - 1| <= wt,
     |e^{i w theta} - 1 - i w theta| <= (wt)^2/2, |cf| <= 1, |cf - 1| <= M and
@@ -187,24 +218,35 @@ def _stub(ray: _Ray, kind: str, omega: float, s: float) -> tuple[complex, float]
     * tail:      m / t,              remainder <= (w t M + M^2/2) / t
     * tail-cf:   i w theta / t,      remainder <= ((wt)^2/2 + w t M) / t
 
-    (the densities times e^{i phi}).
+    (the densities times e^{i phi}).  Every remainder term falls at least as
+    fast as t^p, p = _stub_power, so moving the end down by log(tgt / bound) / p
+    brings the bound to tgt.
     """
-    t = math.exp(s)
-    wt = [(w * math.exp(al * s), al, z) for (al, w), z in zip(ray.groups, ray.turn)]
+    for moved in (False, True):
+        t = math.exp(s)
+        wt = [(w * math.exp(al * s), al, z) for (al, w), z in zip(ray.groups, ray.turn)]
+        if kind == "tail-cf":
+            rem = 0.25 * (omega * t) ** 2 + omega * t * sum(x / (al + 1.0) for x, al, _ in wt)
+        else:
+            shift = 0.0 if kind == "tail" else 1.0
+            pairs = 0.5 * sum(x * y / (a1 + a2 + shift) for x, a1, _ in wt for y, a2, _ in wt)
+            if kind == "tail":
+                rem = omega * t * sum(x / (al + 1.0) for x, al, _ in wt) + pairs
+            else:
+                rem = t * (omega * t * sum(x / (al + 2.0) for x, al, _ in wt) + pairs)
+                if kind == "density":
+                    rem += (omega * t) ** 2 * t / 6.0
+        if moved or not rem > tgt:
+            break
+        s += math.log(tgt / rem) / _stub_power(ray, kind)
     if kind == "tail-cf":
-        rem = 0.25 * (omega * t) ** 2 + omega * t * sum(x / (al + 1.0) for x, al, _ in wt)
-        return 1j * omega * ray.rot * t, rem
-    shift = 0.0 if kind == "tail" else 1.0
-    pairs = 0.5 * sum(x * y / (a1 + a2 + shift) for x, a1, _ in wt for y, a2, _ in wt)
+        return s, 1j * omega * ray.rot * t, rem
     if kind == "tail":
-        value = sum(x * z / al for x, al, z in wt)
-        return value, omega * t * sum(x / (al + 1.0) for x, al, _ in wt) + pairs
+        return s, sum(x * z / al for x, al, z in wt), rem
     first = t * sum(x * z / (al + 1.0) for x, al, z in wt)
-    rem = t * (omega * t * sum(x / (al + 2.0) for x, al, _ in wt) + pairs)
     if kind == "density-1":
-        return -ray.rot * first, rem
-    value = ray.rot * (t + 0.5j * omega * ray.rot * t * t - first)
-    return value, rem + (omega * t) ** 2 * t / 6.0
+        return s, -ray.rot * first, rem
+    return s, ray.rot * (t + 0.5j * omega * ray.rot * t * t - first), rem
 
 
 def _stub_power(ray: _Ray, kind: str) -> float:
@@ -309,95 +351,188 @@ def _panels(al: np.ndarray, lin: float, log_w0: np.ndarray, s_lo: float, s_hi: f
     edges.sort()
     left, right = edges[:-1], edges[1:]
     gaps = right - left
-    # Phi' is convex, so interpolating its table overestimates it; past s_c only
-    # the kernel term moves; the fast and algebraic terms enter exactly
-    slope = np.where(left < s_c, np.interp(right, grid, kern + al @ cf_terms),
-                     lin * np.exp(right))
+    # Phi' is convex, so interpolating its table overestimates it; on the gaps
+    # from s_c on only the kernel term moves; the fast and algebraic terms
+    # enter exactly
+    slope = np.interp(right, grid, kern + al @ cf_terms)
+    edges = edges.tolist()
+    past = edges.index(s_c)
+    if past < len(slope):
+        slope[past:] = lin * np.exp(right[past:])
     if lin_f > 0.0:
         slope += np.where(left < s_f, lin_f * np.exp(right), 0.0)
     if p_x > 0.0:
         slope += np.where(left >= s_x, p_x, 0.0)
-    pieces = np.ceil(gaps * np.maximum(1.0 / _LN8, slope / _REACH)).astype(np.int64)
-    if pieces.sum() > _MAX_PANELS:
-        raise AccuracyError(f"rotated-contour rule needs {pieces.sum()} panels, "
+    pieces = np.ceil(gaps * np.maximum(1.0 / _LN8, slope / _REACH)).tolist()
+    total = sum(pieces)
+    if not total <= _MAX_PANELS:
+        raise AccuracyError(f"rotated-contour rule needs {total:.0f} panels, "
                             f"more than its budget of {_MAX_PANELS}", math.inf)
-    width = np.repeat(gaps / np.maximum(pieces, 1), pieces)
-    k = np.arange(width.size) - np.repeat(np.cumsum(pieces) - pieces, pieces)
-    return np.repeat(edges[:-1], pieces) + k * width, width
+    # nine gaps in ten hold one panel, so a plain loop lays them out fastest;
+    # the k-th panel of a gap starts at left + k h, never at a running sum
+    lo, width = [], []
+    for x, gap, n in zip(edges, gaps.tolist(), pieces):
+        if n == 1.0:
+            lo.append(x)
+            width.append(gap)
+        elif n:
+            h = gap / n
+            lo += [x + k * h for k in range(int(n))]
+            width += [h] * int(n)
+    return np.array(lo), np.array(width)
 
 
 def _rule(lo: np.ndarray, width: np.ndarray, integrand) -> tuple[float, float, float]:
     """The Gauss-Kronrod sum over the panels (lo, width) in sigma, with the sum
     of the per-panel Kronrod-minus-Gauss differences and the roundoff bound.
 
-    ``integrand(sigma)`` returns the values and their roundoff in units of eps.
+    ``integrand(sigma)`` returns a (2, n) array: the values and their
+    roundoff in units of eps.  One product against the two weight columns
+    gives each panel's Kronrod sum and Kronrod-minus-Gauss difference of the
+    values, and the Kronrod sum of the roundoff.
     """
     half = 0.5 * width
     sigma = (lo + half)[:, None] + half[:, None] * _X21
-    f, node_err = integrand(sigma.ravel())
-    f = f.reshape(sigma.shape)
-    kron = (f @ _WK21) * half
-    gauss = (f @ _WG21) * half
-    rounding = _EPS * float((node_err.reshape(sigma.shape) @ _WK21) @ half)
-    return float(np.sum(kron)), float(np.sum(np.abs(kron - gauss))), rounding
+    sums = integrand(sigma.ravel()).reshape(-1, _X21.size) @ _W21
+    n = half.size
+    kron, diff, node_err = sums[:n, 0], sums[:n, 1], sums[n:, 0]
+    kron *= half
+    return (float(np.sum(kron)), float(np.abs(diff) @ half),
+            _EPS * float(node_err @ half))
 
 
 def _integrand(ray: _Ray, kind: str, omega: float, t0: float, sigma: np.ndarray,
-               w: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+               w: float = 0.0) -> np.ndarray:
     """The integrand's wanted part times t (the ds = dt/t weight) at t = t0 e^sigma,
-    and a bound on its roundoff in units of eps.
+    and a bound on its roundoff in units of eps: the two rows of one array.
 
-    The roundoff covers the value's own roundings (component by component),
-    the absolute errors of the exponents (kernel: 4 eps w t, from the
-    roundings in t, w t and its two projections; cf: |dm| <= eps M
-    (few + b|sigma|)), and the shift of the node by the rounding of sigma,
-    which moves the value by |dF/ds| eps |sigma|.
+    Every sine and cosine comes from the tangent of its half angle
+    (:func:`multistable.mollifier._sin_cos`).  cf - 1 = q_r + i q_i comes
+    from tau = tan(m_i/2) without cancellation: q_i = -2 cf tau / (1 + tau^2)
+    = -cf sin(m_i) and q_r = expm1(-m_r) + q_i tau = expm1(-m_r)
+    - 2 cf sin^2(m_i/2), two terms of one sign; "tail-cf" takes
+    sin(m_i) = 2 tau / (1 + tau^2) from the same tau.
+
+    The roundoff covers the value's own roundings and those of its share of
+    the sum (_ROUNDINGS times the sizes of its components, counted where
+    _ROUNDINGS is defined: the half-angle sine within 6 units of eps/2 and
+    cosine within 7, against 1 ulp for a libm sine or cosine), the absolute
+    errors of the exponents (kernel: 4 eps w t, from the roundings in t, w t
+    and its two projections; cf: |dm| <= eps M (_ROUNDINGS + b|sigma|)), and
+    the shift of the node by the rounding of sigma, which moves the value by
+    |dF/ds| eps |sigma|.  The cf's exponent and shift together give it
+    M (_ROUNDINGS + 2 b|sigma|).  Values and bounds are built in place on a
+    few buffers.
     """
-    t = t0 * np.exp(sigma)
+    out = np.empty((2, sigma.size))
+    f, err = out
+    t = np.exp(sigma)
+    t *= t0
     pw = np.exp(np.multiply.outer(ray.alph, sigma))               # (t/t0)^alpha per group
     big_m, m_r, m_i = (ray.parts * t0 ** ray.alph) @ pw           # M >= |m|, Re m, Im m
     wt = omega * t
-    kappa, beta = ray.sin * wt, ray.cos * wt      # e^{i w theta} = e^{-kappa + i beta}
+    beta = ray.cos * wt           # e^{i w theta} = e^{-kappa + i beta}, kappa = sin(phi) w t
+    np.multiply(wt, -ray.sin, out=f)                              # -kappa
     asig = np.abs(sigma)
-    dm = big_m * (_ROUNDINGS + ray.b * asig)                      # |dm| / eps
+    spread = asig * (2.0 * ray.b)                 # the cf's share: M (_ROUNDINGS + 2 b|sigma|)
+    spread += _ROUNDINGS
+    spread *= big_m
     if kind == "density":
-        env = t * np.exp(-kappa - m_r)
-        f = env * np.cos(ray.phi + beta - m_i)
-        return f, env * (_ROUNDINGS + 4.0 * wt + dm + asig * (1.0 + wt + ray.b * big_m))
-    cf = np.exp(-m_r)
+        # the envelope t e^{-kappa - m_r} times cos(phi + beta - m_i)
+        beta += ray.phi
+        beta -= m_i
+        f -= m_r
+        np.exp(f, out=f)
+        f *= t
+        np.add(asig, 4.0, out=err)
+        err *= wt
+        err += asig
+        err += _ROUNDINGS
+        err += spread
+        err *= f
+        f *= _sin_cos(beta)[1]
+        return out
+    np.negative(m_r, out=m_r)
+    cf = np.exp(m_r)
     if kind == "tail-cf":
-        a1 = np.exp(-kappa) * np.sin(beta - m_i)
-        a2 = np.sin(m_i)
-        f = cf * (a1 + a2)
-        grow = cf * wt                            # |e^{i w theta} - 1| |cf| <= w t |cf|
-        return f, (cf * (np.abs(a1) + np.abs(a2)) * _ROUNDINGS
-                   + grow * (4.0 + dm + asig * (1.0 + ray.b * big_m)))
-    # cf - 1 = q_r + i q_i without cancellation: q_r = expm1(-m_r) - 2 cf sin^2(m_i/2)
-    s2, c2 = np.sin(0.5 * m_i), np.cos(0.5 * m_i)
-    q_r = np.expm1(-m_r) - 2.0 * cf * s2 * s2
-    q_i = -2.0 * cf * s2 * c2
-    qa = np.abs(q_r) + np.abs(q_i)
-    lead = 0.0
-    if kind == "tail":
-        kern = np.exp(-kappa)
-        f = -kern * (np.sin(beta) * q_r + np.cos(beta) * q_i)
-    elif kind == "eta":
+        # cf (e^{-kappa} sin(beta - m_i) + sin(m_i)), and w t cf >= |e^{i w theta} - 1| |cf|
+        beta -= m_i
+        a1 = _sin_cos(beta)[0]
+        np.exp(f, out=f)
+        a1 *= f
+        m_i *= 0.5
+        tau = np.tan(m_i, out=m_i)
+        a2 = tau * tau
+        a2 += 1.0
+        np.divide(tau, a2, out=a2)
+        a2 *= 2.0
+        np.add(a1, a2, out=f)
+        f *= cf
+        np.abs(a1, out=a1)
+        np.abs(a2, out=a2)
+        a1 += a2
+        a1 *= _ROUNDINGS
+        np.add(asig, 4.0, out=err)
+        err += spread
+        err *= wt
+        err += a1
+        err *= cf
+        return out
+    m_i *= 0.5
+    tau = np.tan(m_i, out=m_i)
+    q_i = tau * tau
+    q_i += 1.0
+    np.divide(tau, q_i, out=q_i)
+    q_i *= cf
+    q_i *= -2.0
+    q_r = np.expm1(m_r)
+    tau *= q_i
+    q_r += tau
+    qa = np.abs(q_r)
+    qa += np.abs(q_i)
+    rounds, lead = _ROUNDINGS, 0.0
+    if kind == "eta":
         # the mollifier kernel H(omega theta) in place of e^{i w theta}: kern
         # bounds |H|, its phases turn at most (1 + w) omega t per unit of s,
         # and its far form carries r^6
         h_r, h_i, kern = _kernel(w, wt, ray.cos, ray.sin)
-        f = -(h_r * q_i + h_i * q_r)
-        wt = (1.0 + w) * wt
-        return f, kern * (qa * (_ROUNDINGS + _KERNEL_ROUNDINGS + 4.0 * wt
-                                + asig * (_FAR_POWER + wt))
-                          + cf * (dm + ray.b * big_m * asig))
+        np.multiply(h_r, q_i, out=f)
+        h_i *= q_r
+        f += h_i
+        np.negative(f, out=f)
+        wt *= 1.0 + w
+        rounds, lead = _ROUNDINGS + _KERNEL_ROUNDINGS, _FAR_POWER
+    elif kind == "tail":
+        # -e^{-kappa} Im(e^{i beta} (cf - 1))
+        kern = np.exp(f)
+        sin, cos = _sin_cos(beta)
+        sin *= q_r
+        cos *= q_i
+        np.add(sin, cos, out=f)
+        np.negative(f, out=f)
+        f *= kern
     else:
-        kern = t * np.exp(-kappa)
-        gam = ray.phi + beta
-        f = kern * (np.cos(gam) * q_r - np.sin(gam) * q_i)
+        # density-1: t e^{-kappa} Re(e^{i (phi + beta)} (cf - 1))
+        kern = np.exp(f)
+        kern *= t
+        beta += ray.phi
+        sin, cos = _sin_cos(beta)
+        cos *= q_r
+        sin *= q_i
+        np.subtract(cos, sin, out=f)
+        f *= kern
         lead = 1.0
-    return f, kern * (qa * (_ROUNDINGS + 4.0 * wt + asig * (lead + wt))
-                      + cf * (dm + ray.b * big_m * asig))
+    np.add(asig, 4.0, out=err)
+    err *= wt
+    if lead:
+        asig *= lead
+        err += asig
+    err += rounds
+    err *= qa
+    spread *= cf
+    err += spread
+    err *= kern
+    return out
 
 
 def _ray_integral(spec: MultistableSpec, omega: float, kind: str,
@@ -423,24 +558,18 @@ def _ray_integral(spec: MultistableSpec, omega: float, kind: str,
     shape = "tail" if kind == "eta" else kind
     t0 = ray.t_cf if omega == 0.0 else min(1.0 / omega, ray.t_cf)
     s0 = math.log(t0)
-    with np.errstate(over="ignore"):
-        if shape == "tail":     # eta >= P(|I| > (1 + w) omega)
-            scale = min(1.0, float(np.sum(ray.tail_w * (omega * (1.0 + w)) ** -al)))
-        elif kind == "tail-cf":
-            scale = 1.0
-        elif omega > 0.0:
-            scale = min(ray.d0, float(np.sum(ray.dens_w * omega ** (-al - 1.0))))
-        else:
-            scale = ray.d0
+    if shape == "tail":     # eta >= P(|I| > (1 + w) omega)
+        scale = min(1.0, _power_sum(ray.tail_terms, omega * (1.0 + w)))
+    elif kind == "tail-cf":
+        scale = 1.0
+    elif omega > 0.0:
+        scale = min(ray.d0, _power_sum(ray.dens_terms, omega))
+    else:
+        scale = ray.d0
     tgt = max(_REL * scale, _TINY)
 
-    # stub [0, t_lo]: every remainder term falls at least as fast as t^p
-    rate = omega * (1.0 + 0.5 * w)
-    _, rem0 = _stub(ray, shape, rate, s0)
-    s_lo = s0
-    if rem0 > tgt:
-        s_lo = s0 + math.log(tgt / rem0) / _stub_power(ray, shape)
-    stub, stub_rem = _stub(ray, shape, rate, s_lo)
+    # stub [0, t_lo], with t_lo <= t0 where its remainder bound meets tgt
+    s_lo, stub, stub_rem = _stub(ray, shape, omega * (1.0 + 0.5 * w), s0, tgt)
     s_hi, trunc = _truncation(ray, shape, omega, tgt)
     # resolve the cf's phase to the end unless the kernel alone cuts the integrand
     s_c = min(ray.s_cf, s_hi) if kind in ("tail", "density-1", "eta") else s_hi
@@ -454,7 +583,7 @@ def _ray_integral(spec: MultistableSpec, omega: float, kind: str,
             trunc += 4.0 * _far_amplitude(0.5 * _DECAY / ray.sin) * _exp1(_DECAY * (1.0 + w) / w)
         fast = (w * omega * t0, s_f - s0)
         power = (_FAR_POWER, math.log(_S_CROSSOVER / (w * omega)) - s0)
-    lo, width = _panels(al, omega * t0, np.log(ray.w) + al * s0,
+    lo, width = _panels(al, omega * t0, ray.log_w + al * s0,
                         s_lo - s0, s_hi - s0, s_c - s0, fast, power)
 
     # nodes in sigma = s - s0, so rounding moves a node by eps |sigma| at most
@@ -468,7 +597,7 @@ def _ray_integral(spec: MultistableSpec, omega: float, kind: str,
     p = 2.0 / math.pi * total
     if kind == "tail-cf":
         p = 1.0 - p
-    return float(np.clip(p, 0.0, 1.0)), 2.0 / math.pi * err + 2.0 * _EPS * abs(p)
+    return _unit(p), 2.0 / math.pi * err + 2.0 * _EPS * abs(p)
 
 
 def h_integral(w: float, gamma: float) -> tuple[float, float]:
@@ -510,8 +639,8 @@ def h_integral(w: float, gamma: float) -> tuple[float, float]:
         k, _, bound = _kernel(w, t, 0.0, 1.0)     # H(i t) is real
         tg = sg * t ** gamma
         wt = (1.0 + w) * t
-        return k * tg, bound * tg * (_ROUNDINGS + _KERNEL_ROUNDINGS + 4.0 * wt
-                                     + np.abs(sigma) * (gamma + _FAR_POWER + wt))
+        return np.array((k * tg, bound * tg * (_ROUNDINGS + _KERNEL_ROUNDINGS + 4.0 * wt
+                                               + np.abs(sigma) * (gamma + _FAR_POWER + wt))))
 
     body, kg, rounding = _rule(lo, width, integrand)
     h = 2.0 / math.pi * (body + stub)
@@ -593,7 +722,7 @@ def cdf(spec: MultistableSpec, x: float, cfg: QuadratureConfig | None = None) ->
         return 0.5
     p, err = _ray_integral(spec, abs(x), "tail")
     _certify("cdf", err / 2.0, cfg)
-    return float(np.clip(1.0 - 0.5 * p if x > 0 else 0.5 * p, 0.0, 1.0))
+    return _unit(1.0 - 0.5 * p if x > 0 else 0.5 * p)
 
 
 def interval_probability(spec: MultistableSpec, lo: float, hi: float,
@@ -602,5 +731,4 @@ def interval_probability(spec: MultistableSpec, lo: float, hi: float,
     cfg = cfg or QuadratureConfig()
     if not lo <= hi:
         raise ValueError(f"need lo <= hi, got ({lo}, {hi})")
-    p = cdf(spec, hi, cfg) - cdf(spec, lo, cfg)
-    return float(np.clip(p, 0.0, 1.0))
+    return _unit(cdf(spec, hi, cfg) - cdf(spec, lo, cfg))

@@ -380,7 +380,7 @@ def build_mollifier(q: float) -> MollifierSpec:
 
 
 def _verify_build(moll: MollifierSpec):
-    """Build-time invariant checks on the bump; raise ValueError."""
+    """Build-time invariant checks on the bump of this q; raise ValueError."""
     b_edge = (1.0 + moll.q) / 2.0
     if not math.isclose(float(moll.bump(1.0)), 1.0, abs_tol=1e-14):
         raise ValueError("bump must equal 1 at |x| = 1")
@@ -390,9 +390,16 @@ def _verify_build(moll: MollifierSpec):
     bs = moll.bump(xs)
     if bs.min() < -1e-12 or bs.max() > 1.0 + 1e-12:
         raise ValueError("bump values must stay in [0, 1]")
-    # C^5 junctions: first five derivatives of the transition vanish at its ends
-    poly = _S5
+
+
+def _check_junctions(poly: np.ndarray):
+    """Raise ValueError unless the first five derivatives of the transition
+    polynomial vanish at both ends (the C^5 junctions)."""
     for k in range(1, 6):
         poly = npoly.polyder(poly)
         if abs(npoly.polyval(0.0, poly)) > 1e-9 or abs(npoly.polyval(1.0, poly)) > 1e-9:
             raise ValueError(f"smoothstep derivative {k} does not vanish at a junction")
+
+
+# _S5 is a module constant, so its junctions are checked once per process
+_check_junctions(_S5)

@@ -254,6 +254,45 @@ def test_build_allocates_no_table():
         assert moll not in mollifier._TABLES
 
 
+def test_sin_cos_within_a_few_units_of_2_to_the_minus_53():
+    # against 40-digit mpmath at the exact float x: |x| up to 1e5, the floats
+    # next to odd multiples of pi (where tan(x/2) is about 1e16), +-0 and tiny
+    # x.  The bounds are the ones _ROUNDINGS counts: 6 units for the sine, 7
+    # for the cosine; the sine is within 6 units relative too
+    unit = 2.0 ** -53
+    rng = np.random.default_rng(20261018)
+    with mp.workdps(40):
+        odd = np.array([float((2 * k + 1) * mp.pi) for k in range(-15915, 15915, 397)])
+    odd = np.concatenate([odd, np.nextafter(odd, np.inf), np.nextafter(odd, -np.inf)])
+    tiny = np.array([5e-324, -1e-310, 1e-200, -1e-20, 3e-9])
+    x = np.concatenate([rng.uniform(-1e5, 1e5, 400), rng.uniform(-10.0, 10.0, 400), odd, tiny])
+    before = x.copy()
+    sin, cos = mollifier._sin_cos(x)
+    assert x.tobytes() == before.tobytes()
+    with mp.workdps(40):
+        for k, v in enumerate(x.tolist()):
+            s, c = mp.sin(mp.mpf(v)), mp.cos(mp.mpf(v))
+            assert abs(sin[k] - s) <= 6.0 * unit * min(1.0, abs(s)) + 1e-300, v
+            assert abs(cos[k] - c) <= 7.0 * unit, v
+    zero = mollifier._sin_cos(np.array([0.0, -0.0]))
+    assert zero[0].tolist() == [0.0, 0.0] and np.signbit(zero[0]).tolist() == [False, True]
+    assert zero[1].tolist() == [1.0, 1.0]
+
+
+def test_junctions_checked_once_per_process(monkeypatch):
+    # build_mollifier derives no derivative of the module constant S5; the
+    # check itself raises ValueError for a transition that is only C^1
+    def refuse(*args):
+        raise AssertionError("polyder called at build time")
+
+    monkeypatch.setattr(mollifier.npoly, "polyder", refuse)
+    build_mollifier(50.0)
+    monkeypatch.undo()
+    mollifier._check_junctions(mollifier._S5)
+    with pytest.raises(ValueError, match="derivative 2"):
+        mollifier._check_junctions(np.array([0.0, 0.0, 3.0, -2.0]))
+
+
 def _h_of_z_mpmath(w, rho, psi):
     """H(z) = G(w z) e^{i(1+w/2) z} at z = rho e^{i psi}, 30 digits, with
     G(2x) = 10395 j5(x) / x^5 and j5(x) = sqrt(pi / (2x)) J_{11/2}(x)."""
