@@ -18,7 +18,7 @@ unit sphere of the quasinorm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,18 +49,23 @@ def tail_constant(gamma: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class TailAsymptote:
-    """Per exponent group weights w_g = W_g * C(alpha_g), from ``spec.groups``."""
+    """``TailAsymptote(spec)``: per exponent group ``weights`` w_g = W_g * C(alpha_g)
+    and ``exponents`` alpha_g, derived from ``spec.groups`` (ValueError if empty)."""
 
     spec: MultistableSpec
-    weights: np.ndarray
-    exponents: np.ndarray
+    weights: np.ndarray = field(init=False)
+    exponents: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        groups = self.spec.groups
+        if not groups:
+            raise ValueError("tail asymptote undefined for f == 0")
+        object.__setattr__(self, "weights", np.array([w * tail_constant(a) for a, w in groups]))
+        object.__setattr__(self, "exponents", np.array([a for a, _ in groups]))
 
     @staticmethod
     def from_spec(spec: MultistableSpec) -> "TailAsymptote":
-        if spec.is_zero:
-            raise ValueError("tail asymptote undefined for f == 0")
-        w = np.array([wgt * tail_constant(alph) for alph, wgt in spec.groups])
-        return TailAsymptote(spec, w, np.array([alph for alph, _ in spec.groups]))
+        return TailAsymptote(spec)
 
     def __call__(self, lam) -> float | np.ndarray:
         lam = np.asarray(lam, dtype=float)

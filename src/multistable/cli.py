@@ -19,6 +19,7 @@ silently degraded numbers.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -341,6 +342,7 @@ def _add_quad_args(p: argparse.ArgumentParser):
     p.add_argument("--abs-tol", type=float, default=1e-10)
 
 
+@functools.cache  # one parser per process: no handler may mutate its list defaults
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="multistable",

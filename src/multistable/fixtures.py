@@ -29,10 +29,6 @@ from .function_space import (
 __all__ = ["fixture", "fixture_names", "random_spec", "FIXTURES"]
 
 
-def _cauchy() -> MultistableSpec:
-    return refine(StepFunction((0.0, 1.0), (1.0,)), ExponentFunction.constant(1.0))
-
-
 def _const(alpha: float) -> MultistableSpec:
     return refine(StepFunction((0.0, 1.0), (1.0,)), ExponentFunction.constant(alpha))
 
@@ -56,7 +52,7 @@ def _wide_narrow() -> MultistableSpec:
 
 
 FIXTURES = {
-    "cauchy": _cauchy,
+    "cauchy": lambda: _const(1.0),
     "alpha06": lambda: _const(0.6),
     "alpha10": lambda: _const(1.0),
     "alpha14": lambda: _const(1.4),

@@ -168,12 +168,15 @@ def combine_steps(fs: Sequence[StepFunction], weights: Sequence[float]) -> StepF
 
 @dataclass(frozen=True, eq=False)
 class MultistableSpec:
-    """A step function paired with an exponent function on their common refinement.
+    """A step function and an exponent function, ``MultistableSpec(f, alpha)``.
 
-    ``cells`` is a tuple of ``(lo, hi, coefficient, exponent)`` covering the
-    breakpoint range of f; on each cell both f and alpha are constant, and
-    reconstruction from the cells reproduces both (away from the
-    measure-zero set of breakpoints).
+    ``cells`` and ``groups`` are derived from f and alpha, so a
+    ``dataclasses.replace`` copy is recomputed from its own inputs.
+    ``cells`` is a tuple of ``(lo, hi, coefficient, exponent)`` on the
+    common refinement of their breakpoints, covering the breakpoint range
+    of f; on each cell both f and alpha are constant, and reconstruction
+    from the cells reproduces both (away from the measure-zero set of
+    breakpoints).
 
     ``groups`` is the derived view ``((alpha_g, W_g), ...)``, sorted by
     exponent, with ``W_g`` the sum of ``|c|^alpha_g * (hi - lo)`` over the
@@ -185,17 +188,22 @@ class MultistableSpec:
 
     f: StepFunction
     alpha: ExponentFunction
-    cells: tuple[tuple[float, float, float, float], ...]
+    cells: tuple[tuple[float, float, float, float], ...] = field(init=False)
     groups: tuple[tuple[float, float], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
+        bp = self.f.breakpoints
+        pts = sorted(set(bp) | {b for b in self.alpha.breakpoints if bp and bp[0] < b < bp[-1]})
+        mids = np.array([(p + q) / 2.0 for p, q in zip(pts, pts[1:])])
+        cells = tuple((p, q, float(c), float(a)) for p, q, c, a
+                      in zip(pts, pts[1:], self.f(mids), self.alpha(mids)))
+        object.__setattr__(self, "cells", cells)
         # W_g = sum |c|^alpha_g |cell| over the cells with alpha_g, so that the
         # modular is sum_g W_g s^alpha_g
         weights: dict[float, float] = {}
-        for lo, hi, c, a in self.cells:
+        for lo, hi, c, a in cells:
             if c != 0.0:
-                a = float(a)
-                weights[a] = weights.get(a, 0.0) + float(abs(c) ** a * (hi - lo))
+                weights[a] = weights.get(a, 0.0) + abs(c) ** a * (hi - lo)
         object.__setattr__(self, "groups", tuple(sorted(weights.items())))
 
     @property
@@ -218,24 +226,12 @@ class MultistableSpec:
         return out if out.shape else float(out)
 
     def with_coefficients_scaled(self, delta: float) -> "MultistableSpec":
-        cells = tuple((lo, hi, delta * c, a) for (lo, hi, c, a) in self.cells)
-        return MultistableSpec(self.f.scaled(delta), self.alpha, cells)
+        return MultistableSpec(self.f.scaled(delta), self.alpha)
 
 
 def refine(f: StepFunction, alpha: ExponentFunction) -> MultistableSpec:
-    """Build the common refinement of f and alpha breakpoints."""
-    if len(f.breakpoints) == 0:
-        return MultistableSpec(f, alpha, ())
-    lo, hi = f.breakpoints[0], f.breakpoints[-1]
-    pts = sorted(set(f.breakpoints) | {b for b in alpha.breakpoints if lo < b < hi})
-    mids = np.array([(p + q) / 2.0 for p, q in zip(pts, pts[1:])])
-    coefs = f(mids)
-    alphs = alpha(mids)
-    cells = tuple(
-        (p, q, float(c), float(a))
-        for p, q, c, a in zip(pts, pts[1:], coefs, alphs)
-    )
-    return MultistableSpec(f, alpha, cells)
+    """The spec of f and alpha on the common refinement of their breakpoints."""
+    return MultistableSpec(f, alpha)
 
 
 def modular_integral(spec: MultistableSpec, scale: float) -> float:

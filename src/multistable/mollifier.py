@@ -91,7 +91,8 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -234,18 +235,42 @@ class _Table:
 
 @dataclass(frozen=True, eq=False)
 class MollifierSpec:
-    """Mollifier for a fixed q > 1 and its proven decay envelope.
+    """Mollifier for a fixed q in (1, 1e6], ``MollifierSpec(q)``, and its
+    proven decay envelope.
 
-    ``theta_max``, ``stub``, ``nodes``, ``weights`` and ``phi_values``
-    describe the dense table that only rho integrates over; reading any of
-    them builds it on first use.
+    The other fields are derived from q, and q and the bump are checked
+    (ValueError), so a ``dataclasses.replace`` copy is recomputed from its
+    own q.  ``theta_max``, ``stub``, ``nodes``, ``weights`` and
+    ``phi_values`` describe the dense table that only rho integrates over;
+    reading any of them builds it on first use.
     """
 
     q: float
-    w: float                       # transition half-width (q - 1) / 2
-    decay_coeff: float             # |phi_q(theta)| <= decay_coeff * theta^(-decay_power)
-    decay_power: float             # 7, from the closed form of phi_q
-    theta_fit: float               # envelope valid for theta >= theta_fit
+    w: float = field(init=False)   # transition half-width (q - 1) / 2
+    # |phi_q(theta)| <= decay_coeff * theta^(-decay_power) for theta >= theta_fit
+    decay_coeff: float = field(init=False)
+    theta_fit: float = field(init=False)
+    decay_power: ClassVar[float] = 7.0   # from the closed form of phi_q
+
+    def __post_init__(self):
+        q = self.q
+        if not 1.0 < q <= _MAX_Q:
+            raise ValueError(f"q must lie in (1, {_MAX_Q:g}], got {q}")
+        w = (q - 1.0) / 2.0
+        # the proven envelope |phi| <= coeff theta^-7 beyond theta_fit (module docstring)
+        hypot_ab = math.sqrt(npoly.polyval(_X_ENVELOPE ** -2, [1, 15, 315, 6300, 99225, 893025]))
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "decay_coeff", 10395.0 * (2.0 / w) ** 6 * hypot_ab / math.pi)
+        object.__setattr__(self, "theta_fit", 2.0 * _X_ENVELOPE / w)
+        # the bump of this q: 1 at |x| = 1, 0 at |x| = (1+q)/2, in [0, 1] between
+        b_edge = (1.0 + q) / 2.0
+        if not math.isclose(float(self.bump(1.0)), 1.0, abs_tol=1e-14):
+            raise ValueError("bump must equal 1 at |x| = 1")
+        if abs(float(self.bump(b_edge))) > 1e-14:
+            raise ValueError("bump must vanish at |x| = (1+q)/2")
+        bs = self.bump(np.linspace(0.0, b_edge * 1.1, 2001))
+        if bs.min() < -1e-12 or bs.max() > 1.0 + 1e-12:
+            raise ValueError("bump values must stay in [0, 1]")
 
     # -- pointwise evaluation ------------------------------------------------
 
@@ -363,33 +388,9 @@ def _build_table(moll: MollifierSpec) -> _Table:
 
 
 def build_mollifier(q: float) -> MollifierSpec:
-    """Construct the mollifier for 1 < q <= 1e6 and verify its invariants.
-
-    Raises ValueError for any other q.  Builds no table: rho builds its
-    table on first use.
-    """
-    if not 1.0 < q <= _MAX_Q:
-        raise ValueError(f"q must lie in (1, {_MAX_Q:g}], got {q}")
-    w = (q - 1.0) / 2.0
-    # the proven envelope |phi| <= coeff theta^-7 beyond theta_fit (module docstring)
-    hypot_ab = math.sqrt(npoly.polyval(_X_ENVELOPE ** -2, [1, 15, 315, 6300, 99225, 893025]))
-    moll = MollifierSpec(q=q, w=w, decay_coeff=10395.0 * (2.0 / w) ** 6 * hypot_ab / math.pi,
-                         decay_power=7.0, theta_fit=2.0 * _X_ENVELOPE / w)
-    _verify_build(moll)
-    return moll
-
-
-def _verify_build(moll: MollifierSpec):
-    """Build-time invariant checks on the bump of this q; raise ValueError."""
-    b_edge = (1.0 + moll.q) / 2.0
-    if not math.isclose(float(moll.bump(1.0)), 1.0, abs_tol=1e-14):
-        raise ValueError("bump must equal 1 at |x| = 1")
-    if abs(float(moll.bump(b_edge))) > 1e-14:
-        raise ValueError("bump must vanish at |x| = (1+q)/2")
-    xs = np.linspace(0.0, b_edge * 1.1, 2001)
-    bs = moll.bump(xs)
-    if bs.min() < -1e-12 or bs.max() > 1.0 + 1e-12:
-        raise ValueError("bump values must stay in [0, 1]")
+    """The mollifier for 1 < q <= 1e6 (ValueError for any other q); builds
+    no table: rho builds its table on first use."""
+    return MollifierSpec(q)
 
 
 def _check_junctions(poly: np.ndarray):

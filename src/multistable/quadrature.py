@@ -38,6 +38,8 @@ __all__ = ["QuadratureConfig", "AccuracyError", "oscillatory_integral", "fourier
 _EPS = np.finfo(float).eps
 # most panels adaptive_gk splits [a, b] into
 _MAX_INTERVALS = 400
+# most panels fourier_integral sums on the half-line
+_MAX_PANELS = 8192
 
 
 class AccuracyError(RuntimeError):
@@ -62,24 +64,20 @@ def _certify(what: str, err: float, cfg: QuadratureConfig | None) -> None:
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerance and panel budget for certified integrals.
+    """Tolerance for certified integrals, ``QuadratureConfig(abs_tol)``.
 
     ``abs_tol`` is the absolute error a certified result must meet.
-    ``max_panels`` bounds the panels of :func:`oscillatory_integral` /
-    :func:`fourier_integral`, which integrate the whole half-line and
-    bound its remainder themselves; the density, tail and cdf use the
-    rotated-contour rule of :mod:`multistable.inversion`, which chooses
-    its own truncation and node set.
+    :func:`fourier_integral` caps its panels at the module's ``_MAX_PANELS``;
+    the density, tail and cdf use the rotated-contour rule of
+    :mod:`multistable.inversion`, which chooses its own truncation and
+    node set.
     """
 
     abs_tol: float = 1e-10
-    max_panels: int = 8192
 
     def __post_init__(self):
         if self.abs_tol <= 0.0:
             raise ValueError("abs_tol must be positive")
-        if self.max_panels < 1:
-            raise ValueError("max_panels must be at least 1")
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +196,9 @@ def _zero_split(env: Callable, omega: float, kernel: str,
     k = 0
     best_err = math.inf
     best_val = 0.0
-    while k < cfg.max_panels:
+    while k < _MAX_PANELS:
         for _ in range(_BATCH):
-            if k >= cfg.max_panels:
+            if k >= _MAX_PANELS:
                 break
             hi = first_hi + k * gap
             u, e = adaptive_gk(f, lo, hi, cfg.abs_tol * 1e-3 / (1 + k) ** 2)
@@ -223,7 +221,7 @@ def _zero_split(env: Callable, omega: float, kernel: str,
                 return val, err
     raise AccuracyError(
         f"oscillatory integral did not reach abs_tol={cfg.abs_tol:.1e} "
-        f"within {cfg.max_panels} panels", best_err)
+        f"within {_MAX_PANELS} panels", best_err)
 
 
 def _nonoscillatory(env: Callable, cfg: QuadratureConfig) -> tuple[float, float]:
@@ -231,7 +229,7 @@ def _nonoscillatory(env: Callable, cfg: QuadratureConfig) -> tuple[float, float]
     total, toterr = adaptive_gk(env, 0.0, 1.0, cfg.abs_tol * 1e-2)
     a, b = 1.0, 2.0
     prev = math.inf
-    for _ in range(cfg.max_panels):
+    for _ in range(_MAX_PANELS):
         u, e = adaptive_gk(env, a, b, cfg.abs_tol * 1e-2)
         total += u
         toterr += e

@@ -61,6 +61,12 @@ class TestTailAsymptote:
         assert asym == asym
         assert asym != TailAsymptote.from_spec(fixture("two_exp"))
 
+    def test_spec_is_the_only_input(self):
+        spec = fixture("two_exp")
+        asym = TailAsymptote(spec)
+        with pytest.raises(TypeError):
+            TailAsymptote(spec, asym.weights, asym.exponents)
+
     def test_lambda_one_weight_sum(self):
         spec = fixture("two_exp")
         asym = TailAsymptote.from_spec(spec)

@@ -305,3 +305,19 @@ def test_cli_runs_with_scipy_blocked(argv, tmp_path):
          "--out", str(tmp_path / ("out.json" if argv[0] == "verify" else "out.csv"))],
         env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cached_parser_keeps_its_list_defaults(tmp_path):
+    # the parser is built once per process, so its list defaults are shared
+    # between runs; runs on the default --lambdas and --deltas must leave them
+    ap = cli.build_parser()
+    assert cli.build_parser() is ap
+    for argv in (["verify", "lemma1", "--fixture", "two_exp"],
+                 ["verify", "parseval", "--fixture", "two_exp"],
+                 ["ratio-scan", "--fixture", "two_exp"]):
+        assert cli.run_command(argv + ["--out", str(tmp_path / "out.json")]) == 0
+    assert ap.parse_args(["verify", "lemma1"]).deltas == [0.1, 1.0]
+    assert ap.parse_args(["verify", "lemma1"]).lambdas is None
+    assert ap.parse_args(["ratio-scan"]).lambdas == [100.0, 1000.0, 10000.0]
+    assert ap.parse_args(["sample", "--n", "1"]).tail_at == []
+    assert cli._LEMMA_DEFAULT_LAMBDAS == [10.0, 50.0, 100.0, 1000.0]

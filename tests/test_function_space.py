@@ -1,12 +1,15 @@
+import bisect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from multistable.fixtures import random_spec
+from multistable.fixtures import fixture, fixture_names, random_spec
 from multistable.function_space import (
     ExponentFunction,
+    MultistableSpec,
     StepFunction,
     combine_steps,
     modular_integral,
@@ -70,6 +73,31 @@ class TestRefine:
     def test_empty_support(self):
         spec = make((), (), (), (1.0,))
         assert spec.cells == ()
+
+    def test_f_and_alpha_are_the_only_inputs(self):
+        spec = CAUCHY
+        with pytest.raises(TypeError):
+            MultistableSpec(spec.f, spec.alpha, spec.cells)
+
+    def test_cells_derived_bit_for_bit(self, rng):
+        # the spec's cells equal a refinement by table lookup at each cell's
+        # left edge, and its groups those of refine(f, alpha); scaling the
+        # coefficients scales each cell's coefficient and nothing else
+        specs = [fixture(name) for name in fixture_names()]
+        specs += [random_spec(rng) for _ in range(300)]
+        for spec in specs:
+            f, alpha = spec.f, spec.alpha
+            pts = sorted(set(f.breakpoints) | {b for b in alpha.breakpoints
+                                               if f.breakpoints[0] < b < f.breakpoints[-1]})
+            ref = tuple((p, q, f.coefficients[bisect.bisect_right(f.breakpoints, p) - 1],
+                         alpha.values[bisect.bisect_right(alpha.breakpoints, p)])
+                        for p, q in zip(pts, pts[1:]))
+            made = MultistableSpec(f, alpha)
+            assert repr(made.cells) == repr(spec.cells) == repr(ref)
+            assert repr(made.groups) == repr(spec.groups) == repr(refine(f, alpha).groups)
+            delta = float(rng.uniform(0.1, 10.0))
+            scaled = tuple((lo, hi, delta * c, a) for lo, hi, c, a in spec.cells)
+            assert repr(spec.with_coefficients_scaled(delta).cells) == repr(scaled)
 
     def test_round_trip_pointwise(self, rng):
         for _ in range(25):

@@ -9,13 +9,16 @@ from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
 from multistable import mollifier
+from multistable.fixtures import fixture
 from multistable.mollifier import (
     _TAIL_TOL,
+    MollifierSpec,
     _build_panels,
     _kernel,
     build_mollifier,
     smoothstep_c5,
 )
+from multistable.prooflab import rho_with_error
 
 
 def test_q_must_exceed_one():
@@ -23,6 +26,26 @@ def test_q_must_exceed_one():
     for bad in (1.0, 0.5, -2.0, math.nan, math.inf, 1e7, 1e100):
         with pytest.raises(ValueError):
             build_mollifier(bad)
+        with pytest.raises(ValueError):
+            MollifierSpec(bad)
+
+
+def test_q_is_the_only_input():
+    # w, decay_coeff and theta_fit are derived from q, never passed
+    with pytest.raises(TypeError):
+        MollifierSpec(q=1.5, w=0.3)
+    with pytest.raises(TypeError):
+        MollifierSpec(1.5, 0.25, 1.0, 7.0, 75.0)
+
+
+def test_replace_copy_is_recomputed_from_its_q(moll2):
+    # a copy that kept q = 2's w of 0.5 at q = 3 bounded its rho by the wrong
+    # envelope and integrated the wrong table
+    copy, built = dataclasses.replace(moll2, q=3.0), build_mollifier(3.0)
+    for name in ("w", "decay_coeff", "theta_fit"):
+        assert getattr(copy, name) == getattr(built, name), name
+    spec = fixture("two_exp")
+    assert rho_with_error(spec, copy, 10.0) == rho_with_error(spec, built, 10.0)
 
 
 def test_build_check_raises_value_error(monkeypatch):
@@ -72,7 +95,7 @@ class TestBump:
         # the transition 1 - S5(t) cancelled (-1.08e-13 at q = 1.3)
         for i in range(101, 301):
             q = i / 100.0
-            moll = dataclasses.replace(moll15, q=q, w=(q - 1.0) / 2.0)
+            moll = dataclasses.replace(moll15, q=q)
             edge = (1.0 + q) / 2.0
             assert float(moll.bump(1.0)) == 1.0, q
             assert abs(float(moll.bump(edge))) <= 1e-14, q
@@ -180,7 +203,7 @@ def test_h_cache_and_error_reporting(moll15):
 def test_h_memo_is_per_table(moll15, moll2):
     # a copy made by dataclasses.replace must not answer from the original's memo
     v, _ = moll15.h(1.1)
-    other = dataclasses.replace(moll15, q=2.0, w=0.5)
+    other = dataclasses.replace(moll15, q=2.0)
     assert other.h(1.1) == moll2.h(1.1)
     assert moll15.h(1.1)[0] == v != other.h(1.1)[0]
 
