@@ -25,20 +25,29 @@ relative accuracy near |u| = pi/2, where the heavy tail comes from; and
 |b| < 1, so (1 - b)(1 + b) does not cancel for alpha in (0, 2).
 
 Generation is chunked over a counter-based bit generator (Philox), one
-substream per chunk of CHUNK draws, so output is deterministic for a
-given seed no matter how chunks are scheduled.  Each chunk is filled in
-blocks of _BLOCK draws whose temporaries stay in cache; each block adds
-its groups in place into its slice of the output.  Within a chunk's
-substream the draws come block by block, and within a block group by
-group: first the group's uniforms u, then (alpha != 1) its exponentials
-w.  So the whole chunks, and the whole blocks of a chunk, of a shorter
-run are a prefix of a longer one.  Draws are reproducible per seed
-within a version; the exact bits may change between versions.
+substream per chunk of CHUNK draws (Salmon et al., SC'11), so a chunk's
+draws depend only on the seed and the chunk's index.  `sample` fills its
+chunks concurrently, one worker per CPU the process may run on (at most
+one per chunk): the calling thread and, beyond one worker, the threads of
+a pool opened per call.  The output is bit-identical for any number of
+workers.  An exception in any worker, or an interrupt, stops the others
+before their next block and reaches the caller.  Each worker fills
+its chunks in blocks of _BLOCK draws from one scratch array of four
+block-sized rows (u, w, the variate z and a temporary), which every
+uniform and exponential fill and every ufunc writes in place; each block
+adds its groups into its slice of the output.  Within a chunk's substream
+the draws come block by block, and within a block group by group: first
+the group's uniforms u, then (alpha != 1) its exponentials w.  So the
+whole chunks, and the whole blocks of a chunk, of a shorter run are a
+prefix of a longer one.  Draws are reproducible per seed within a
+version; the exact bits may change between versions.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 
 import numpy as np
 
@@ -46,11 +55,19 @@ from .function_space import MultistableSpec
 
 __all__ = ["mixture_decompose", "sample_standard_stable", "sample", "mc_tail"]
 
-CHUNK = 1 << 20
-# 64 KiB per temporary.  From 2^14 up the temporaries reach glibc's 128 KiB
-# mmap threshold, and one 1e7-draw call in a fresh process (CLI `sample`)
-# took 60k-130k page faults and ran 10-40% slower; at 2^13 it took 580.
-_BLOCK = 1 << 13
+# A 2^20-draw call spans four substreams, which `sample` fills concurrently.
+# On two x86-64 cores (numpy 2.4) a 2^20 call of two_exp took 67-71 ms at
+# 2^18 and 2^19, 76 at 2^17 and 120 at 2^20 (one chunk, one core); 2^18
+# would split a call over four cores.  Only two cores were measured: scaling
+# beyond them, and behaviour under a cgroup CPU quota (which the affinity mask
+# does not show) or with several concurrent callers, is unverified.
+CHUNK = 1 << 18
+# 256 KiB per scratch row, so 1 MiB per worker, allocated once per call and
+# rewritten in place: unlike fresh temporaries (mmapped from 128 KiB up),
+# large blocks take no page faults.  They matter because numpy releases the
+# GIL only inside each ufunc or Philox fill: with 2^18 chunks on two cores
+# a 2^20 call took 110 ms at 2^13, 81 at 2^14, 71 at 2^15 and 68 at 2^16.
+_BLOCK = 1 << 15
 # pi/2 - fl(pi/2), the low half of pi/2 in double-double
 _HALF_PI_LO = 6.123233995736766e-17
 
@@ -60,25 +77,36 @@ def mixture_decompose(spec: MultistableSpec) -> list[tuple[float, float]]:
     return [(a, w ** (1.0 / a)) for a, w in spec.groups]
 
 
-def _cms(alpha: float, u: np.ndarray, w: np.ndarray | None) -> np.ndarray:
-    """Chambers-Mallows-Stuck: a standard symmetric alpha-stable variate from
-    u ~ Uniform(-pi/2, pi/2) and w ~ Exp(1); alpha = 1 is tan(u) and ignores w.
+def _draw(alpha: float, rng: np.random.Generator, u: np.ndarray, w: np.ndarray) -> None:
+    """Fill u ~ Uniform(-pi/2, pi/2), then (alpha != 1) w ~ Exp(1), from rng."""
+    rng.random(out=u)
+    u *= math.pi
+    u -= math.pi / 2.0
+    if alpha != 1.0:
+        rng.standard_exponential(out=w)
+
+
+def _cms(alpha: float, u: np.ndarray, w: np.ndarray, z: np.ndarray, t: np.ndarray) -> None:
+    """Chambers-Mallows-Stuck: write into z standard symmetric alpha-stable
+    variates from u ~ Uniform(-pi/2, pi/2) and w ~ Exp(1); alpha = 1 is
+    tan(u) and ignores w.  u, w and t are overwritten as scratch.
 
     Sines and cosines come from half-angle tangents (module docstring)."""
     if alpha == 1.0:
-        return np.tan(u)
+        np.tan(u, out=z)
+        return
     # cos(u)^(-1/alpha), with 1/cos u = (c + 1/c)/2 and c = tan(v/2)
-    c = np.abs(u)
+    c = np.abs(u, out=t)
     np.subtract(math.pi / 2.0, c, out=c)
     c += _HALF_PI_LO
     c *= 0.5
     np.tan(c, out=c)
-    z = np.divide(1.0, c)
+    np.divide(1.0, c, out=z)
     z += c
     z *= 0.5
     np.power(z, 1.0 / alpha, out=z)
     # times sin(alpha u) = 2a/(1 + a^2)
-    a = np.multiply(u, 0.5 * alpha, out=c)
+    a = np.multiply(u, 0.5 * alpha, out=t)
     np.tan(a, out=a)
     z *= a
     np.multiply(a, a, out=a)
@@ -86,18 +114,17 @@ def _cms(alpha: float, u: np.ndarray, w: np.ndarray | None) -> np.ndarray:
     z /= a
     z *= 2.0
     # times (cos((1 - alpha) u) / w)^((1 - alpha)/alpha), cos from b = tan((1 - alpha) u/2)
-    b = np.multiply(u, 0.5 * (1.0 - alpha), out=a)
+    b = np.multiply(u, 0.5 * (1.0 - alpha), out=u)
     np.tan(b, out=b)
-    d = np.multiply(b, b)
+    d = np.multiply(b, b, out=t)
     d += 1.0
     d *= w
-    x = np.subtract(1.0, b)
+    x = np.subtract(1.0, b, out=w)
     b += 1.0
     x *= b
     x /= d
     np.power(x, (1.0 - alpha) / alpha, out=x)
     z *= x
-    return z
 
 
 def sample_standard_stable(alpha: float, rng: np.random.Generator,
@@ -106,9 +133,10 @@ def sample_standard_stable(alpha: float, rng: np.random.Generator,
     if not (0.0 < alpha < 2.0):
         raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
     n = 1 if size is None else size
-    u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, n)
-    w = None if alpha == 1.0 else rng.standard_exponential(n)
-    z = _cms(alpha, u, w)
+    z = np.empty(n)  # owns its n doubles; the scratch is freed on return
+    u, w, t = np.empty((3, n))
+    _draw(alpha, rng, u, w)
+    _cms(alpha, u, w, z, t)
     return float(z[0]) if size is None else z
 
 
@@ -116,24 +144,64 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=chunk_index << 128))
 
 
+def _fill_chunks(out: np.ndarray, mixture: list[tuple[float, float]], seed: int,
+                 first: int, step: int, stop: threading.Event) -> None:
+    """Fill chunks first, first + step, ... of out, each from its own substream,
+    block by block and group by group, through one scratch array.  Return
+    before the next block once stop is set; set stop on any exception."""
+    try:
+        scratch = np.empty((4, min(_BLOCK, out.size)))
+        for start in range(first * CHUNK, out.size, step * CHUNK):
+            rng = _chunk_rng(seed, start // CHUNK)
+            end = min(start + CHUNK, out.size)
+            for lo in range(start, end, _BLOCK):
+                if stop.is_set():
+                    return
+                acc = out[lo:min(lo + _BLOCK, end)]
+                u, w, z, t = scratch[:, :acc.size]
+                for alpha, sigma in mixture:
+                    _draw(alpha, rng, u, w)
+                    _cms(alpha, u, w, z, t)
+                    z *= sigma
+                    acc += z
+    except BaseException:
+        stop.set()
+        raise
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def sample(spec: MultistableSpec, n: int, seed: int = 0) -> np.ndarray:
     """n independent draws of I(f); chunk k of CHUNK draws is Philox substream k,
-    drawn block by block (module docstring)."""
+    drawn block by block, and the chunks are filled concurrently (module
+    docstring)."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     mixture = mixture_decompose(spec)
     out = np.zeros(n)
-    for start in range(0, n, CHUNK):
-        rng = _chunk_rng(seed, start // CHUNK)
-        end = min(start + CHUNK, n)
-        for lo in range(start, end, _BLOCK):
-            acc = out[lo:min(lo + _BLOCK, end)]
-            for alpha, sigma in mixture:
-                u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, acc.size)
-                w = None if alpha == 1.0 else rng.standard_exponential(acc.size)
-                z = _cms(alpha, u, w)
-                z *= sigma
-                acc += z
+    workers = min(_cpus(), -(-n // CHUNK))
+    from concurrent.futures import ThreadPoolExecutor
+
+    # the caller fills chunks 0, W, 2W, ... itself and pool thread k those
+    # from k (a pool given no job starts no thread); an exception anywhere, a
+    # KeyboardInterrupt included, sets stop, so every thread leaves before
+    # its next block
+    stop = threading.Event()
+    with ThreadPoolExecutor(max(workers - 1, 1)) as pool:
+        jobs = [pool.submit(_fill_chunks, out, mixture, seed, k, workers, stop)
+                for k in range(1, workers)]
+        try:
+            _fill_chunks(out, mixture, seed, 0, workers, stop)
+            for job in jobs:
+                job.result()
+        finally:
+            stop.set()
     return out
 
 
@@ -142,7 +210,7 @@ def mc_tail(draws: np.ndarray, lam: float) -> tuple[float, float]:
     draws = np.asarray(draws)
     if draws.size == 0:
         raise ValueError("draws must be nonempty")
-    if lam < 0.0:
+    if not lam >= 0.0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")
     n = draws.size
     # two comparisons instead of an |draws| temporary; NaN fails both

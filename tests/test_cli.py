@@ -236,6 +236,15 @@ class TestRunCommand:
             assert value == float(np.quantile(draws, q)), q
         assert rows[-1] == (2.0, mc_tail(draws, 2.0)[0])
 
+    def test_sample_summary_refuses_nan_lambda(self, tmp_path, capsys):
+        # NaN fails every comparison, so it must not pass as a lambda >= 0
+        out = tmp_path / "s.npy"
+        rc = run_command(["sample", "--fixture", "cauchy", "--n", "1000", "--format", "npy",
+                          "--summary", "--tail-at", "nan", "--out", str(out)])
+        assert rc == 2
+        assert "lambda must be nonnegative" in capsys.readouterr().err
+        assert not Path(str(out) + ".summary.csv").exists()
+
 
 @pytest.mark.parametrize("text,n", [("1e7", 10 ** 7), ("1000000", 10 ** 6), ("2.5e3", 2500)])
 def test_sample_count_accepts_whole_numbers(text, n):

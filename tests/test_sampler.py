@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -40,6 +45,7 @@ class TestStandardStable:
 
     def test_cauchy_median_of_abs(self, rng):
         z = sample_standard_stable(1.0, rng, size=10 ** 6)
+        assert z.base is None  # holds no kernel scratch alive
         p = np.mean(np.abs(z) > 1.0)
         se = math.sqrt(0.25 / z.size)
         assert abs(p - 0.5) < 3.0 * se
@@ -96,6 +102,110 @@ class TestSample:
         spec = fixture(name)
         assert np.array_equal(sample(spec, 2 * b + 7, seed=4)[:2 * b], sample(spec, 2 * b, seed=4))
 
+    @pytest.mark.parametrize("name", ["three_cell", "cauchy"])
+    def test_draws_do_not_depend_on_worker_count(self, name, monkeypatch):
+        # chunk k is substream k whichever worker fills it; 8 chunks, the last
+        # one partial, each in 64-draw blocks, the last block partial
+        monkeypatch.setattr(sampler, "CHUNK", 1000)
+        monkeypatch.setattr(sampler, "_BLOCK", 64)
+        fill = sampler._fill_chunks
+        calls = []
+
+        def spy(out, mixture, seed, first, step, stop):
+            calls.append((first, step))
+            fill(out, mixture, seed, first, step, stop)
+
+        monkeypatch.setattr(sampler, "_fill_chunks", spy)
+        spec = fixture(name)
+        runs = []
+        for k in (1, 2, 3):
+            monkeypatch.setattr(sampler, "_cpus", lambda k=k: k)
+            calls.clear()
+            runs.append(sample(spec, 7123, seed=6))
+            assert sorted(calls) == [(i, k) for i in range(k)]
+        assert np.array_equal(runs[0], runs[1]) and np.array_equal(runs[0], runs[2])
+
+    def test_worker_exception_reaches_caller(self, monkeypatch):
+        monkeypatch.setattr(sampler, "CHUNK", 1000)
+        monkeypatch.setattr(sampler, "_cpus", lambda: 2)
+        chunk_rng = sampler._chunk_rng
+
+        def failing(seed, chunk_index):
+            if chunk_index == 3:
+                raise RuntimeError("chunk 3 failed")
+            return chunk_rng(seed, chunk_index)
+
+        monkeypatch.setattr(sampler, "_chunk_rng", failing)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="chunk 3 failed"):
+            sample(TWO_EXP, 5500, seed=1)
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("failing, error", [(1, RuntimeError), (0, KeyboardInterrupt)])
+    def test_failing_chunk_stops_the_other_workers(self, failing, error, monkeypatch):
+        # two workers: the caller fills chunks 0, 2, ... and a pool thread 1, 3, ...
+        # One fails on its first chunk (a KeyboardInterrupt stands for Ctrl-C);
+        # the other holds its first chunk until the stop flag is set, then must
+        # fill no further block or chunk
+        monkeypatch.setattr(sampler, "CHUNK", 1000)
+        monkeypatch.setattr(sampler, "_BLOCK", 64)
+        monkeypatch.setattr(sampler, "_cpus", lambda: 2)
+        fill, chunk_rng = sampler._fill_chunks, sampler._chunk_rng
+        stops, chunks = [], []
+
+        def spy(out, mixture, seed, first, step, stop):
+            stops.append(stop)
+            fill(out, mixture, seed, first, step, stop)
+
+        def failing_rng(seed, chunk_index):
+            chunks.append(chunk_index)
+            if chunk_index == failing:
+                raise error(f"chunk {failing} failed")
+            stops[0].wait(timeout=30)
+            return chunk_rng(seed, chunk_index)
+
+        monkeypatch.setattr(sampler, "_fill_chunks", spy)
+        monkeypatch.setattr(sampler, "_chunk_rng", failing_rng)
+        threads = threading.active_count()
+        with pytest.raises(error, match=f"chunk {failing} failed"):
+            sample(TWO_EXP, 9500, seed=1)
+        assert sorted(chunks) == [0, 1]
+        assert threading.active_count() == threads
+
+    def test_interrupt_while_waiting_stops_the_workers(self, monkeypatch):
+        # the caller fills chunks 0 and 2, then a Ctrl-C reaches it while it
+        # waits for the pool thread, which holds chunk 1 until the stop flag
+        # is set and then must not fill chunk 3
+        from concurrent.futures import Future
+
+        monkeypatch.setattr(sampler, "CHUNK", 1000)
+        monkeypatch.setattr(sampler, "_BLOCK", 64)
+        monkeypatch.setattr(sampler, "_cpus", lambda: 2)
+        fill, chunk_rng = sampler._fill_chunks, sampler._chunk_rng
+        stops, chunks = [], []
+
+        def spy(out, mixture, seed, first, step, stop):
+            stops.append(stop)
+            fill(out, mixture, seed, first, step, stop)
+
+        def holding_rng(seed, chunk_index):
+            chunks.append(chunk_index)
+            if chunk_index % 2:
+                stops[0].wait(timeout=30)
+            return chunk_rng(seed, chunk_index)
+
+        def interrupted(self, timeout=None):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(sampler, "_fill_chunks", spy)
+        monkeypatch.setattr(sampler, "_chunk_rng", holding_rng)
+        monkeypatch.setattr(Future, "result", interrupted)
+        threads = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            sample(TWO_EXP, 4000, seed=1)
+        assert sorted(chunks) == [0, 1, 2]
+        assert threading.active_count() == threads
+
 
 @pytest.fixture(scope="module")
 def cms_points():
@@ -121,8 +231,10 @@ def test_cms_matches_mpmath(alpha, cms_points):
         ref = np.array([float(mp.sin(a * x) / mp.cos(x) ** (1 / a)
                               * (mp.cos((1 - a) * x) / y) ** ((1 - a) / a))
                         for x, y in zip(u.tolist(), w.tolist())])
+    # the kernel overwrites u and w, so it gets copies of the shared points
+    z, t = np.empty((2, u.size))
     with np.errstate(over="ignore"):
-        z = sampler._cms(alpha, u, w)
+        sampler._cms(alpha, u.copy(), w.copy(), z, t)
     # at alpha = 0.05, u within 1e-9 of pi/2 and w below 1e-8 the variate
     # exceeds the double range, and must come out as inf of the right sign
     big = np.isinf(ref)
@@ -149,6 +261,10 @@ class TestMcTail:
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
             mc_tail(np.array([1.0]), -1.0)
+
+    def test_nan_lambda_rejected(self):
+        with pytest.raises(ValueError):
+            mc_tail(np.array([1.0]), math.nan)
 
     def test_count_matches_abs_on_edge_values(self):
         draws = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0, 2.5, -0.5])
@@ -197,3 +313,15 @@ def test_density_histogram_cross_check(big_draws):
 
 def test_ten_million_draws_are_finite(big_draws):
     assert np.all(np.isfinite(big_draws))
+
+
+def test_import_loads_no_executor():
+    # sample imports concurrent.futures only when called, so importing the
+    # package (and its CLI) does not pay for it
+    src = str(Path(sampler.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, multistable, multistable.cli; sys.exit('concurrent.futures' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
