@@ -227,6 +227,9 @@ def _cmd_ratio_scan(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    for lam in args.tail_at:                  # refused before drawing, not after
+        if not lam >= 0.0:
+            raise ValueError(f"lambda must be nonnegative, got {lam}")
     spec = _load_spec(args)
     draws = sample(spec, args.n, seed=args.seed)
     out = _outpath(args, f"sample.{'npy' if args.format == 'npy' else 'csv'}")

@@ -29,15 +29,14 @@ and a roundoff bound.
 
 This rule is the only inversion route; :mod:`multistable.quadrature`
 contributes the shared :class:`QuadratureConfig`, :class:`AccuracyError`,
-certification check and Gauss-Kronrod table, but none of its real-axis
+certification check and Gauss-Kronrod panel sum, but none of its real-axis
 engine.
 
 The same rule integrates against the mollifier phi_q of
 :mod:`multistable.mollifier`, whose kernel H(z) = G(w z) e^{i(1+w/2) z}
 averages e^{i lam z} over lam in [1, 1 + w]: :func:`eta_integral` (the
 kind "eta", the tail with H(xi theta) in place of e^{i xi theta}) gives
-eta and the Parseval theta side, and :func:`h_integral` gives h_q on the
-ray psi = pi/2, where its integrand is positive.
+eta and the Parseval theta side.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ import numpy as np
 
 from .function_space import MultistableSpec, exp_sum_root
 from .mollifier import _S_CROSSOVER, _far_amplitude, _kernel, _sin_cos
-from .quadrature import _WG21, _WK21, _X21, AccuracyError, QuadratureConfig, _certify
+from .quadrature import AccuracyError, QuadratureConfig, _certify, _rule
 
 __all__ = [
     "density",
@@ -79,8 +78,6 @@ _GRID = 1.0 / 8.0           # s-spacing of the table that places the level edges
 _DECAY = 45.0               # envelopes are cut where they fall below e^-45
 _REL = 2.0 ** -60           # stub and truncation bounds aim below this share of the result
 _MAX_PANELS = 8192          # budget of one call: about 170 000 nodes
-# columns: the Kronrod weights and the Kronrod-minus-Gauss weights
-_W21 = np.stack((_WK21, _WK21 - _WG21), axis=1)
 # Roundoff behind one node's share of the sum, in units of eps times the
 # sizes of its components.  Counted in units of eps/2, the most one
 # operation rounds by (each exp, expm1 and tan is within 1 ulp, two units):
@@ -382,25 +379,6 @@ def _panels(al: np.ndarray, lin: float, log_w0: np.ndarray, s_lo: float, s_hi: f
     return np.array(lo), np.array(width)
 
 
-def _rule(lo: np.ndarray, width: np.ndarray, integrand) -> tuple[float, float, float]:
-    """The Gauss-Kronrod sum over the panels (lo, width) in sigma, with the sum
-    of the per-panel Kronrod-minus-Gauss differences and the roundoff bound.
-
-    ``integrand(sigma)`` returns a (2, n) array: the values and their
-    roundoff in units of eps.  One product against the two weight columns
-    gives each panel's Kronrod sum and Kronrod-minus-Gauss difference of the
-    values, and the Kronrod sum of the roundoff.
-    """
-    half = 0.5 * width
-    sigma = (lo + half)[:, None] + half[:, None] * _X21
-    sums = integrand(sigma.ravel()).reshape(-1, _X21.size) @ _W21
-    n = half.size
-    kron, diff, node_err = sums[:n, 0], sums[:n, 1], sums[n:, 0]
-    kron *= half
-    return (float(np.sum(kron)), float(np.abs(diff) @ half),
-            _EPS * float(node_err @ half))
-
-
 def _integrand(ray: _Ray, kind: str, omega: float, t0: float, sigma: np.ndarray,
                w: float = 0.0) -> np.ndarray:
     """The integrand's wanted part times t (the ds = dt/t weight) at t = t0 e^sigma,
@@ -598,53 +576,6 @@ def _ray_integral(spec: MultistableSpec, omega: float, kind: str,
     if kind == "tail-cf":
         p = 1.0 - p
     return _unit(p), 2.0 / math.pi * err + 2.0 * _EPS * abs(p)
-
-
-def h_integral(w: float, gamma: float) -> tuple[float, float]:
-    """h_q(gamma) = 2 int_0^inf theta^gamma phi_q(theta) dtheta for the mollifier
-    of half-width w, 0 < gamma < 2, and a bound on its absolute error.
-
-    On the ray psi = pi/2 (see :mod:`multistable.mollifier`) it is
-    (2/pi) sin(pi gamma/2) int_0^inf K(t) t^gamma ds with s = log t and
-    K(t) = H(i t) = int_0^1 S5'(u) e^{-t (1 + w u)} du, so 1 - (1 + w/2) t
-    <= K(t) <= e^{-t}: the stub takes K = 1, the truncation K <= e^{-t}.
-    By the same form h_q(gamma) >= (2/pi) sin(pi gamma/2) Gamma(gamma)
-    (1 + w)^-gamma, which sets the target of the stub and truncation bounds.
-    """
-    sg = math.sin(0.5 * math.pi * gamma)
-    tgt = max(_REL * 2.0 / math.pi * sg * math.gamma(gamma) * (1.0 + w) ** -gamma, _TINY)
-    # stub: sg int_0^T K t^(gamma-1) dt = sg T^gamma / gamma within sg (1 + w/2) T^(gamma+1)/(gamma+1)
-    rate = 1.0 + 0.5 * w
-    t_lo = (tgt * (gamma + 1.0) / (sg * rate)) ** (1.0 / (gamma + 1.0))
-    stub = sg * t_lo ** gamma / gamma
-    stub_rem = sg * rate * t_lo ** (gamma + 1.0) / (gamma + 1.0)
-    # truncation: sg int_T^inf K t^(gamma-1) dt <= sg Gamma(gamma, T)
-    t_hi = _DECAY
-    for _ in range(4):
-        trunc = sg * _upper_gamma(gamma, t_hi)
-        if trunc <= tgt:
-            break
-        t_hi += math.log(trunc / tgt) + 1.0
-    s_lo, s_hi = math.log(t_lo), math.log(t_hi)
-    # the e^{-(1+w) t} term of K is e^{-45} of the e^{-t} one from t_f = 45 / w on
-    s_f = math.log(_DECAY / w)
-    if s_f < s_hi:
-        trunc += 4.0 * sg * _far_amplitude(0.5 * _DECAY) * (1.0 + w) ** -gamma \
-            * _upper_gamma(gamma, _DECAY * (1.0 + w) / w)
-    lo, width = _panels(np.empty(0), 1.0, np.empty(0), s_lo, s_hi, s_hi,
-                        (w, s_f), (_FAR_POWER, math.log(_S_CROSSOVER / w)))
-
-    def integrand(sigma):
-        t = np.exp(sigma)
-        k, _, bound = _kernel(w, t, 0.0, 1.0)     # H(i t) is real
-        tg = sg * t ** gamma
-        wt = (1.0 + w) * t
-        return np.array((k * tg, bound * tg * (_ROUNDINGS + _KERNEL_ROUNDINGS + 4.0 * wt
-                                               + np.abs(sigma) * (gamma + _FAR_POWER + wt))))
-
-    body, kg, rounding = _rule(lo, width, integrand)
-    h = 2.0 / math.pi * (body + stub)
-    return h, 2.0 / math.pi * (kg + stub_rem + trunc + rounding) + 2.0 * _EPS * h
 
 
 def eta_integral(spec: MultistableSpec, xi: float, w: float) -> tuple[float, float]:

@@ -64,12 +64,9 @@ that sector gives
 
     integral_0^inf phi_q(theta) F(theta) dtheta = (1/pi) Im integral_ray H(theta) F(theta) / theta dtheta.
 
-eta (F = 1 - e^{-m(theta/xi)}), the Parseval theta side (F = 1 - cf(delta
-theta)) and h_q (F = theta^gamma) are integrands of the ray rule in
-:mod:`multistable.inversion` in this form.  For h_q the ray turns to
-psi = pi/2, where H(i t) = G(i w t) e^{-(1 + w/2) t} is positive:
-
-    h_q(gamma) = (2/pi) sin(pi gamma / 2) integral_0^inf G(i w t) e^{-(1+w/2) t} t^(gamma-1) dt.
+eta (F = 1 - e^{-m(theta/xi)}) and the Parseval theta side (F = 1 - cf(delta
+theta)) are integrands of the ray rule in :mod:`multistable.inversion` in
+this form.
 
 :func:`_kernel` evaluates H on a ray.  With x = w z / 2 = x_r + i x_i, below
 the crossover |x| < 12.5 the Gauss-Legendre sum takes cos(x v) =
@@ -81,10 +78,24 @@ e^{i (1 + w) z} terms,
 
 where |e^{2 i x}| <= 1 and |e^{i z}| <= 1, so nothing overflows at any q.
 
-rho integrates |phi_q|, which is not analytic, so it alone keeps a dense
-node/weight/value table over [0, theta_max].  The table is built on first
-use and kept in a weak memo; the proven envelope above bounds the mass
-beyond theta_max.
+h_q needs no phi_q.  The stable Levy measure (Samorodnitsky and Taqqu 1994)
+writes |theta|^gamma, 0 < gamma < 2, as gamma C(gamma) integral_0^inf
+(1 - cos(theta x)) x^(-1-gamma) dx with C(gamma) = (2/pi) Gamma(gamma)
+sin(pi gamma / 2), and phi_q transforms back to the bump, so in y = log x
+
+    h_q(gamma) = C(gamma) [(1 + w)^-gamma + gamma integral_0^log1p(w) e^{-gamma y} S5(expm1(y) / w) dy].
+
+:meth:`MollifierSpec.h` sums this smooth band integral on Gauss-Kronrod
+panels at most a quarter wide in y, where Kronrod-minus-Gauss stays below
+1e-15 of h_q (6e-11 on unit-wide panels) for q from 1.01 to 1e6.
+
+rho integrates |phi_q|, which has a kink at every zero of phi_q, so it alone
+keeps a dense table over [0, theta_max]: one 16-point Gauss-Legendre panel
+between consecutive zeros (j pi / (1 + w/2) of the sine; 2x / w of G, with
+x = n pi + atan(b / a) for n >= 3 by fixed point, as a > 0 from x = 5.05 on
+and j5 has no zero below 9.36), after dyadic panels below the first.  The
+table is built on first use and kept in a weak memo; the proven envelope
+above bounds the mass beyond theta_max.
 """
 
 from __future__ import annotations
@@ -96,6 +107,8 @@ from typing import ClassVar
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
+
+from .quadrature import _EPS, _rule
 
 __all__ = ["MollifierSpec", "build_mollifier", "smoothstep_c5"]
 
@@ -123,21 +136,29 @@ _MAX_Q = 1e6
 # points per vectorized pass: a block's temporaries stay in cache and their
 # memory is reused, where whole-table temporaries are fresh pages each time
 _BLOCK = 16384
-# largest phi_q table: the node count grows like w^-1.5 (q = 1.04 needs 4.0M
-# nodes, q = 1.01 would need 30M, about 720 MB over three arrays)
+# largest phi_q table: the node count grows like w^-1.5 (q = 1.03 needs 3.06M
+# nodes, q = 1.01 would need 15M, about 360 MB over three arrays)
 _MAX_TABLE_NODES = 1 << 22
-# h values per mollifier, keyed by gamma: the lemma 5 and tau sweeps repeat
-# exponents.  Keyed by the (identity-hashed) spec, so a dataclasses.replace
-# copy starts empty; weak keys never keep a spec alive
-_H_MEMO: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-# the rho table of each mollifier, built on first use, keyed the same way
+# the rho table of each mollifier, built on first use.  Keyed by the
+# (identity-hashed) spec, so a dataclasses.replace copy starts empty; weak
+# keys never keep a spec alive
 _TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _s5(t):
+    """S5(t) by Horner: for t <= 1/2 the polynomial itself, above it 1 - S5(1 - t)
+    with 1 - t exact, free of the monomial form's 4e-13 cancellation near 1."""
+    s = np.minimum(t, 1.0 - t)
+    p = 0.0
+    for c in _S5[:5:-1].tolist():             # S5(s) = s^6 p(s), p's coefficients
+        p = p * s + c
+    p *= (s * s * s) ** 2
+    return np.where(t <= 0.5, p, 1.0 - p)
 
 
 def smoothstep_c5(t):
     """S5 on [0, 1], clamped outside."""
-    t = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
-    return npoly.polyval(t, _S5)
+    return _s5(np.clip(np.asarray(t, dtype=float), 0.0, 1.0))
 
 
 def _sin_cos(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -278,9 +299,7 @@ class MollifierSpec:
         """The Fourier transform: 1 on [-1,1], 0 outside [-(1+q)/2, (1+q)/2]."""
         ax = np.abs(np.asarray(x, dtype=float))
         t = np.clip((ax - 1.0) / self.w, 0.0, 1.0)
-        # 1 - S5(t) = S5(1 - t): the upper half is evaluated without the
-        # cancellation that leaves 1 - S5(1 - 8e-16) at -1e-13
-        return np.where(t <= 0.5, 1.0 - npoly.polyval(t, _S5), npoly.polyval(1.0 - t, _S5))
+        return _s5(1.0 - t)                 # 1 - S5(t), by the symmetry of S5
 
     def phi(self, theta):
         """phi_q(theta) = G(w theta) sin((1 + w/2) theta) / (pi theta); accepts arrays."""
@@ -301,12 +320,10 @@ class MollifierSpec:
     weights = property(lambda self: self._table.weights)
     phi_values = property(lambda self: self._table.phi_values, doc="phi_q at the nodes")
 
-    def integrate(self, factor_values: np.ndarray) -> float:
-        """sum of weights * phi * factor over the table (one-sided, theta > 0)."""
-        return float(self.weights @ (self.phi_values * factor_values))
-
     def integrate_abs(self, factor_values: np.ndarray) -> float:
-        return float(self.weights @ (np.abs(self.phi_values) * factor_values))
+        """sum of weights * |phi| * factor over the table (one-sided, theta > 0), summed
+        pairwise: a dot product rounded the integral of phi_q by 3.5e-14 at q = 1.05."""
+        return float(np.sum(self.weights * np.abs(self.phi_values) * factor_values))
 
     def tail_power_bound(self, gamma: float) -> float:
         """Bound on integral_theta_max^inf theta^gamma |phi_q| dtheta."""
@@ -323,43 +340,71 @@ class MollifierSpec:
     # -- h_q -------------------------------------------------------------------
 
     def h(self, gamma: float) -> tuple[float, float]:
-        """h_q(gamma) = integral |theta|^gamma phi_q(theta) dtheta, with error bound,
-        by the ray rule at psi = pi/2 (module docstring)."""
+        """h_q(gamma) = integral |theta|^gamma phi_q(theta) dtheta, 0 < gamma < 2, from
+        the bump side (module docstring), and a bound on its absolute error:
+        the Kronrod-minus-Gauss differences plus counted roundoff."""
         if not (0.0 < gamma < 2.0):
             raise ValueError(f"gamma must lie in (0, 2), got {gamma}")
-        memo = _H_MEMO.setdefault(self, {})
-        cached = memo.get(gamma)
-        if cached is None:
-            from .inversion import h_integral  # inversion imports this module
+        w, span = self.w, math.log1p(self.w)
+        n = math.ceil(4.0 * span)               # panels at most a quarter wide in y
+        step = span / n
 
-            cached = memo[gamma] = h_integral(self.w, gamma)
-        return cached
+        def integrand(y):
+            # roundoff in units of eps: 24 of the value (exp 1; product, 1 - v, weight
+            # and half width 2; Kronrod dot product 10.5; numpy's pairwise sum over
+            # at most 128 panels 9.5, q = 1e6 has 53) and gamma y / 2 of it, t's 3/2
+            # through S5'(t) t, Horner's 7 s^6 sum_k |p_k| s^k (s = min(t, 1 - t); p
+            # alternates in sign, so that is S5(-s)), and a node shift of
+            # 2 (y + half width) through the slope
+            t = np.expm1(y) / w
+            s5, horner = _s5(np.stack((t, -np.minimum(t, 1.0 - t))))
+            shift = 2.0 * y + step
+            err = (2772.0 * (t - t * t) ** 5 * (1.5 * t + shift * (t + 1.0 / w))  # S5'(t) terms
+                   + 7.0 * horner + s5 * (24.0 + gamma * (0.5 * y + shift)))
+            return np.stack((s5, err)) * np.exp(-gamma * y)
+
+        body, kg, rounding = _rule(step * np.arange(n), np.full(n, step), integrand)
+        # C(gamma) from the exact 2 - gamma for gamma > 1, where sin(pi gamma / 2) is small
+        c = 2.0 / math.pi * math.gamma(gamma) * math.sin(0.5 * math.pi * min(gamma, 2.0 - gamma))
+        edge = (1.0 + w) ** -gamma
+        h = c * (edge + gamma * body)
+        # the band's end moves by 2 eps span; C(gamma) and the assembly take 12 eps
+        # of h (math.gamma measured within 7 units of 2^-53 on (0, 2))
+        err = c * gamma * (kg + rounding + 2.0 * _EPS * span * edge) + 12.0 * _EPS * h
+        return h, err
 
 
-def _build_panels(theta_max: float, unit: float) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """Graded-then-uniform Gauss-Legendre panels on (stub, theta_max].
-
-    Uniform panels of width ``unit`` follow dyadic ones that halve toward 0.
-    Raises ValueError, before allocating the table, when it would exceed
-    _MAX_TABLE_NODES nodes.
-    """
-    # dyadic grading toward 0 keeps theta^gamma factors exact for gamma < 2
-    edges = [unit / 2 ** k for k in range(42, 0, -1)]
-    stub = edges[0]
-    n_uniform = int(math.ceil((theta_max - edges[-1]) / unit))
-    n_nodes = _TABLE_RESOLUTION * (len(edges) - 1 + n_uniform)
+def _build_panels(theta_max: float, w: float) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """Gauss-Legendre panels on (stub, last edge]: one between consecutive zeros
+    of phi_q up to the first sine zero past theta_max, after dyadic ones below
+    the first zero.  Raises ValueError, before allocating the table, when it
+    would exceed _MAX_TABLE_NODES nodes."""
+    rate = 1.0 + 0.5 * w
+    n_sine = max(1, math.ceil(theta_max * rate / math.pi))
+    last = n_sine * math.pi / rate
+    # one candidate zero x of G(2x) in (n pi - pi/2, n pi + pi/2) for each n >= 3
+    n_top = 0.5 * w * last / math.pi + 1.0
+    n_nodes = _TABLE_RESOLUTION * (41 + n_sine + max(0, math.floor(n_top) - 2))
     if n_nodes > _MAX_TABLE_NODES:
         raise ValueError(f"the phi_q table up to theta = {theta_max:.3g} needs {n_nodes} "
                          f"nodes, more than the budget of {_MAX_TABLE_NODES}; "
                          "choose a larger q")
+    x = n_pi = np.arange(3.0, n_top) * math.pi
+    for _ in range(24):            # x -> n pi + atan(b/a) contracts by 0.18 at n = 3, less beyond
+        r2 = x ** -2.0
+        x = n_pi + np.arctan(x * ((945.0 * r2 - 105.0) * r2 + 1.0)
+                             / ((945.0 * r2 - 420.0) * r2 + 15.0))
+    g_zeros = 2.0 * x / w
+    zeros = np.union1d(np.arange(1, n_sine + 1) * (math.pi / rate), g_zeros[g_zeros < last])
+    # dyadic grading toward 0 keeps theta^gamma factors exact for gamma < 2
+    edges = np.concatenate([zeros[0] * 0.5 ** np.arange(42, 0, -1), zeros])
     gx, gw = np.polynomial.legendre.leggauss(_TABLE_RESOLUTION)
-    edges = np.concatenate([edges, edges[-1] + unit * np.arange(1, n_uniform + 1)])
     los, his = edges[:-1], edges[1:]
     mid = 0.5 * (los + his)
     half = 0.5 * (his - los)
     nodes = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
     weights = (half[:, None] * gw[None, :]).ravel()
-    return nodes, weights, stub, float(edges[-1])
+    return nodes, weights, float(edges[0]), float(edges[-1])
 
 
 def _build_table(moll: MollifierSpec) -> _Table:
@@ -374,12 +419,11 @@ def _build_table(moll: MollifierSpec) -> _Table:
     coeff, p = moll.decay_coeff, moll.decay_power
     theta_max = max((coeff / (k * _TAIL_TOL)) ** (1.0 / k) for k in (p - 2.9, p - 1.0))
     theta_max = max(theta_max, 2.0 * moll.theta_fit)
-    # panels of pi/2, or of pi/(2w) once G(w theta) varies faster than the sine
-    nodes, weights, stub, last_edge = _build_panels(theta_max, 0.5 * math.pi / max(1.0, moll.w))
+    nodes, weights, stub, last_edge = _build_panels(theta_max, moll.w)
     table = _Table(theta_max=last_edge, stub=stub, nodes=nodes, weights=weights,
                    phi_values=_phi(moll.w, nodes))
     # normalization: integral phi = bump(0) = 1, up to the mass outside the table
-    total = 2.0 * float(weights @ table.phi_values)
+    total = 2.0 * float(np.sum(weights * table.phi_values))
     outside = coeff * last_edge ** (1.0 - p) / (p - 1.0) \
         + (1.0 + 0.5 * moll.w) / math.pi * stub
     if abs(total - 1.0) > 2.0 * outside + 1e-10 + 1e-9:

@@ -15,15 +15,16 @@ Each lemma's sandwich is checked on grids with the quadrature error
 budgets subtracted from the margins; the proof-internal constants are
 never computed explicitly, only fitted envelopes are reported.
 
-eta, h_q (and so tau) and the Parseval theta side are integrals of
-analytic functions against phi_q.  They run on the rotated-ray rule of
+eta and the Parseval theta side are integrals of analytic functions
+against phi_q.  They run on the rotated-ray rule of
 :mod:`multistable.inversion` through the identity
 
     integral_0^inf phi_q F dtheta = (1/pi) Im integral_ray G(w theta) e^{i(1+w/2) theta} F(theta) / theta dtheta
 
 (see :mod:`multistable.mollifier`), so each carries the rule's error
 bound: Kronrod-minus-Gauss, stub, truncation and roundoff.  The Parseval
-theta side at delta is eta at xi = 1/delta.  Only rho, which integrates
+theta side at delta is eta at xi = 1/delta; h_q (so tau) is the bump-side
+``MollifierSpec.h``, with its own bound.  Only rho, which integrates
 the non-analytic |phi_q|, runs on the mollifier's dense table, built on
 its first use; the modular there is m(theta/xi) = sum_g W_g xi^-alpha_g
 theta^alpha_g, and outside the table m - 1 + e^-m <= m^2/2 bounds the

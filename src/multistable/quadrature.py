@@ -20,8 +20,8 @@ kernel decay.  The module also holds what every certified result shares:
 :class:`QuadratureConfig`, :class:`AccuracyError` and the one panel rule
 table, the QUADPACK Gauss-Kronrod 10/21 pair (``_X21``, ``_WK21``,
 ``_WG21``).  :func:`adaptive_gk` applies it panel by panel with QUADPACK's
-error heuristic; the inversion rule evaluates it on all its panels at once
-with a closed-form error bound.
+error heuristic; ``_rule`` sums it over a fixed panel layout at once, with
+closed-form error terms, for the inversion ray rule and for h_q.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 
 __all__ = ["QuadratureConfig", "AccuracyError", "oscillatory_integral", "fourier_integral"]
 
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
 # most panels adaptive_gk splits [a, b] into
 _MAX_INTERVALS = 400
 # most panels fourier_integral sums on the half-line
@@ -108,6 +108,23 @@ _X21 = np.concatenate([-_XK_HALF, [0.0], _XK_HALF[::-1]])
 _WK21 = np.concatenate([_WK_HALF, [_WK0], _WK_HALF[::-1]])
 _WG21 = np.zeros(21)
 _WG21[1:20:2] = np.concatenate([_WG_HALF, _WG_HALF[::-1]])
+# columns: the Kronrod weights and the Kronrod-minus-Gauss weights
+_W21 = np.stack((_WK21, _WK21 - _WG21), axis=1)
+
+
+def _rule(lo: np.ndarray, width: np.ndarray, integrand) -> tuple[float, float, float]:
+    """The Gauss-Kronrod sum over the panels (lo, width), the sum of the per-panel
+    Kronrod-minus-Gauss differences and the roundoff bound.  ``integrand(x)``
+    returns a (2, n) array, the values and their roundoff in units of eps; one
+    product against the two weight columns gives all three per panel."""
+    half = 0.5 * width
+    x = (lo + half)[:, None] + half[:, None] * _X21
+    sums = integrand(x.ravel()).reshape(-1, _X21.size) @ _W21
+    n = half.size
+    kron, diff, node_err = sums[:n, 0], sums[:n, 1], sums[n:, 0]
+    kron *= half
+    return (float(np.sum(kron)), float(np.abs(diff) @ half),
+            float(_EPS * (node_err @ half)))
 
 
 def _gk21(f: Callable, a: float, b: float) -> tuple[float, float]:

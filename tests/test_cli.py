@@ -168,8 +168,8 @@ class TestRunCommand:
                                         ("50", 0)])
     def test_verify_lemma3_every_q_builds_or_exits_2(self, q, code, tmp_path, capsys):
         # every q either builds or is refused with a message: nan, inf and
-        # 1e7 lie outside (1, 1e6]; q = 1.01 builds no table, as h_q runs on
-        # the rotated ray
+        # 1e7 lie outside (1, 1e6]; q = 1.01 builds no table, as h_q is a
+        # band integral of the bump
         out = tmp_path / "l3.json"
         assert run_command(["verify", "lemma3", "--q", q, "--out", str(out)]) == code
         if code:
@@ -244,6 +244,21 @@ class TestRunCommand:
         assert rc == 2
         assert "lambda must be nonnegative" in capsys.readouterr().err
         assert not Path(str(out) + ".summary.csv").exists()
+
+
+@pytest.mark.parametrize("lam", ["-1", "-0.5", "nan"])
+def test_sample_refuses_a_bad_tail_at_before_drawing(lam, tmp_path, monkeypatch, capsys):
+    # the check used to run in mc_tail, after every draw: 1.7 s at --n 1e7
+    def refuse(*args, **kwargs):
+        raise AssertionError("sample called")
+
+    monkeypatch.setattr(cli, "sample", refuse)
+    out = tmp_path / "s.npy"
+    rc = run_command(["sample", "--fixture", "cauchy", "--n", "1e7", "--format", "npy",
+                      "--summary", "--tail-at", "1.0", lam, "--out", str(out)])
+    assert rc == 2
+    assert "lambda must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text,n", [("1e7", 10 ** 7), ("1000000", 10 ** 6), ("2.5e3", 2500)])

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -66,6 +67,18 @@ def test_smoothstep_midpoint_symmetry():
     assert np.allclose(smoothstep_c5(ts) + smoothstep_c5(1.0 - ts), 1.0, atol=1e-13)
 
 
+def test_smoothstep_c5_exact_near_both_ends():
+    # from the monomial coefficients S5 reached 1 + 4.1e-13 on [0.9, 1], 3300
+    # ulps off; against exact rationals at the same floats it stays in [0, 1]
+    ts = np.concatenate([np.linspace(0.0, 0.1, 1001), np.linspace(0.9, 1.0, 1001)])
+    vals = smoothstep_c5(ts)
+    assert np.all((vals >= 0.0) & (vals <= 1.0))
+    for t, v in zip(ts.tolist(), vals.tolist()):
+        exact = _s5_mp(Fraction(t))
+        ulp = Fraction(float(np.spacing(float(exact)))) if exact else Fraction(0)
+        assert abs(Fraction(v) - exact) <= (8 if t < 0.5 else 1) * ulp, t
+
+
 def test_smoothstep_c5_junctions():
     # five vanishing derivatives at both ends, checked by finite differences
     h = 1e-2
@@ -124,7 +137,7 @@ class TestPhi:
 
     def test_normalization(self, moll125, moll15, moll2):
         for moll in (moll125, moll15, moll2):
-            total = 2.0 * moll.integrate(np.ones_like(moll.nodes))
+            total = 2.0 * float(np.sum(moll.weights * moll.phi_values))
             assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_decay_model_floor(self, moll125, moll15, moll2):
@@ -150,7 +163,7 @@ def test_tables_integrate_to_one_within_the_envelope_bound(moll125, moll2):
     # w >> 1 the panels shrink with 1/w to resolve G(w theta), and on pi/2
     # panels q = 100 integrated to 1.00000069
     for moll in (moll125, moll2, *(build_mollifier(q) for q in (30.0, 100.0, 1e3, 1e6))):
-        total = 2.0 * moll.integrate(np.ones_like(moll.nodes))
+        total = 2.0 * float(np.sum(moll.weights * moll.phi_values))
         budget = 2.0 * (moll.tail_power_bound(0.0) + moll.stub_bound(0.0))
         assert abs(total - 1.0) <= budget + 1e-14, moll.q
 
@@ -171,10 +184,54 @@ def test_small_q_tables_keep_the_gamma_19_sizing(q):
     moll = build_mollifier(q)
     k = moll.decay_power - 2.9
     theta_max = max((moll.decay_coeff / (k * _TAIL_TOL)) ** (1.0 / k), 2.0 * moll.theta_fit)
-    nodes, weights, stub, last_edge = _build_panels(theta_max, 0.5 * math.pi / max(1.0, moll.w))
+    nodes, weights, stub, last_edge = _build_panels(theta_max, moll.w)
     assert (last_edge, stub) == (moll.theta_max, moll.stub)
     assert nodes.tobytes() == moll.nodes.tobytes()
     assert weights.tobytes() == moll.weights.tobytes()
+
+
+def _rho_on_the_zeros(spec, moll, xis):
+    """rho at each xi by a rule of its own: two 20-point Gauss-Legendre panels
+    between consecutive zeros of phi_q, out to twice the table's end, after
+    dyadic panels down to 2^-80 of the first zero.  The zeros are j pi /
+    (1 + w/2) and 2x / w for the zeros x of spherical_jn(5, .), one in each
+    (n pi - pi/2, n pi + pi/2) for n >= 3, found by brentq."""
+    from scipy.optimize import brentq
+    from scipy.special import spherical_jn
+
+    w, end = moll.w, 2.0 * moll.theta_max
+    rate = 1.0 + 0.5 * w
+    zeros = list(np.arange(1, math.ceil(end * rate / math.pi) + 1) * (math.pi / rate))
+    x_end, n = 0.5 * w * zeros[-1], 3
+    while (n + 0.5) * math.pi < x_end:
+        x = brentq(lambda v: spherical_jn(5, v), (n - 0.5) * math.pi, (n + 0.5) * math.pi,
+                   xtol=1e-300, rtol=1e-15)
+        zeros.append(2.0 * x / w)
+        n += 1
+    zeros = np.unique(zeros)
+    edges = np.concatenate([zeros[0] * 0.5 ** np.arange(80, 0, -1), zeros])
+    edges = np.concatenate([np.ravel(np.column_stack((edges[:-1], 0.5 * (edges[:-1] + edges[1:])))),
+                            edges[-1:]])
+    gx, gw = np.polynomial.legendre.leggauss(20)
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    nodes = (mid[:, None] + half[:, None] * gx).ravel()
+    weighted = (half[:, None] * gw).ravel() * np.abs(moll.phi(nodes))
+    out = []
+    for xi in xis:
+        m = spec.scaled_modular(nodes / xi)
+        out.append(2.0 * float(np.sum(weighted * (m + np.expm1(-m)))))
+    return out
+
+
+@pytest.mark.parametrize("q", [1.25, 1.5, 2.0])
+def test_rho_within_its_bound_against_a_rule_on_the_zeros(q):
+    # |phi_q| has a kink at each zero; on panels that straddled them rho was
+    # 4.1e-3 / 1.3e-4 / 4.1e-8 off at q = 1.5, xi = 1 / 10 / 1000, against
+    # claimed bounds of 5.1e-5 / 5.2e-8 / 8.1e-14
+    moll, spec, xis = build_mollifier(q), fixture("two_exp"), (1.0, 10.0, 1000.0)
+    for xi, ref in zip(xis, _rho_on_the_zeros(spec, moll, xis)):
+        val, err = rho_with_error(spec, moll, xi)
+        assert abs(val - ref) <= err, (xi, val - ref, err)
 
 
 def test_weighted_moments_stabilize(moll15):
@@ -191,7 +248,7 @@ def test_weighted_moments_stabilize(moll15):
         assert abs(cuts[2] - cuts[1]) < 1e-4 * max(1.0, abs(cuts[2]))
 
 
-def test_h_cache_and_error_reporting(moll15):
+def test_h_repeats_and_error_reporting(moll15):
     v1, e1 = moll15.h(1.1)
     v2, e2 = moll15.h(1.1)
     assert v1 == v2 and e1 == e2
@@ -200,8 +257,7 @@ def test_h_cache_and_error_reporting(moll15):
         moll15.h(2.0)
 
 
-def test_h_memo_is_per_table(moll15, moll2):
-    # a copy made by dataclasses.replace must not answer from the original's memo
+def test_h_of_a_replace_copy_uses_its_own_q(moll15, moll2):
     v, _ = moll15.h(1.1)
     other = dataclasses.replace(moll15, q=2.0)
     assert other.h(1.1) == moll2.h(1.1)
@@ -216,7 +272,8 @@ def _h_mpmath(q, gamma):
     """h_q(gamma) at 30 digits by the identity h_q(gamma) = gamma C(gamma)
     integral_1^inf x^(-1-gamma) (1 - bump(x)) dx, C the stable tail constant
     (|theta|^gamma is a superposition of 1 - cos(theta x), and phi_q
-    transforms back to the bump)."""
+    transforms back to the bump).  MollifierSpec.h sums the same identity,
+    so _h_ray_mpmath is the independent oracle."""
     with mp.workdps(30):
         q, g = mp.mpf(q), mp.mpf(gamma)
         w = (q - 1) / 2
@@ -225,7 +282,7 @@ def _h_mpmath(q, gamma):
         return g * c * (band + (1 + w) ** -g / g)
 
 
-_H_GAMMAS = (0.3, 0.5, 0.7, 1.1, 1.5, 1.7, 1.9)
+_H_GAMMAS = (0.05, 0.3, 0.5, 0.7, 1.1, 1.5, 1.7, 1.9, 1.99)
 
 
 def test_h_within_its_bound_against_mpmath(moll125, moll15, moll2):
@@ -263,12 +320,14 @@ def test_h_within_its_bound_against_mpmath_on_the_ray(q):
 
 
 def test_table_node_budget():
-    # the rho table grows like w^-1.5: q = 1.03 would need 6.0M nodes, q = 1.01
-    # 30M; the mollifier builds, and reading its table raises before allocating
-    for q in (1.01, 1.02, 1.03):
+    # the rho table grows like w^-1.5: q = 1.02 would need 5.5M nodes, q = 1.01
+    # 15M; the mollifier builds, and reading its table raises before allocating.
+    # q = 1.03 takes 3.06M nodes, one panel between each pair of zeros
+    for q in (1.01, 1.02):
         moll = build_mollifier(q)
         with pytest.raises(ValueError, match="budget"):
             moll.nodes
+    assert 3_000_000 < build_mollifier(1.03).nodes.size <= mollifier._MAX_TABLE_NODES
 
 
 def test_build_allocates_no_table():
