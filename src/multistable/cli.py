@@ -333,6 +333,20 @@ def _count(text: str) -> int:
     return int(value)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads every token float() accepts as a value:
+    argparse itself takes -1e-6 and -inf for options, as its own test for a
+    negative number matches only -1 and -.5 forms.  No option of this CLI
+    parses as a number, so -h and the real flags stay options."""
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
+
 def _add_spec_args(p: argparse.ArgumentParser):
     p.add_argument("--spec", help="path to a JSON spec file")
     p.add_argument("--fixture", choices=fixtures.fixture_names(),
@@ -347,7 +361,7 @@ def _add_quad_args(p: argparse.ArgumentParser):
 
 @functools.cache  # one parser per process: no handler may mutate its list defaults
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(  # its subparsers are _Parser too
         prog="multistable",
         description="Numerics and theorem verification for multistable distributions")
     sub = ap.add_subparsers(dest="command", required=True)

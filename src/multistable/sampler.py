@@ -10,10 +10,15 @@ with Z_i standard symmetric alpha_i-stable.  The standard variates come
 from the Chambers-Mallows-Stuck transform; alpha = 1 gets its own branch
 (the Cauchy case tan(U)), where the general transform is singular.
 
-The transform needs sin(alpha u), cos((1 - alpha) u) and cos u.  Each
-comes from np.tan of a half angle: numpy vectorizes its float64 tan,
-while its sin and cos can fall back to scalar libm calls at 3-5 times
-the cost per element (measured on x86-64 with AVX-512, numpy 2.4):
+The transform is taken with one power,
+
+    Z = sin(alpha u) / cos u * (cos((1 - alpha) u) / (w cos u))^((1 - alpha)/alpha),
+
+since (1/cos u)^(1/alpha) = (1/cos u) (1/cos u)^((1 - alpha)/alpha).  It
+needs sin(alpha u), cos((1 - alpha) u) and cos u.  Each comes from np.tan
+of a half angle: numpy vectorizes its float64 tan, while its sin and cos
+can fall back to scalar libm calls at 3-5 times the cost per element
+(measured on x86-64 with AVX-512, numpy 2.4):
 
     sin(alpha u)       = 2a / (1 + a^2),            a = tan(alpha u / 2),
     cos((1 - alpha) u) = (1 - b)(1 + b) / (1 + b^2), b = tan((1 - alpha) u / 2),
@@ -24,8 +29,10 @@ with v = pi/2 - |u| formed in double-double (fl(pi/2) - |u| is exact for
 relative accuracy near |u| = pi/2, where the heavy tail comes from; and
 |b| < 1, so (1 - b)(1 + b) does not cancel for alpha in (0, 2).
 
-Generation is chunked over a counter-based bit generator (Philox), one
-substream per chunk of CHUNK draws (Salmon et al., SC'11), so a chunk's
+Generation is chunked: chunk k of CHUNK draws comes from its own SFC64
+stream, seeded by SeedSequence(seed, spawn_key=(k,)), numpy's way of
+spawning independent child streams (seeding with seed + k instead would
+make chunk k of seed s equal chunk k - 1 of seed s + 1).  So a chunk's
 draws depend only on the seed and the chunk's index.  `sample` fills its
 chunks concurrently, one worker per CPU the process may run on (at most
 one per chunk): the calling thread and, beyond one worker, the threads of
@@ -35,17 +42,19 @@ before their next block and reaches the caller.  Each worker fills
 its chunks in blocks of _BLOCK draws from one scratch array of four
 block-sized rows (u, w, the variate z and a temporary), which every
 uniform and exponential fill and every ufunc writes in place; each block
-adds its groups into its slice of the output.  Within a chunk's substream
+adds its groups into its slice of the output.  Within a chunk's stream
 the draws come block by block, and within a block group by group: first
 the group's uniforms u, then (alpha != 1) its exponentials w.  So the
 whole chunks, and the whole blocks of a chunk, of a shorter run are a
 prefix of a longer one.  Draws are reproducible per seed within a
-version; the exact bits may change between versions.
+version; the exact bits may change between versions (they did when the
+chunk streams moved from Philox substreams to spawned SFC64 streams).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
 import threading
 
@@ -55,7 +64,7 @@ from .function_space import MultistableSpec
 
 __all__ = ["mixture_decompose", "sample_standard_stable", "sample", "mc_tail"]
 
-# A 2^20-draw call spans four substreams, which `sample` fills concurrently.
+# A 2^20-draw call spans four chunk streams, which `sample` fills concurrently.
 # On two x86-64 cores (numpy 2.4) a 2^20 call of two_exp took 67-71 ms at
 # 2^18 and 2^19, 76 at 2^17 and 120 at 2^20 (one chunk, one core); 2^18
 # would split a call over four cores.  Only two cores were measured: scaling
@@ -65,8 +74,9 @@ CHUNK = 1 << 18
 # 256 KiB per scratch row, so 1 MiB per worker, allocated once per call and
 # rewritten in place: unlike fresh temporaries (mmapped from 128 KiB up),
 # large blocks take no page faults.  They matter because numpy releases the
-# GIL only inside each ufunc or Philox fill: with 2^18 chunks on two cores
-# a 2^20 call took 110 ms at 2^13, 81 at 2^14, 71 at 2^15 and 68 at 2^16.
+# GIL only inside each ufunc or random fill: with 2^18 chunks on two cores
+# a 2^20 call took 110 ms at 2^13, 81 at 2^14, 71 at 2^15 and 68 at 2^16
+# (Philox fills, as the streams then were).
 _BLOCK = 1 << 15
 # pi/2 - fl(pi/2), the low half of pi/2 in double-double
 _HALF_PI_LO = 6.123233995736766e-17
@@ -95,7 +105,7 @@ def _cms(alpha: float, u: np.ndarray, w: np.ndarray, z: np.ndarray, t: np.ndarra
     if alpha == 1.0:
         np.tan(u, out=z)
         return
-    # cos(u)^(-1/alpha), with 1/cos u = (c + 1/c)/2 and c = tan(v/2)
+    # z = 1/cos u = (c + 1/c)/2, c = tan(v/2); then w <- w cos u
     c = np.abs(u, out=t)
     np.subtract(math.pi / 2.0, c, out=c)
     c += _HALF_PI_LO
@@ -104,7 +114,7 @@ def _cms(alpha: float, u: np.ndarray, w: np.ndarray, z: np.ndarray, t: np.ndarra
     np.divide(1.0, c, out=z)
     z += c
     z *= 0.5
-    np.power(z, 1.0 / alpha, out=z)
+    w /= z
     # times sin(alpha u) = 2a/(1 + a^2)
     a = np.multiply(u, 0.5 * alpha, out=t)
     np.tan(a, out=a)
@@ -113,7 +123,8 @@ def _cms(alpha: float, u: np.ndarray, w: np.ndarray, z: np.ndarray, t: np.ndarra
     a += 1.0
     z /= a
     z *= 2.0
-    # times (cos((1 - alpha) u) / w)^((1 - alpha)/alpha), cos from b = tan((1 - alpha) u/2)
+    # times (cos((1 - alpha) u) / (w cos u))^((1 - alpha)/alpha), cos from
+    # b = tan((1 - alpha) u/2)
     b = np.multiply(u, 0.5 * (1.0 - alpha), out=u)
     np.tan(b, out=b)
     d = np.multiply(b, b, out=t)
@@ -141,12 +152,14 @@ def sample_standard_stable(alpha: float, rng: np.random.Generator,
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed, counter=chunk_index << 128))
+    """The stream of chunk chunk_index: SFC64 from the seed's spawned child."""
+    seq = np.random.SeedSequence(seed, spawn_key=(chunk_index,))
+    return np.random.Generator(np.random.SFC64(seq))
 
 
 def _fill_chunks(out: np.ndarray, mixture: list[tuple[float, float]], seed: int,
                  first: int, step: int, stop: threading.Event) -> None:
-    """Fill chunks first, first + step, ... of out, each from its own substream,
+    """Fill chunks first, first + step, ... of out, each from its own stream,
     block by block and group by group, through one scratch array.  Return
     before the next block once stop is set; set stop on any exception."""
     try:
@@ -169,6 +182,19 @@ def _fill_chunks(out: np.ndarray, mixture: list[tuple[float, float]], seed: int,
         raise
 
 
+def _whole(name: str, value, least: int) -> int:
+    """value as an int >= least; TypeError for a bool or a non-integer."""
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, not a bool")
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
+
+
 def _cpus() -> int:
     """CPUs this process may run on."""
     try:
@@ -178,11 +204,12 @@ def _cpus() -> int:
 
 
 def sample(spec: MultistableSpec, n: int, seed: int = 0) -> np.ndarray:
-    """n independent draws of I(f); chunk k of CHUNK draws is Philox substream k,
-    drawn block by block, and the chunks are filled concurrently (module
-    docstring)."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    """n independent draws of I(f); chunk k of CHUNK draws comes from the SFC64
+    stream spawned as child k of seed, drawn block by block, and the chunks
+    are filled concurrently (module docstring).  n is a whole number >= 1 and
+    seed a whole number >= 0 (not a bool); both are checked before anything
+    is allocated."""
+    n, seed = _whole("n", n, 1), _whole("seed", seed, 0)
     mixture = mixture_decompose(spec)
     out = np.zeros(n)
     workers = min(_cpus(), -(-n // CHUNK))

@@ -345,3 +345,36 @@ def test_cached_parser_keeps_its_list_defaults(tmp_path):
     assert ap.parse_args(["ratio-scan"]).lambdas == [100.0, 1000.0, 10000.0]
     assert ap.parse_args(["sample", "--n", "1"]).tail_at == []
     assert cli._LEMMA_DEFAULT_LAMBDAS == [10.0, 50.0, 100.0, 1000.0]
+
+
+def test_density_takes_a_negative_x_in_exponent_form(tmp_path):
+    out = tmp_path / "d.csv"
+    assert run_command(["density", "--fixture", "cauchy", "--x", "-1e-6", "1",
+                        "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.open()))
+    assert [float(r["x_or_lambda"]) for r in rows] == [-1e-6, 1.0]
+
+
+def test_sample_tail_at_in_exponent_form_is_refused_as_a_lambda(tmp_path, capsys):
+    # -1e-3 reaches the lambda check, not argparse's usage error
+    rc = run_command(["sample", "--fixture", "cauchy", "--n", "10", "--summary",
+                      "--tail-at", "-1e-3", "--out", str(tmp_path / "s.csv")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "lambda must be nonnegative" in err and "usage" not in err
+
+
+@pytest.mark.parametrize("argv, dest", [
+    (["cf", "--theta"], "theta"), (["density", "--x"], "x"), (["tail", "--lambdas"], "lambdas"),
+    (["asymptote", "--lambdas"], "lambdas"), (["ratio-scan", "--lambdas"], "lambdas"),
+    (["sample", "--n", "1", "--tail-at"], "tail_at"),
+    (["verify", "lemma1", "--lambdas"], "lambdas"), (["verify", "parseval", "--deltas"], "deltas")])
+def test_number_lists_take_negatives_in_every_float_form(argv, dest, capsys):
+    # argparse alone reads only -1 and -.5 forms as negative numbers; the
+    # flag after the list must still parse as a flag, and -h as help
+    ap = cli.build_parser()
+    args = ap.parse_args(argv + ["-1e-6", "-1.5E+3", "-inf", "--fixture", "cauchy"])
+    assert getattr(args, dest) == [-1e-6, -1.5e3, -math.inf] and args.fixture == "cauchy"
+    with pytest.raises(SystemExit) as exc:
+        ap.parse_args(argv + ["-1e-6", "-h"])
+    assert exc.value.code == 0 and "usage:" in capsys.readouterr().out

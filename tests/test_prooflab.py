@@ -1,5 +1,7 @@
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -334,54 +336,24 @@ class TestTableKernel:
 
 
 # ---------------------------------------------------------------------------
-# 30-digit mpmath oracle on the ray
+# 30-digit mpmath oracle on the ray, precomputed by make_ray_oracle.py
 
-with mp.workdps(30):
-    _GL24 = mp.calculus.quadrature.GaussLegendre(mp.mp).calc_nodes(4, mp.mp.prec)
+def _load_ray_oracle():
+    doc = json.loads(Path(__file__).with_name("ray_oracle.json").read_text())
+    with mp.workdps(doc["dps"]):
+        return {(p["fixture"], p["q"], p["xi"]): (p["groups"], mp.mpf(p["eta"]))
+                for p in doc["points"]}
 
 
-def _eta_mpmath(spec, xi, q):
-    """2 int phi_q(theta) (1 - cf(theta / xi)) dtheta at 30 digits, as
-    (2/pi) Im int H(xi theta) (1 - cf(theta)) ds on theta = e^{s + i psi}
-    with the library's angle psi and H(z) = 0F1(; 13/2; -(w z)^2 / 16)
-    e^{i (1 + w/2) z}.  Below the point where the integrand's phase reaches
-    1, tanh-sinh on (-inf, s_1]; beyond it, a 24-node Gauss-Legendre rule on
-    each piece over which a float bound on the phase turns by 2 pi (it
-    agreed with adaptive Gauss-Legendre to 4e-28 on this test's grid).  The
-    kernel is cut at e^-90."""
-    psi = inversion._ray(spec).phi
-    w = (q - 1.0) / 2.0
-    t_hi = 90.0 / (xi * math.sin(psi))
-    t_fast = min(t_hi, 90.0 / ((1.0 + w) * xi * math.sin(psi)))
-    t_cf = [(90.0 / (wgt * math.cos(alph * psi))) ** (1.0 / alph) for alph, wgt in spec.groups]
+_RAY_ORACLE = _load_ray_oracle()
 
-    def phase(t):
-        return xi * (t + w * min(t, t_fast)) + sum(
-            wgt * min(t, tc) ** alph for (alph, wgt), tc in zip(spec.groups, t_cf))
 
-    grid = np.linspace(math.log(t_hi) - 60.0, math.log(t_hi), 20001)
-    turn = np.array([phase(math.exp(v)) for v in grid.tolist()])
-    cuts = np.interp(np.arange(1.0, turn[-1], 2.0 * math.pi), turn, grid).tolist()
-    with mp.workdps(30):
-        wm, xim = mp.mpf(w), mp.mpf(xi)
-        rot = mp.expj(mp.mpf(psi))
-        groups = [(mp.mpf(alph), mp.mpf(wgt) * mp.expj(mp.mpf(alph) * mp.mpf(psi)))
-                  for alph, wgt in spec.groups]
-        k_z, y2 = 1j * xim * (1 + wm / 2) * rot, -(wm * xim * rot) ** 2 / 16
-        c13 = mp.mpf(13) / 2
-
-        def integrand(v):
-            t = mp.exp(v)
-            m = sum(c * mp.exp(alph * v) for alph, c in groups)
-            one_cf = -mp.expm1(-m) if abs(m) < 0.01 else 1 - mp.exp(-m)
-            return mp.im(mp.hyp0f1(c13, y2 * t * t) * mp.exp(k_z * t) * one_cf)
-
-        pts = [mp.mpf(v) for v in sorted({*cuts, math.log(t_hi)})]
-        total = mp.quad(integrand, [-mp.inf, pts[0]])
-        for a, b in zip(pts[:-1], pts[1:]):
-            mid, half = (a + b) / 2, (b - a) / 2
-            total += half * mp.fsum(wk * integrand(mid + half * xk) for xk, wk in _GL24)
-        return 2 / mp.pi * total
+def _eta_mpmath(spec, name, xi, q):
+    """The table's 30-digit eta at (name, q, xi), after checking that the
+    table was built for this spec's stable-mixture groups."""
+    groups, value = _RAY_ORACLE[(name, q, xi)]
+    assert groups == [list(g) for g in spec.groups], name
+    return value
 
 
 class TestRayOracle:
@@ -393,11 +365,11 @@ class TestRayOracle:
         spec, moll = fixture(name), build_mollifier(q)
         for xi in (1.0, 10.0, 1e3):
             val, err = eta_with_error(spec, moll, xi)
-            assert abs(float(val - _eta_mpmath(spec, xi, q))) <= err, xi
+            assert abs(float(val - _eta_mpmath(spec, name, xi, q))) <= err, xi
 
     def test_parseval_theta_side_within_its_bound(self, moll15):
         rep = verify_parseval(TWO_EXP, moll15, [0.1, 1.0, 10.0], CFG)
         assert rep.passed
         for row in rep.grid:
-            ref = _eta_mpmath(TWO_EXP, 1.0 / row["delta"], moll15.q)
+            ref = _eta_mpmath(TWO_EXP, "two_exp", 1.0 / row["delta"], moll15.q)
             assert abs(float(row["theta_side"] - ref)) <= row["theta_err"], row["delta"]

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import mpmath as mp
@@ -69,7 +70,7 @@ class TestSample:
         assert np.array_equal(a, b)
 
     def test_chunking_invariance(self, monkeypatch):
-        # chunk k comes from substream k, so whole chunks are a prefix of any
+        # chunk k comes from stream k, so whole chunks are a prefix of any
         # longer run: 3000 draws are the first three 1000-draw chunks of 3500
         monkeypatch.setattr(sampler, "CHUNK", 1000)
         assert np.array_equal(sample(TWO_EXP, 3500, seed=9)[:3000], sample(TWO_EXP, 3000, seed=9))
@@ -93,6 +94,46 @@ class TestSample:
         with pytest.raises(ValueError):
             sample(CAUCHY, 0)
 
+    @pytest.mark.parametrize("n, seed, error, name", [
+        (10 ** 8, -1, ValueError, "seed"), (10 ** 8, True, TypeError, "seed"),
+        (10 ** 8, 2.0, TypeError, "seed"), (1e3, 0, TypeError, "n"), (True, 0, TypeError, "n"),
+        (-5, 0, ValueError, "n")])
+    def test_arguments_checked_before_anything_is_allocated(self, n, seed, error, name,
+                                                            monkeypatch):
+        # refused by name before the output (8e8 bytes at n = 1e8) is
+        # allocated or a worker starts
+        def refuse(*args):
+            raise AssertionError("a worker started")
+
+        monkeypatch.setattr(sampler, "_fill_chunks", refuse)
+        tracemalloc.start()
+        try:
+            with pytest.raises(error, match=f"^{name} "):
+                sample(CAUCHY, n, seed=seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_any_whole_seed_is_accepted(self):
+        # SeedSequence takes any non-negative int, 2^128 included, and a numpy
+        # integer is its value
+        big = sample(CAUCHY, 10, seed=2 ** 128)
+        assert np.all(np.isfinite(big)) and not np.array_equal(big, sample(CAUCHY, 10, seed=0))
+        assert np.array_equal(sample(CAUCHY, 10, seed=np.int64(7)), sample(CAUCHY, 10, seed=7))
+
+    def test_chunk_streams_are_spawned_children_of_the_seed(self):
+        # chunk k of seed s is child k of SeedSequence(s): reproducible, and
+        # unlike seed + k seeding, chunk k of s is not chunk k - 1 of s + 1
+        def first(s, k):
+            return sampler._chunk_rng(s, k).random(8)
+
+        for s, k in ((0, 1), (5, 3), (2 ** 70, 9)):
+            assert np.array_equal(first(s, k), first(s, k))
+            assert not np.array_equal(first(s, k), first(s, k + 1))
+            assert not np.array_equal(first(s, k), first(s + 1, k - 1))
+        assert isinstance(sampler._chunk_rng(0, 0).bit_generator, np.random.SFC64)
+
     @pytest.mark.parametrize("name", ["three_cell", "cauchy"])
     def test_whole_blocks_are_a_prefix(self, name, monkeypatch):
         # within a chunk the draws come block by block and group by group (u,
@@ -104,7 +145,7 @@ class TestSample:
 
     @pytest.mark.parametrize("name", ["three_cell", "cauchy"])
     def test_draws_do_not_depend_on_worker_count(self, name, monkeypatch):
-        # chunk k is substream k whichever worker fills it; 8 chunks, the last
+        # chunk k is stream k whichever worker fills it; 8 chunks, the last
         # one partial, each in 64-draw blocks, the last block partial
         monkeypatch.setattr(sampler, "CHUNK", 1000)
         monkeypatch.setattr(sampler, "_BLOCK", 64)
@@ -223,8 +264,8 @@ def cms_points():
 def test_cms_matches_mpmath(alpha, cms_points):
     # the half-angle kernel against the transform at 40 digits; near |u| = pi/2
     # cos u keeps its relative accuracy only through v = pi/2 - |u| in
-    # double-double (measured worst: 7.1e-14 at alpha = 0.05, the power 1/alpha
-    # amplifying rounding)
+    # double-double (measured worst: 9.1e-14 at alpha = 0.05, the power
+    # (1 - alpha)/alpha amplifying rounding)
     u, w = cms_points
     with mp.workdps(40):
         a = mp.mpf(alpha)
