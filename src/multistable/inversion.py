@@ -88,9 +88,17 @@ _MAX_PANELS = 8192          # budget of one call: about 170 000 nodes
 # _MAX_PANELS panels.  That is 81 units, 40.5 eps; 44 leaves room for
 # second-order terms.
 _ROUNDINGS = 44.0
-# further roundings in one value of the mollifier kernel H: the 12-term
-# Gauss-Legendre sum and the complex products after it
-_KERNEL_ROUNDINGS = 48.0
+# Further roundings in one value of the mollifier kernel H beyond e^{i z} (which
+# _ROUNDINGS counts as the tail's kernel), in units of eps/2 of H's bound on rays with
+# psi > pi/8; a complex product rounds by sqrt(5) units (Brent, Percival and
+# Zimmermann).  |x| < 6, x = w z / 2: coefficients 1 and 16 Horner steps 51.8, of S
+# e^{-x_i} <= e^{|x|^2/26 - |x| sin psi} <= 1; e^{i x} 10; two products 4.5: 67.3.
+# |x| >= 6, per term: r = e^{-i psi} / x 2, so 22 in r^11; r^2 11.2 in r^10; a's
+# Horner 7.5; the bracket 14.2; 5197.5 r^6 7.7; e^{i z} 2.2: 64.8 of a sum at most
+# 1.04 times the bound (_far_amplitude(6) (1 + e^{-2 x_i}) where capped), 67.2.  So
+# 33.7 eps, 36 with room for second-order terms.  H's argument roundings (3.5 units of
+# x) are phase errors, inside _integrand's 4 eps (1 + w) omega t.
+_KERNEL_ROUNDINGS = 36.0
 # in the far field H carries r^6, r = 2 / (w z): the exponent's extra rate in log t
 _FAR_POWER = 6.0
 

@@ -31,14 +31,17 @@ with x = s/2 and r = 1/x,
     G = 10395 r^6 [(15 - 420 r^2 + 945 r^4) r sin(x) - (1 - 105 r^2 + 945 r^4) cos(x)].
 
 As x -> 0 that bracket cancels through eleven orders, so the explicit form
-serves only from x = 12.5 (s = 25) on, where r^2 <= 0.0064 and its
-coefficients lose less than two bits.  Below the crossover G is a plain
-real integral of a polynomial against cos(s v) with |s v| <= 12.5, which a
-24-point Gauss-Legendre rule with S5' folded into its weights resolves to
-4e-16, at real and at complex s (against mpmath); the rule's nodes come in
-pairs u = 1/2 +- v, so it needs only 12 cosines per point.  The crossover
-stays at s = 25: the explicit form would hold a little lower, but only
-1-3% of a table's nodes lie below s = 25.
+serves only from |x| = 6 on.  Below, G is its power series (the Poisson
+integral term by term), summed by Horner in y = -x^2/4:
+
+    G(2x) = 0F1(; 13/2; y) = sum_k a_k y^k,   a_k = 1 / (k! (13/2)_k).
+
+Its terms fall by |y| / ((k+1)(k + 13/2)) from k to k + 1, so the 17 terms
+k <= 16 leave at most a_17 9^17 / (1 - 9/423) = 2.6e-18 at |x| < 6; Horner
+rounds by a multiple of S = sum_k a_k |y|^k <= e^{|x|^2/26}.  In the lemma1
+and lemma6 sweeps of six fixtures at q = 1.25, 1.5 and 2, 42% of eta's 447k
+kernel nodes lie below |x| = 1, 73% below 6 and 89% below 12.5; only 1-3% of
+a rho table's nodes lie below 12.5.
 
 The same form bounds the decay.  With a = (15 - 420 r^2 + 945 r^4) r and
 b = 1 - 105 r^2 + 945 r^4, the coefficients of sin(x) and cos(x) above,
@@ -68,15 +71,14 @@ eta (F = 1 - e^{-m(theta/xi)}) and the Parseval theta side (F = 1 - cf(delta
 theta)) are integrands of the ray rule in :mod:`multistable.inversion` in
 this form.
 
-:func:`_kernel` evaluates H on a ray.  With x = w z / 2 = x_r + i x_i, below
-the crossover |x| < 12.5 the Gauss-Legendre sum takes cos(x v) =
-cos(x_r v) cosh(x_i v) - i sin(x_r v) sinh(x_i v) in real arithmetic; from
-it on, sin x and cos x split the explicit form into e^{i z} and
-e^{i (1 + w) z} terms,
+:func:`_kernel` evaluates H on a ray, x = w z / 2 = x_r + i x_i: below
+|x| = 6 as e^{i z} e^{i x} G(2x), from 6 on with sin x and cos x splitting
+the explicit form into e^{i z} and e^{i (1 + w) z} terms,
 
     H(z) = (10395 / 2) r^6 e^{i z} [(i a - b) - e^{2 i x} (i a + b)],
 
-where |e^{2 i x}| <= 1 and |e^{i z}| <= 1, so nothing overflows at any q.
+where |e^{2 i x}| <= 1 and |e^{i z}| <= 1, so nothing overflows at any q;
+the bound there is min(1, 2 _far_amplitude(|x|)) e^{-Im z}.
 
 h_q needs no phi_q.  The stable Levy measure (Samorodnitsky and Taqqu 1994)
 writes |theta|^gamma, 0 < gamma < 2, as gamma C(gamma) integral_0^inf
@@ -116,16 +118,11 @@ __all__ = ["MollifierSpec", "build_mollifier", "smoothstep_c5"]
 _S5 = np.zeros(12)
 _S5[6:] = [462.0, -1980.0, 3465.0, -3080.0, 1386.0, -252.0]
 
-# 24-point Gauss-Legendre on [0, 1] with S5'(u) = 2772 (u(1-u))^5 folded into
-# the weights (u(1-u) = (1 - x^2)/4 at the node x).  The node pairs
-# u = 1/2 +- v/2 share cos(x v), so each pair keeps one weight; the weights
-# are scaled to sum to 1, G(0), which they miss by up to 4e-15 as folded.
-# 16 points fall short of 1e-15 from |x| = 4.9 on, 20 from |x| = 9.1
-_GLX, _GLW = np.polynomial.legendre.leggauss(24)
-_GLW = 0.5 * _GLW * 2772.0 * (0.25 * (1.0 - _GLX * _GLX)) ** 5
-_GLV, _GLW = _GLX[12:], _GLW[12:] + _GLW[11::-1]
-_GLW /= _GLW.sum()
-_S_CROSSOVER = 25.0
+# G(2x)'s series below |x| = _X_SERIES (module docstring), a_k correctly rounded, highest first
+_X_SERIES, _SERIES_TAIL = 6.0, 2.6e-18
+_SERIES = [2 ** k / (math.factorial(k) * math.prod(range(13, 13 + 2 * k, 2)))
+           for k in range(16, -1, -1)]
+_S_CROSSOVER = 25.0        # the ray rule's panels count H's r^6 decay from s = w |z| = 25 on
 # the proven envelope holds from x = w theta / 2 = 18.75 on
 _X_ENVELOPE = 18.75
 # Gauss-Legendre order per table panel; bound on the envelope's theta^gamma
@@ -176,7 +173,7 @@ def _sin_cos(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _far_amplitude(x):
-    """Bound on (10395/2) |r|^6 (|a| + |b|) at |x| >= 12.5, r = 1/x: each
+    """Bound on (10395/2) |r|^6 (|a| + |b|) at any |x| > 0, r = 1/x: each
     coefficient at most its all-positive form in |r|, which falls with |x|."""
     u = 1.0 / x
     u2 = u * u
@@ -188,43 +185,39 @@ def _kernel(w: float, rho: np.ndarray, cos_psi: float, sin_psi: float,
             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """H(z) = G(w z) e^{i (1 + w/2) z} at z = rho e^{i psi}, rho >= 0, 0 <= psi <= pi/2.
 
-    Returns (Re H, Im H, bound) with |H| <= bound <= e^{-Im z}; each part's
-    rounding is a few units of 2^-53 times bound, plus the phase errors of
-    rounding Re z and w Re z.  No complex transcendental: sines and cosines
-    of real arguments, e^{-Im} factors, and complex algebra.
+    Returns (Re H, Im H, bound), |H| <= bound <= e^{-Im z}; beyond e^{i z} each part
+    rounds by inversion._KERNEL_ROUNDINGS eps of bound on the ray rule's rays, plus
+    the phase errors of Re z and w Re z.  Real sines and cosines, no complex ones.
     """
     bound = np.exp(-sin_psi * rho)                      # |e^{i z}|
-    # the phase (1 + w/2) Re z comes from the unrounded Re z and x_r, as
-    # e^{i z} e^{i x}: rounding their sum would move it by an ulp of Re z
+    # e^{i z} e^{i x}: the phase (1 + w/2) Re z is never a rounded sum (an ulp of Re z)
     sin_z, cos_z = _sin_cos(cos_psi * rho)
     h = bound * (cos_z + 1j * sin_z)                    # e^{i z}
     x = 0.5 * w * rho                                   # |x|
-    near = x < 0.5 * _S_CROSSOVER
+    near = x < _X_SERIES
 
-    # e^{i x} sum_k W_k cos(x v_k), x = x_r + i x_i, in cos(x_r v) cosh(x_i v)
-    # - i sin(x_r v) sinh(x_i v) scaled by e^{-x_i}, so no factor exceeds e^{12.5}
-    x_r, x_i = x[near] * cos_psi, x[near] * sin_psi
-    sin_v, cos_v = _sin_cos(np.multiply.outer(x_r, _GLV))
-    e = np.exp(np.multiply.outer(x_i, _GLV))
-    e_inv = 1.0 / e
-    cos_v *= e + e_inv
-    np.subtract(e_inv, e, out=e)
-    sin_v *= e
-    sin_x, cos_x = _sin_cos(x_r)
-    h[near] *= (np.exp(-x_i) * (cos_x + 1j * sin_x)
-                * (cos_v @ (0.5 * _GLW) + 1j * (sin_v @ (0.5 * _GLW))))
+    # e^{i x} G(2x), G by Horner in y = -(x e^{i psi})^2 / 4
+    x_n = x[near]
+    g = np.full(x_n.shape, _SERIES[0], dtype=complex)
+    y = np.square(x_n) * (-0.25 * complex(cos_psi, sin_psi) ** 2)
+    for a in _SERIES[1:]:
+        g *= y
+        g += a
+    sin_x, cos_x = _sin_cos(cos_psi * x_n)
+    g *= np.exp(-sin_psi * x_n) * (cos_x + 1j * sin_x)
+    h[near] *= g
 
     # the explicit form: e^{i z} (10395/2) r^6 ((i a - b) - e^{2 i x} (i a + b)), r = 1/x
     far = ~near
     x_f = x[far]
-    r = 1.0 / (x_f * complex(cos_psi, sin_psi))
+    r = (1.0 / x_f) * complex(cos_psi, -sin_psi)
     r2 = r * r
     ia = 1j * r * ((945.0 * r2 - 420.0) * r2 + 15.0)
     b = (945.0 * r2 - 105.0) * r2 + 1.0
     sin_2x, cos_2x = _sin_cos((2.0 * cos_psi) * x_f)
     e2x = np.exp((-2.0 * sin_psi) * x_f) * (cos_2x + 1j * sin_2x)
     h[far] *= 5197.5 * r2 * r2 * r2 * ((ia - b) - e2x * (ia + b))
-    bound[far] *= 2.0 * _far_amplitude(x_f)
+    bound[far] *= np.minimum(1.0, 2.0 * _far_amplitude(x_f))
     return h.real, h.imag, bound
 
 
@@ -235,8 +228,7 @@ def _phi(w: float, theta):
     flat = t.ravel()
     out = np.empty_like(flat)
     for i in range(0, flat.size, _BLOCK):
-        block = flat[i:i + _BLOCK]
-        out[i:i + _BLOCK] = _kernel(w, block, 1.0, 0.0)[1]
+        out[i:i + _BLOCK] = _kernel(w, flat[i:i + _BLOCK], 1.0, 0.0)[1]
     np.divide(out, flat, out=out, where=flat > 0.0)
     out[flat == 0.0] = 1.0 + 0.5 * w          # H(theta) / theta -> 1 + w/2
     out /= math.pi

@@ -387,11 +387,15 @@ def _h_of_z_mpmath(w, rho, psi):
 
 @pytest.mark.parametrize("w", [0.005, 0.5, 24.5, 5e3])
 def test_kernel_matches_besselj_across_the_crossover(w):
-    # both sides of |x| = |w z| / 2 = 12.5, on the real axis, on rays and on
-    # the imaginary axis; |H| <= bound <= e^{-Im z}, and the error is a few
-    # units of 2^-53 times the bound, plus the rounding of the phases
+    # both sides of |x| = |w z| / 2 = 6, where the series hands over to the
+    # explicit form, and of 12.5, on the real axis, on rays and on the
+    # imaginary axis; |H| <= bound <= e^{-Im z} (so the explicit form's bound
+    # is capped at e^{-Im z} where 2 _far_amplitude exceeds 1, as at 6 and
+    # 6.5), and the error is a few units of 2^-53 times the bound, plus the
+    # rounding of the phases
     eps = 2.0 ** -53
-    xs = [1e-3, 0.3, 2.0, 5.0, 12.0, float(np.nextafter(12.5, 0.0)), 12.5, 13.0, 30.0, 1e3]
+    xs = [1e-3, 0.3, 2.0, 5.0, 12.0, float(np.nextafter(12.5, 0.0)), 12.5, 13.0, 30.0, 1e3,
+          float(np.nextafter(mollifier._X_SERIES, 0.0)), mollifier._X_SERIES, 6.5, 9.0]
     for psi in (0.0, 0.3, math.pi / 4, 1.2, "pi/2"):
         cos_psi, sin_psi = (0.0, 1.0) if psi == "pi/2" else (math.cos(psi), math.sin(psi))
         rho = 2.0 * np.array(xs) / w
@@ -401,7 +405,29 @@ def test_kernel_matches_besselj_across_the_crossover(w):
             assert abs(ref) <= bound[k] * (1.0 + 1e-12), (psi, xs[k])
             assert bound[k] <= math.exp(-sin_psi * r) * (1.0 + 1e-15), (psi, xs[k])
             err = abs(complex(re[k], im[k]) - ref)
-            assert err <= eps * bound[k] * (8.0 + 4.0 * (1.0 + w) * r), (psi, xs[k])
+            # the allowance is summed before eps scales it: eps * bound underflows
+            # to 0 where bound is subnormal (w = 0.005, psi = 0.3, |x| just below 6)
+            assert err <= bound[k] * (8.0 + 4.0 * (1.0 + w) * r) * eps, (psi, xs[k])
+
+
+def test_series_remainder_below_its_stated_bound():
+    # the first term the kernel's series omits at |x| = _X_SERIES, the
+    # geometric bound on all of them (the terms' ratio falls in k) and the
+    # 30-digit remainder stay below _SERIES_TAIL; the coefficients are
+    # a_k = 1 / (k! (13/2)_k) correctly rounded, highest first
+    n, x = len(mollifier._SERIES), mollifier._X_SERIES
+    a = [Fraction(1, math.factorial(k)) / math.prod(Fraction(13, 2) + j for j in range(k))
+         for k in range(n + 1)]
+    assert mollifier._SERIES == [float(c) for c in a[n - 1::-1]]
+    y = Fraction(x) ** 2 / 4
+    first = a[n] * y ** n
+    assert first < first / (1 - y / ((n + 1) * (n + Fraction(13, 2)))) <= Fraction(
+        mollifier._SERIES_TAIL)
+    with mp.workdps(30):
+        ym = -mp.mpf(x) ** 2 / 4
+        rest = mp.hyp0f1(mp.mpf(13) / 2, ym) - sum(mp.mpf(c.numerator) / c.denominator * ym ** k
+                                                     for k, c in enumerate(a[:n]))
+        assert abs(rest) <= mollifier._SERIES_TAIL
 
 
 # An independent evaluation of phi_q in the two-regime A/B form
@@ -486,8 +512,8 @@ def test_phi_far_field_matches_mpmath(moll125, moll15, moll2):
 
 
 def test_phi_near_origin_matches_mpmath(moll125, moll15, moll2):
-    # near theta = 0, phi_q is about (1 + w/2) / pi times the S5'-weighted
-    # Gauss-Legendre sum; with weights folded from the monomial S5' that sum
+    # near theta = 0, phi_q is about (1 + w/2) / pi times G(0) = 1; when G was
+    # a Gauss-Legendre sum with weights folded from the monomial S5', that sum
     # was 1 + 2.1e-14 and phi came out 7e-15 to 1e-14 high
     for moll in (moll125, moll15, moll2):
         with mp.workdps(30):
