@@ -3,10 +3,10 @@
 The first-order tail constant for a symmetric stable law with exponent
 gamma in (0, 2) is
 
-    C(gamma) = (1 - gamma) / (Gamma(2 - gamma) cos(pi gamma / 2)),
+    C(gamma) = (2/pi) Gamma(gamma) sin(pi gamma / 2)
 
-with the removable singularity at gamma = 1 equal to 2/pi.  For step
-data the tail asymptote
+(:func:`~multistable.function_space.tail_constant`, 2/pi at gamma = 1).
+For step data the tail asymptote
 
     T(lam) = integral |f(x)/lam|^alpha(x) C(alpha(x)) dx
 
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .function_space import MultistableSpec, quasinorm
+from .function_space import MultistableSpec, quasinorm, tail_constant
 from .inversion import tail_probability_with_error
 from .quadrature import QuadratureConfig, _certify
 
@@ -34,18 +34,6 @@ __all__ = [
     "ratio_with_error",
     "scaling_bounds_check",
 ]
-
-_GAMMA_SWITCH = 1e-8  # width of the removable-singularity switch at gamma = 1
-
-
-def tail_constant(gamma: float) -> float:
-    """C(gamma) for gamma in (0, 2); 2/pi at gamma = 1."""
-    if not (0.0 < gamma < 2.0):
-        raise ValueError(f"gamma must lie in (0, 2), got {gamma}")
-    if abs(gamma - 1.0) < _GAMMA_SWITCH:
-        return 2.0 / math.pi
-    return (1.0 - gamma) / (math.gamma(2.0 - gamma) * math.cos(0.5 * math.pi * gamma))
-
 
 @dataclass(frozen=True, eq=False)
 class TailAsymptote:
@@ -94,8 +82,8 @@ def ratio_with_error(spec: MultistableSpec, lam: float,
                      cfg: QuadratureConfig | None = None) -> tuple[float, float]:
     """(P(|I(f)| > lam) / T(lam), error bound on the ratio)."""
     cfg = cfg or QuadratureConfig()
-    if lam < 1.0:
-        raise ValueError(f"ratio is defined for lambda >= 1, got {lam}")
+    if not 1.0 <= lam < math.inf:
+        raise ValueError(f"ratio is defined for finite lambda >= 1, got {lam}")
     _require_unit_sphere(spec)
     t = tail_asymptote(spec, lam)
     p, perr = tail_probability_with_error(spec, lam, cfg)
@@ -124,23 +112,18 @@ def scaling_bounds_check(spec: MultistableSpec, xi: float, delta: float,
     so a single (xi, delta) draw exercises both branches of the
     delta-scaling remark, with xi as the base point.
     """
-    if xi < 1.0:
-        raise ValueError(f"xi must be >= 1, got {xi}")
-    if delta <= 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    if not 1.0 <= xi < math.inf:
+        raise ValueError(f"xi must be a finite number >= 1, got {xi}")
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"delta must be a finite positive number, got {delta}")
     asym = TailAsymptote.from_spec(spec)
     a, b = spec.a, spec.b
-    t1 = asym(1.0)
-    txi = asym(xi)
+    t1, txi = asym(1.0), asym(xi)
+    d_lo, d_hi = min(delta, 1.0 / delta), max(delta, 1.0 / delta)
 
-    ok1 = (xi ** -b * t1 <= txi * _SLACK) and (txi <= xi ** -a * t1 * _SLACK)
+    def within(lo, v, hi):
+        return (lo <= v * _SLACK) and (v <= hi * _SLACK)
 
-    d_lo = min(delta, 1.0 / delta)
-    v = asym(d_lo * xi)
-    ok2 = (d_lo ** -a * txi <= v * _SLACK) and (v <= d_lo ** -b * txi * _SLACK)
-
-    d_hi = max(delta, 1.0 / delta)
-    v = asym(d_hi * xi)
-    ok3 = (d_hi ** -b * txi <= v * _SLACK) and (v <= d_hi ** -a * txi * _SLACK)
-
-    return ok1, ok2, ok3
+    return (within(xi ** -b * t1, txi, xi ** -a * t1),
+            within(d_lo ** -a * txi, asym(d_lo * xi), d_lo ** -b * txi),
+            within(d_hi ** -b * txi, asym(d_hi * xi), d_hi ** -a * txi))

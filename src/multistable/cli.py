@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fixtures
-from .asymptote import TailAsymptote, ratio_with_error, tail_asymptote
+from .asymptote import TailAsymptote, ratio_with_error, scaling_bounds_check, tail_asymptote
 from .charfn import cf
 from .function_space import (
     ExponentFunction,
@@ -253,7 +253,6 @@ _LEMMA_DEFAULT_LAMBDAS = [10.0, 50.0, 100.0, 1000.0]
 
 
 def _cmd_verify(args) -> int:
-    cfg = _cfg(args)
     which = args.lemma
     if which == "lemma2":
         rng = np.random.Generator(np.random.Philox(key=args.seed))
@@ -264,8 +263,6 @@ def _cmd_verify(args) -> int:
         rows, header = [], ["u_max", "passed"]
         rows.append([float(us.max()), int(ok)])
     elif which == "remarks":
-        from .asymptote import scaling_bounds_check
-
         rng = np.random.Generator(np.random.Philox(key=args.seed))
         rows, header = [], ["draw", "xi", "delta", "ok1", "ok2", "ok3"]
         ok = True
@@ -288,17 +285,17 @@ def _cmd_verify(args) -> int:
             spec = _load_spec(args)
             lambdas = args.lambdas or _LEMMA_DEFAULT_LAMBDAS
             if which == "lemma1":
-                rep = verify_lemma1(spec, moll, lambdas, cfg)
+                rep = verify_lemma1(spec, moll, lambdas)
                 header = ["lambda", "eta_upper_arg", "tail", "eta_lower_arg"]
             elif which == "lemma5":
                 xis = args.lambdas or [1.0, 10.0, 100.0]
                 rep = verify_lemma5(spec, moll, xis)
                 header = ["xi", "T_qxi", "tau", "T_xi_over_q"]
             elif which == "lemma6":
-                rep = verify_lemma6(spec, moll, lambdas, cfg)
+                rep = verify_lemma6(spec, moll, lambdas)
                 header = ["lambda", "ratio_lower", "ratio_upper", "envelope_needed"]
             elif which == "parseval":
-                rep = verify_parseval(spec, moll, args.deltas, cfg)
+                rep = verify_parseval(spec, moll, args.deltas)
                 header = ["delta", "theta_side", "x_side", "difference", "tolerance"]
             else:
                 raise SpecFormatError(f"unknown verify target {which!r}")
@@ -355,10 +352,6 @@ def _add_spec_args(p: argparse.ArgumentParser):
                                  f"${OUTDIR_ENV} or the working directory)")
 
 
-def _add_quad_args(p: argparse.ArgumentParser):
-    p.add_argument("--abs-tol", type=float, default=1e-10)
-
-
 @functools.cache  # one parser per process: no handler may mutate its list defaults
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(  # its subparsers are _Parser too
@@ -378,13 +371,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("density", help="density on an x grid (CSV)")
     _add_spec_args(p)
-    _add_quad_args(p)
+    p.add_argument("--abs-tol", type=float, default=1e-10)
     p.add_argument("--x", type=float, nargs="+", required=True)
     p.set_defaults(fn=_cmd_density)
 
     p = sub.add_parser("tail", help="two-sided tail probabilities (CSV)")
     _add_spec_args(p)
-    _add_quad_args(p)
+    p.add_argument("--abs-tol", type=float, default=1e-10)
     p.add_argument("--lambdas", type=float, nargs="+", required=True)
     p.set_defaults(fn=_cmd_tail)
 
@@ -395,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ratio-scan", help="tail/asymptote ratio over lambda (CSV)")
     _add_spec_args(p)
-    _add_quad_args(p)
+    p.add_argument("--abs-tol", type=float, default=1e-10)
     p.add_argument("--lambdas", type=float, nargs="+",
                    default=[100.0, 1000.0, 10000.0])
     p.add_argument("--normalize", action="store_true",
@@ -416,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
                                      "lemma6", "parseval", "remarks"])
     _add_spec_args(p)
     p.add_argument("--q", type=float, default=1.5)
-    _add_quad_args(p)
     p.add_argument("--lambdas", type=float, nargs="*", default=None,
                    help="lambda grid for lemma1 and lemma6 (default 10 50 100 1000); "
                         "for lemma5 the xi grid (default 1 10 100)")

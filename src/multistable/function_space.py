@@ -32,9 +32,19 @@ __all__ = [
     "quasinorm",
     "normalize_to_sphere",
     "combine_steps",
+    "tail_constant",
 ]
 
 _EPS = float(np.finfo(float).eps)
+
+
+def tail_constant(gamma: float) -> float:
+    """C(gamma) = (2/pi) Gamma(gamma) sin(pi gamma / 2), 0 < gamma < 2: P(|X| > lam) ~
+    C(gamma) lam^-gamma for cf exp(-|theta|^gamma) (Samorodnitsky and Taqqu 1994).
+    The sine takes the exact 2 - gamma above 1, where it is small."""
+    if not (0.0 < gamma < 2.0):
+        raise ValueError(f"gamma must lie in (0, 2), got {gamma}")
+    return 2.0 / math.pi * math.gamma(gamma) * math.sin(0.5 * math.pi * min(gamma, 2.0 - gamma))
 
 
 def _check_breakpoints(bp: Sequence[float], what: str) -> tuple[float, ...]:

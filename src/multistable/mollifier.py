@@ -110,6 +110,7 @@ from typing import ClassVar
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
+from .function_space import tail_constant
 from .quadrature import _EPS, _rule
 
 __all__ = ["MollifierSpec", "build_mollifier", "smoothstep_c5"]
@@ -331,15 +332,23 @@ class MollifierSpec:
 
     # -- h_q -------------------------------------------------------------------
 
+    def band(self) -> tuple[float, np.ndarray, np.ndarray]:
+        """(span, starts, widths): [0, span = log1p(w)], the bump's transition band in
+        log x, as equal panels at most a quarter wide, for h_q and the Parseval x side."""
+        span = math.log1p(self.w)
+        n = math.ceil(4.0 * span)
+        step = span / n
+        return span, step * np.arange(n), np.full(n, step)
+
     def h(self, gamma: float) -> tuple[float, float]:
         """h_q(gamma) = integral |theta|^gamma phi_q(theta) dtheta, 0 < gamma < 2, from
         the bump side (module docstring), and a bound on its absolute error:
         the Kronrod-minus-Gauss differences plus counted roundoff."""
         if not (0.0 < gamma < 2.0):
             raise ValueError(f"gamma must lie in (0, 2), got {gamma}")
-        w, span = self.w, math.log1p(self.w)
-        n = math.ceil(4.0 * span)               # panels at most a quarter wide in y
-        step = span / n
+        w = self.w
+        span, lo, width = self.band()
+        step = width[0]
 
         def integrand(y):
             # roundoff in units of eps: 24 of the value (exp 1; product, 1 - v, weight
@@ -355,9 +364,8 @@ class MollifierSpec:
                    + 7.0 * horner + s5 * (24.0 + gamma * (0.5 * y + shift)))
             return np.stack((s5, err)) * np.exp(-gamma * y)
 
-        body, kg, rounding = _rule(step * np.arange(n), np.full(n, step), integrand)
-        # C(gamma) from the exact 2 - gamma for gamma > 1, where sin(pi gamma / 2) is small
-        c = 2.0 / math.pi * math.gamma(gamma) * math.sin(0.5 * math.pi * min(gamma, 2.0 - gamma))
+        body, kg, rounding = _rule(lo, width, integrand)
+        c = tail_constant(gamma)
         edge = (1.0 + w) ** -gamma
         h = c * (edge + gamma * body)
         # the band's end moves by 2 eps span; C(gamma) and the assembly take 12 eps

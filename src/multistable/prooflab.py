@@ -23,7 +23,9 @@ against phi_q.  They run on the rotated-ray rule of
 
 (see :mod:`multistable.mollifier`), so each carries the rule's error
 bound: Kronrod-minus-Gauss, stub, truncation and roundoff.  The Parseval
-theta side at delta is eta at xi = 1/delta; h_q (so tau) is the bump-side
+theta side at delta is eta at xi = 1/delta; its x side integrates certified
+tails P(|I| > x) against the bump's slope over the bump's transition band,
+on the same Gauss-Kronrod panels as h_q.  h_q (so tau) is the bump-side
 ``MollifierSpec.h``, with its own bound.  Only rho, which integrates
 the non-analytic |phi_q|, runs on the mollifier's dense table, built on
 its first use; the modular there is m(theta/xi) = sum_g W_g xi^-alpha_g
@@ -39,11 +41,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .asymptote import _require_unit_sphere, tail_asymptote, tail_constant
-from .function_space import MultistableSpec
-from .inversion import density, eta_integral, tail_probability_with_error
+from .asymptote import _require_unit_sphere, tail_asymptote
+from .function_space import MultistableSpec, tail_constant
+from .inversion import eta_integral, tail_probability_with_error
 from .mollifier import MollifierSpec
-from .quadrature import QuadratureConfig, _certify, adaptive_gk
+from .quadrature import _EPS, QuadratureConfig, _certify, _rule
 
 __all__ = [
     "h_q",
@@ -71,12 +73,7 @@ class LemmaReport:
     summary: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "lemma": self.lemma,
-            "passed": bool(self.passed),
-            "grid": self.grid,
-            "summary": self.summary,
-        }
+        return vars(self) | {"passed": bool(self.passed)}
 
 
 # ---------------------------------------------------------------------------
@@ -94,10 +91,10 @@ def j0(lam: float, q: float) -> int:
     corrected by integer search, so boundary values such as lam = q^3
     land on the lower edge exactly.
     """
-    if q <= 1.0:
-        raise ValueError(f"q must exceed 1, got {q}")
-    if lam < q:
-        raise ValueError(f"j0 requires lambda >= q, got lambda={lam}, q={q}")
+    if not 1.0 < q < math.inf:
+        raise ValueError(f"q must be a finite number above 1, got {q}")
+    if not q <= lam < math.inf:
+        raise ValueError(f"j0 requires a finite lambda >= q, got lambda={lam}, q={q}")
     j = int(math.floor(math.log(lam) / math.log(q)))
     while q ** j > lam:
         j -= 1
@@ -107,8 +104,8 @@ def j0(lam: float, q: float) -> int:
 
 
 def _check_xi(xi: float):
-    if xi < 1.0:
-        raise ValueError(f"xi must be >= 1, got {xi}")
+    if not 1.0 <= xi < math.inf:
+        raise ValueError(f"xi must be a finite number >= 1, got {xi}")
 
 
 def eta_with_error(spec: MultistableSpec, moll: MollifierSpec, xi: float,
@@ -120,9 +117,14 @@ def eta_with_error(spec: MultistableSpec, moll: MollifierSpec, xi: float,
     return val, err
 
 
-def _eta_sweep(spec: MultistableSpec, moll: MollifierSpec, xis) -> dict:
-    """eta at each distinct xi of a sweep, each evaluated once."""
-    return {xi: eta_integral(spec, xi, moll.w) for xi in set(xis)}
+def _eta_sweep(spec: MultistableSpec, moll: MollifierSpec, lams: list[float]) -> list:
+    """(j0, eta(q^(j0+1)), eta(q^(j0-1))) per lambda, each eta with its error bound
+    and each distinct xi evaluated once."""
+    q = moll.q
+    js = [j0(lam, q) for lam in lams]
+    xis = {q ** (j + d) for j in js for d in (1, -1)}
+    etas = {xi: eta_integral(spec, xi, moll.w) for xi in xis}
+    return [(j, etas[q ** (j + 1)], etas[q ** (j - 1)]) for j in js]
 
 
 def eta(spec: MultistableSpec, moll: MollifierSpec, xi: float,
@@ -188,11 +190,16 @@ def verify_elementary_inequality(u_samples: Sequence[float]) -> bool:
 # ---------------------------------------------------------------------------
 # lemma sweeps
 
+def _sandwich(lemma: str, q: float, rows: list[dict]) -> LemmaReport:
+    """The report of a two-sided check whose rows carry ok and both margins."""
+    worst = min(min(r["margin_lower"], r["margin_upper"]) for r in rows)
+    return LemmaReport(lemma, all(r["ok"] for r in rows), rows, {"q": q, "worst_margin": worst})
+
+
 def verify_lemma3(moll: MollifierSpec, gammas: Sequence[float]) -> LemmaReport:
     """q^-gamma h_q(gamma) <= C(gamma) <= q^gamma h_q(gamma) on a gamma grid."""
     q = moll.q
     rows = []
-    ok_all = True
     for g in gammas:
         h, he = moll.h(float(g))
         c = tail_constant(float(g))
@@ -207,36 +214,26 @@ def verify_lemma3(moll: MollifierSpec, gammas: Sequence[float]) -> LemmaReport:
             "margin_upper": hi - c - hi_budget,
             "ok": ok,
         })
-        ok_all &= ok
-    worst = min(min(r["margin_lower"], r["margin_upper"]) for r in rows)
-    return LemmaReport("lemma3", ok_all, rows, {"q": q, "worst_margin": worst})
+    return _sandwich("lemma3", q, rows)
 
 
 def verify_lemma1(spec: MultistableSpec, moll: MollifierSpec,
                   lambdas: Sequence[float],
                   cfg: QuadratureConfig | None = None) -> LemmaReport:
-    """eta(q^(j0+1)) <= P(|I(f)| > lam) <= eta(q^(j0-1)) over a lambda grid."""
-    cfg = cfg or QuadratureConfig()
-    q = moll.q
-    js = [j0(float(lam), q) for lam in lambdas]
-    etas = _eta_sweep(spec, moll, [q ** (j + d) for j in js for d in (1, -1)])
+    """eta(q^(j0+1)) <= P(|I(f)| > lam) <= eta(q^(j0-1)) over a lambda grid; cfg is not read."""
+    lams = [float(lam) for lam in lambdas]
     rows = []
-    ok_all = True
-    for lam, j in zip(lambdas, js):
-        lo, lo_err = etas[q ** (j + 1)]
-        hi, hi_err = etas[q ** (j - 1)]
-        p, p_err = tail_probability_with_error(spec, float(lam), cfg)
+    for lam, (j, (lo, lo_err), (hi, hi_err)) in zip(lams, _eta_sweep(spec, moll, lams)):
+        p, p_err = tail_probability_with_error(spec, lam)
         ok = (lo - lo_err <= p + p_err) and (p - p_err <= hi + hi_err)
         rows.append({
-            "lambda": float(lam), "j0": j,
+            "lambda": lam, "j0": j,
             "eta_upper_arg": lo, "tail": p, "eta_lower_arg": hi,
             "margin_lower": p - lo - lo_err - p_err,
             "margin_upper": hi - p - hi_err - p_err,
             "ok": ok,
         })
-        ok_all &= ok
-    worst = min(min(r["margin_lower"], r["margin_upper"]) for r in rows)
-    return LemmaReport("lemma1", ok_all, rows, {"q": q, "worst_margin": worst})
+    return _sandwich("lemma1", moll.q, rows)
 
 
 def verify_lemma5(spec: MultistableSpec, moll: MollifierSpec,
@@ -244,7 +241,6 @@ def verify_lemma5(spec: MultistableSpec, moll: MollifierSpec,
     """T(q xi) <= tau(xi) <= T(xi / q) on a xi grid."""
     q = moll.q
     rows = []
-    ok_all = True
     for xi in xis:
         xi = float(xi)
         t, te = tau_with_error(spec, moll, xi)
@@ -255,9 +251,7 @@ def verify_lemma5(spec: MultistableSpec, moll: MollifierSpec,
             "xi": xi, "T_qxi": lo, "tau": t, "tau_err": te, "T_xi_over_q": hi,
             "margin_lower": t - lo - te, "margin_upper": hi - t - te, "ok": ok,
         })
-        ok_all &= ok
-    worst = min(min(r["margin_lower"], r["margin_upper"]) for r in rows)
-    return LemmaReport("lemma5", ok_all, rows, {"q": q, "worst_margin": worst})
+    return _sandwich("lemma5", q, rows)
 
 
 def verify_lemma6(spec: MultistableSpec, moll: MollifierSpec,
@@ -268,7 +262,7 @@ def verify_lemma6(spec: MultistableSpec, moll: MollifierSpec,
     Checks q^-2b - eps(lam) <= eta(q^(j0+1))/T(lam) and
     eta(q^(j0-1))/T(lam) <= q^3b + eps(lam) with eps(lam) = c_fit lam^-a,
     plus the exact middle inequality eta(q^(j0+1)) <= eta(q^(j0-1)).
-    The spec must lie on the unit sphere.
+    The spec must lie on the unit sphere; cfg is not read.
     """
     _require_unit_sphere(spec)
     q = moll.q
@@ -276,14 +270,10 @@ def verify_lemma6(spec: MultistableSpec, moll: MollifierSpec,
     lo_edge = q ** (-2.0 * b)
     hi_edge = q ** (3.0 * b)
     lams = [float(lam) for lam in lambda_grid]
-    js = [j0(lam, q) for lam in lams]
-    etas = _eta_sweep(spec, moll, [q ** (j + d) for j in js for d in (1, -1)])
     rows = []
     middle_ok = True
     c_fit = 0.0
-    for lam, j in zip(lams, js):
-        e_lo, e_lo_err = etas[q ** (j + 1)]
-        e_hi, e_hi_err = etas[q ** (j - 1)]
+    for lam, (j, (e_lo, e_lo_err), (e_hi, e_hi_err)) in zip(lams, _eta_sweep(spec, moll, lams)):
         t = tail_asymptote(spec, lam)
         r_lo, r_hi = e_lo / t, e_hi / t
         middle = e_lo <= e_hi + e_lo_err + e_hi_err
@@ -309,42 +299,56 @@ def verify_lemma6(spec: MultistableSpec, moll: MollifierSpec,
     )
 
 
+def _x_side(spec: MultistableSpec, moll: MollifierSpec, xi: float) -> tuple[float, float]:
+    """E[1 - bump(I / xi)] and its error bound from certified tails: 1 - bump(x) =
+    int_0^1 S5'(u) 1{|x| > 1 + w u} du, so with y = log1p(w u), t = expm1(y) / w and
+    g = S5'(t) dt/dy, whose band integral is 1, it is, for any c,
+    c + int_0^log1p(w) g (P(|I| > xi e^y) - c) dy on h_q's panels; c = P at the
+    band's middle keeps the integrand, so the rule's error, small."""
+    w, (_, lo, width) = moll.w, moll.band()
+    c = tail_probability_with_error(spec, xi * math.sqrt(1.0 + w))[0]
+
+    def integrand(y):
+        # roundoff in units of eps.  I sums independent symmetric stable laws, so D is
+        # symmetric and unimodal (Wintner) and |dP/dy| = 2 x D(x) <= 1: x's rounding 3/2
+        # moves P by 3/2, a node shift of 2 y + width (MollifierSpec.h) moves g (P - c)
+        # by g + |g'| |P - c| times it, |g'| <= g + |S5''(t)| (dt/dy)^2, and t's 3/2 moves
+        # g by |S5''(t)| t dt/dy.  g takes 8.5 (t (1 - t) 1, power 6, 2772 1/2, dt/dy 3/2,
+        # product 1/2), P - c and the product 1, the rule's assembly 21 (MollifierSpec.h)
+        # of |g (P - c)|; the band's end moves by 2 eps span, where g vanishes to 5th order
+        ey, t = np.exp(y), np.expm1(y) / w
+        dt, tu = ey / w, t * (1.0 - t)                  # dt/dy = t + 1/w
+        g, ddg = 2772.0 * tu ** 5 * dt, 13860.0 * tu ** 4 * np.abs(1.0 - 2.0 * t) * dt
+        p, p_err = np.array([tail_probability_with_error(spec, x) for x in (xi * ey).tolist()]).T
+        dev, shift = np.abs(p - c), 2.0 * y + width[0]
+        err = (g * (p_err / _EPS + 1.5 + shift + 30.5 * dev)
+               + (ddg * (dt * shift + 1.5 * t) + g * shift) * (dev + p_err))
+        return np.stack((g * (p - c), err))
+
+    body, kg, rest = _rule(lo, width, integrand)
+    return c + body, kg + rest + _EPS * (c + body)
+
+
 def verify_parseval(spec: MultistableSpec, moll: MollifierSpec,
                     deltas: Sequence[float],
                     cfg: QuadratureConfig | None = None) -> LemmaReport:
-    """Both sides of the transform identity
-
-        integral (1 - bump(delta x)) D(x) dx = integral phi_q(theta) (1 - cf(delta theta)) dtheta
-
-    computed by independent routes (x-side drives the density pointwise,
-    theta-side is eta at xi = 1/delta on the rotated ray).  The x-side band
-    is integrated by :func:`~multistable.quadrature.adaptive_gk` with the
-    density as integrand.
-    """
-    cfg = cfg or QuadratureConfig()
-    b_edge = (1.0 + moll.q) / 2.0
+    """E[1 - bump(delta I)] = 2 integral_0^inf phi_q(theta) (1 - cf(delta theta)) dtheta
+    at each 0 < delta < inf (ValueError otherwise, before any work), both sides
+    at xi = 1/delta with their error bounds: the theta side is eta on the ray,
+    the x side certified tails against the bump's slope on h_q's band panels.
+    A row passes when the sides differ by at most the sum of the bounds; cfg is
+    not read."""
+    deltas = [float(d) for d in deltas]
+    if not all(0.0 < d < math.inf for d in deltas):
+        raise ValueError(f"each delta must be a finite positive number, got {deltas}")
     rows = []
-    ok_all = True
     for delta in deltas:
-        delta = float(delta)
-        if delta <= 0.0:
-            raise ValueError("delta must be positive")
         theta_side, theta_err = eta_integral(spec, 1.0 / delta, moll.w)
-        # x side: transition band + everything beyond the bump support
-        lo_x, hi_x = 1.0 / delta, b_edge / delta
-        band, band_err = adaptive_gk(
-            lambda xs: ((1.0 - moll.bump(delta * xs))
-                        * [density(spec, x, cfg) for x in xs.tolist()]),
-            lo_x, hi_x, cfg.abs_tol)
-        beyond, beyond_err = tail_probability_with_error(spec, hi_x, cfg)
-        x_side = 2.0 * band + beyond
-        x_err = 2.0 * band_err + beyond_err + 2.0 * (hi_x - lo_x) * cfg.abs_tol
-        tol = theta_err + x_err + 1e-9
-        ok = abs(theta_side - x_side) <= tol
+        x_side, x_err = _x_side(spec, moll, 1.0 / delta)
+        tol = theta_err + x_err
         rows.append({
             "delta": delta, "theta_side": theta_side, "x_side": x_side,
             "difference": theta_side - x_side, "theta_err": theta_err, "x_err": x_err,
-            "tolerance": tol, "ok": ok,
+            "tolerance": tol, "ok": abs(theta_side - x_side) <= tol,
         })
-        ok_all &= ok
-    return LemmaReport("parseval", ok_all, rows, {"q": moll.q})
+    return LemmaReport("parseval", all(r["ok"] for r in rows), rows, {"q": moll.q})

@@ -20,8 +20,10 @@ kernel decay.  The module also holds what every certified result shares:
 :class:`QuadratureConfig`, :class:`AccuracyError` and the one panel rule
 table, the QUADPACK Gauss-Kronrod 10/21 pair (``_X21``, ``_WK21``,
 ``_WG21``).  :func:`adaptive_gk` applies it panel by panel with QUADPACK's
-error heuristic; ``_rule`` sums it over a fixed panel layout at once, with
-closed-form error terms, for the inversion ray rule and for h_q.
+error heuristic, for the real-axis engine alone; ``_rule`` sums it over a
+fixed panel layout at once, with closed-form error terms, for the inversion
+ray rule and for the mollifier's band integrals (h_q and the Parseval x
+side).
 """
 
 from __future__ import annotations

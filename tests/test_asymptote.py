@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import gamma as gamma_fn
@@ -48,6 +49,16 @@ class TestTailConstant:
         assert abs(tail_constant(1.0 - h) - lim) < 2.0 * h
         # agreement at the switch: 1e-7 demanded just outside the window
         assert abs(tail_constant(1.0 + 2e-8) - lim) < 1e-7
+
+    @pytest.mark.parametrize("d", [1e-9, 1e-7, 1e-5])
+    def test_near_one_within_four_ulps_of_mpmath(self, d):
+        # (2/pi) Gamma(g) sin(pi g / 2) has no removable singularity at 1; the
+        # (1 - g) / (Gamma(2 - g) cos(pi g / 2)) form cancels there and was
+        # 3.3e6 ulps off at 1 - 1e-9 (returned as 2/pi) and 1.9e3 at 1 + 1e-5
+        for g in (1.0 - d, 1.0 + d):
+            with mp.workdps(40):
+                ref = float(2 / mp.pi * mp.gamma(mp.mpf(g)) * mp.sin(mp.pi * mp.mpf(g) / 2))
+            assert abs(tail_constant(g) - ref) <= 4 * math.ulp(ref), g
 
 
 class TestTailAsymptote:
@@ -115,6 +126,12 @@ class TestRatio:
     def test_lambda_below_one_rejected(self):
         with pytest.raises(ValueError):
             ratio(CAUCHY, 0.5)
+
+    @pytest.mark.parametrize("lam", [math.inf, math.nan])
+    def test_non_finite_lambda_rejected(self, lam):
+        # T(inf) = 0, so an unchecked inf divided by zero
+        with pytest.raises(ValueError, match="finite lambda"):
+            ratio(CAUCHY, lam)
 
     def test_unnormalized_rejected(self):
         spec = refine(StepFunction((0.0, 2.0), (1.0,)), ExponentFunction.constant(0.5))

@@ -315,6 +315,26 @@ def test_real_axis_knobs_rejected(cmd, grid, flag, tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
+    ["ratio-scan", "--fixture", "two_exp", "--lambdas", "inf"],
+    ["verify", "lemma1", "--fixture", "two_exp", "--lambdas", "inf"],
+    ["verify", "lemma6", "--fixture", "two_exp", "--lambdas", "10", "inf"],
+    ["verify", "lemma5", "--fixture", "two_exp", "--lambdas", "nan"],
+    ["verify", "parseval", "--fixture", "two_exp", "--deltas", "1", "inf"],
+])
+def test_non_finite_grid_points_exit_2(argv, tmp_path, capsys):
+    # refused with a message, not a ZeroDivisionError or OverflowError (exit 1)
+    assert run_command(argv + ["--out", str(tmp_path / "o.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_verify_takes_no_abs_tol(tmp_path):
+    # every verify target carries its own error bounds; no tolerance is read
+    rc = run_command(["verify", "lemma1", "--fixture", "cauchy", "--abs-tol", "1e-10",
+                      "--out", str(tmp_path / "l1.json")])
+    assert rc == 2
+
+
+@pytest.mark.parametrize("argv", [
     ["tail", "--fixture", "two_exp", "--lambdas", "10", "10000"],
     ["verify", "lemma1", "--fixture", "cauchy", "--q", "1.25"],
     ["verify", "parseval", "--fixture", "two_exp"],

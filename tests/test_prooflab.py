@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multistable import inversion
+from multistable import inversion, prooflab
 from multistable.asymptote import tail_asymptote, tail_constant
 from multistable.fixtures import fixture, random_spec
 from multistable.function_space import ExponentFunction, StepFunction, refine
@@ -60,6 +60,13 @@ class TestJ0:
             j0(1.2, 1.5)
         with pytest.raises(ValueError):
             j0(10.0, 1.0)
+
+    @pytest.mark.parametrize("lam,q", [(math.inf, 1.5), (math.nan, 1.5), (10.0, math.nan),
+                                       (10.0, math.inf)])
+    def test_non_finite_arguments_refused_by_name(self, lam, q):
+        # unchecked, inf overflowed in int() and nan failed to convert to an integer
+        with pytest.raises(ValueError, match="lambda|q must"):
+            j0(lam, q)
 
 
 class TestHq:
@@ -236,6 +243,67 @@ def _table_route(spec, moll, scale):
     budget = sum(wgt * scale ** alph * (moll.tail_power_bound(alph) + moll.stub_bound(alph))
                  for alph, wgt in spec.groups)
     return body, 2.0 * budget + 4e-16 * (1.0 + abs(body))
+
+
+class TestNonFiniteArguments:
+    @pytest.mark.parametrize("fn", [eta, tau, rho])
+    @pytest.mark.parametrize("xi", [math.nan, math.inf])
+    def test_xi_refused(self, moll15, fn, xi):
+        # a NaN xi used to pass the xi >= 1 check and come back as NaN
+        with pytest.raises(ValueError, match="xi must be a finite number"):
+            fn(TWO_EXP, moll15, xi)
+
+    def test_lemma5_refuses_nan(self, moll15):
+        with pytest.raises(ValueError, match="xi"):
+            verify_lemma5(TWO_EXP, moll15, [1.0, math.nan])
+
+    @pytest.mark.parametrize("verify", [verify_lemma1, verify_lemma6])
+    def test_lemma_sweeps_refuse_infinite_lambda(self, moll15, verify):
+        with pytest.raises(ValueError, match="lambda"):
+            verify(TWO_EXP, moll15, [10.0, math.inf])
+
+    @pytest.mark.parametrize("delta", [math.inf, math.nan, 0.0, -1.0])
+    def test_parseval_refuses_a_delta_before_any_work(self, moll15, monkeypatch, delta):
+        def unreachable(*args):
+            raise AssertionError("integrated before checking every delta")
+
+        monkeypatch.setattr(prooflab, "eta_integral", unreachable)
+        with pytest.raises(ValueError, match="delta"):
+            verify_parseval(TWO_EXP, moll15, [1.0, delta])
+
+
+class TestParsevalXSide:
+    """The x side as a band integral of certified tails."""
+
+    def test_a_shifted_theta_side_fails(self, moll15, monkeypatch):
+        # the verdict is |theta - x| <= theta_err + x_err with no slack, so a
+        # 1e-11 error on one side shows
+        def shifted(spec, xi, w):
+            val, err = eta_integral(spec, xi, w)
+            return val + 1e-11, err
+
+        assert verify_parseval(TWO_EXP, moll15, [0.1, 1.0, 10.0]).passed
+        monkeypatch.setattr(prooflab, "eta_integral", shifted)
+        rep = verify_parseval(TWO_EXP, moll15, [0.1, 1.0, 10.0])
+        assert not any(row["ok"] for row in rep.grid) and not rep.passed
+
+    @pytest.mark.parametrize("q", [2.0, 50.0])
+    def test_x_side_within_its_bound_on_several_panels(self, q):
+        # Cauchy: P(|I| > x) = 1 - 2 atan(x) / pi, and E[1 - bump(delta I)] =
+        # int_0^1 S5'(u) P((1 + w u) / delta) du; the band has 2 panels at q = 2
+        # and 13 at q = 50
+        moll = build_mollifier(q)
+        assert len(moll.band()[1]) == {2.0: 2, 50.0: 13}[q]
+        rep = verify_parseval(CAUCHY, moll, [0.1, 1.0, 10.0])
+        assert rep.passed
+        for row in rep.grid:
+            with mp.workdps(30):
+                w, xi = mp.mpf(moll.w), mp.mpf(1.0 / row["delta"])  # the float xi both sides use
+                ref = mp.quad(lambda u: 2772 * (u * (1 - u)) ** 5
+                              * (1 - 2 * mp.atan((1 + w * u) * xi) / mp.pi),
+                              [0, 0.01, 0.1, 0.25, 0.5, 0.75, 1])
+            assert abs(float(row["x_side"] - ref)) <= row["x_err"], row["delta"]
+            assert row["tolerance"] == row["theta_err"] + row["x_err"] <= 1e-13
 
 
 class TestTableKernel:
