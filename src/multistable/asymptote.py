@@ -63,7 +63,7 @@ class TailAsymptote:
 
 def tail_asymptote(spec: MultistableSpec, lam: float) -> float:
     """T(lam) = sum_g w_g lam^(-alpha_g), exact for step data."""
-    if lam <= 0.0:
+    if not lam > 0.0:
         raise ValueError(f"lambda must be positive, got {lam}")
     return float(TailAsymptote.from_spec(spec)(lam))
 
@@ -116,14 +116,13 @@ def scaling_bounds_check(spec: MultistableSpec, xi: float, delta: float,
         raise ValueError(f"xi must be a finite number >= 1, got {xi}")
     if not 0.0 < delta < math.inf:
         raise ValueError(f"delta must be a finite positive number, got {delta}")
-    asym = TailAsymptote.from_spec(spec)
     a, b = spec.a, spec.b
-    t1, txi = asym(1.0), asym(xi)
     d_lo, d_hi = min(delta, 1.0 / delta), max(delta, 1.0 / delta)
+    t1, txi, t_lo, t_hi = TailAsymptote(spec)([1.0, xi, d_lo * xi, d_hi * xi]).tolist()
 
     def within(lo, v, hi):
         return (lo <= v * _SLACK) and (v <= hi * _SLACK)
 
     return (within(xi ** -b * t1, txi, xi ** -a * t1),
-            within(d_lo ** -a * txi, asym(d_lo * xi), d_lo ** -b * txi),
-            within(d_hi ** -b * txi, asym(d_hi * xi), d_hi ** -a * txi))
+            within(d_lo ** -a * txi, t_lo, d_lo ** -b * txi),
+            within(d_hi ** -b * txi, t_hi, d_hi ** -a * txi))

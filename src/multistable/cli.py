@@ -318,8 +318,8 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _count(text: str) -> int:
-    """argparse type for a number of draws: a whole number >= 1, also written
-    with an exponent (1e7)."""
+    """argparse type for a number of draws or samples: a whole number >= 1,
+    also written with an exponent (1e7)."""
     try:
         value = float(text)
     except ValueError:
@@ -413,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="lambda grid for lemma1 and lemma6 (default 10 50 100 1000); "
                         "for lemma5 the xi grid (default 1 10 100)")
     p.add_argument("--deltas", type=float, nargs="*", default=[0.1, 1.0])
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=_count, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_verify)
 

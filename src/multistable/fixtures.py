@@ -74,21 +74,31 @@ def fixture(name: str) -> MultistableSpec:
         raise ValueError(f"unknown fixture {name!r}; choose from {fixture_names()}") from None
 
 
+def _crowded(bp: list[float]) -> bool:
+    return any(b2 - b1 < 1e-3 for b1, b2 in zip(bp, bp[1:]))
+
+
 def random_spec(rng: np.random.Generator, max_cells: int = 4,
                 alpha_range: tuple[float, float] = (0.3, 1.9),
                 normalized: bool = False) -> MultistableSpec:
-    """A random nonzero spec for property sweeps (seeded by the caller)."""
+    """A random nonzero spec for property sweeps (seeded by the caller).
+
+    The Generator calls, their order and their sizes are part of the output:
+    ``verify remarks --seed`` draws its specs and its (xi, delta) pairs from
+    one stream, so a changed draw changes every later sample.  The draws are
+    sorted, gap-tested and floored as Python floats; a spec has a handful
+    of cells, too few for numpy to pay off.
+    """
     n_f = int(rng.integers(1, max_cells + 1))
-    f_bp = np.sort(rng.uniform(-4.0, 4.0, n_f + 1))
-    while np.any(np.diff(f_bp) < 1e-3):
-        f_bp = np.sort(rng.uniform(-4.0, 4.0, n_f + 1))
-    coefs = rng.uniform(-3.0, 3.0, n_f)
-    coefs[np.abs(coefs) < 0.05] = 0.3  # keep the function nonzero
+    f_bp = sorted(rng.uniform(-4.0, 4.0, n_f + 1).tolist())
+    while _crowded(f_bp):
+        f_bp = sorted(rng.uniform(-4.0, 4.0, n_f + 1).tolist())
+    # the 0.05 floor keeps the function nonzero
+    coefs = [0.3 if abs(c) < 0.05 else c for c in rng.uniform(-3.0, 3.0, n_f).tolist()]
     n_a = int(rng.integers(0, 3))
-    a_bp = np.sort(rng.uniform(-4.0, 4.0, n_a))
-    while np.any(np.diff(a_bp) < 1e-3):
-        a_bp = np.sort(rng.uniform(-4.0, 4.0, n_a))
-    a_vals = rng.uniform(*alpha_range, n_a + 1)
-    spec = refine(StepFunction(tuple(f_bp), tuple(coefs)),
-                  ExponentFunction(tuple(a_bp), tuple(a_vals)))
+    a_bp = sorted(rng.uniform(-4.0, 4.0, n_a).tolist())
+    while _crowded(a_bp):
+        a_bp = sorted(rng.uniform(-4.0, 4.0, n_a).tolist())
+    a_vals = rng.uniform(*alpha_range, n_a + 1).tolist()
+    spec = refine(StepFunction(f_bp, coefs), ExponentFunction(a_bp, a_vals))
     return normalize_to_sphere(spec) if normalized else spec

@@ -17,6 +17,7 @@ involves quadrature error.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -49,7 +50,7 @@ def tail_constant(gamma: float) -> float:
 
 def _check_breakpoints(bp: Sequence[float], what: str) -> tuple[float, ...]:
     bp = tuple(float(b) for b in bp)
-    if any(not np.isfinite(b) for b in bp):
+    if not all(map(math.isfinite, bp)):
         raise ValueError(f"{what} breakpoints must be finite")
     if any(b2 <= b1 for b1, b2 in zip(bp, bp[1:])):
         raise ValueError(f"{what} breakpoints must be strictly increasing")
@@ -122,7 +123,7 @@ class StepFunction:
     def __init__(self, breakpoints: Sequence[float], coefficients: Sequence[float]):
         bp = _check_breakpoints(breakpoints, "step-function")
         coef = tuple(float(c) for c in coefficients)
-        if any(not np.isfinite(c) for c in coef):
+        if not all(map(math.isfinite, coef)):
             raise ValueError("coefficients must be finite")
         if len(bp) == 0:
             if coef:
@@ -186,7 +187,10 @@ class MultistableSpec:
     common refinement of their breakpoints, covering the breakpoint range
     of f; on each cell both f and alpha are constant, and reconstruction
     from the cells reproduces both (away from the measure-zero set of
-    breakpoints).
+    breakpoints).  Each cell ``[p, q)`` takes f's coefficient and alpha's
+    value at its left edge p, looked up by index in the breakpoint tuples
+    (``bisect_right``), so no rounded midpoint decides the cell: (p + q) / 2
+    rounds to q when q is the float after p.
 
     ``groups`` is the derived view ``((alpha_g, W_g), ...)``, sorted by
     exponent, with ``W_g`` the sum of ``|c|^alpha_g * (hi - lo)`` over the
@@ -202,11 +206,11 @@ class MultistableSpec:
     groups: tuple[tuple[float, float], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        bp = self.f.breakpoints
-        pts = sorted(set(bp) | {b for b in self.alpha.breakpoints if bp and bp[0] < b < bp[-1]})
-        mids = np.array([(p + q) / 2.0 for p, q in zip(pts, pts[1:])])
-        cells = tuple((p, q, float(c), float(a)) for p, q, c, a
-                      in zip(pts, pts[1:], self.f(mids), self.alpha(mids)))
+        bp, coefs = self.f.breakpoints, self.f.coefficients
+        a_bp, a_vals = self.alpha.breakpoints, self.alpha.values
+        pts = sorted(set(bp) | {b for b in a_bp if bp and bp[0] < b < bp[-1]})
+        cells = tuple((p, q, coefs[bisect_right(bp, p) - 1], a_vals[bisect_right(a_bp, p)])
+                      for p, q in zip(pts, pts[1:]))
         object.__setattr__(self, "cells", cells)
         # W_g = sum |c|^alpha_g |cell| over the cells with alpha_g, so that the
         # modular is sum_g W_g s^alpha_g

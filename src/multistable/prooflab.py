@@ -333,12 +333,15 @@ def verify_parseval(spec: MultistableSpec, moll: MollifierSpec,
                     deltas: Sequence[float],
                     cfg: QuadratureConfig | None = None) -> LemmaReport:
     """E[1 - bump(delta I)] = 2 integral_0^inf phi_q(theta) (1 - cf(delta theta)) dtheta
-    at each 0 < delta < inf (ValueError otherwise, before any work), both sides
-    at xi = 1/delta with their error bounds: the theta side is eta on the ray,
-    the x side certified tails against the bump's slope on h_q's band panels.
+    at each 0 < delta < inf (ValueError otherwise, or for no deltas, before any
+    work), both sides at xi = 1/delta with their error bounds: the theta side
+    is eta on the ray, the x side certified tails against the bump's slope on
+    h_q's band panels.
     A row passes when the sides differ by at most the sum of the bounds; cfg is
     not read."""
     deltas = [float(d) for d in deltas]
+    if not deltas:
+        raise ValueError("need at least one delta")
     if not all(0.0 < d < math.inf for d in deltas):
         raise ValueError(f"each delta must be a finite positive number, got {deltas}")
     rows = []

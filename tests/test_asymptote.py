@@ -93,6 +93,11 @@ class TestTailAsymptote:
         with pytest.raises(ValueError):
             tail_asymptote(CAUCHY, 0.0)
 
+    def test_nan_lambda_rejected(self):
+        # NaN fails every comparison, so a lam <= 0 test let it through as T = NaN
+        with pytest.raises(ValueError, match="lambda must be positive"):
+            tail_asymptote(CAUCHY, math.nan)
+
     def test_zero_function_rejected(self):
         zero = refine(StepFunction((0.0, 1.0), (0.0,)), ExponentFunction.constant(1.0))
         with pytest.raises(ValueError):

@@ -277,8 +277,42 @@ def test_sample_count_refuses_others(text, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [["verify", "remarks", "--samples", "0"],
+                                  ["verify", "remarks", "--samples", "-3"],
+                                  ["verify", "lemma2", "--samples", "0"]])
+def test_verify_samples_refuses_counts_below_one(argv, tmp_path, capsys):
+    # remarks over no samples used to pass, having checked nothing, and lemma2
+    # to fail inside numpy on a zero-size array
+    out = tmp_path / "v.json"
+    assert run_command(argv + ["--out", str(out)]) == 2
+    assert "argument --samples" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_parseval_refuses_an_empty_delta_grid(tmp_path, capsys):
+    out = tmp_path / "p.json"
+    assert run_command(["verify", "parseval", "--fixture", "two_exp", "--deltas",
+                        "--out", str(out)]) == 2
+    assert "at least one delta" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("seed, csv_sha256", [
+    ("0", "b7caabf6f39bd8053ca393476dee9f7833535a1274b177b82daa663adaee885b"),
+    ("7", "11ec3757da15b32a9bbf158ef4ebf3f41db52d84a0330a0ce993137a388e5457")])
+def test_verify_remarks_output_pinned(seed, csv_sha256, tmp_path):
+    # each CSV row holds a draw's (xi, delta), which come from the stream after
+    # that draw's spec, and its three verdicts: the digest pins random_spec's
+    # Generator calls and every scaling check
+    out = tmp_path / "rem.json"
+    assert run_command(["verify", "remarks", "--samples", "1000", "--seed", seed,
+                        "--out", str(out)]) == 0
+    assert _sha256(out.with_suffix(".csv")) == csv_sha256
+    assert _sha256(out) == "3ea2035605345e8900a161a6c2908eddb84581bbed902ca3521a1865a17ff059"
 
 
 def test_sample_csv_blocks_match_per_row_format(tmp_path, monkeypatch):
@@ -320,6 +354,7 @@ def test_real_axis_knobs_rejected(cmd, grid, flag, tmp_path):
     ["verify", "lemma6", "--fixture", "two_exp", "--lambdas", "10", "inf"],
     ["verify", "lemma5", "--fixture", "two_exp", "--lambdas", "nan"],
     ["verify", "parseval", "--fixture", "two_exp", "--deltas", "1", "inf"],
+    ["asymptote", "--fixture", "two_exp", "--lambdas", "nan"],
 ])
 def test_non_finite_grid_points_exit_2(argv, tmp_path, capsys):
     # refused with a message, not a ZeroDivisionError or OverflowError (exit 1)

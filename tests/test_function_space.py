@@ -1,4 +1,6 @@
 import bisect
+import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -110,6 +112,64 @@ class TestRefine:
                 f_cells[mask] = c
                 assert np.all(a_cells[mask] == a)
             assert np.array_equal(f_cells, spec.f(xs))
+
+    def test_ulp_spaced_breakpoints(self):
+        # (p + q) / 2 rounds to q when q is the float after p, so a lookup at
+        # the midpoint gave the cell [p, q) its right neighbour's data
+        p = math.nextafter(1.0, 2.0)
+        q = math.nextafter(p, 2.0)
+        spec = make((0.0, p, q, 2.0), (1.0, 2.0, 3.0), (), (1.0,))
+        assert [c for _, _, c, _ in spec.cells] == [1.0, 2.0, 3.0]
+        spec = make((0.0, 2.0), (1.0,), (p, q), (0.5, 1.0, 1.5))
+        assert [a for *_, a in spec.cells] == [0.5, 1.0, 1.5]
+        assert spec.groups == ((0.5, p), (1.0, q - p), (1.5, 2.0 - q))
+
+
+@settings(max_examples=200, deadline=None)
+@given(f_sites=st.lists(st.integers(-400, 400), min_size=2, max_size=6, unique=True),
+       a_sites=st.lists(st.integers(-1000, 1000), max_size=4, unique=True),
+       data=st.data())
+def test_cells_are_midpoint_evaluations(f_sites, a_sites, data):
+    # breakpoints in hundredths, so at least 0.01 apart; alpha's reach past
+    # f's range, and some coefficients are zero.  Away from ulp-spaced
+    # breakpoints each cell is f and alpha evaluated at its midpoint
+    f_bp = sorted(k / 100.0 for k in f_sites)
+    a_bp = sorted(k / 100.0 for k in a_sites)
+    coefs = data.draw(st.lists(st.just(0.0) | st.floats(-5.0, 5.0),
+                               min_size=len(f_bp) - 1, max_size=len(f_bp) - 1))
+    vals = data.draw(st.lists(st.floats(0.05, 1.95),
+                              min_size=len(a_bp) + 1, max_size=len(a_bp) + 1))
+    spec = make(f_bp, coefs, a_bp, vals)
+    edges = sorted(set(f_bp) | {b for b in a_bp if f_bp[0] < b < f_bp[-1]})
+    mids = np.array([(lo + hi) / 2.0 for lo, hi in zip(edges, edges[1:])])
+    ref = tuple(zip(edges, edges[1:], spec.f(mids).tolist(), spec.alpha(mids).tolist()))
+    assert repr(spec.cells) == repr(ref)
+    weights = {}
+    for lo, hi, c, a in ref:
+        if c != 0.0:
+            weights[a] = weights.get(a, 0.0) + abs(c) ** a * (hi - lo)
+    assert spec.groups == tuple(sorted(weights.items()))
+
+
+def test_random_spec_draws_pinned():
+    # verify remarks --seed reproduces only while random_spec makes the same
+    # Generator calls in the same order with the same sizes.  Key 19's first
+    # 2000 specs include 80 coefficient floors and 2 redrawn breakpoint sets
+    rng = np.random.Generator(np.random.Philox(key=19))
+    specs = [random_spec(rng) for _ in range(2000)]
+    data = [(s.f.breakpoints, s.f.coefficients, s.alpha.breakpoints, s.alpha.values)
+            for s in specs]
+    assert data[:2] == [
+        ((-3.17373662908925, -2.4868324611916375, -0.2553982627376721,
+          0.41381843224478043, 3.2056167760707224),
+         (2.7513416467144935, -0.2434291141342868, 1.3495341345319716, -2.97180653233646),
+         (), (0.7875731290749438,)),
+        ((1.3755123247407504, 3.953179803991425), (-2.7872081407153573,),
+         (1.4673666813775643,), (1.2023126304918998, 0.9001239618144921))]
+    assert sum(c == 0.3 for s in specs for c in s.f.coefficients) == 80
+    assert hashlib.sha256(repr(data).encode()).hexdigest() == \
+        "f52ba8c754d150ed0525c29fb27c0ac6ff3b795c1b2674a8b0d881c0a0a8c4be"
+    assert float(rng.uniform()) == 0.7138801445944161
 
 
 class TestModular:

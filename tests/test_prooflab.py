@@ -271,6 +271,11 @@ class TestNonFiniteArguments:
         with pytest.raises(ValueError, match="delta"):
             verify_parseval(TWO_EXP, moll15, [1.0, delta])
 
+    def test_parseval_refuses_an_empty_delta_grid(self, moll15):
+        # an empty grid used to pass, having checked nothing
+        with pytest.raises(ValueError, match="at least one delta"):
+            verify_parseval(TWO_EXP, moll15, [])
+
 
 class TestParsevalXSide:
     """The x side as a band integral of certified tails."""
