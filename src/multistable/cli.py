@@ -42,6 +42,7 @@ from .function_space import (
 from .inversion import _certified_density, density_with_error, tail_probability_with_error
 from .mollifier import build_mollifier
 from .prooflab import (
+    LemmaReport,
     verify_elementary_inequality,
     verify_lemma1,
     verify_lemma3,
@@ -258,10 +259,8 @@ def _cmd_verify(args) -> int:
         rng = np.random.Generator(np.random.Philox(key=args.seed))
         us = rng.uniform(0.0, 1e3, args.samples)
         ok = verify_elementary_inequality(us)
-        report = {"lemma": "lemma2", "passed": bool(ok),
-                  "grid": [], "summary": {"samples": int(args.samples)}}
-        rows, header = [], ["u_max", "passed"]
-        rows.append([float(us.max()), int(ok)])
+        rep = LemmaReport("lemma2", ok, [], {"samples": args.samples})
+        rows, header = [[float(us.max()), int(ok)]], ["u_max", "passed"]
     elif which == "remarks":
         rng = np.random.Generator(np.random.Philox(key=args.seed))
         rows, header = [], ["draw", "xi", "delta", "ok1", "ok2", "ok3"]
@@ -273,8 +272,7 @@ def _cmd_verify(args) -> int:
             r = scaling_bounds_check(spec, xi, delta)
             ok &= all(r)
             rows.append([i, xi, delta, int(r[0]), int(r[1]), int(r[2])])
-        report = {"lemma": "remarks", "passed": bool(ok), "grid": [],
-                  "summary": {"samples": int(args.samples)}}
+        rep = LemmaReport("remarks", ok, [], {"samples": args.samples})
     else:
         moll = build_mollifier(args.q)
         if which == "lemma3":
@@ -293,7 +291,7 @@ def _cmd_verify(args) -> int:
                 header = ["xi", "T_qxi", "tau", "T_xi_over_q"]
             elif which == "lemma6":
                 rep = verify_lemma6(spec, moll, lambdas)
-                header = ["lambda", "ratio_lower", "ratio_upper", "envelope_needed"]
+                header = ["lambda", "ratio_lower", "ratio_upper", "margin_lower", "margin_upper"]
             elif which == "parseval":
                 rep = verify_parseval(spec, moll, args.deltas)
                 header = ["delta", "theta_side", "x_side", "difference", "tolerance"]
@@ -301,18 +299,15 @@ def _cmd_verify(args) -> int:
                 raise SpecFormatError(f"unknown verify target {which!r}")
         # each header names grid keys, so the CSV is the grid's columns
         rows = [[r[k] for k in header] for r in rep.grid]
-        report = rep.to_dict()
 
     out_json = _outpath(args, f"verify_{which}.json")
     out_json.parent.mkdir(parents=True, exist_ok=True)
     with open(out_json, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True, default=float)
+        json.dump(rep.to_dict(), fh, indent=2, sort_keys=True, default=float)
         fh.write("\n")
-    out_csv = out_json.with_suffix(".csv")
-    _write_csv(out_csv, header, rows)
-    status = "pass" if report["passed"] else "FAIL"
-    print(f"{which}: {status} ({out_json})")
-    return 0 if report["passed"] else 3
+    _write_csv(out_json.with_suffix(".csv"), header, rows)
+    print(f"{which}: {'pass' if rep.passed else 'FAIL'} ({out_json})")
+    return 0 if rep.passed else 3
 
 
 # ---------------------------------------------------------------------------

@@ -164,16 +164,17 @@ class StepFunction:
 
 
 def combine_steps(fs: Sequence[StepFunction], weights: Sequence[float]) -> StepFunction:
-    """Pointwise linear combination sum_l weights[l] * fs[l] (again a step function)."""
+    """Pointwise linear combination sum_l weights[l] * fs[l] (again a step function).
+
+    Each cell [p, q) of the common refinement takes every fs[l] at its left
+    edge p (an index lookup, as in ``MultistableSpec``), never at the rounded
+    midpoint: (p + q) / 2 rounds to q when q is the float after p."""
     if len(fs) != len(weights):
         raise ValueError("need one weight per step function")
     pts = sorted({b for f in fs for b in f.breakpoints})
     if len(pts) < 2:
         return StepFunction((), ())
-    mids = [(lo + hi) / 2.0 for lo, hi in zip(pts, pts[1:])]
-    coefs = np.zeros(len(mids))
-    for f, w in zip(fs, weights):
-        coefs += w * f(np.asarray(mids))
+    coefs = sum(w * f(pts[:-1]) for f, w in zip(fs, weights))
     return StepFunction(tuple(pts), tuple(coefs))
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from multistable.charfn import cf, cf_multivariate
 from multistable.fixtures import fixture, fixture_names, random_spec
 from multistable.function_space import (
     ExponentFunction,
@@ -307,6 +308,18 @@ def test_combine_steps_pointwise(rng):
     g = combine_steps([f1, f2], [2.0, -1.0])
     xs = rng.uniform(-1.0, 3.0, 500)
     assert np.allclose(g(xs), 2.0 * f1(xs) - 1.0 * f2(xs))
+
+
+def test_combine_steps_reads_each_cell_at_its_left_edge():
+    # [p, q) with q the float after p: its midpoint rounds to q, so a midpoint
+    # lookup takes the next cell's coefficient
+    p = math.nextafter(1.0, 2.0)
+    q = math.nextafter(p, 2.0)
+    f = StepFunction((0.0, p, q, 2.0), (1.0, 2.0, 3.0))
+    assert combine_steps([f], [1.0]).coefficients == (1.0, 2.0, 3.0)
+    # a coefficient of 1e16 on the one-ulp cell carries 2.2 of the modular
+    spec = refine(StepFunction((0.0, p, q, 2.0), (1.0, 1e16, 3.0)), ExponentFunction.constant(1.0))
+    assert cf_multivariate([spec, spec], [0.5, 0.5]) == pytest.approx(cf(spec, 1.0), rel=1e-14)
 
 
 def test_groups_view(rng):

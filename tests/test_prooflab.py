@@ -177,6 +177,31 @@ class TestElementaryInequality:
     def test_random_sweep(self, rng):
         assert verify_elementary_inequality(rng.uniform(0.0, 1e3, 10 ** 4))
 
+    @pytest.mark.parametrize("u", [0.0, 1e-300, 1e-8, 1.0, 1e3, math.nan])
+    def test_matches_the_loop(self, u):
+        assert verify_elementary_inequality([u]) is _elementary_loop([u])
+
+    def test_matches_the_loop_on_a_sweep(self):
+        us = 10.0 ** np.random.default_rng(3).uniform(-300.0, 3.0, 2000)
+        assert all(verify_elementary_inequality([u]) is _elementary_loop([u]) for u in us)
+        assert verify_elementary_inequality(us) is _elementary_loop(us)
+
+    def test_a_negative_sample_behind_a_nan_is_refused(self):
+        assert verify_elementary_inequality([math.nan]) is False
+        with pytest.raises(ValueError, match="nonnegative"):
+            verify_elementary_inequality([1.0, math.nan, -1e-300])
+
+
+def _elementary_loop(u_samples):
+    """The per-sample reference: one math.expm1 a sample."""
+    for u in u_samples:
+        if u < 0.0:
+            raise ValueError(f"samples must be nonnegative, got {u}")
+        lhs = u + math.expm1(-u)
+        if not (0.0 <= lhs <= u * u / 2.0):
+            return False
+    return True
+
 
 class TestLemmaSweeps:
     def test_lemma3_reports(self, moll15):
@@ -214,6 +239,42 @@ class TestLemmaSweeps:
         assert rep.passed
         for row in rep.grid:
             assert abs(row["difference"]) <= row["tolerance"]
+
+    def test_lemma6_fails_on_an_eta_too_small(self, moll15, monkeypatch):
+        # the outer inequalities are checked against the edges themselves, with
+        # no envelope fitted to make them hold: eta scaled by 0.3 (its bound
+        # too) keeps the middle inequality but falls below q^-2b
+        lams = [10.0, 50.0, 100.0, 1000.0]
+        assert verify_lemma6(TWO_EXP, moll15, lams).passed
+
+        def scaled(spec, xi, w):
+            val, err = eta_integral(spec, xi, w)
+            return 0.3 * val, 0.3 * err
+
+        monkeypatch.setattr(prooflab, "eta_integral", scaled)
+        rep = verify_lemma6(TWO_EXP, moll15, lams)
+        assert not rep.passed
+        assert all(row["margin_lower"] < 0.0 and not row["ok"] for row in rep.grid)
+
+    @pytest.mark.parametrize("q", [1.25, 1.5, 2.0])
+    @pytest.mark.parametrize("name", ["cauchy", "alpha06", "alpha18", "two_exp",
+                                      "three_cell", "wide_narrow"])
+    def test_lemma6_holds_at_the_cli_lambdas(self, name, q):
+        rep = verify_lemma6(fixture(name), build_mollifier(q), [10.0, 50.0, 100.0, 1000.0])
+        assert rep.passed, rep.grid
+        for row in rep.grid:
+            assert row["margin_lower"] <= row["ratio_lower"] - row["lower_edge"]
+            assert row["margin_upper"] <= row["upper_edge"] - row["ratio_upper"]
+
+    @pytest.mark.parametrize("verify, args", [
+        (verify_lemma1, [10.0, 100.0]), (verify_lemma5, [1.0, 10.0]),
+        (verify_lemma6, [10.0, 100.0]), (verify_parseval, [0.1, 1.0])])
+    def test_every_sweep_reports_its_rows(self, moll15, verify, args):
+        # one verdict path: passed is every row's ok, worst_margin the thinnest margin
+        rep = verify(TWO_EXP, moll15, args)
+        assert rep.passed is all(row["ok"] for row in rep.grid)
+        assert rep.summary == {"q": 1.5, "worst_margin": min(
+            min(row["margin_lower"], row["margin_upper"]) for row in rep.grid)}
 
 
     @pytest.mark.parametrize("tol", [1e-10, 1e-13])
