@@ -13,7 +13,9 @@ All exponents must lie strictly inside (0, 2).  Every emitted numeric
 uses 17 significant digits and rows are sorted before writing, so a
 repeated invocation (same flags, same seed) produces byte-identical
 output.  Accuracy failures surface as a nonzero exit code, never as
-silently degraded numbers.
+silently degraded numbers.  Exit codes: 0 success; 2 a usage, spec or value
+error; 3 an unmet tolerance or a failed verify; 4 more than 1% of a density
+grid needed clamping to 0.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -157,77 +160,83 @@ def _cmd_quasinorm(args) -> int:
     return 0
 
 
-def _cmd_cf(args) -> int:
-    spec = _load_spec(args)
-    thetas = sorted(args.theta)
-    rows = [[float(t), float(cf(spec, t))] for t in thetas]
-    out = _outpath(args, "cf.csv")
-    _write_csv(out, ["theta", "cf"], rows)
-    print(f"wrote {out}")
-    return 0
-
-
-def _cmd_density(args) -> int:
-    spec = _load_spec(args)
+def _density_rows(spec, args, clamped):
     cfg = _cfg(args)
-    rows = []
-    clamped = 0
-    for x in sorted(args.x):
+
+    def row(x):
         raw, err = density_with_error(spec, x, cfg)
-        val = _certified_density(f"density at x={x}", raw, err, cfg)
-        clamped += raw < 0.0
-        rows.append([float(x), val, err])
-    if clamped > 0.01 * len(rows):
-        print(f"error: {clamped}/{len(rows)} density values needed clamping to 0",
-              file=sys.stderr)
-        return 4
-    out = _outpath(args, "density.csv")
-    _write_csv(out, ["x_or_lambda", "value", "est_error"], rows)
-    print(f"wrote {out}")
-    return 0
+        clamped.append(raw < 0.0)
+        return [x, _certified_density(f"density at x={x}", raw, err, cfg), err]
+    return row
 
 
-def _cmd_tail(args) -> int:
-    spec = _load_spec(args)
+def _tail_rows(spec, args, clamped):
     cfg = _cfg(args)
-    rows = []
-    for lam in sorted(args.lambdas):
+
+    def row(lam):
         val, err = tail_probability_with_error(spec, lam, cfg)
         _certify(f"tail at lambda={lam}", err, cfg)
-        rows.append([float(lam), val, err])
-    out = _outpath(args, "tail.csv")
-    _write_csv(out, ["x_or_lambda", "value", "est_error"], rows)
-    print(f"wrote {out}")
-    return 0
+        return [lam, val, err]
+    return row
 
 
-def _cmd_asymptote(args) -> int:
-    spec = _load_spec(args)
-    rows = [[float(lam), tail_asymptote(spec, lam)] for lam in sorted(args.lambdas)]
-    out = _outpath(args, "asymptote.csv")
-    _write_csv(out, ["lambda", "T"], rows)
-    print(f"wrote {out}")
-    return 0
+def _ratio_scan_rows(spec, args, clamped):
+    spec = normalize_to_sphere(spec) if args.normalize else spec
+    cfg, asym = _cfg(args), TailAsymptote.from_spec(spec)
 
-
-def _cmd_ratio_scan(args) -> int:
-    spec = _load_spec(args)
-    if args.normalize:
-        spec = normalize_to_sphere(spec)
-    cfg = _cfg(args)
-    asym = TailAsymptote.from_spec(spec)
-    rows = []
-    for lam in sorted(args.lambdas):
+    def row(lam):
         r, rerr = ratio_with_error(spec, lam, cfg)
         t = float(asym(lam))
-        rows.append([float(lam), t, r * t, r, rerr])
-    out = _outpath(args, "ratio_scan.csv")
-    _write_csv(out, ["lambda", "T", "P", "ratio", "abs_err_bound"], rows)
+        return [lam, t, r * t, r, rerr]
+    return row
+
+
+class _Grid(NamedTuple):
+    """A subcommand that writes one CSV row per point of its sorted grid
+    --<grid>.  rows(spec, args, clamped) makes the row function of a run; a
+    density row also records in clamped whether it was clamped to 0."""
+
+    help: str
+    grid: str
+    header: list[str]
+    rows: Callable
+    default: list[float] | None = None  # None makes --<grid> required
+    abs_tol: bool = False
+
+
+_GRIDS = {
+    "cf": _Grid("characteristic function on a theta grid", "theta", ["theta", "cf"],
+                lambda spec, args, clamped: lambda t: [t, float(cf(spec, t))]),
+    "density": _Grid("density on an x grid (CSV)", "x", ["x_or_lambda", "value", "est_error"],
+                     _density_rows, abs_tol=True),
+    "tail": _Grid("two-sided tail probabilities (CSV)", "lambdas",
+                  ["x_or_lambda", "value", "est_error"], _tail_rows, abs_tol=True),
+    "asymptote": _Grid("tail asymptote T(lambda) (CSV)", "lambdas", ["lambda", "T"],
+                       lambda spec, args, clamped: lambda lam: [lam, tail_asymptote(spec, lam)]),
+    "ratio-scan": _Grid("tail/asymptote ratio over lambda (CSV)", "lambdas",
+                        ["lambda", "T", "P", "ratio", "abs_err_bound"], _ratio_scan_rows,
+                        [100.0, 1000.0, 10000.0], abs_tol=True),
+}
+
+
+def _cmd_grid(args) -> int:
+    grid = _GRIDS[args.command]
+    clamped = []
+    row = grid.rows(_load_spec(args), args, clamped)
+    rows = [row(p) for p in sorted(getattr(args, grid.grid))]
+    if sum(clamped) > 0.01 * len(rows):
+        print(f"error: {sum(clamped)}/{len(rows)} density values needed clamping to 0",
+              file=sys.stderr)
+        return 4
+    out = _outpath(args, f"{args.command.replace('-', '_')}.csv")
+    _write_csv(out, grid.header, rows)
     print(f"wrote {out}")
     return 0
 
 
 def _cmd_sample(args) -> int:
+    if args.tail_at and not args.summary:     # the tails are written to the summary
+        raise ValueError("--tail-at needs --summary")
     for lam in args.tail_at:                  # refused before drawing, not after
         if not lam >= 0.0:
             raise ValueError(f"lambda must be nonnegative, got {lam}")
@@ -251,6 +260,26 @@ def _cmd_sample(args) -> int:
 
 
 _LEMMA_DEFAULT_LAMBDAS = [10.0, 50.0, 100.0, 1000.0]
+_LEMMA3_GAMMAS = [round(g, 10) for g in np.arange(0.3, 1.95, 0.1)]
+
+# the verify targets that return a LemmaReport: (sweep(args, moll), CSV header),
+# the header naming the grid keys the CSV holds.  Each sweep loads its spec, if
+# any, after the mollifier is built, so a bad q is reported first.
+_SWEEPS = {
+    "lemma1": (lambda args, moll: verify_lemma1(
+                   _load_spec(args), moll, args.lambdas or _LEMMA_DEFAULT_LAMBDAS),
+               ["lambda", "eta_upper_arg", "tail", "eta_lower_arg"]),
+    "lemma3": (lambda args, moll: verify_lemma3(moll, _LEMMA3_GAMMAS),
+               ["gamma", "lower", "C", "upper", "margin_lower", "margin_upper"]),
+    "lemma5": (lambda args, moll: verify_lemma5(
+                   _load_spec(args), moll, args.lambdas or [1.0, 10.0, 100.0]),
+               ["xi", "T_qxi", "tau", "T_xi_over_q"]),
+    "lemma6": (lambda args, moll: verify_lemma6(
+                   _load_spec(args), moll, args.lambdas or _LEMMA_DEFAULT_LAMBDAS),
+               ["lambda", "ratio_lower", "ratio_upper", "margin_lower", "margin_upper"]),
+    "parseval": (lambda args, moll: verify_parseval(_load_spec(args), moll, args.deltas),
+                 ["delta", "theta_side", "x_side", "difference", "tolerance"]),
+}
 
 
 def _cmd_verify(args) -> int:
@@ -274,30 +303,8 @@ def _cmd_verify(args) -> int:
             rows.append([i, xi, delta, int(r[0]), int(r[1]), int(r[2])])
         rep = LemmaReport("remarks", ok, [], {"samples": args.samples})
     else:
-        moll = build_mollifier(args.q)
-        if which == "lemma3":
-            gammas = [round(g, 10) for g in np.arange(0.3, 1.95, 0.1)]
-            rep = verify_lemma3(moll, gammas)
-            header = ["gamma", "lower", "C", "upper", "margin_lower", "margin_upper"]
-        else:
-            spec = _load_spec(args)
-            lambdas = args.lambdas or _LEMMA_DEFAULT_LAMBDAS
-            if which == "lemma1":
-                rep = verify_lemma1(spec, moll, lambdas)
-                header = ["lambda", "eta_upper_arg", "tail", "eta_lower_arg"]
-            elif which == "lemma5":
-                xis = args.lambdas or [1.0, 10.0, 100.0]
-                rep = verify_lemma5(spec, moll, xis)
-                header = ["xi", "T_qxi", "tau", "T_xi_over_q"]
-            elif which == "lemma6":
-                rep = verify_lemma6(spec, moll, lambdas)
-                header = ["lambda", "ratio_lower", "ratio_upper", "margin_lower", "margin_upper"]
-            elif which == "parseval":
-                rep = verify_parseval(spec, moll, args.deltas)
-                header = ["delta", "theta_side", "x_side", "difference", "tolerance"]
-            else:
-                raise SpecFormatError(f"unknown verify target {which!r}")
-        # each header names grid keys, so the CSV is the grid's columns
+        sweep, header = _SWEEPS[which]
+        rep = sweep(args, build_mollifier(args.q))
         rows = [[r[k] for k in header] for r in rep.grid]
 
     out_json = _outpath(args, f"verify_{which}.json")
@@ -359,36 +366,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rel-tol", type=float, default=1e-12)
     p.set_defaults(fn=_cmd_quasinorm)
 
-    p = sub.add_parser("cf", help="characteristic function on a theta grid")
-    _add_spec_args(p)
-    p.add_argument("--theta", type=float, nargs="+", required=True)
-    p.set_defaults(fn=_cmd_cf)
-
-    p = sub.add_parser("density", help="density on an x grid (CSV)")
-    _add_spec_args(p)
-    p.add_argument("--abs-tol", type=float, default=1e-10)
-    p.add_argument("--x", type=float, nargs="+", required=True)
-    p.set_defaults(fn=_cmd_density)
-
-    p = sub.add_parser("tail", help="two-sided tail probabilities (CSV)")
-    _add_spec_args(p)
-    p.add_argument("--abs-tol", type=float, default=1e-10)
-    p.add_argument("--lambdas", type=float, nargs="+", required=True)
-    p.set_defaults(fn=_cmd_tail)
-
-    p = sub.add_parser("asymptote", help="tail asymptote T(lambda) (CSV)")
-    _add_spec_args(p)
-    p.add_argument("--lambdas", type=float, nargs="+", required=True)
-    p.set_defaults(fn=_cmd_asymptote)
-
-    p = sub.add_parser("ratio-scan", help="tail/asymptote ratio over lambda (CSV)")
-    _add_spec_args(p)
-    p.add_argument("--abs-tol", type=float, default=1e-10)
-    p.add_argument("--lambdas", type=float, nargs="+",
-                   default=[100.0, 1000.0, 10000.0])
-    p.add_argument("--normalize", action="store_true",
-                   help="normalize the spec to the unit sphere first")
-    p.set_defaults(fn=_cmd_ratio_scan)
+    for name, grid in _GRIDS.items():
+        p = sub.add_parser(name, help=grid.help)
+        _add_spec_args(p)
+        if grid.abs_tol:
+            p.add_argument("--abs-tol", type=float, default=1e-10)
+        p.add_argument(f"--{grid.grid}", type=float, nargs="+",
+                       required=grid.default is None, default=grid.default)
+        p.set_defaults(fn=_cmd_grid)
+    sub.choices["ratio-scan"].add_argument(
+        "--normalize", action="store_true", help="normalize the spec to the unit sphere first")
 
     p = sub.add_parser("sample", help="Monte Carlo draws of I(f)")
     _add_spec_args(p)
@@ -400,8 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_sample)
 
     p = sub.add_parser("verify", help="lemma verification sweeps (JSON + CSV)")
-    p.add_argument("lemma", choices=["lemma1", "lemma2", "lemma3", "lemma5",
-                                     "lemma6", "parseval", "remarks"])
+    p.add_argument("lemma", choices=sorted([*_SWEEPS, "lemma2", "remarks"]))
     _add_spec_args(p)
     p.add_argument("--q", type=float, default=1.5)
     p.add_argument("--lambdas", type=float, nargs="*", default=None,

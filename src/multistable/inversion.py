@@ -649,25 +649,36 @@ def tail_probability(spec: MultistableSpec, lam: float,
     return p
 
 
-def cdf(spec: MultistableSpec, x: float, cfg: QuadratureConfig | None = None) -> float:
-    """Distribution function F(x) = P(I(f) <= x) of the symmetric law."""
-    cfg = cfg or QuadratureConfig()
+def _cdf_with_error(spec: MultistableSpec, x: float) -> tuple[float, float]:
+    """F(x) and a bound on its absolute error."""
     _require_nonzero(spec)
     if math.isnan(x):
         raise ValueError("x is NaN")
     if math.isinf(x):
-        return 1.0 if x > 0 else 0.0
+        return (1.0 if x > 0 else 0.0), 0.0
     if x == 0.0:
-        return 0.5
+        return 0.5, 0.0
     p, err = _ray_integral(spec, abs(x), "tail")
-    _certify("cdf", err / 2.0, cfg)
-    return _unit(1.0 - 0.5 * p if x > 0 else 0.5 * p)
+    return _unit(1.0 - 0.5 * p if x > 0 else 0.5 * p), err / 2.0
+
+
+def cdf(spec: MultistableSpec, x: float, cfg: QuadratureConfig | None = None) -> float:
+    """Distribution function F(x) = P(I(f) <= x) of the symmetric law."""
+    cfg = cfg or QuadratureConfig()
+    F, err = _cdf_with_error(spec, x)
+    _certify("cdf", err, cfg)
+    return F
 
 
 def interval_probability(spec: MultistableSpec, lo: float, hi: float,
                          cfg: QuadratureConfig | None = None) -> float:
-    """P(lo < I(f) <= hi) by difference of distribution-function values."""
+    """P(lo < I(f) <= hi) by difference of distribution-function values,
+    certified to the sum of their bounds and the subtraction's rounding."""
     cfg = cfg or QuadratureConfig()
     if not lo <= hi:
         raise ValueError(f"need lo <= hi, got ({lo}, {hi})")
-    return _unit(cdf(spec, hi, cfg) - cdf(spec, lo, cfg))
+    f_hi, err_hi = _cdf_with_error(spec, hi)
+    f_lo, err_lo = _cdf_with_error(spec, lo)
+    p = f_hi - f_lo
+    _certify("interval probability", err_hi + err_lo + _EPS * abs(p), cfg)
+    return _unit(p)

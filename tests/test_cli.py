@@ -433,3 +433,48 @@ def test_number_lists_take_negatives_in_every_float_form(argv, dest, capsys):
     with pytest.raises(SystemExit) as exc:
         ap.parse_args(argv + ["-1e-6", "-h"])
     assert exc.value.code == 0 and "usage:" in capsys.readouterr().out
+
+
+def test_sample_tail_at_needs_summary(tmp_path, monkeypatch, capsys):
+    # the tails are written only to the summary, so without it they used to be
+    # dropped with exit 0; refused before any draw
+    def refuse(*args, **kwargs):
+        raise AssertionError("sample called")
+
+    monkeypatch.setattr(cli, "sample", refuse)
+    out = tmp_path / "s.csv"
+    rc = run_command(["sample", "--fixture", "cauchy", "--n", "100", "--tail-at", "10",
+                      "--out", str(out)])
+    assert rc == 2
+    assert "--summary" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, csv_sha256", [
+    (["cf", "--fixture", "two_exp", "--theta", "2", "-0.5", "1e-3", "10"],
+     "f323819e2a2aa2ac9a27979a8e05832b8c0e0ea8e41f1c25f0043d5528c182b9"),
+    (["density", "--fixture", "cauchy", "--x", "-1e-6", "1", "1e6"],
+     "b46d7a0c7db8beece54cdd9514155ae8036249b731eada5ceea10c563fdaca29"),
+    (["tail", "--fixture", "two_exp", "--lambdas", "1000", "1", "10", "--abs-tol", "1e-13"],
+     "94529bd83ad5af38f1da9d2fbc4a3ab8d0d4d92c88375fb8639e7ecd6a6296ed"),
+    (["asymptote", "--fixture", "two_exp", "--lambdas", "1000", "10", "100"],
+     "c031a59ee65ec574fd9b5dbe52d5f47e0aeb6bf93c9b74b8114fde670c763a7b"),
+    (["ratio-scan", "--fixture", "two_exp", "--lambdas", "10", "1000"],
+     "07a272bbdf02cd7ae467b094e054fd050ecee002b166e1d50857c901524ad7a8"),
+    (["ratio-scan", "--fixture", "two_exp", "--normalize", "--lambdas", "10", "1000"],
+     "5d45e5ffb0bbbe5142414ef361a88b9ddedf8162b5df05c104484a7562d50092"),
+    (["verify", "lemma1", "--fixture", "two_exp"],
+     "d44e3f8117451c720a93eea92fb362b1e7035fd051fb0f1bdf0f9a209d51fb15"),
+    (["verify", "lemma5", "--fixture", "two_exp"],
+     "e42ca801858d8758561f9e3412bb801af06dc32fa3a5fe646fa699b0d66a5f0e"),
+    (["verify", "lemma6", "--fixture", "two_exp"],
+     "c0dbc9fd6a9399414ab1ae27c1fcf730a25ff91f707bb087e244d45fe6ea14c2"),
+    (["verify", "parseval", "--fixture", "two_exp"],
+     "487bcd6e2435f126ebdd3a2aaa86800706cdbab3dc7f223b3047b1fc8d7de0ac"),
+])
+def test_grid_and_verify_csvs_pinned(argv, csv_sha256, tmp_path):
+    # every grid command and the verify sweeps on one fixture: rows sorted,
+    # columns in header order, 17 significant digits, sorted grid points
+    out = tmp_path / ("o.json" if argv[0] == "verify" else "o.csv")
+    assert run_command(argv + ["--out", str(out)]) == 0
+    assert _sha256(out.with_suffix(".csv")) == csv_sha256

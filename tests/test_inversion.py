@@ -177,3 +177,19 @@ def test_monte_carlo_consistency():
         p_hat, se = mc_tail(draws, lam)
         p = tail_probability(TWO_EXP, lam, CFG)
         assert abs(p_hat - p) <= 4.0 * se
+
+
+def test_interval_certifies_the_sum_of_its_cdf_bounds():
+    # each cdf meets abs_tol at the larger half-bound, but the difference can
+    # be off by both: the interval's own bound must be certified
+    from multistable.inversion import tail_probability_with_error
+    from multistable.quadrature import AccuracyError
+
+    half = [tail_probability_with_error(CAUCHY, x)[1] / 2.0 for x in (1.0, 2.0)]
+    assert min(half) > 0.0
+    for x in (1.0, 2.0):
+        cdf(CAUCHY, x, QuadratureConfig(abs_tol=max(half)))
+    with pytest.raises(AccuracyError, match="interval probability"):
+        interval_probability(CAUCHY, 1.0, 2.0, QuadratureConfig(abs_tol=max(half)))
+    p = interval_probability(CAUCHY, 1.0, 2.0, QuadratureConfig(abs_tol=2.0 * sum(half)))
+    assert p == pytest.approx((math.atan(2.0) - math.atan(1.0)) / math.pi, abs=2.0 * sum(half))
