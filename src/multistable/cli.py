@@ -390,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("lemma", choices=sorted([*_SWEEPS, "lemma2", "remarks"]))
     _add_spec_args(p)
     p.add_argument("--q", type=float, default=1.5)
-    p.add_argument("--lambdas", type=float, nargs="*", default=None,
+    p.add_argument("--lambdas", type=float, nargs="+", default=None,
                    help="lambda grid for lemma1 and lemma6 (default 10 50 100 1000); "
                         "for lemma5 the xi grid (default 1 10 100)")
     p.add_argument("--deltas", type=float, nargs="*", default=[0.1, 1.0])

@@ -1,44 +1,42 @@
-"""Generic real-axis oscillatory quadrature.
+"""Quadrature on the panel rule every certified integral shares.
 
-Semi-infinite integrals of the form
+The library's one panel rule is the QUADPACK Gauss-Kronrod 10/21 pair
+(``_X21``, ``_WK21``, ``_WG21``), and ``_sums`` is its one application: per
+panel, the Kronrod sum, the Kronrod-minus-Gauss sum and the counted roundoff
+of an integrand that returns its values and their roundoff.  So there is one
+error model: a panel's bound is its |Kronrod - Gauss| plus its roundoff.
+``_rule`` adds it up over a fixed panel layout, for the inversion ray rule and
+the mollifier's band integrals (h_q and the Parseval x side); ``_adaptive``
+bisects panels until each piece meets its share of a tolerance, for the
+real-axis engine.
+
+The real-axis engine, :func:`fourier_integral` behind the public
+:func:`oscillatory_integral`, computes
 
     integral_0^inf  g(theta) * trig(omega * theta)  d(theta)
 
-with a decaying envelope g are computed by splitting the axis at the
-zeros of the trigonometric factor, integrating each panel with adaptive
-Gauss-Kronrod, and Euler-accelerating the resulting alternating series.
-For envelopes that die before oscillation matters the panel terms reach
-the tolerance directly and the alternating-series remainder bound is
-used instead.
-
-This engine serves only :func:`oscillatory_integral`, for envelopes that
-need not extend off the real axis (``exp(-|t|^0.7)``, say).  The density,
-tail and cdf of the multistable law do not come through here:
-:mod:`multistable.inversion` integrates them with a fixed rule on a
-rotated ray, where the cf's analytic continuation lets the Fourier
-kernel decay.  The module also holds what every certified result shares:
-:class:`QuadratureConfig`, :class:`AccuracyError` and the one panel rule
-table, the QUADPACK Gauss-Kronrod 10/21 pair (``_X21``, ``_WK21``,
-``_WG21``).  :func:`adaptive_gk` applies it panel by panel with QUADPACK's
-error heuristic, for the real-axis engine alone; ``_rule`` sums it over a
-fixed panel layout at once, with closed-form error terms, for the inversion
-ray rule and for the mollifier's band integrals (h_q and the Parseval x
-side).
+for a decaying envelope g that need not extend off the real axis
+(``exp(-|t|^0.7)``, say): one loop sums panels between the kernel's zeros,
+Euler-accelerated, at omega > 0 and doubling panels at omega = 0.  The
+density, tail and cdf of the multistable law do not come through here:
+:mod:`multistable.inversion` integrates them with ``_rule`` on a rotated ray,
+where the cf's analytic continuation lets the Fourier kernel decay.  The
+module also holds what every certified result shares:
+:class:`QuadratureConfig`, :class:`AccuracyError` and ``_certify``.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-__all__ = ["QuadratureConfig", "AccuracyError", "oscillatory_integral", "fourier_integral"]
+__all__ = ["QuadratureConfig", "AccuracyError", "oscillatory_integral"]
 
 _EPS = float(np.finfo(float).eps)
-# most panels adaptive_gk splits [a, b] into
+# most pieces _adaptive splits a panel into
 _MAX_INTERVALS = 400
 # most panels fourier_integral sums on the half-line
 _MAX_PANELS = 8192
@@ -78,8 +76,8 @@ class QuadratureConfig:
     abs_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.abs_tol <= 0.0:
-            raise ValueError("abs_tol must be positive")
+        if not 0.0 < self.abs_tol < math.inf:
+            raise ValueError(f"abs_tol must be finite and positive, got {self.abs_tol}")
 
 
 # ---------------------------------------------------------------------------
@@ -114,80 +112,88 @@ _WG21[1:20:2] = np.concatenate([_WG_HALF, _WG_HALF[::-1]])
 _W21 = np.stack((_WK21, _WK21 - _WG21), axis=1)
 
 
-def _rule(lo: np.ndarray, width: np.ndarray, integrand) -> tuple[float, float, float]:
-    """The Gauss-Kronrod sum over the panels (lo, width), the sum of the per-panel
-    Kronrod-minus-Gauss differences and the roundoff bound.  ``integrand(x)``
-    returns a (2, n) array, the values and their roundoff in units of eps; one
-    product against the two weight columns gives all three per panel."""
+def _sums(lo: np.ndarray, width: np.ndarray, integrand) -> tuple[np.ndarray, ...]:
+    """Per-panel GK21 sums over the panels (lo, width), each on [-1, 1]: the Kronrod
+    sums, the Kronrod-minus-Gauss sums and the roundoff sums, and the half widths.
+    ``integrand(x)`` returns a (2, n) array, the values and their roundoff in units
+    of eps; one product against the two weight columns gives all three sums."""
     half = 0.5 * width
     x = (lo + half)[:, None] + half[:, None] * _X21
     sums = integrand(x.ravel()).reshape(-1, _X21.size) @ _W21
     n = half.size
-    kron, diff, node_err = sums[:n, 0], sums[:n, 1], sums[n:, 0]
+    return sums[:n, 0], sums[:n, 1], sums[n:, 0], half
+
+
+def _rule(lo: np.ndarray, width: np.ndarray, integrand) -> tuple[float, float, float]:
+    """The Gauss-Kronrod sum over the panels (lo, width), the sum of the per-panel
+    Kronrod-minus-Gauss differences and the roundoff bound (see _sums)."""
+    kron, diff, node_err, half = _sums(lo, width, integrand)
     kron *= half
     return (float(np.sum(kron)), float(np.abs(diff) @ half),
             float(_EPS * (node_err @ half)))
 
 
-def _gk21(f: Callable, a: float, b: float) -> tuple[float, float]:
-    h = 0.5 * (b - a)
-    x = 0.5 * (a + b) + h * _X21
-    y = np.asarray(f(x), dtype=float)
-    k = h * float(_WK21 @ y)
-    g = h * float(_WG21 @ y)
-    err = abs(k - g)
-    resasc = abs(h) * float(_WK21 @ np.abs(y - k / (b - a)))
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    return k, err
+def _adaptive(f: Callable, lo: np.ndarray, width: np.ndarray,
+              tol) -> tuple[np.ndarray, np.ndarray]:
+    """Adaptive GK21 on the panels (lo, width) -> each panel's value and error bound.
+
+    Each round takes the _sums of every unresolved piece in one call of f.  A
+    piece's bound is its |Kronrod - Gauss| plus its Kronrod dot product's
+    rounding on the integral of |f|, as in _rule.  A piece is bisected until its
+    |K - G| is within its share of its panel's tol (tol times its share of the
+    width), is within that rounding, or the piece is at machine resolution, and
+    until its panel's whole bound is within tol; a panel takes at most
+    _MAX_INTERVALS pieces.
+    """
+    n = lo.size
+    share = tol / width
+    owner, pieces = np.arange(n), np.ones(n, dtype=int)
+    val, err = np.zeros(n), np.zeros(n)
+
+    def integrand(x):
+        # roundoff in units of eps: the Kronrod dot product 10.5, the half width 1/2
+        y = np.asarray(f(x), dtype=float)
+        return np.stack((y, 11.0 * np.abs(y)))
+
+    while owner.size:
+        kron, diff, rounding, half = _sums(lo, width, integrand)
+        kron *= half
+        kg, rounding = np.abs(diff) * half, _EPS * rounding * half
+        bound = err + np.bincount(owner, kg + rounding, n)
+        split = ((kg > share[owner] * width) & (kg > rounding) & (bound > tol)[owner]
+                 & (width > 64.0 * _EPS * np.maximum(np.abs(lo) + width, 1.0)))
+        new = np.bincount(owner[split], minlength=n)
+        full = pieces + new > _MAX_INTERVALS
+        split &= ~full[owner]
+        pieces += np.where(full, 0, new)
+        done = ~split
+        val += np.bincount(owner[done], kron[done], n)
+        err += np.bincount(owner[done], kg[done] + rounding[done], n)
+        owner, lo, half = np.repeat(owner[split], 2), lo[split], half[split]
+        lo, width = np.stack((lo, lo + half), axis=1).ravel(), np.repeat(half, 2)
+    return val, err
 
 
 def adaptive_gk(f: Callable, a: float, b: float, tol: float) -> tuple[float, float]:
-    """Globally adaptive Gauss-Kronrod on [a, b]; returns (value, error bound)."""
-    val, err = _gk21(f, a, b)
-    heap = [(-err, a, b, val, err)]
-    total, toterr = val, err
-    n = 1
-    while toterr > tol and n < _MAX_INTERVALS:
-        negerr, lo, hi, v, e = heapq.heappop(heap)
-        if hi - lo <= 64 * _EPS * max(abs(lo), abs(hi), 1.0):
-            # interval exhausted at machine resolution
-            heapq.heappush(heap, (0.0, lo, hi, v, e))
-            if all(item[0] == 0.0 for item in heap):
-                break
-            continue
-        mid = 0.5 * (lo + hi)
-        v1, e1 = _gk21(f, lo, mid)
-        v2, e2 = _gk21(f, mid, hi)
-        total += v1 + v2 - v
-        toterr += e1 + e2 - e
-        heapq.heappush(heap, (-e1, lo, mid, v1, e1))
-        heapq.heappush(heap, (-e2, mid, hi, v2, e2))
-        n += 2
-    return total, toterr
+    """Adaptive Gauss-Kronrod on [a, b] (one panel of _adaptive); returns (value, error bound)."""
+    val, err = _adaptive(f, np.array([a], dtype=float), np.array([b - a], dtype=float), tol)
+    return float(val[0]), float(err[0])
 
 
 # ---------------------------------------------------------------------------
 # Euler transformation of an alternating tail
 
-def _euler_accelerate(us: list[float]) -> tuple[float, float]:
-    """Estimate the limit of an alternating series from its terms.
-
-    Repeatedly averages the partial sums; returns the value at the level
-    where the last correction was smallest, with that correction as the
-    error estimate.
-    """
+def _euler_accelerate(us: np.ndarray) -> tuple[float, float]:
+    """The limit of an alternating series from its terms, and an error estimate:
+    the partial sums averaged level by level, taken at the level whose
+    correction was smallest, with that correction."""
     arr = np.cumsum(us)
-    best = float(arr[-1])
-    best_err = abs(us[-1])
-    prev = arr[-1]
+    best, best_err = float(arr[-1]), abs(float(us[-1]))
     while arr.size > 2:
-        arr = 0.5 * (arr[:-1] + arr[1:])
+        prev, arr = float(arr[-1]), 0.5 * (arr[:-1] + arr[1:])
         d = abs(float(arr[-1]) - prev)
-        prev = float(arr[-1])
         if d < best_err:
-            best_err = d
-            best = prev
+            best, best_err = float(arr[-1]), d
     return best, best_err
 
 
@@ -195,92 +201,83 @@ def _euler_accelerate(us: list[float]) -> tuple[float, float]:
 # main engine
 
 _N_HEAD = 8          # panels summed directly before acceleration
-_BATCH = 48          # panels collected between acceleration attempts
+_BATCH = 48          # panels integrated per _adaptive call, between stop checks
 _SAFETY = 8.0        # multiplier on the acceleration error estimate
-
-
-def _zero_split(env: Callable, omega: float, kernel: str,
-                cfg: QuadratureConfig) -> tuple[float, float]:
-    gap = math.pi / omega
-    trig = np.cos if kernel == "cos" else np.sin
-    first_hi = 0.5 * gap if kernel == "cos" else gap
-
-    def f(t):
-        return np.asarray(env(t), dtype=float) * trig(omega * t)
-
-    us: list[float] = []
-    qerr = 0.0
-    sumabs = 0.0
-    lo = 0.0
-    k = 0
-    best_err = math.inf
-    best_val = 0.0
-    while k < _MAX_PANELS:
-        for _ in range(_BATCH):
-            if k >= _MAX_PANELS:
-                break
-            hi = first_hi + k * gap
-            u, e = adaptive_gk(f, lo, hi, cfg.abs_tol * 1e-3 / (1 + k) ** 2)
-            us.append(u)
-            qerr += e
-            sumabs += abs(u)
-            lo = hi
-            k += 1
-            if k > 2 and abs(us[-1]) < cfg.abs_tol / 8 and abs(us[-2]) < cfg.abs_tol / 8:
-                # terms below tolerance: alternating remainder <= |u_last|
-                err = qerr + abs(us[-1]) + 8 * _EPS * (1.0 + sumabs)
-                return sum(us), err
-        if k >= _N_HEAD + 16:
-            est, aerr = _euler_accelerate(us[_N_HEAD:])
-            err = _SAFETY * aerr + qerr + 8 * _EPS * (1.0 + sumabs)
-            val = sum(us[:_N_HEAD]) + est
-            if err < best_err:
-                best_err, best_val = err, val
-            if err < cfg.abs_tol:
-                return val, err
-    raise AccuracyError(
-        f"oscillatory integral did not reach abs_tol={cfg.abs_tol:.1e} "
-        f"within {_MAX_PANELS} panels", best_err)
-
-
-def _nonoscillatory(env: Callable, cfg: QuadratureConfig) -> tuple[float, float]:
-    """integral_0^inf env on geometric panels with a decay-ratio remainder; env must decay."""
-    total, toterr = adaptive_gk(env, 0.0, 1.0, cfg.abs_tol * 1e-2)
-    a, b = 1.0, 2.0
-    prev = math.inf
-    for _ in range(_MAX_PANELS):
-        u, e = adaptive_gk(env, a, b, cfg.abs_tol * 1e-2)
-        total += u
-        toterr += e
-        ratio = abs(u) / prev if prev > 0 else 0.0
-        prev = abs(u)
-        if abs(u) < cfg.abs_tol / 8 and ratio < 0.9:
-            rem = abs(u) * ratio / (1.0 - ratio)
-            return total, toterr + rem
-        a, b = b, 2.0 * b
-    raise AccuracyError("non-oscillatory tail did not decay within the panel budget",
-                        toterr + prev)
 
 
 def fourier_integral(env: Callable, omega: float, kernel: str,
                      cfg: QuadratureConfig) -> tuple[float, float]:
     """integral_0^inf env(theta) * kernel(omega * theta) dtheta -> (value, error bound).
 
-    ``env`` must accept numpy arrays and should decrease monotonically for
-    the alternating-series machinery to apply.  ``kernel`` is "cos" or
-    "sin"; omega must be nonnegative.  The bound covers the whole
-    half-line: at omega = 0 the geometric panels run until the envelope's
-    decay ratio bounds the remainder.
+    ``env`` must accept numpy arrays; ``kernel`` is "cos" or "sin" and omega
+    must be nonnegative.  One loop integrates _BATCH panels per _adaptive call:
+    the half periods between the kernel's zeros at omega > 0, [0, 1] and then
+    doublings at omega = 0.  At omega > 0 it stops on two small terms or once
+    the Euler-accelerated tail meets abs_tol; at omega = 0 once a small panel's
+    decay ratio bounds the rest.  The bound adds the panels' bounds, that
+    remainder and 8 eps (1 + sum |u|) for the sums' roundoff.  It covers the
+    whole half-line, but three of its terms are estimates, not proofs: at
+    omega = 0 the remainder u r / (1 - r) takes the rest to shrink by the last
+    two panels' ratio r; the Euler term is _SAFETY times the smallest correction
+    of the averaged partial sums; and the alternating remainder, the last small
+    term, needs an envelope that decreases monotonically.
+
+    No stop rests on a value that is not finite, nor at omega = 0 on a panel
+    value of 0: an underflow over a doubling panel can hide up to 2^-51 (at
+    omega > 0, a half period times the least subnormal).  When no stop holds
+    within _MAX_PANELS panels or the finite edges, AccuracyError carries the
+    best Euler bound, or inf.
     """
     if kernel not in ("cos", "sin"):
         raise ValueError("kernel must be 'cos' or 'sin'")
     if omega < 0.0:
         raise ValueError("omega must be nonnegative")
-    if omega == 0.0:
-        if kernel == "sin":
-            return 0.0, 0.0
-        return _nonoscillatory(env, cfg)
-    return _zero_split(env, omega, kernel, cfg)
+    if omega == 0.0 and kernel == "sin":
+        return 0.0, 0.0
+    trig = np.cos if kernel == "cos" else np.sin
+
+    def f(t):
+        return env(t) * trig(omega * t)
+
+    tol, lo, best = cfg.abs_tol, 0.0, math.inf
+    us = qerr = np.empty(0)
+    for start in range(0, _MAX_PANELS, _BATCH):
+        k = np.arange(start, min(start + _BATCH, _MAX_PANELS))
+        with np.errstate(over="ignore", invalid="ignore"):
+            if omega == 0.0:  # [0, 1] and then doublings
+                his, shares = np.ldexp(1.0, k), np.full(k.size, tol * 1e-2)
+            else:  # half periods between the kernel's zeros
+                gap = math.pi / omega
+                his = (0.5 if kernel == "cos" else 1.0) * gap + gap * k
+                shares = tol * 1e-3 / (1.0 + k) ** 2
+        his = his[np.isfinite(his)]
+        if not his.size:
+            break
+        edges, lo = np.concatenate(([lo], his)), his[-1]
+        u, e = _adaptive(f, edges[:-1], np.diff(edges), shares[:his.size])
+        us, qerr = np.append(us, u), np.append(qerr, e)
+        a = np.abs(us)
+        err = np.cumsum(qerr) + 8 * _EPS * (1.0 + np.cumsum(a))
+        j = np.arange(max(start, 2), us.size)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if omega > 0.0:
+                rest = a[j]
+                stop = np.maximum(a[j - 1], a[j]) < tol / 8
+            else:
+                r = a[j] / a[j - 1]
+                rest = a[j] * r / (1.0 - r)
+                stop = (a[j] < tol / 8) & (a[j] > 0.0) & (r < 0.9)
+        stop &= np.isfinite(err[j] + rest)
+        if stop.any():
+            i = int(np.argmax(stop))
+            return float(np.sum(us[:j[i] + 1])), float(err[j[i]] + rest[i])
+        if omega > 0.0 and us.size >= _N_HEAD + 16:
+            est, aerr = _euler_accelerate(us[_N_HEAD:])
+            best = min(best, float(_SAFETY * aerr + err[-1]))
+            if best < tol:
+                return float(np.sum(us[:_N_HEAD]) + est), best
+    raise AccuracyError(f"half-line integral did not reach abs_tol={tol:.1e} within "
+                        f"{us.size} panels", best)
 
 
 def oscillatory_integral(integrand: Callable, frequency: float,

@@ -478,3 +478,22 @@ def test_grid_and_verify_csvs_pinned(argv, csv_sha256, tmp_path):
     out = tmp_path / ("o.json" if argv[0] == "verify" else "o.csv")
     assert run_command(argv + ["--out", str(out)]) == 0
     assert _sha256(out.with_suffix(".csv")) == csv_sha256
+
+
+def test_tail_refuses_a_nan_abs_tol(tmp_path, capsys):
+    # a nan tolerance used to switch certification off: every "err > nan" is false
+    out = tmp_path / "t.csv"
+    assert run_command(["tail", "--fixture", "cauchy", "--lambdas", "10", "--abs-tol", "nan",
+                        "--out", str(out)]) == 2
+    assert "abs_tol" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lemma", ["lemma1", "lemma5", "lemma6"])
+def test_verify_refuses_an_empty_lambda_grid(lemma, tmp_path, capsys):
+    # an empty --lambdas used to fall back to the default grid
+    out = tmp_path / "v.json"
+    assert run_command(["verify", lemma, "--fixture", "cauchy", "--lambdas",
+                        "--out", str(out)]) == 2
+    assert "argument --lambdas" in capsys.readouterr().err
+    assert not out.exists()

@@ -112,3 +112,57 @@ def test_adaptive_panels_matches_default_policy():
     va, _ = fourier_integral(env, 3.0, "cos", a)
     vb, _ = quad(env, 0.0, 2000.0, weight="cos", wvar=3.0, epsabs=1e-12, limit=5000)
     assert va == pytest.approx(vb, abs=2e-10)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf])
+def test_config_refuses_a_tolerance_that_is_not_finite(tol):
+    # abs_tol = nan would pass "abs_tol <= 0" and make every "err > abs_tol" false
+    with pytest.raises(ValueError):
+        QuadratureConfig(tol)
+
+
+# the closed-form sweep: every call returns within its own bound or raises
+# AccuracyError with a bound that is finite or inf, never nan
+_SWEEP_TOLS = (1e-10, 1e-11, 1e-12, 1e-13, 1e-14, 1e-15)
+
+
+def _within_bound_or_raises(env, omega, true, tols):
+    for tol in tols:
+        try:
+            val, err = fourier_integral(env, omega, "cos", QuadratureConfig(tol))
+        except AccuracyError as exc:
+            assert not math.isnan(exc.achieved), tol
+        else:
+            assert abs(val - true) <= err, (tol, val - true, err)
+
+
+@pytest.mark.parametrize("p", [1.05, 1.2, 1.5, 2.0, 3.0])
+def test_zero_frequency_power_tails_within_bound_or_raise(p):
+    _within_bound_or_raises(lambda t: (1.0 + t) ** -p, 0.0, 1.0 / (p - 1.0), _SWEEP_TOLS)
+
+
+@pytest.mark.parametrize("beta", [0.2, 0.3, 0.5, 0.7, 1.0])
+def test_zero_frequency_stretched_exponentials_within_bound_or_raise(beta):
+    _within_bound_or_raises(lambda t: np.exp(-t ** beta), 0.0, math.gamma(1.0 + 1.0 / beta),
+                            _SWEEP_TOLS)
+
+
+@pytest.mark.parametrize("omega", [0.1, 1.0, 5.0, 30.0])
+def test_oscillatory_closed_forms_within_bound_or_raise(omega):
+    # 1/(1+t^2) at 1e-15, like 1/(1+t), runs to the panel cap (seconds a call)
+    _within_bound_or_raises(lambda t: np.exp(-t), omega, 1.0 / (1.0 + omega * omega),
+                            _SWEEP_TOLS)
+    _within_bound_or_raises(lambda t: np.exp(-t * t), omega,
+                            0.5 * math.sqrt(math.pi) * math.exp(-0.25 * omega * omega),
+                            _SWEEP_TOLS)
+    _within_bound_or_raises(lambda t: 1.0 / (1.0 + t * t), omega,
+                            0.5 * math.pi * math.exp(-omega), _SWEEP_TOLS[:-1])
+
+
+@pytest.mark.parametrize("p", [1.001, 1.01, 1.02])
+def test_slowly_decaying_power_tails_raise_with_a_bound(p):
+    # the decay ratio of (1+t)^-p tends to 2^(1-p), so no panel ratio below 0.9
+    # bounds the rest before the doublings leave the float range
+    with pytest.raises(AccuracyError) as exc:
+        fourier_integral(lambda t: (1.0 + t) ** -p, 0.0, "cos", QuadratureConfig(1e-10))
+    assert not math.isnan(exc.value.achieved)
