@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .function_space import MultistableSpec, quasinorm, tail_constant
-from .inversion import tail_probability_with_error
+from .inversion import _tails_with_error, tail_probability_with_error
 from .quadrature import QuadratureConfig, _certify
 
 __all__ = [
@@ -82,13 +82,33 @@ def ratio_with_error(spec: MultistableSpec, lam: float,
                      cfg: QuadratureConfig | None = None) -> tuple[float, float]:
     """(P(|I(f)| > lam) / T(lam), error bound on the ratio)."""
     cfg = cfg or QuadratureConfig()
-    if not 1.0 <= lam < math.inf:
-        raise ValueError(f"ratio is defined for finite lambda >= 1, got {lam}")
-    _require_unit_sphere(spec)
+    _check_ratio(spec, lam)
     t = tail_asymptote(spec, lam)
     p, perr = tail_probability_with_error(spec, lam, cfg)
     _certify("tail probability inside ratio", perr, cfg)
     return p / t, perr / t
+
+
+def _check_ratio(spec: MultistableSpec, lam: float):
+    if not 1.0 <= lam < math.inf:
+        raise ValueError(f"ratio is defined for finite lambda >= 1, got {lam}")
+    _require_unit_sphere(spec)
+
+
+def _ratios_with_error(spec: MultistableSpec, lams: list[float],
+                       cfg: QuadratureConfig | None = None):
+    """ratio_with_error at each lambda, the tails evaluated in blocks: yields in
+    order and raises where a loop of scalar calls would."""
+    cfg = cfg or QuadratureConfig()
+
+    def checked():
+        for lam in lams:
+            _check_ratio(spec, lam)
+            yield lam
+    for lam, (p, perr) in zip(lams, _tails_with_error(spec, checked())):
+        t = tail_asymptote(spec, lam)
+        _certify("tail probability inside ratio", perr, cfg)
+        yield p / t, perr / t
 
 
 def ratio(spec: MultistableSpec, lam: float,

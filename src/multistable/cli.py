@@ -32,7 +32,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import fixtures
-from .asymptote import TailAsymptote, ratio_with_error, scaling_bounds_check, tail_asymptote
+from .asymptote import TailAsymptote, _ratios_with_error, scaling_bounds_check, tail_asymptote
 from .charfn import cf
 from .function_space import (
     ExponentFunction,
@@ -42,7 +42,7 @@ from .function_space import (
     quasinorm,
     refine,
 )
-from .inversion import _certified_density, density_with_error, tail_probability_with_error
+from .inversion import _certified_density, _tails_with_error, density_with_error
 from .mollifier import build_mollifier
 from .prooflab import (
     LemmaReport,
@@ -161,40 +161,47 @@ def _cmd_quasinorm(args) -> int:
 
 
 def _density_rows(spec, args, clamped):
+    # one density_with_error call a point: it is the seam the certification
+    # tests replace
     cfg = _cfg(args)
 
     def row(x):
         raw, err = density_with_error(spec, x, cfg)
         clamped.append(raw < 0.0)
         return [x, _certified_density(f"density at x={x}", raw, err, cfg), err]
-    return row
+    return lambda xs: [row(x) for x in xs]
 
 
 def _tail_rows(spec, args, clamped):
     cfg = _cfg(args)
 
-    def row(lam):
-        val, err = tail_probability_with_error(spec, lam, cfg)
-        _certify(f"tail at lambda={lam}", err, cfg)
-        return [lam, val, err]
-    return row
+    def rows(lams):
+        out = []
+        for lam, (val, err) in zip(lams, _tails_with_error(spec, lams)):
+            _certify(f"tail at lambda={lam}", err, cfg)
+            out.append([lam, val, err])
+        return out
+    return rows
 
 
 def _ratio_scan_rows(spec, args, clamped):
     spec = normalize_to_sphere(spec) if args.normalize else spec
     cfg, asym = _cfg(args), TailAsymptote.from_spec(spec)
 
-    def row(lam):
-        r, rerr = ratio_with_error(spec, lam, cfg)
-        t = float(asym(lam))
-        return [lam, t, r * t, r, rerr]
-    return row
+    def rows(lams):
+        out = []
+        for lam, (r, rerr) in zip(lams, _ratios_with_error(spec, lams, cfg)):
+            t = float(asym(lam))
+            out.append([lam, t, r * t, r, rerr])
+        return out
+    return rows
 
 
 class _Grid(NamedTuple):
     """A subcommand that writes one CSV row per point of its sorted grid
-    --<grid>.  rows(spec, args, clamped) makes the row function of a run; a
-    density row also records in clamped whether it was clamped to 0."""
+    --<grid>.  rows(spec, args, clamped) makes the rows function of a run, which
+    takes the whole sorted grid, so the tails of a grid are one batch; a density
+    row also records in clamped whether it was clamped to 0."""
 
     help: str
     grid: str
@@ -206,13 +213,14 @@ class _Grid(NamedTuple):
 
 _GRIDS = {
     "cf": _Grid("characteristic function on a theta grid", "theta", ["theta", "cf"],
-                lambda spec, args, clamped: lambda t: [t, float(cf(spec, t))]),
+                lambda spec, args, clamped: lambda ts: [[t, float(cf(spec, t))] for t in ts]),
     "density": _Grid("density on an x grid (CSV)", "x", ["x_or_lambda", "value", "est_error"],
                      _density_rows, abs_tol=True),
     "tail": _Grid("two-sided tail probabilities (CSV)", "lambdas",
                   ["x_or_lambda", "value", "est_error"], _tail_rows, abs_tol=True),
     "asymptote": _Grid("tail asymptote T(lambda) (CSV)", "lambdas", ["lambda", "T"],
-                       lambda spec, args, clamped: lambda lam: [lam, tail_asymptote(spec, lam)]),
+                       lambda spec, args, clamped:
+                       lambda lams: [[lam, tail_asymptote(spec, lam)] for lam in lams]),
     "ratio-scan": _Grid("tail/asymptote ratio over lambda (CSV)", "lambdas",
                         ["lambda", "T", "P", "ratio", "abs_err_bound"], _ratio_scan_rows,
                         [100.0, 1000.0, 10000.0], abs_tol=True),
@@ -222,8 +230,7 @@ _GRIDS = {
 def _cmd_grid(args) -> int:
     grid = _GRIDS[args.command]
     clamped = []
-    row = grid.rows(_load_spec(args), args, clamped)
-    rows = [row(p) for p in sorted(getattr(args, grid.grid))]
+    rows = grid.rows(_load_spec(args), args, clamped)(sorted(getattr(args, grid.grid)))
     if sum(clamped) > 0.01 * len(rows):
         print(f"error: {sum(clamped)}/{len(rows)} density values needed clamping to 0",
               file=sys.stderr)

@@ -11,12 +11,12 @@ too, and
     P(|I| > lam) = (2/pi) Im int_ray e^{i lam theta} (1 - cf(theta)) / theta dtheta,
     F(x)         = 1 - P(|I| > x) / 2 for x > 0, P(|I| > -x) / 2 for x < 0.
 
-Each call integrates one exponentially decaying, non-oscillatory function
+Each integral is one exponentially decaying, non-oscillatory function
 with a fixed rule: Gauss-Kronrod panels (the 10 Gauss-Legendre nodes and
 their 21-point Kronrod extension, the table shared with
 :mod:`multistable.quadrature`) in s = log t, each spanning at most a
 factor 8 in t and a bounded change of the integrand's complex exponent,
-all evaluated in one vectorized pass.  For x * t_cf >= 1 (t_cf: the
+all evaluated in vectorized passes.  For x * t_cf >= 1 (t_cf: the
 scale where the modular is 1) the density integrates e^{i x theta}(cf - 1)
 instead, which drops the term int e^{i x theta} dtheta = i/x whose real
 part is 0 but whose size would swamp the small density.  Where the cf
@@ -32,6 +32,24 @@ contributes the shared :class:`QuadratureConfig`, :class:`AccuracyError`,
 certification check and Gauss-Kronrod panel sum, but none of its real-axis
 engine.
 
+Each integral is planned, then evaluated.  ``_plan`` chooses the kind and
+lays out t0, the stub, the truncation and the panels; ``_evaluate`` takes
+the plans of one spec, groups them by kind (and w), and packs each group
+into blocks that close once they hold _BLOCK_NODES nodes, one
+``_integrand`` call a block with omega and t0 per node; a plan of that many
+nodes, and a scalar entry point, is a one-plan call on the scalar path.  Every batched (value, err) equals the one-plan
+call's (``==``), by three rules:
+
+1. each plan's cf exponents (ray.parts t0^alpha) @ (t/t0)^alpha stay one
+   matrix product over that plan's own nodes (a product per node rounds
+   differently);
+2. each plan's GK21 sums stay one (2n, 21) @ _W21 product in the one-plan
+   row layout, then :func:`multistable.quadrature._add_up`'s own sum and
+   dot products, so _ROUNDINGS' count of numpy's pairwise sum holds;
+3. blocks stay below 256 KiB of complex temporaries: above it numpy turns
+   them into in-place operations, whose complex products round
+   differently.
+
 The same rule integrates against the mollifier phi_q of
 :mod:`multistable.mollifier`, whose kernel H(z) = G(w z) e^{i(1+w/2) z}
 averages e^{i lam z} over lam in [1, 1 + w]: :func:`eta_integral` (the
@@ -43,12 +61,21 @@ from __future__ import annotations
 
 import math
 import weakref
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .function_space import MultistableSpec, exp_sum_root
 from .mollifier import _S_CROSSOVER, _far_amplitude, _kernel, _sin_cos
-from .quadrature import AccuracyError, QuadratureConfig, _certify, _rule
+from .quadrature import (
+    _X21,
+    AccuracyError,
+    QuadratureConfig,
+    _add_up,
+    _certify,
+    _nodes,
+    _rule,
+)
 
 __all__ = [
     "density",
@@ -78,6 +105,15 @@ _GRID = 1.0 / 8.0           # s-spacing of the table that places the level edges
 _DECAY = 45.0               # envelopes are cut where they fall below e^-45
 _REL = 2.0 ** -60           # stub and truncation bounds aim below this share of the result
 _MAX_PANELS = 8192          # budget of one call: about 170 000 nodes
+# A batched _integrand call (see _evaluate) takes plans until it holds this many
+# nodes or more: N nodes take at most ceil(N / _BLOCK_NODES) calls of fewer than
+# 2 _BLOCK_NODES nodes each.  Per node, on one core of a shared 2-core x86-64 box
+# (two_exp, medians of 300 calls), a tail costs 100 ns at 800 nodes, 62 at 1600,
+# 36-50 from 2400 to 4800 and 52-76 at 6400; eta 180-340, 120-230, 90-190 and
+# 195-215.  Blocks also stay far below 16384 nodes, 256 KiB of complex values,
+# where numpy would reuse _kernel's complex temporaries in place and round them
+# differently.
+_BLOCK_NODES = 2400
 # Roundoff behind one node's share of the sum, in units of eps times the
 # sizes of its components.  Counted in units of eps/2, the most one
 # operation rounds by (each exp, expm1 and tan is within 1 ulp, two units):
@@ -155,6 +191,7 @@ class _Ray:
         self.t_cf = math.exp(exp_sum_root(1.0, terms))       # 1 / quasinorm
         self.s_cf = exp_sum_root(_DECAY, self.decay)         # |cf| <= e^-45 beyond
         self.log_w = np.log(self.w)
+        self.log_w_list = self.log_w.tolist()
         # leading terms c x^-p of the tail and density expansions, for scale only
         sin_half = np.sin(0.5 * math.pi * self.alph)
         tail_w = (self.w * (2.0 / math.pi) * sin_half
@@ -191,6 +228,14 @@ def _ray(spec: MultistableSpec) -> _Ray:
 # The "-1" and "tail" forms vanish like m(theta) near 0, so a small density
 # or tail keeps its relative accuracy; "tail-cf" decays with the cf instead
 # of the kernel, and serves w t_cf < 1 where the cf dies first.
+
+def _pow(x: float, p: float) -> float:
+    """x ** p, inf where it passes the float range."""
+    try:
+        return x ** p
+    except OverflowError:
+        return math.inf
+
 
 def _power_sum(terms: list[tuple[float, float]], x: float) -> float:
     """sum c x^-p over the (c, p) terms, inf where a power overflows."""
@@ -290,10 +335,11 @@ def _truncation(ray: _Ray, kind: str, omega: float, tgt: float) -> tuple[float, 
             s_hi = math.log(decay / k)
             if kind == "tail":
                 bound = min(2.0 * _exp1(decay),
-                            sum(w * k ** -al * _upper_gamma(al, decay) for al, w in ray.groups))
+                            sum(w * _pow(k, -al) * _upper_gamma(al, decay)
+                                for al, w in ray.groups))
             else:
                 bound = min(2.0 * math.exp(-decay) / k,
-                            sum(w * k ** (-al - 1.0) * _upper_gamma(al + 1.0, decay)
+                            sum(w * _pow(k, -al - 1.0) * _upper_gamma(al + 1.0, decay)
                                 for al, w in ray.groups))
         if bound <= tgt:
             break
@@ -387,10 +433,16 @@ def _panels(al: np.ndarray, lin: float, log_w0: np.ndarray, s_lo: float, s_hi: f
     return np.array(lo), np.array(width)
 
 
-def _integrand(ray: _Ray, kind: str, omega: float, t0: float, sigma: np.ndarray,
-               w: float = 0.0) -> np.ndarray:
+def _integrand(ray: _Ray, kind: str, omega, t0, sigma: np.ndarray, w: float = 0.0,
+               sizes: list[int] | None = None) -> np.ndarray:
     """The integrand's wanted part times t (the ds = dt/t weight) at t = t0 e^sigma,
     and a bound on its roundoff in units of eps: the two rows of one array.
+
+    With sizes, sigma holds the nodes of several plans one after another,
+    sizes[i] of them for plan i, and omega and t0 hold one value per plan.
+    Each plan's cf exponents are then one product over its own nodes, as its
+    one-plan call forms them; everything else goes node by node, so every
+    value and bound equals the one-plan call's.
 
     Every sine and cosine comes from the tangent of its half angle
     (:func:`multistable.mollifier._sin_cos`).  cf - 1 = q_r + i q_i comes
@@ -412,10 +464,16 @@ def _integrand(ray: _Ray, kind: str, omega: float, t0: float, sigma: np.ndarray,
     """
     out = np.empty((2, sigma.size))
     f, err = out
+    pw = np.exp(np.multiply.outer(ray.alph, sigma))               # (t/t0)^alpha per group
+    if sizes is None:
+        big_m, m_r, m_i = (ray.parts * t0 ** ray.alph) @ pw       # M >= |m|, Re m, Im m
+    else:
+        big_m, m_r, m_i = np.concatenate(
+            [(ray.parts * s ** ray.alph) @ p
+             for s, p in zip(t0, np.split(pw, np.cumsum(sizes[:-1]), axis=1))], axis=1)
+        omega, t0 = np.repeat(omega, sizes), np.repeat(t0, sizes)
     t = np.exp(sigma)
     t *= t0
-    pw = np.exp(np.multiply.outer(ray.alph, sigma))               # (t/t0)^alpha per group
-    big_m, m_r, m_i = (ray.parts * t0 ** ray.alph) @ pw           # M >= |m|, Re m, Im m
     wt = omega * t
     beta = ray.cos * wt           # e^{i w theta} = e^{-kappa + i beta}, kappa = sin(phi) w t
     np.multiply(wt, -ray.sin, out=f)                              # -kappa
@@ -521,9 +579,27 @@ def _integrand(ray: _Ray, kind: str, omega: float, t0: float, sigma: np.ndarray,
     return out
 
 
-def _ray_integral(spec: MultistableSpec, omega: float, kind: str,
-                  w: float = 0.0) -> tuple[float, float]:
-    """D(omega) for kind "density", P(|I| > omega) for kind "tail", with error bound.
+class _Plan(NamedTuple):
+    """One ray integral laid out for the rule: the kind chosen, the frequency
+    omega, the mollifier's half-width w (kind "eta"), t0, the panels
+    (lo, width) in sigma = log(t / t0), and the closed-form parts: the stub's
+    value (its real part for the densities, else its imaginary part), the
+    stub's remainder bound and the truncation bound."""
+
+    kind: str
+    omega: float
+    w: float
+    t0: float
+    lo: np.ndarray
+    width: np.ndarray
+    stub: float
+    stub_rem: float
+    trunc: float
+
+
+def _plan(ray: _Ray, omega: float, kind: str, w: float = 0.0) -> _Plan:
+    """The layout of one finite omega's integral: D(omega) for kind "density",
+    P(|I| > omega) for kind "tail".
 
     Kind "eta" gives E[1 - bump(I / omega)] for the mollifier's bump of
     half-width w: the tail smoothed over [omega, (1 + w) omega], with the
@@ -532,9 +608,6 @@ def _ray_integral(spec: MultistableSpec, omega: float, kind: str,
     |H(omega theta) - 1| <= (1 + w/2) omega |theta|, it shares the tail's
     truncation, and its stub with omega (1 + w/2) in the remainder.
     """
-    if math.isinf(omega):
-        return 0.0, 0.0
-    ray = _ray(spec)
     al = ray.alph
     if kind == "density" and omega * ray.t_cf >= 1.0:
         kind = "density-1"
@@ -557,6 +630,12 @@ def _ray_integral(spec: MultistableSpec, omega: float, kind: str,
     # stub [0, t_lo], with t_lo <= t0 where its remainder bound meets tgt
     s_lo, stub, stub_rem = _stub(ray, shape, omega * (1.0 + 0.5 * w), s0, tgt)
     s_hi, trunc = _truncation(ray, shape, omega, tgt)
+    if kind == "eta" and any(max(lw + a * s_hi, a * (s_hi - s0)) > _LOG_HUGE
+                             for a, lw in zip(ray.alph_list, ray.log_w_list)):
+        # at a tiny xi only the kernel cuts eta's integrand, so far out that
+        # W t^alpha or (t/t0)^alpha would overflow on the last panels
+        raise AccuracyError("the cf's exponent passes the floating-point range before "
+                            "the kernel cuts the integrand", math.inf)
     # resolve the cf's phase to the end unless the kernel alone cuts the integrand
     s_c = min(ray.s_cf, s_hi) if kind in ("tail", "density-1", "eta") else s_hi
     fast, power = (0.0, 0.0), (0.0, 0.0)
@@ -569,21 +648,112 @@ def _ray_integral(spec: MultistableSpec, omega: float, kind: str,
             trunc += 4.0 * _far_amplitude(0.5 * _DECAY / ray.sin) * _exp1(_DECAY * (1.0 + w) / w)
         fast = (w * omega * t0, s_f - s0)
         power = (_FAR_POWER, math.log(_S_CROSSOVER / (w * omega)) - s0)
+    # nodes in sigma = s - s0, so rounding moves a node by eps |sigma| at most
     lo, width = _panels(al, omega * t0, ray.log_w + al * s0,
                         s_lo - s0, s_hi - s0, s_c - s0, fast, power)
+    return _Plan(kind, omega, w, t0, lo, width,
+                 stub.real if kind.startswith("density") else stub.imag, stub_rem, trunc)
 
-    # nodes in sigma = s - s0, so rounding moves a node by eps |sigma| at most
-    body, kg, rounding = _rule(lo, width,
-                               lambda sigma: _integrand(ray, kind, omega, t0, sigma, w))
-    total = body + (stub.real if kind.startswith("density") else stub.imag)
-    err = kg + stub_rem + trunc + rounding
-    if kind.startswith("density"):
+
+def _finish(plan: _Plan, body: float, kg: float, rounding: float) -> tuple[float, float]:
+    """The plan's value and error bound from its rule sums (see quadrature._add_up)."""
+    total = body + plan.stub
+    err = kg + plan.stub_rem + plan.trunc + rounding
+    if plan.kind.startswith("density"):
         d = total / math.pi
         return d, err / math.pi + 2.0 * _EPS * abs(d)
     p = 2.0 / math.pi * total
-    if kind == "tail-cf":
+    if plan.kind == "tail-cf":
         p = 1.0 - p
     return _unit(p), 2.0 / math.pi * err + 2.0 * _EPS * abs(p)
+
+
+def _run(ray: _Ray, plan: _Plan) -> tuple[float, float]:
+    """One plan on its own: the scalar path."""
+    return _finish(plan, *_rule(plan.lo, plan.width, lambda sigma: _integrand(
+        ray, plan.kind, plan.omega, plan.t0, sigma, plan.w)))
+
+
+def _ray_integral(spec: MultistableSpec, omega: float, kind: str,
+                  w: float = 0.0) -> tuple[float, float]:
+    """The value and error bound of the plan of omega (see _plan); 0 at omega = inf."""
+    if math.isinf(omega):
+        return 0.0, 0.0
+    ray = _ray(spec)
+    return _run(ray, _plan(ray, omega, kind, w))
+
+
+def _blocks(members: list[int], plans: list[_Plan]):
+    """The plans named by members, in order, in runs closed once they hold
+    _BLOCK_NODES nodes or more, so N nodes take at most ceil(N / _BLOCK_NODES)
+    runs; a plan of that many nodes runs alone."""
+    block, size = [], 0
+    for i in members:
+        n = plans[i].lo.size * _X21.size
+        if n >= _BLOCK_NODES:
+            yield [i]
+            continue
+        block.append(i)
+        size += n
+        if size >= _BLOCK_NODES:
+            yield block
+            block, size = [], 0
+    if block:
+        yield block
+
+
+def _evaluate(ray: _Ray | None, plans: list[_Plan | None]) -> list[tuple[float, float]]:
+    """The (value, err) of each plan, None standing for omega = inf, (0, 0); ray
+    may be None when every plan is.
+
+    Plans of one kind and w share _blocks: one _integrand call per block.
+    Each plan keeps its own GK21 sums (quadrature._add_up on its own nodes,
+    in the one-plan row layout), and a one-plan block runs _run, so every
+    pair equals the one-plan call's.
+    """
+    out = [(0.0, 0.0)] * len(plans)
+    groups: dict[tuple[str, float], list[int]] = {}
+    for i, plan in enumerate(plans):
+        if plan is not None:
+            groups.setdefault((plan.kind, plan.w), []).append(i)
+    for (kind, w), members in groups.items():
+        for block in _blocks(members, plans):
+            if len(block) == 1:
+                out[block[0]] = _run(ray, plans[block[0]])
+                continue
+            chosen = [plans[i] for i in block]
+            nodes = [_nodes(p.lo, p.width) for p in chosen]
+            sizes = [x.size for x, _ in nodes]
+            y = _integrand(ray, kind, [p.omega for p in chosen], [p.t0 for p in chosen],
+                           np.concatenate([x for x, _ in nodes]), w, sizes)
+            start = 0
+            for i, plan, (x, half) in zip(block, chosen, nodes):
+                out[i] = _finish(plan, *_add_up(y[:, start:start + x.size], half))
+                start += x.size
+    return out
+
+
+def _integrals(spec: MultistableSpec, requests) -> Iterator[tuple[float, float]]:
+    """_ray_integral(spec, omega, kind, w) for each (omega, kind, w) of requests,
+    planned in order and evaluated in blocks.
+
+    Yields the pairs in order.  An exception raised while a request or its
+    plan is made is raised after the pairs before it, where a loop of scalar
+    calls would raise it.
+    """
+    ray, plans, failure = None, [], None
+    try:
+        for omega, kind, w in requests:
+            if math.isinf(omega):
+                plans.append(None)
+            else:
+                ray = ray or _ray(spec)
+                plans.append(_plan(ray, omega, kind, w))
+    except (ValueError, ArithmeticError, AccuracyError) as exc:  # re-raised in order below
+        failure = exc
+    yield from _evaluate(ray, plans)
+    if failure is not None:
+        raise failure
 
 
 def eta_integral(spec: MultistableSpec, xi: float, w: float) -> tuple[float, float]:
@@ -594,8 +764,28 @@ def eta_integral(spec: MultistableSpec, xi: float, w: float) -> tuple[float, flo
     return _ray_integral(spec, xi, "eta", w)
 
 
+def _eta_integrals(spec: MultistableSpec, xis: list[float],
+                   w: float) -> list[tuple[float, float]]:
+    """eta_integral at each xi, evaluated in blocks."""
+    if spec.is_zero:
+        return [(0.0, 0.0)] * len(xis)
+    return list(_integrals(spec, [(xi, "eta", w) for xi in xis]))
+
+
 # ---------------------------------------------------------------------------
 # public entry points
+
+def _check_x(spec: MultistableSpec, x: float):
+    _require_nonzero(spec)
+    if math.isnan(x):
+        raise ValueError("x is NaN")
+
+
+def _check_lambda(spec: MultistableSpec, lam: float):
+    _require_nonzero(spec)
+    if not lam > 0.0:
+        raise ValueError(f"lambda must be positive, got {lam}")
+
 
 def density_with_error(spec: MultistableSpec, x: float,
                        cfg: QuadratureConfig | None = None) -> tuple[float, float]:
@@ -604,9 +794,7 @@ def density_with_error(spec: MultistableSpec, x: float,
     The rule picks its own nodes, so cfg is not read; the bound is
     returned as is and certified by :func:`density`.
     """
-    _require_nonzero(spec)
-    if math.isnan(x):
-        raise ValueError("x is NaN")
+    _check_x(spec, x)
     return _ray_integral(spec, abs(x), "density")
 
 
@@ -634,10 +822,18 @@ def density(spec: MultistableSpec, x: float,
 def tail_probability_with_error(spec: MultistableSpec, lam: float,
                                 cfg: QuadratureConfig | None = None) -> tuple[float, float]:
     """P(|I(f)| > lam) and a bound on the absolute error; cfg is not read."""
-    _require_nonzero(spec)
-    if not lam > 0.0:
-        raise ValueError(f"lambda must be positive, got {lam}")
+    _check_lambda(spec, lam)
     return _ray_integral(spec, lam, "tail")
+
+
+def _tails_with_error(spec: MultistableSpec, lams) -> Iterator[tuple[float, float]]:
+    """tail_probability_with_error at each lambda, evaluated in blocks: yields in
+    order and raises where a loop of scalar calls would (see _integrals)."""
+    def requests():
+        for lam in lams:
+            _check_lambda(spec, lam)
+            yield lam, "tail", 0.0
+    return _integrals(spec, requests())
 
 
 def tail_probability(spec: MultistableSpec, lam: float,
@@ -649,17 +845,25 @@ def tail_probability(spec: MultistableSpec, lam: float,
     return p
 
 
+def _cdf_from_tail(x: float, p: float, err: float) -> tuple[float, float]:
+    """F(x), x != 0, and its bound from P(|I| > |x|) and its bound."""
+    return _unit(1.0 - 0.5 * p if x > 0 else 0.5 * p), err / 2.0
+
+
 def _cdf_with_error(spec: MultistableSpec, x: float) -> tuple[float, float]:
     """F(x) and a bound on its absolute error."""
-    _require_nonzero(spec)
-    if math.isnan(x):
-        raise ValueError("x is NaN")
-    if math.isinf(x):
-        return (1.0 if x > 0 else 0.0), 0.0
+    _check_x(spec, x)
     if x == 0.0:
         return 0.5, 0.0
-    p, err = _ray_integral(spec, abs(x), "tail")
-    return _unit(1.0 - 0.5 * p if x > 0 else 0.5 * p), err / 2.0
+    return _cdf_from_tail(x, *_ray_integral(spec, abs(x), "tail"))
+
+
+def _cdfs_with_error(spec: MultistableSpec, xs: list[float]) -> list[tuple[float, float]]:
+    """_cdf_with_error at each x, the tails evaluated in blocks."""
+    for x in xs:
+        _check_x(spec, x)
+    tails = _integrals(spec, [(abs(x), "tail", 0.0) for x in xs if x != 0.0])
+    return [(0.5, 0.0) if x == 0.0 else _cdf_from_tail(x, *next(tails)) for x in xs]
 
 
 def cdf(spec: MultistableSpec, x: float, cfg: QuadratureConfig | None = None) -> float:
@@ -677,8 +881,7 @@ def interval_probability(spec: MultistableSpec, lo: float, hi: float,
     cfg = cfg or QuadratureConfig()
     if not lo <= hi:
         raise ValueError(f"need lo <= hi, got ({lo}, {hi})")
-    f_hi, err_hi = _cdf_with_error(spec, hi)
-    f_lo, err_lo = _cdf_with_error(spec, lo)
+    (f_hi, err_hi), (f_lo, err_lo) = _cdfs_with_error(spec, [hi, lo])
     p = f_hi - f_lo
     _certify("interval probability", err_hi + err_lo + _EPS * abs(p), cfg)
     return _unit(p)

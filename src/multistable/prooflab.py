@@ -27,17 +27,20 @@ against phi_q.  They run on the rotated-ray rule of
 bound: Kronrod-minus-Gauss, stub, truncation and roundoff.  The Parseval
 theta side at delta is eta at xi = 1/delta; its x side integrates certified
 tails P(|I| > x) against the bump's slope over the bump's transition band,
-on the same Gauss-Kronrod panels as h_q.  h_q (so tau) is the bump-side
-``MollifierSpec.h``, with its own bound.  Only rho, which integrates
-the non-analytic |phi_q|, runs on the mollifier's dense table, built on
-its first use; the modular there is m(theta/xi) = sum_g W_g xi^-alpha_g
-theta^alpha_g, and outside the table m - 1 + e^-m <= m^2/2 bounds the
-untabulated mass group by group.
+on the same Gauss-Kronrod panels as h_q.  A lemma1 or lemma6 grid's
+distinct etas, lemma1's tails and an x side's tails are each one batch of
+the ray rule, whose values equal the one-at-a-time calls'.  h_q (so tau)
+is the bump-side ``MollifierSpec.h``, with its own bound.  Only rho,
+which integrates the non-analytic |phi_q|, runs on the mollifier's dense
+table, built on its first use; the modular there is m(theta/xi) = sum_g
+W_g xi^-alpha_g theta^alpha_g, and outside the table m - 1 + e^-m <= m^2/2
+bounds the untabulated mass group by group.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -45,9 +48,9 @@ import numpy as np
 
 from .asymptote import _require_unit_sphere, tail_asymptote
 from .function_space import MultistableSpec, tail_constant
-from .inversion import eta_integral, tail_probability_with_error
+from .inversion import _eta_integrals, _pow, _tails_with_error, eta_integral
 from .mollifier import MollifierSpec
-from .quadrature import _EPS, QuadratureConfig, _certify, _rule
+from .quadrature import _EPS, QuadratureConfig, _add_up, _certify, _nodes
 
 __all__ = [
     "h_q",
@@ -91,16 +94,17 @@ def j0(lam: float, q: float) -> int:
 
     Computed from the floating-point floor of log(lam)/log(q) and then
     corrected by integer search, so boundary values such as lam = q^3
-    land on the lower edge exactly.
+    land on the lower edge exactly; a power past the float range exceeds
+    every finite lambda.
     """
     if not 1.0 < q < math.inf:
         raise ValueError(f"q must be a finite number above 1, got {q}")
     if not q <= lam < math.inf:
         raise ValueError(f"j0 requires a finite lambda >= q, got lambda={lam}, q={q}")
     j = int(math.floor(math.log(lam) / math.log(q)))
-    while q ** j > lam:
+    while _pow(q, j) > lam:
         j -= 1
-    while q ** (j + 1) <= lam:
+    while _pow(q, j + 1) <= lam:
         j += 1
     return j
 
@@ -120,12 +124,17 @@ def eta_with_error(spec: MultistableSpec, moll: MollifierSpec, xi: float,
 
 
 def _eta_sweep(spec: MultistableSpec, moll: MollifierSpec, lams: list[float]) -> list:
-    """(j0, eta(q^(j0+1)), eta(q^(j0-1))) per lambda, each eta with its error bound
-    and each distinct xi evaluated once."""
+    """(j0, eta(q^(j0+1)), eta(q^(j0-1))) per lambda, each eta with its error bound,
+    every distinct xi in one batch.  eta's kernel reaches xi (1 + w), so a
+    lambda whose q^(j0+1) (1 + w) passes the float range is refused (ValueError)."""
     q = moll.q
     js = [j0(lam, q) for lam in lams]
-    xis = {q ** (j + d) for j in js for d in (1, -1)}
-    etas = {xi: eta_integral(spec, xi, moll.w) for xi in xis}
+    for lam, j in zip(lams, js):
+        if math.isinf(_pow(q, j + 1) * (1.0 + moll.w)):
+            raise ValueError(f"lambda={lam} needs eta at xi = q^(j0+1) = {q}^{j + 1}, and "
+                             f"xi (1 + w) passes the largest float {sys.float_info.max:.6g}")
+    xis = list(dict.fromkeys(q ** (j + d) for j in js for d in (1, -1)))
+    etas = dict(zip(xis, _eta_integrals(spec, xis, moll.w)))
     return [(j, etas[q ** (j + 1)], etas[q ** (j - 1)]) for j in js]
 
 
@@ -225,8 +234,8 @@ def verify_lemma1(spec: MultistableSpec, moll: MollifierSpec,
     """eta(q^(j0+1)) <= P(|I(f)| > lam) <= eta(q^(j0-1)) over a lambda grid; cfg is not read."""
     lams = [float(lam) for lam in lambdas]
     rows = []
-    for lam, (j, (lo, lo_err), (hi, hi_err)) in zip(lams, _eta_sweep(spec, moll, lams)):
-        p, p_err = tail_probability_with_error(spec, lam)
+    for lam, (j, (lo, lo_err), (hi, hi_err)), (p, p_err) in zip(
+            lams, _eta_sweep(spec, moll, lams), _tails_with_error(spec, lams)):
         ok = (lo - lo_err <= p + p_err) and (p - p_err <= hi + hi_err)
         rows.append({
             "lambda": lam, "j0": j,
@@ -293,28 +302,26 @@ def _x_side(spec: MultistableSpec, moll: MollifierSpec, xi: float) -> tuple[floa
     int_0^1 S5'(u) 1{|x| > 1 + w u} du, so with y = log1p(w u), t = expm1(y) / w and
     g = S5'(t) dt/dy, whose band integral is 1, it is, for any c,
     c + int_0^log1p(w) g (P(|I| > xi e^y) - c) dy on h_q's panels; c = P at the
-    band's middle keeps the integrand, so the rule's error, small."""
+    band's middle keeps the integrand, so the rule's error, small.  c and the
+    tails at the panels' nodes are one batch."""
     w, (_, lo, width) = moll.w, moll.band()
-    c = tail_probability_with_error(spec, xi * math.sqrt(1.0 + w))[0]
-
-    def integrand(y):
-        # roundoff in units of eps.  I sums independent symmetric stable laws, so D is
-        # symmetric and unimodal (Wintner) and |dP/dy| = 2 x D(x) <= 1: x's rounding 3/2
-        # moves P by 3/2, a node shift of 2 y + width (MollifierSpec.h) moves g (P - c)
-        # by g + |g'| |P - c| times it, |g'| <= g + |S5''(t)| (dt/dy)^2, and t's 3/2 moves
-        # g by |S5''(t)| t dt/dy.  g takes 8.5 (t (1 - t) 1, power 6, 2772 1/2, dt/dy 3/2,
-        # product 1/2), P - c and the product 1, the rule's assembly 21 (MollifierSpec.h)
-        # of |g (P - c)|; the band's end moves by 2 eps span, where g vanishes to 5th order
-        ey, t = np.exp(y), np.expm1(y) / w
-        dt, tu = ey / w, t * (1.0 - t)                  # dt/dy = t + 1/w
-        g, ddg = 2772.0 * tu ** 5 * dt, 13860.0 * tu ** 4 * np.abs(1.0 - 2.0 * t) * dt
-        p, p_err = np.array([tail_probability_with_error(spec, x) for x in (xi * ey).tolist()]).T
-        dev, shift = np.abs(p - c), 2.0 * y + width[0]
-        err = (g * (p_err / _EPS + 1.5 + shift + 30.5 * dev)
-               + (ddg * (dt * shift + 1.5 * t) + g * shift) * (dev + p_err))
-        return np.stack((g * (p - c), err))
-
-    body, kg, rest = _rule(lo, width, integrand)
+    y, half = _nodes(lo, width)
+    ey, t = np.exp(y), np.expm1(y) / w
+    (c, _), *tails = _tails_with_error(spec, [xi * math.sqrt(1.0 + w), *(xi * ey).tolist()])
+    p, p_err = np.array(tails).T
+    # roundoff in units of eps.  I sums independent symmetric stable laws, so D is
+    # symmetric and unimodal (Wintner) and |dP/dy| = 2 x D(x) <= 1: x's rounding 3/2
+    # moves P by 3/2, a node shift of 2 y + width (MollifierSpec.h) moves g (P - c)
+    # by g + |g'| |P - c| times it, |g'| <= g + |S5''(t)| (dt/dy)^2, and t's 3/2 moves
+    # g by |S5''(t)| t dt/dy.  g takes 8.5 (t (1 - t) 1, power 6, 2772 1/2, dt/dy 3/2,
+    # product 1/2), P - c and the product 1, the rule's assembly 21 (MollifierSpec.h)
+    # of |g (P - c)|; the band's end moves by 2 eps span, where g vanishes to 5th order
+    dt, tu = ey / w, t * (1.0 - t)                  # dt/dy = t + 1/w
+    g, ddg = 2772.0 * tu ** 5 * dt, 13860.0 * tu ** 4 * np.abs(1.0 - 2.0 * t) * dt
+    dev, shift = np.abs(p - c), 2.0 * y + width[0]
+    err = (g * (p_err / _EPS + 1.5 + shift + 30.5 * dev)
+           + (ddg * (dt * shift + 1.5 * t) + g * shift) * (dev + p_err))
+    body, kg, rest = _add_up(np.stack((g * (p - c), err)), half)
     return c + body, kg + rest + _EPS * (c + body)
 
 

@@ -1,14 +1,16 @@
 """Quadrature on the panel rule every certified integral shares.
 
 The library's one panel rule is the QUADPACK Gauss-Kronrod 10/21 pair
-(``_X21``, ``_WK21``, ``_WG21``), and ``_sums`` is its one application: per
-panel, the Kronrod sum, the Kronrod-minus-Gauss sum and the counted roundoff
-of an integrand that returns its values and their roundoff.  So there is one
-error model: a panel's bound is its |Kronrod - Gauss| plus its roundoff.
-``_rule`` adds it up over a fixed panel layout, for the inversion ray rule and
-the mollifier's band integrals (h_q and the Parseval x side); ``_adaptive``
-bisects panels until each piece meets its share of a tolerance, for the
-real-axis engine.
+(``_X21``, ``_WK21``, ``_WG21``), and ``_panel_sums`` is its one application:
+per panel, the Kronrod sum, the Kronrod-minus-Gauss sum and the counted
+roundoff of an integrand's values and their roundoff at the panel's
+``_nodes``.  So there is one error model: a panel's bound is its
+|Kronrod - Gauss| plus its roundoff.  ``_add_up`` adds it up over a fixed
+panel layout (``_rule`` for an integrand called once on all its nodes), for
+the inversion ray rule, whose batched evaluator sums each plan's share of a
+block with it, and the mollifier's band integrals (h_q and the Parseval x
+side); ``_adaptive`` bisects panels until each piece meets its share of a
+tolerance, for the real-axis engine.
 
 The real-axis engine, :func:`fourier_integral` behind the public
 :func:`oscillatory_integral`, computes
@@ -112,25 +114,41 @@ _WG21[1:20:2] = np.concatenate([_WG_HALF, _WG_HALF[::-1]])
 _W21 = np.stack((_WK21, _WK21 - _WG21), axis=1)
 
 
-def _sums(lo: np.ndarray, width: np.ndarray, integrand) -> tuple[np.ndarray, ...]:
-    """Per-panel GK21 sums over the panels (lo, width), each on [-1, 1]: the Kronrod
-    sums, the Kronrod-minus-Gauss sums and the roundoff sums, and the half widths.
-    ``integrand(x)`` returns a (2, n) array, the values and their roundoff in units
-    of eps; one product against the two weight columns gives all three sums."""
+def _nodes(lo: np.ndarray, width: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The GK21 nodes of the panels (lo, width), panel after panel, and the half widths."""
     half = 0.5 * width
-    x = (lo + half)[:, None] + half[:, None] * _X21
-    sums = integrand(x.ravel()).reshape(-1, _X21.size) @ _W21
+    return ((lo + half)[:, None] + half[:, None] * _X21).ravel(), half
+
+
+def _panel_sums(y: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per-panel GK21 sums of y, a (2, n) array of an integrand's values and their
+    roundoff in units of eps at the _nodes of panels with these half widths, each
+    panel on [-1, 1]: the Kronrod sums, the Kronrod-minus-Gauss sums and the
+    roundoff sums.  One product against the two weight columns gives all three."""
+    sums = y.reshape(-1, _X21.size) @ _W21
     n = half.size
-    return sums[:n, 0], sums[:n, 1], sums[n:, 0], half
+    return sums[:n, 0], sums[:n, 1], sums[n:, 0]
 
 
-def _rule(lo: np.ndarray, width: np.ndarray, integrand) -> tuple[float, float, float]:
-    """The Gauss-Kronrod sum over the panels (lo, width), the sum of the per-panel
-    Kronrod-minus-Gauss differences and the roundoff bound (see _sums)."""
-    kron, diff, node_err, half = _sums(lo, width, integrand)
+def _sums(lo: np.ndarray, width: np.ndarray, integrand) -> tuple[np.ndarray, ...]:
+    """The _panel_sums of ``integrand(x)`` over the panels (lo, width), and the half widths."""
+    x, half = _nodes(lo, width)
+    return *_panel_sums(integrand(x), half), half
+
+
+def _add_up(y: np.ndarray, half: np.ndarray) -> tuple[float, float, float]:
+    """The Gauss-Kronrod sum of y (see _panel_sums) over its panels, the sum of the
+    per-panel Kronrod-minus-Gauss differences and the roundoff bound."""
+    kron, diff, node_err = _panel_sums(y, half)
     kron *= half
     return (float(np.sum(kron)), float(np.abs(diff) @ half),
             float(_EPS * (node_err @ half)))
+
+
+def _rule(lo: np.ndarray, width: np.ndarray, integrand) -> tuple[float, float, float]:
+    """_add_up of ``integrand(x)`` at the nodes of the panels (lo, width)."""
+    x, half = _nodes(lo, width)
+    return _add_up(integrand(x), half)
 
 
 def _adaptive(f: Callable, lo: np.ndarray, width: np.ndarray,

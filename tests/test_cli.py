@@ -497,3 +497,26 @@ def test_verify_refuses_an_empty_lambda_grid(lemma, tmp_path, capsys):
                         "--out", str(out)]) == 2
     assert "argument --lambdas" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "lemma1", "--fixture", "cauchy", "--q", "1e6", "--lambdas", "1e308"],
+    ["verify", "lemma6", "--fixture", "cauchy", "--q", "2", "--lambdas", "1.7e308"],
+])
+def test_lemma_sweeps_refuse_an_eta_past_the_float_range(argv, tmp_path, capsys):
+    # q^(j0+1) passes the float range: refused with exit 2 (an OverflowError
+    # used to escape run_command)
+    out = tmp_path / "v.json"
+    assert run_command(argv + ["--out", str(out)]) == 2
+    assert "passes the largest float" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("delta", ["1e250", "1e300"])
+def test_parseval_at_a_tiny_xi_ends_in_an_accuracy_error(delta, tmp_path, capsys):
+    # eta at xi = 1/delta: the truncation bound's k^-alpha passes the float
+    # range (an OverflowError used to escape), then so would the cf's exponent
+    out = tmp_path / "p.json"
+    assert run_command(["verify", "parseval", "--fixture", "two_exp", "--deltas", delta,
+                        "--out", str(out)]) == 3
+    assert "floating-point range" in capsys.readouterr().err

@@ -193,3 +193,13 @@ def test_interval_certifies_the_sum_of_its_cdf_bounds():
         interval_probability(CAUCHY, 1.0, 2.0, QuadratureConfig(abs_tol=max(half)))
     p = interval_probability(CAUCHY, 1.0, 2.0, QuadratureConfig(abs_tol=2.0 * sum(half)))
     assert p == pytest.approx((math.atan(2.0) - math.atan(1.0)) / math.pi, abs=2.0 * sum(half))
+
+
+@pytest.mark.parametrize("omega", [1e-250, 1e-300])
+def test_truncation_bound_at_a_tiny_frequency_is_not_an_overflow(omega):
+    # the tail-shape bound's W k^-alpha passes the float range there: it comes
+    # out inf and the other closed form is taken
+    from multistable.inversion import _ray, _truncation
+
+    s_hi, bound = _truncation(_ray(TWO_EXP), "tail", omega, 1e-30)
+    assert math.isfinite(s_hi) and math.isfinite(bound)

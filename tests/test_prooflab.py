@@ -247,11 +247,10 @@ class TestLemmaSweeps:
         lams = [10.0, 50.0, 100.0, 1000.0]
         assert verify_lemma6(TWO_EXP, moll15, lams).passed
 
-        def scaled(spec, xi, w):
-            val, err = eta_integral(spec, xi, w)
-            return 0.3 * val, 0.3 * err
+        def scaled(spec, xis, w):
+            return [(0.3 * val, 0.3 * err) for val, err in inversion._eta_integrals(spec, xis, w)]
 
-        monkeypatch.setattr(prooflab, "eta_integral", scaled)
+        monkeypatch.setattr(prooflab, "_eta_integrals", scaled)
         rep = verify_lemma6(TWO_EXP, moll15, lams)
         assert not rep.passed
         assert all(row["margin_lower"] < 0.0 and not row["ok"] for row in rep.grid)
@@ -507,3 +506,11 @@ class TestRayOracle:
         for row in rep.grid:
             ref = _eta_mpmath(TWO_EXP, "two_exp", 1.0 / row["delta"], moll15.q)
             assert abs(float(row["theta_side"] - ref)) <= row["theta_err"], row["delta"]
+
+
+def test_j0_where_the_next_power_passes_the_float_range():
+    # q^(j0+1) overflows: it exceeds every finite lambda
+    assert j0(1.7e308, 2.0) == 1023
+    assert j0(1e308, 1e6) == 51
+    with pytest.raises(ValueError, match="passes the largest float"):
+        verify_lemma1(CAUCHY, build_mollifier(1e6), [1e308])
