@@ -146,11 +146,16 @@ def eta(spec: MultistableSpec, moll: MollifierSpec, xi: float,
 def tau_with_error(spec: MultistableSpec, moll: MollifierSpec, xi: float,
                    cfg: QuadratureConfig | None = None) -> tuple[float, float]:
     """tau(xi) via the Fubini form: an exact cell sum against h_q values."""
+    return _tau(spec, [moll.h(alph) for alph, _ in spec.groups], xi, cfg)
+
+
+def _tau(spec: MultistableSpec, hs: list[tuple[float, float]], xi: float,
+         cfg: QuadratureConfig | None = None) -> tuple[float, float]:
+    """tau(xi) from hs, each exponent group's moll.h(alpha) in spec.groups order."""
     _check_xi(xi)
     val = 0.0
     err = 0.0
-    for alph, wgt in spec.groups:
-        h, he = moll.h(alph)
+    for (alph, wgt), (h, he) in zip(spec.groups, hs):
         val += wgt * xi ** -alph * h
         err += wgt * xi ** -alph * he
     _certify("tau error bound", err, cfg)
@@ -249,12 +254,14 @@ def verify_lemma1(spec: MultistableSpec, moll: MollifierSpec,
 
 def verify_lemma5(spec: MultistableSpec, moll: MollifierSpec,
                   xis: Sequence[float]) -> LemmaReport:
-    """T(q xi) <= tau(xi) <= T(xi / q) on a xi grid."""
+    """T(q xi) <= tau(xi) <= T(xi / q) on a xi grid; h_q is evaluated once per
+    exponent group for the whole grid."""
     q = moll.q
+    hs = [moll.h(alph) for alph, _ in spec.groups]
     rows = []
     for xi in xis:
         xi = float(xi)
-        t, te = tau_with_error(spec, moll, xi)
+        t, te = _tau(spec, hs, xi)
         lo = tail_asymptote(spec, q * xi)
         hi = tail_asymptote(spec, xi / q)
         ok = (lo <= t + te) and (t - te <= hi)
@@ -276,7 +283,9 @@ def verify_lemma6(spec: MultistableSpec, moll: MollifierSpec,
     within the two bounds.  PAPER.md holds only the paper's abstract, so
     the lemma's finite-lambda correction is not known here and the check
     keeps its asymptotic edges q^-2b and q^3b with no correction.  The
-    spec must lie on the unit sphere; cfg is not read.
+    spec must lie on the unit sphere; cfg is not read.  A lambda whose T
+    underflows (below the smallest normal float, where the ratios lose
+    their digits or divide by 0) is refused with ValueError.
     """
     _require_unit_sphere(spec)
     q = moll.q
@@ -285,6 +294,9 @@ def verify_lemma6(spec: MultistableSpec, moll: MollifierSpec,
     rows = []
     for lam, (j, (e_lo, e_lo_err), (e_hi, e_hi_err)) in zip(lams, _eta_sweep(spec, moll, lams)):
         t = tail_asymptote(spec, lam)
+        if t < sys.float_info.min:
+            raise ValueError(f"T(lambda={lam}) = {t:.6g} underflows: it is below the "
+                             f"smallest normal float {sys.float_info.min:.6g}")
         margin_lower = (e_lo - e_lo_err) / t - lo_edge
         margin_upper = hi_edge - (e_hi + e_hi_err) / t
         rows.append({

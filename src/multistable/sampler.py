@@ -49,6 +49,12 @@ whole chunks, and the whole blocks of a chunk, of a shorter run are a
 prefix of a longer one.  Draws are reproducible per seed within a
 version; the exact bits may change between versions (they did when the
 chunk streams moved from Philox substreams to spawned SFC64 streams).
+
+`mc_tail` counts |x| > lam in one pass over the flattened draws, one
+cache-sized slice of _TAIL_BLOCK draws at a time: both comparisons,
+x > lam and x < -lam, run on a slice while it is still in cache, so the
+draws are read from memory once.  The count is exact, so the result is
+the same as two comparisons over the whole array.
 """
 
 from __future__ import annotations
@@ -78,6 +84,14 @@ CHUNK = 1 << 18
 # a 2^20 call took 110 ms at 2^13, 81 at 2^14, 71 at 2^15 and 68 at 2^16
 # (Philox fills, as the streams then were).
 _BLOCK = 1 << 15
+# Draws per slice in `mc_tail`: 512 KiB of float64 and a 64 KiB boolean
+# temporary per comparison, below glibc's 128 KiB mmap threshold.  On two
+# x86-64 cores with 2 MiB L2 (numpy 2.4), 13 lambdas on 2^20 two_exp draws
+# took, per call, 1.50 ms at 2^13, 1.14 at 2^14, 0.96 at 2^15, 0.88 at
+# 2^16, 0.89 at 2^17 and 1.07 at 2^18, against 1.14 for two whole-array
+# comparisons (medians of 15 rounds); on 1e7 draws 2^16 and 2^17 took
+# 11.6 and 11.2 ms against 16.8.
+_TAIL_BLOCK = 1 << 16
 # pi/2 - fl(pi/2), the low half of pi/2 in double-double
 _HALF_PI_LO = 6.123233995736766e-17
 
@@ -233,14 +247,22 @@ def sample(spec: MultistableSpec, n: int, seed: int = 0) -> np.ndarray:
 
 
 def mc_tail(draws: np.ndarray, lam: float) -> tuple[float, float]:
-    """(fraction of |draws| exceeding lam, binomial standard error)."""
+    """(fraction of |draws| exceeding lam, binomial standard error).
+
+    The draws are flattened (a view unless a multi-dimensional input is not
+    C-contiguous) and counted in one pass, _TAIL_BLOCK at a time, as x > lam
+    plus x < -lam: a NaN draw fails both and is never counted."""
     draws = np.asarray(draws)
     if draws.size == 0:
         raise ValueError("draws must be nonempty")
     if not lam >= 0.0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")
-    n = draws.size
-    # two comparisons instead of an |draws| temporary; NaN fails both
-    p = float(np.count_nonzero(draws > lam) + np.count_nonzero(draws < -lam)) / n
+    flat = draws.reshape(-1)
+    n = flat.size
+    count = 0
+    for lo in range(0, n, _TAIL_BLOCK):
+        block = flat[lo:lo + _TAIL_BLOCK]
+        count += np.count_nonzero(block > lam) + np.count_nonzero(block < -lam)
+    p = float(count) / n
     se = math.sqrt(p * (1.0 - p) / n)
     return p, se

@@ -512,6 +512,17 @@ def test_lemma_sweeps_refuse_an_eta_past_the_float_range(argv, tmp_path, capsys)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("lam", ["1e172", "1e180", "1e250"])
+def test_lemma6_refuses_a_lambda_whose_asymptote_underflows(lam, tmp_path, capsys):
+    # alpha18's T(lambda) is subnormal at 1e172 and 0 from about 1e180 on; the
+    # ratios eta/T used to raise ZeroDivisionError (exit 1, with a traceback)
+    out = tmp_path / "v.json"
+    assert run_command(["verify", "lemma6", "--fixture", "alpha18", "--q", "2",
+                        "--lambdas", "10", lam, "--out", str(out)]) == 2
+    assert "underflows" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("delta", ["1e250", "1e300"])
 def test_parseval_at_a_tiny_xi_ends_in_an_accuracy_error(delta, tmp_path, capsys):
     # eta at xi = 1/delta: the truncation bound's k^-alpha passes the float

@@ -218,6 +218,24 @@ class TestLemmaSweeps:
         rep = verify_lemma5(TWO_EXP, moll15, [1.0, 10.0, 100.0])
         assert rep.passed
 
+    @pytest.mark.parametrize("name", ["cauchy", "two_exp", "three_cell"])
+    def test_lemma5_takes_h_once_per_group_and_call(self, name, moll15, monkeypatch):
+        # each exponent group's h_q is evaluated once per sweep, not once per xi,
+        # and again on the next sweep; the rows equal tau_with_error's
+        spec, xis = fixture(name), [1.0, 10.0, 100.0]
+        taus = [tau_with_error(spec, moll15, xi) for xi in xis]
+        h, calls = type(moll15).h, []
+
+        def counted(self, gamma):
+            calls.append(gamma)
+            return h(self, gamma)
+
+        monkeypatch.setattr(type(moll15), "h", counted)
+        for sweep in (1, 2):
+            rep = verify_lemma5(spec, moll15, xis)
+            assert calls == [a for a, _ in spec.groups] * sweep
+            assert [(r["tau"], r["tau_err"]) for r in rep.grid] == taus
+
     def test_lemma6_envelope(self, moll15):
         rep = verify_lemma6(TWO_EXP, moll15, [10.0, 100.0, 1000.0], CFG)
         assert rep.passed

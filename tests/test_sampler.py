@@ -314,6 +314,57 @@ class TestMcTail:
             assert p == np.count_nonzero(np.abs(draws) > lam) / draws.size
 
 
+def _whole_array_tail(draws, lam):
+    """mc_tail's (p, se) from two comparisons over the whole array at once."""
+    d = np.asarray(draws)
+    p = float(np.count_nonzero(d > lam) + np.count_nonzero(d < -lam)) / d.size
+    return p, math.sqrt(p * (1.0 - p) / d.size)
+
+
+class TestMcTailBlocks:
+    """mc_tail counts in slices of _TAIL_BLOCK draws; every (p, se) must equal
+    the whole-array count's, at and across the slice edges."""
+
+    B = sampler._TAIL_BLOCK
+
+    @staticmethod
+    def _draws(n, seed=0):
+        return np.random.default_rng(seed).standard_cauchy(n)
+
+    @pytest.mark.parametrize("extra", [(1, -1), (1, 0), (1, 1), (3, 7)])
+    def test_counts_around_the_block_size(self, extra):
+        mult, add = extra
+        d = self._draws(mult * self.B + add)
+        for lam in (0.0, 0.1, 1.0, 10.0, 1e3, abs(float(d[-1])), abs(float(d[d.size // 2]))):
+            assert mc_tail(d, lam) == _whole_array_tail(d, lam)
+
+    def test_layouts_and_dtypes(self):
+        d = self._draws(3 * self.B + 7, seed=1)
+        grid = d[: 2 * self.B].reshape(self.B // 4, 8)
+        inputs = {
+            "2-D": grid,
+            "2-D transposed": grid.T,
+            "2-D strided": grid[::3, 1::2],
+            "1-D strided": d[::3],
+            "reversed": d[::-1],
+            "float32": d.astype(np.float32),
+            "list": d[: self.B + 5].tolist(),
+        }
+        for name, x in inputs.items():
+            for lam in (0.0, 0.1, 1.0, np.float64(0.1), 100.0, math.inf):
+                assert mc_tail(x, lam) == _whole_array_tail(x, lam), (name, lam)
+
+    def test_edge_values_across_blocks(self):
+        d = self._draws(3 * self.B + 7, seed=2)
+        specials = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 2.5, -2.5])
+        for edge in (self.B, 2 * self.B, 3 * self.B):   # straddle each slice edge
+            d[edge - 3: edge + 4] = specials
+        d[:7], d[-7:] = specials, specials[::-1]
+        for lam in (0.0, 2.5, abs(float(d[100])), math.inf):   # at draws: 2.5 and |d[100]|
+            assert mc_tail(d, lam) == _whole_array_tail(d, lam), lam
+            assert mc_tail(d, lam)[0] == np.count_nonzero(np.abs(d) > lam) / d.size
+
+
 @pytest.fixture(scope="module")
 def big_draws():
     return sample(TWO_EXP, 10 ** 7, seed=31)
