@@ -35,6 +35,14 @@ __all__ = [
     "scaling_bounds_check",
 ]
 
+_ZERO = "tail asymptote undefined for f == 0"
+
+
+def _tail_weights(groups) -> list[float]:
+    """w_g = W_g * C(alpha_g) for each exponent group (alpha_g, W_g)."""
+    return [w * tail_constant(a) for a, w in groups]
+
+
 @dataclass(frozen=True, eq=False)
 class TailAsymptote:
     """``TailAsymptote(spec)``: per exponent group ``weights`` w_g = W_g * C(alpha_g)
@@ -47,8 +55,8 @@ class TailAsymptote:
     def __post_init__(self):
         groups = self.spec.groups
         if not groups:
-            raise ValueError("tail asymptote undefined for f == 0")
-        object.__setattr__(self, "weights", np.array([w * tail_constant(a) for a, w in groups]))
+            raise ValueError(_ZERO)
+        object.__setattr__(self, "weights", np.array(_tail_weights(groups)))
         object.__setattr__(self, "exponents", np.array([a for a, _ in groups]))
 
     @staticmethod
@@ -61,11 +69,23 @@ class TailAsymptote:
         return float(out) if out.shape == () else out
 
 
+def _asymptote_of(spec: MultistableSpec):
+    """lam -> tail_asymptote(spec, lam) with one TailAsymptote for every call,
+    built at the first, where tail_asymptote would refuse a zero spec."""
+    asym = None
+
+    def at(lam: float) -> float:
+        nonlocal asym
+        if not lam > 0.0:
+            raise ValueError(f"lambda must be positive, got {lam}")
+        asym = asym or TailAsymptote(spec)
+        return float(asym(lam))
+    return at
+
+
 def tail_asymptote(spec: MultistableSpec, lam: float) -> float:
     """T(lam) = sum_g w_g lam^(-alpha_g), exact for step data."""
-    if not lam > 0.0:
-        raise ValueError(f"lambda must be positive, got {lam}")
-    return float(TailAsymptote.from_spec(spec)(lam))
+    return _asymptote_of(spec)(lam)
 
 
 _SPHERE_TOL = 1e-6
@@ -78,36 +98,48 @@ def _require_unit_sphere(spec: MultistableSpec):
             "use normalize_to_sphere first")
 
 
+def _check_ratio_lambda(lam: float):
+    if not 1.0 <= lam < math.inf:
+        raise ValueError(f"ratio is defined for finite lambda >= 1, got {lam}")
+
+
 def ratio_with_error(spec: MultistableSpec, lam: float,
                      cfg: QuadratureConfig | None = None) -> tuple[float, float]:
     """(P(|I(f)| > lam) / T(lam), error bound on the ratio)."""
     cfg = cfg or QuadratureConfig()
-    _check_ratio(spec, lam)
+    _check_ratio_lambda(lam)
+    _require_unit_sphere(spec)
     t = tail_asymptote(spec, lam)
     p, perr = tail_probability_with_error(spec, lam, cfg)
     _certify("tail probability inside ratio", perr, cfg)
     return p / t, perr / t
 
 
-def _check_ratio(spec: MultistableSpec, lam: float):
-    if not 1.0 <= lam < math.inf:
-        raise ValueError(f"ratio is defined for finite lambda >= 1, got {lam}")
-    _require_unit_sphere(spec)
+def _ratio_parts(spec: MultistableSpec, lams: list[float],
+                 cfg: QuadratureConfig | None = None):
+    """(T, P, P's error bound) at each lambda, the parts of ratio_with_error:
+    the tails evaluated in blocks, the unit sphere checked at the first lambda
+    and T built once.  Yields in order and raises where a loop of scalar calls
+    would."""
+    cfg = cfg or QuadratureConfig()
+    asymptote = _asymptote_of(spec)
+
+    def checked():
+        for k, lam in enumerate(lams):
+            _check_ratio_lambda(lam)
+            if k == 0:
+                _require_unit_sphere(spec)
+            yield lam
+    for lam, (p, perr) in zip(lams, _tails_with_error(spec, checked())):
+        t = asymptote(lam)
+        _certify("tail probability inside ratio", perr, cfg)
+        yield t, p, perr
 
 
 def _ratios_with_error(spec: MultistableSpec, lams: list[float],
                        cfg: QuadratureConfig | None = None):
-    """ratio_with_error at each lambda, the tails evaluated in blocks: yields in
-    order and raises where a loop of scalar calls would."""
-    cfg = cfg or QuadratureConfig()
-
-    def checked():
-        for lam in lams:
-            _check_ratio(spec, lam)
-            yield lam
-    for lam, (p, perr) in zip(lams, _tails_with_error(spec, checked())):
-        t = tail_asymptote(spec, lam)
-        _certify("tail probability inside ratio", perr, cfg)
+    """ratio_with_error at each lambda, from _ratio_parts."""
+    for t, p, perr in _ratio_parts(spec, lams, cfg):
         yield p / t, perr / t
 
 
@@ -117,6 +149,56 @@ def ratio(spec: MultistableSpec, lam: float,
 
 
 _SLACK = 1.0 + 1e-12  # floating-point slack on closed-form inequalities
+
+
+def _check_point(xi: float, delta: float):
+    if not 1.0 <= xi < math.inf:
+        raise ValueError(f"xi must be a finite number >= 1, got {xi}")
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"delta must be a finite positive number, got {delta}")
+
+
+def _within(lo, v, hi):
+    return (lo <= v * _SLACK) & (v <= hi * _SLACK)
+
+
+def _scaling_bounds(groups: list, a, b, xi, delta) -> tuple[np.ndarray, np.ndarray]:
+    """scaling_bounds_check for n samples at once: sample k has the exponent
+    groups ``groups[k]`` (``spec.groups``), the exponent range ``a[k]``,
+    ``b[k]`` (``spec.a``, ``spec.b``, over all of alpha's values) and the point
+    ``(xi[k], delta[k])``.
+
+    Returns T at (1, xi, d_lo xi, d_hi xi), shape (n, 4), and the three
+    verdicts, shape (n, 3).  An invalid sample is refused as a loop of
+    scalar checks would refuse it: the first in order, its xi before its
+    delta before its groups.  The groups are padded to the longest with
+    weight 0 at exponent 0, whose terms are exact zeros, and T is one
+    stacked matrix-vector product, as ``TailAsymptote``'s is per sample.
+    """
+    xi, delta = np.asarray(xi, dtype=float), np.asarray(delta, dtype=float)
+    counts = np.fromiter(map(len, groups), dtype=np.intp, count=len(groups))
+    bad = ~((1.0 <= xi) & (xi < math.inf)) | ~((0.0 < delta) & (delta < math.inf))
+    bad |= counts == 0
+    if bad.any():
+        k = int(np.argmax(bad))
+        _check_point(float(xi[k]), float(delta[k]))
+        raise ValueError(_ZERO)
+    pad = np.arange(counts.max()) < counts[:, None]  # row-major, as flat
+    flat = [g for gs in groups for g in gs]
+    exps, wts = np.zeros(pad.shape), np.zeros(pad.shape)
+    exps[pad] = [al for al, _ in flat]
+    wts[pad] = _tail_weights(flat)
+    with np.errstate(over="ignore"):  # 1/delta and d_hi xi may be inf, where T is 0
+        d_lo, d_hi = np.minimum(delta, 1.0 / delta), np.maximum(delta, 1.0 / delta)
+        lam = np.stack([np.ones_like(xi), xi, d_lo * xi, d_hi * xi], axis=1)
+    t = np.matmul(lam[:, :, None] ** -exps[:, None, :], wts[:, :, None])[..., 0]
+    t1, txi, t_lo, t_hi = t.T
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    with np.errstate(over="raise"):  # a bound past the float range is no verdict
+        ok = np.stack([_within(xi ** -b * t1, txi, xi ** -a * t1),
+                       _within(d_lo ** -a * txi, t_lo, d_lo ** -b * txi),
+                       _within(d_hi ** -b * txi, t_hi, d_hi ** -a * txi)], axis=1)
+    return t, ok
 
 
 def scaling_bounds_check(spec: MultistableSpec, xi: float, delta: float,
@@ -130,19 +212,8 @@ def scaling_bounds_check(spec: MultistableSpec, xi: float, delta: float,
     3. d^(-b) T(xi) <= T(d xi) <= d^(-a) T(xi)        at d = max(delta, 1/delta)
 
     so a single (xi, delta) draw exercises both branches of the
-    delta-scaling remark, with xi as the base point.
+    delta-scaling remark, with xi as the base point.  It is the one-sample
+    call of :func:`_scaling_bounds`.
     """
-    if not 1.0 <= xi < math.inf:
-        raise ValueError(f"xi must be a finite number >= 1, got {xi}")
-    if not 0.0 < delta < math.inf:
-        raise ValueError(f"delta must be a finite positive number, got {delta}")
-    a, b = spec.a, spec.b
-    d_lo, d_hi = min(delta, 1.0 / delta), max(delta, 1.0 / delta)
-    t1, txi, t_lo, t_hi = TailAsymptote(spec)([1.0, xi, d_lo * xi, d_hi * xi]).tolist()
-
-    def within(lo, v, hi):
-        return (lo <= v * _SLACK) and (v <= hi * _SLACK)
-
-    return (within(xi ** -b * t1, txi, xi ** -a * t1),
-            within(d_lo ** -a * txi, t_lo, d_lo ** -b * txi),
-            within(d_hi ** -b * txi, t_hi, d_hi ** -a * txi))
+    _, ok = _scaling_bounds([spec.groups], [spec.a], [spec.b], [xi], [delta])
+    return tuple(ok[0].tolist())

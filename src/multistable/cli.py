@@ -32,12 +32,13 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import fixtures
-from .asymptote import TailAsymptote, _ratios_with_error, scaling_bounds_check, tail_asymptote
+from .asymptote import _asymptote_of, _ratio_parts, _scaling_bounds
 from .charfn import cf
 from .function_space import (
     ExponentFunction,
     MultistableSpec,
     StepFunction,
+    _cells_and_groups,
     normalize_to_sphere,
     quasinorm,
     refine,
@@ -130,20 +131,23 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
             fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
-# rows per formatted block of a one-column CSV: one string operation per
-# block instead of per row, with memory bounded by the block
+# rows per formatted block of a column CSV: one string operation per block
+# instead of per row, with memory bounded by the block
 _CSV_BLOCK = 1 << 16
 
 
-def _write_column(path: Path, header: str, values: np.ndarray) -> None:
-    """One float column as CSV, byte-identical to _write_csv: "%.17g" % x is
-    format(x, ".17g")."""
+def _write_column(path: Path, header: str, *columns: np.ndarray, fmt: str = "%.17g") -> None:
+    """Equal-length columns as CSV rows, each row "fmt" % (its values): with
+    "%.17g" for a float column and "%d" for an int or bool one, byte-identical
+    to _write_csv ("%.17g" % x is format(x, ".17g"), "%d" % i is str(i) and
+    "%d" % True is str(int(True)))."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
-        for i in range(0, values.size, _CSV_BLOCK):
-            block = values[i:i + _CSV_BLOCK].tolist()
-            fh.write(("%.17g\n" * len(block)) % tuple(block))
+        for i in range(0, len(columns[0]), _CSV_BLOCK):
+            block = [c[i:i + _CSV_BLOCK].tolist() for c in columns]
+            values = block[0] if len(block) == 1 else [v for row in zip(*block) for v in row]
+            fh.write((f"{fmt}\n" * len(block[0])) % tuple(values))
 
 
 def _cfg(args) -> QuadratureConfig:
@@ -186,15 +190,20 @@ def _tail_rows(spec, args, clamped):
 
 def _ratio_scan_rows(spec, args, clamped):
     spec = normalize_to_sphere(spec) if args.normalize else spec
-    cfg, asym = _cfg(args), TailAsymptote.from_spec(spec)
+    cfg = _cfg(args)
 
     def rows(lams):
         out = []
-        for lam, (r, rerr) in zip(lams, _ratios_with_error(spec, lams, cfg)):
-            t = float(asym(lam))
-            out.append([lam, t, r * t, r, rerr])
+        for lam, (t, p, perr) in zip(lams, _ratio_parts(spec, lams, cfg)):
+            r = p / t
+            out.append([lam, t, r * t, r, perr / t])
         return out
     return rows
+
+
+def _asymptote_rows(spec, args, clamped):
+    asymptote = _asymptote_of(spec)
+    return lambda lams: [[lam, asymptote(lam)] for lam in lams]
 
 
 class _Grid(NamedTuple):
@@ -219,8 +228,7 @@ _GRIDS = {
     "tail": _Grid("two-sided tail probabilities (CSV)", "lambdas",
                   ["x_or_lambda", "value", "est_error"], _tail_rows, abs_tol=True),
     "asymptote": _Grid("tail asymptote T(lambda) (CSV)", "lambdas", ["lambda", "T"],
-                       lambda spec, args, clamped:
-                       lambda lams: [[lam, tail_asymptote(spec, lam)] for lam in lams]),
+                       _asymptote_rows),
     "ratio-scan": _Grid("tail/asymptote ratio over lambda (CSV)", "lambdas",
                         ["lambda", "T", "P", "ratio", "abs_err_bound"], _ratio_scan_rows,
                         [100.0, 1000.0, 10000.0], abs_tol=True),
@@ -266,6 +274,33 @@ def _cmd_sample(args) -> int:
     return 0
 
 
+# samples per block of the remarks sweep, so that T's (n, 4, groups) powers
+# stay bounded on any --samples
+_REMARKS_BLOCK = 1 << 14
+_REMARKS_HEADER, _REMARKS_FORMAT = "draw,xi,delta,ok1,ok2,ok3", "%d,%.17g,%.17g,%d,%d,%d"
+
+
+def _remarks(rng: np.random.Generator, samples: int):
+    """xi, delta and the (samples, 3) verdicts of the remarks sweep: sample i is
+    a random_spec draw, then its xi and delta from the same stream, checked by
+    scaling_bounds_check.  Per sample only the draws and the spec's groups are
+    computed; the checks run a block of samples at a time."""
+    xi, delta = np.empty(samples), np.empty(samples)
+    ok = np.empty((samples, 3), dtype=bool)
+    for start in range(0, samples, _REMARKS_BLOCK):
+        stop = min(start + _REMARKS_BLOCK, samples)
+        groups, a, b = [], [], []
+        for i in range(start, stop):
+            f_bp, coefs, a_bp, a_vals = fixtures._spec_draws(rng)
+            xi[i] = rng.uniform(1.0, 50.0)
+            delta[i] = rng.uniform(0.05, 20.0)
+            groups.append(_cells_and_groups(f_bp, coefs, a_bp, a_vals)[1])
+            a.append(min(a_vals))
+            b.append(max(a_vals))
+        ok[start:stop] = _scaling_bounds(groups, a, b, xi[start:stop], delta[start:stop])[1]
+    return xi, delta, ok
+
+
 _LEMMA_DEFAULT_LAMBDAS = [10.0, 50.0, 100.0, 1000.0]
 _LEMMA3_GAMMAS = [round(g, 10) for g in np.arange(0.3, 1.95, 0.1)]
 
@@ -296,30 +331,28 @@ def _cmd_verify(args) -> int:
         us = rng.uniform(0.0, 1e3, args.samples)
         ok = verify_elementary_inequality(us)
         rep = LemmaReport("lemma2", ok, [], {"samples": args.samples})
-        rows, header = [[float(us.max()), int(ok)]], ["u_max", "passed"]
+        write_csv = functools.partial(_write_csv, header=["u_max", "passed"],
+                                      rows=[[float(us.max()), int(ok)]])
     elif which == "remarks":
         rng = np.random.Generator(np.random.Philox(key=args.seed))
-        rows, header = [], ["draw", "xi", "delta", "ok1", "ok2", "ok3"]
-        ok = True
-        for i in range(args.samples):
-            spec = fixtures.random_spec(rng)
-            xi = float(rng.uniform(1.0, 50.0))
-            delta = float(rng.uniform(0.05, 20.0))
-            r = scaling_bounds_check(spec, xi, delta)
-            ok &= all(r)
-            rows.append([i, xi, delta, int(r[0]), int(r[1]), int(r[2])])
-        rep = LemmaReport("remarks", ok, [], {"samples": args.samples})
+        xi, delta, ok = _remarks(rng, args.samples)
+        rep = LemmaReport("remarks", bool(ok.all()), [], {"samples": args.samples})
+        columns = (np.arange(args.samples), xi, delta, *ok.T)
+
+        def write_csv(path):
+            _write_column(path, _REMARKS_HEADER, *columns, fmt=_REMARKS_FORMAT)
     else:
         sweep, header = _SWEEPS[which]
         rep = sweep(args, build_mollifier(args.q))
-        rows = [[r[k] for k in header] for r in rep.grid]
+        write_csv = functools.partial(_write_csv, header=header,
+                                      rows=[[r[k] for k in header] for r in rep.grid])
 
     out_json = _outpath(args, f"verify_{which}.json")
     out_json.parent.mkdir(parents=True, exist_ok=True)
     with open(out_json, "w") as fh:
         json.dump(rep.to_dict(), fh, indent=2, sort_keys=True, default=float)
         fh.write("\n")
-    _write_csv(out_json.with_suffix(".csv"), header, rows)
+    write_csv(out_json.with_suffix(".csv"))
     print(f"{which}: {'pass' if rep.passed else 'FAIL'} ({out_json})")
     return 0 if rep.passed else 3
 

@@ -78,17 +78,10 @@ def _crowded(bp: list[float]) -> bool:
     return any(b2 - b1 < 1e-3 for b1, b2 in zip(bp, bp[1:]))
 
 
-def random_spec(rng: np.random.Generator, max_cells: int = 4,
-                alpha_range: tuple[float, float] = (0.3, 1.9),
-                normalized: bool = False) -> MultistableSpec:
-    """A random nonzero spec for property sweeps (seeded by the caller).
-
-    The Generator calls, their order and their sizes are part of the output:
-    ``verify remarks --seed`` draws its specs and its (xi, delta) pairs from
-    one stream, so a changed draw changes every later sample.  The draws are
-    sorted, gap-tested and floored as Python floats; a spec has a handful
-    of cells, too few for numpy to pay off.
-    """
+def _spec_draws(rng: np.random.Generator, max_cells: int = 4,
+                alpha_range: tuple[float, float] = (0.3, 1.9)):
+    """random_spec's Generator calls: f's breakpoints and coefficients and
+    alpha's breakpoints and values, as sorted Python lists."""
     n_f = int(rng.integers(1, max_cells + 1))
     f_bp = sorted(rng.uniform(-4.0, 4.0, n_f + 1).tolist())
     while _crowded(f_bp):
@@ -100,5 +93,20 @@ def random_spec(rng: np.random.Generator, max_cells: int = 4,
     while _crowded(a_bp):
         a_bp = sorted(rng.uniform(-4.0, 4.0, n_a).tolist())
     a_vals = rng.uniform(*alpha_range, n_a + 1).tolist()
+    return f_bp, coefs, a_bp, a_vals
+
+
+def random_spec(rng: np.random.Generator, max_cells: int = 4,
+                alpha_range: tuple[float, float] = (0.3, 1.9),
+                normalized: bool = False) -> MultistableSpec:
+    """A random nonzero spec for property sweeps (seeded by the caller).
+
+    The Generator calls, their order and their sizes are part of the output:
+    ``verify remarks --seed`` draws its specs and its (xi, delta) pairs from
+    one stream, so a changed draw changes every later sample.  The draws are
+    sorted, gap-tested and floored as Python floats (:func:`_spec_draws`); a
+    spec has a handful of cells, too few for numpy to pay off.
+    """
+    f_bp, coefs, a_bp, a_vals = _spec_draws(rng, max_cells, alpha_range)
     spec = refine(StepFunction(f_bp, coefs), ExponentFunction(a_bp, a_vals))
     return normalize_to_sphere(spec) if normalized else spec

@@ -178,6 +178,23 @@ def combine_steps(fs: Sequence[StepFunction], weights: Sequence[float]) -> StepF
     return StepFunction(tuple(pts), tuple(coefs))
 
 
+def _cells_and_groups(bp: Sequence[float], coefs: Sequence[float],
+                      a_bp: Sequence[float], a_vals: Sequence[float]):
+    """``MultistableSpec``'s cells and groups from f's breakpoints and
+    coefficients and alpha's breakpoints and values (sorted, as the step and
+    exponent functions hold them), with no objects built around them."""
+    pts = sorted(set(bp) | {b for b in a_bp if bp and bp[0] < b < bp[-1]})
+    cells = tuple((p, q, coefs[bisect_right(bp, p) - 1], a_vals[bisect_right(a_bp, p)])
+                  for p, q in zip(pts, pts[1:]))
+    # W_g = sum |c|^alpha_g |cell| over the cells with alpha_g, so that the
+    # modular is sum_g W_g s^alpha_g
+    weights: dict[float, float] = {}
+    for lo, hi, c, a in cells:
+        if c != 0.0:
+            weights[a] = weights.get(a, 0.0) + abs(c) ** a * (hi - lo)
+    return cells, tuple(sorted(weights.items()))
+
+
 @dataclass(frozen=True, eq=False)
 class MultistableSpec:
     """A step function and an exponent function, ``MultistableSpec(f, alpha)``.
@@ -207,19 +224,10 @@ class MultistableSpec:
     groups: tuple[tuple[float, float], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        bp, coefs = self.f.breakpoints, self.f.coefficients
-        a_bp, a_vals = self.alpha.breakpoints, self.alpha.values
-        pts = sorted(set(bp) | {b for b in a_bp if bp and bp[0] < b < bp[-1]})
-        cells = tuple((p, q, coefs[bisect_right(bp, p) - 1], a_vals[bisect_right(a_bp, p)])
-                      for p, q in zip(pts, pts[1:]))
+        cells, groups = _cells_and_groups(self.f.breakpoints, self.f.coefficients,
+                                          self.alpha.breakpoints, self.alpha.values)
         object.__setattr__(self, "cells", cells)
-        # W_g = sum |c|^alpha_g |cell| over the cells with alpha_g, so that the
-        # modular is sum_g W_g s^alpha_g
-        weights: dict[float, float] = {}
-        for lo, hi, c, a in cells:
-            if c != 0.0:
-                weights[a] = weights.get(a, 0.0) + abs(c) ** a * (hi - lo)
-        object.__setattr__(self, "groups", tuple(sorted(weights.items())))
+        object.__setattr__(self, "groups", groups)
 
     @property
     def is_zero(self) -> bool:

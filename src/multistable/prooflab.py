@@ -46,7 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .asymptote import _require_unit_sphere, tail_asymptote
+from .asymptote import _asymptote_of, _require_unit_sphere
 from .function_space import MultistableSpec, tail_constant
 from .inversion import _eta_integrals, _pow, _tails_with_error, eta_integral
 from .mollifier import MollifierSpec
@@ -255,15 +255,16 @@ def verify_lemma1(spec: MultistableSpec, moll: MollifierSpec,
 def verify_lemma5(spec: MultistableSpec, moll: MollifierSpec,
                   xis: Sequence[float]) -> LemmaReport:
     """T(q xi) <= tau(xi) <= T(xi / q) on a xi grid; h_q is evaluated once per
-    exponent group for the whole grid."""
+    exponent group for the whole grid and T built once."""
     q = moll.q
     hs = [moll.h(alph) for alph, _ in spec.groups]
+    asymptote = _asymptote_of(spec)
     rows = []
     for xi in xis:
         xi = float(xi)
         t, te = _tau(spec, hs, xi)
-        lo = tail_asymptote(spec, q * xi)
-        hi = tail_asymptote(spec, xi / q)
+        lo = asymptote(q * xi)
+        hi = asymptote(xi / q)
         ok = (lo <= t + te) and (t - te <= hi)
         rows.append({
             "xi": xi, "T_qxi": lo, "tau": t, "tau_err": te, "T_xi_over_q": hi,
@@ -288,12 +289,13 @@ def verify_lemma6(spec: MultistableSpec, moll: MollifierSpec,
     their digits or divide by 0) is refused with ValueError.
     """
     _require_unit_sphere(spec)
+    asymptote = _asymptote_of(spec)
     q = moll.q
     lo_edge, hi_edge = q ** (-2.0 * spec.b), q ** (3.0 * spec.b)
     lams = [float(lam) for lam in lambda_grid]
     rows = []
     for lam, (j, (e_lo, e_lo_err), (e_hi, e_hi_err)) in zip(lams, _eta_sweep(spec, moll, lams)):
-        t = tail_asymptote(spec, lam)
+        t = asymptote(lam)
         if t < sys.float_info.min:
             raise ValueError(f"T(lambda={lam}) = {t:.6g} underflows: it is below the "
                              f"smallest normal float {sys.float_info.min:.6g}")
