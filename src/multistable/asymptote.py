@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .function_space import MultistableSpec, quasinorm, tail_constant
-from .inversion import _tails_with_error, tail_probability_with_error
+from .inversion import _tails_with_error
 from .quadrature import QuadratureConfig, _certify
 
 __all__ = [
@@ -41,6 +41,13 @@ _ZERO = "tail asymptote undefined for f == 0"
 def _tail_weights(groups) -> list[float]:
     """w_g = W_g * C(alpha_g) for each exponent group (alpha_g, W_g)."""
     return [w * tail_constant(a) for a, w in groups]
+
+
+def _asymptote(lam: np.ndarray, exponents: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """T = sum_g w_g lam^(-alpha_g) at the points on lam's last axis, the
+    groups on the last axis of exponents and weights, any leading axes
+    stacked: the one evaluation of T, for TailAsymptote and _scaling_bounds."""
+    return np.matmul(lam[..., None] ** -exponents[..., None, :], weights[..., None])[..., 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,27 +72,15 @@ class TailAsymptote:
 
     def __call__(self, lam) -> float | np.ndarray:
         lam = np.asarray(lam, dtype=float)
-        out = np.power.outer(lam, -self.exponents) @ self.weights
+        out = _asymptote(lam.reshape(-1), self.exponents, self.weights).reshape(lam.shape)
         return float(out) if out.shape == () else out
-
-
-def _asymptote_of(spec: MultistableSpec):
-    """lam -> tail_asymptote(spec, lam) with one TailAsymptote for every call,
-    built at the first, where tail_asymptote would refuse a zero spec."""
-    asym = None
-
-    def at(lam: float) -> float:
-        nonlocal asym
-        if not lam > 0.0:
-            raise ValueError(f"lambda must be positive, got {lam}")
-        asym = asym or TailAsymptote(spec)
-        return float(asym(lam))
-    return at
 
 
 def tail_asymptote(spec: MultistableSpec, lam: float) -> float:
     """T(lam) = sum_g w_g lam^(-alpha_g), exact for step data."""
-    return _asymptote_of(spec)(lam)
+    if not lam > 0.0:
+        raise ValueError(f"lambda must be positive, got {lam}")
+    return TailAsymptote(spec)(lam)
 
 
 _SPHERE_TOL = 1e-6
@@ -103,44 +98,34 @@ def _check_ratio_lambda(lam: float):
         raise ValueError(f"ratio is defined for finite lambda >= 1, got {lam}")
 
 
-def ratio_with_error(spec: MultistableSpec, lam: float,
-                     cfg: QuadratureConfig | None = None) -> tuple[float, float]:
-    """(P(|I(f)| > lam) / T(lam), error bound on the ratio)."""
-    cfg = cfg or QuadratureConfig()
-    _check_ratio_lambda(lam)
-    _require_unit_sphere(spec)
-    t = tail_asymptote(spec, lam)
-    p, perr = tail_probability_with_error(spec, lam, cfg)
-    _certify("tail probability inside ratio", perr, cfg)
-    return p / t, perr / t
-
-
 def _ratio_parts(spec: MultistableSpec, lams: list[float],
                  cfg: QuadratureConfig | None = None):
-    """(T, P, P's error bound) at each lambda, the parts of ratio_with_error:
-    the tails evaluated in blocks, the unit sphere checked at the first lambda
-    and T built once.  Yields in order and raises where a loop of scalar calls
-    would."""
+    """(T(lam), P(|I(f)| > lam), P's certified error bound) at each lambda: the
+    tails evaluated in blocks, each lambda range-checked, the unit sphere
+    checked at the first lambda and T built once.  Yields in order and
+    raises where a loop of ratio_with_error calls would."""
     cfg = cfg or QuadratureConfig()
-    asymptote = _asymptote_of(spec)
+    asymptote = None
 
     def checked():
-        for k, lam in enumerate(lams):
+        nonlocal asymptote
+        for lam in lams:
             _check_ratio_lambda(lam)
-            if k == 0:
+            if asymptote is None:   # the spec is on the unit sphere, so not 0
                 _require_unit_sphere(spec)
+                asymptote = TailAsymptote(spec)
             yield lam
     for lam, (p, perr) in zip(lams, _tails_with_error(spec, checked())):
-        t = asymptote(lam)
         _certify("tail probability inside ratio", perr, cfg)
-        yield t, p, perr
+        yield asymptote(lam), p, perr
 
 
-def _ratios_with_error(spec: MultistableSpec, lams: list[float],
-                       cfg: QuadratureConfig | None = None):
-    """ratio_with_error at each lambda, from _ratio_parts."""
-    for t, p, perr in _ratio_parts(spec, lams, cfg):
-        yield p / t, perr / t
+def ratio_with_error(spec: MultistableSpec, lam: float,
+                     cfg: QuadratureConfig | None = None) -> tuple[float, float]:
+    """(P(|I(f)| > lam) / T(lam), error bound on the ratio): the one-lambda call
+    of _ratio_parts."""
+    t, p, perr = next(_ratio_parts(spec, [lam], cfg))
+    return p / t, perr / t
 
 
 def ratio(spec: MultistableSpec, lam: float,
@@ -172,8 +157,8 @@ def _scaling_bounds(groups: list, a, b, xi, delta) -> tuple[np.ndarray, np.ndarr
     verdicts, shape (n, 3).  An invalid sample is refused as a loop of
     scalar checks would refuse it: the first in order, its xi before its
     delta before its groups.  The groups are padded to the longest with
-    weight 0 at exponent 0, whose terms are exact zeros, and T is one
-    stacked matrix-vector product, as ``TailAsymptote``'s is per sample.
+    weight 0 at exponent 0, whose terms are exact zeros, and T is
+    :func:`_asymptote` on the stacked samples, as ``TailAsymptote``'s is on one.
     """
     xi, delta = np.asarray(xi, dtype=float), np.asarray(delta, dtype=float)
     counts = np.fromiter(map(len, groups), dtype=np.intp, count=len(groups))
@@ -191,7 +176,7 @@ def _scaling_bounds(groups: list, a, b, xi, delta) -> tuple[np.ndarray, np.ndarr
     with np.errstate(over="ignore"):  # 1/delta and d_hi xi may be inf, where T is 0
         d_lo, d_hi = np.minimum(delta, 1.0 / delta), np.maximum(delta, 1.0 / delta)
         lam = np.stack([np.ones_like(xi), xi, d_lo * xi, d_hi * xi], axis=1)
-    t = np.matmul(lam[:, :, None] ** -exps[:, None, :], wts[:, :, None])[..., 0]
+    t = _asymptote(lam, exps, wts)
     t1, txi, t_lo, t_hi = t.T
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     with np.errstate(over="raise"):  # a bound past the float range is no verdict

@@ -32,7 +32,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import fixtures
-from .asymptote import _asymptote_of, _ratio_parts, _scaling_bounds
+from .asymptote import _ratio_parts, _scaling_bounds, tail_asymptote
 from .charfn import cf
 from .function_space import (
     ExponentFunction,
@@ -202,8 +202,7 @@ def _ratio_scan_rows(spec, args, clamped):
 
 
 def _asymptote_rows(spec, args, clamped):
-    asymptote = _asymptote_of(spec)
-    return lambda lams: [[lam, asymptote(lam)] for lam in lams]
+    return lambda lams: [[lam, tail_asymptote(spec, lam)] for lam in lams]
 
 
 class _Grid(NamedTuple):

@@ -36,9 +36,10 @@ Each integral is planned, then evaluated.  ``_plan`` chooses the kind and
 lays out t0, the stub, the truncation and the panels; ``_evaluate`` takes
 the plans of one spec, groups them by kind (and w), and packs each group
 into blocks that close once they hold _BLOCK_NODES nodes, one
-``_integrand`` call a block with omega and t0 per node; a plan of that many
-nodes, and a scalar entry point, is a one-plan call on the scalar path.  Every batched (value, err) equals the one-plan
-call's (``==``), by three rules:
+``_integrand`` call a block with omega and t0 per node.  A plan of that
+many nodes runs alone on the one-plan path, ``_run``, as does a call with
+one plan.  Every batched (value, err) equals the one-plan call's (``==``),
+by three rules:
 
 1. each plan's cf exponents (ray.parts t0^alpha) @ (t/t0)^alpha stay one
    matrix product over that plan's own nodes (a product per node rounds
@@ -709,8 +710,11 @@ def _evaluate(ray: _Ray | None, plans: list[_Plan | None]) -> list[tuple[float, 
     Plans of one kind and w share _blocks: one _integrand call per block.
     Each plan keeps its own GK21 sums (quadrature._add_up on its own nodes,
     in the one-plan row layout), and a one-plan block runs _run, so every
-    pair equals the one-plan call's.
+    pair equals the one-plan call's.  A single plan goes to _run before any
+    grouping: the scalar entry points are one-request calls.
     """
+    if len(plans) == 1 and plans[0] is not None:
+        return [_run(ray, plans[0])]
     out = [(0.0, 0.0)] * len(plans)
     groups: dict[tuple[str, float], list[int]] = {}
     for i, plan in enumerate(plans):
@@ -756,20 +760,19 @@ def _integrals(spec: MultistableSpec, requests) -> Iterator[tuple[float, float]]
         raise failure
 
 
-def eta_integral(spec: MultistableSpec, xi: float, w: float) -> tuple[float, float]:
-    """2 int_0^inf phi_q(theta) (1 - cf(theta / xi)) dtheta = E[1 - bump(I / xi)] for
-    the mollifier of half-width w and any xi > 0, with an absolute error bound."""
-    if spec.is_zero:
-        return 0.0, 0.0
-    return _ray_integral(spec, xi, "eta", w)
-
-
 def _eta_integrals(spec: MultistableSpec, xis: list[float],
                    w: float) -> list[tuple[float, float]]:
-    """eta_integral at each xi, evaluated in blocks."""
+    """2 int_0^inf phi_q(theta) (1 - cf(theta / xi)) dtheta = E[1 - bump(I / xi)] for
+    the mollifier of half-width w at each xi > 0, with an absolute error bound,
+    evaluated in blocks."""
     if spec.is_zero:
         return [(0.0, 0.0)] * len(xis)
     return list(_integrals(spec, [(xi, "eta", w) for xi in xis]))
+
+
+def eta_integral(spec: MultistableSpec, xi: float, w: float) -> tuple[float, float]:
+    """The one-xi call of :func:`_eta_integrals`."""
+    return _eta_integrals(spec, [xi], w)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -819,21 +822,24 @@ def density(spec: MultistableSpec, x: float,
     return _certified_density("density", val, err, cfg)
 
 
-def tail_probability_with_error(spec: MultistableSpec, lam: float,
-                                cfg: QuadratureConfig | None = None) -> tuple[float, float]:
-    """P(|I(f)| > lam) and a bound on the absolute error; cfg is not read."""
-    _check_lambda(spec, lam)
-    return _ray_integral(spec, lam, "tail")
-
-
 def _tails_with_error(spec: MultistableSpec, lams) -> Iterator[tuple[float, float]]:
-    """tail_probability_with_error at each lambda, evaluated in blocks: yields in
-    order and raises where a loop of scalar calls would (see _integrals)."""
+    """P(|I(f)| > lam) and a bound on the absolute error at each lambda, evaluated
+    in blocks: yields in order and raises where a loop of one-lambda calls
+    would (see _integrals)."""
     def requests():
         for lam in lams:
             _check_lambda(spec, lam)
             yield lam, "tail", 0.0
     return _integrals(spec, requests())
+
+
+def tail_probability_with_error(spec: MultistableSpec, lam: float,
+                                cfg: QuadratureConfig | None = None) -> tuple[float, float]:
+    """P(|I(f)| > lam) and a bound on the absolute error, the one-lambda call of
+    :func:`_tails_with_error`; cfg is not read."""
+    # unpacked rather than next(): closing a suspended generator costs about 1 us
+    (pair,) = _tails_with_error(spec, [lam])
+    return pair
 
 
 def tail_probability(spec: MultistableSpec, lam: float,
@@ -845,25 +851,28 @@ def tail_probability(spec: MultistableSpec, lam: float,
     return p
 
 
-def _cdf_from_tail(x: float, p: float, err: float) -> tuple[float, float]:
-    """F(x), x != 0, and its bound from P(|I| > |x|) and its bound."""
-    return _unit(1.0 - 0.5 * p if x > 0 else 0.5 * p), err / 2.0
+def _cdfs_with_error(spec: MultistableSpec, xs: list[float]) -> list[tuple[float, float]]:
+    """F(x) at each x and a bound on its absolute error, from P = P(|I| > |x|) and
+    its bound, the tails evaluated in blocks.  F = P/2 for x <= 0, exact, and
+    F = 1 - P/2 for x > 0, whose rounding adds eps/2 F to the bound."""
+    for x in xs:
+        _check_x(spec, x)
+    # every x is checked, so the tails run to their end at once, never suspended
+    tails = iter(list(_integrals(spec, [(abs(x), "tail", 0.0) for x in xs if x != 0.0])))
+    out = []
+    for x in xs:
+        p, err = next(tails) if x != 0.0 else (1.0, 0.0)    # P(|I| > 0) = 1
+        if x <= 0.0:
+            out.append((0.5 * p, 0.5 * err))
+        else:
+            f = 1.0 - 0.5 * p
+            out.append((f, 0.5 * err + 0.5 * _EPS * f))
+    return out
 
 
 def _cdf_with_error(spec: MultistableSpec, x: float) -> tuple[float, float]:
-    """F(x) and a bound on its absolute error."""
-    _check_x(spec, x)
-    if x == 0.0:
-        return 0.5, 0.0
-    return _cdf_from_tail(x, *_ray_integral(spec, abs(x), "tail"))
-
-
-def _cdfs_with_error(spec: MultistableSpec, xs: list[float]) -> list[tuple[float, float]]:
-    """_cdf_with_error at each x, the tails evaluated in blocks."""
-    for x in xs:
-        _check_x(spec, x)
-    tails = _integrals(spec, [(abs(x), "tail", 0.0) for x in xs if x != 0.0])
-    return [(0.5, 0.0) if x == 0.0 else _cdf_from_tail(x, *next(tails)) for x in xs]
+    """The one-x call of :func:`_cdfs_with_error`."""
+    return _cdfs_with_error(spec, [x])[0]
 
 
 def cdf(spec: MultistableSpec, x: float, cfg: QuadratureConfig | None = None) -> float:

@@ -46,7 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .asymptote import _asymptote_of, _require_unit_sphere
+from .asymptote import TailAsymptote, _require_unit_sphere
 from .function_space import MultistableSpec, tail_constant
 from .inversion import _eta_integrals, _pow, _tails_with_error, eta_integral
 from .mollifier import MollifierSpec
@@ -258,7 +258,7 @@ def verify_lemma5(spec: MultistableSpec, moll: MollifierSpec,
     exponent group for the whole grid and T built once."""
     q = moll.q
     hs = [moll.h(alph) for alph, _ in spec.groups]
-    asymptote = _asymptote_of(spec)
+    asymptote = TailAsymptote(spec)
     rows = []
     for xi in xis:
         xi = float(xi)
@@ -289,7 +289,7 @@ def verify_lemma6(spec: MultistableSpec, moll: MollifierSpec,
     their digits or divide by 0) is refused with ValueError.
     """
     _require_unit_sphere(spec)
-    asymptote = _asymptote_of(spec)
+    asymptote = TailAsymptote(spec)
     q = moll.q
     lo_edge, hi_edge = q ** (-2.0 * spec.b), q ** (3.0 * spec.b)
     lams = [float(lam) for lam in lambda_grid]

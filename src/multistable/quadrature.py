@@ -303,7 +303,11 @@ def oscillatory_integral(integrand: Callable, frequency: float,
                          kernel: str = "cos") -> float:
     """Public entry point: integral_0^inf integrand(theta)*kernel(frequency*theta).
 
-    Raises :class:`AccuracyError` when the tolerance cannot be certified.
+    Raises :class:`AccuracyError` when the tolerance cannot be certified.  At
+    frequency 0 no stop rests on a panel value of 0 (see
+    :func:`fourier_integral`), so an integrand that is 0 on a whole doubling
+    panel, such as one of compact support, always raises, with ``achieved``
+    inf.
     """
     cfg = cfg or QuadratureConfig()
     val, err = fourier_integral(integrand, frequency, kernel, cfg)

@@ -180,19 +180,19 @@ def test_monte_carlo_consistency():
 
 
 def test_interval_certifies_the_sum_of_its_cdf_bounds():
-    # each cdf meets abs_tol at the larger half-bound, but the difference can
-    # be off by both: the interval's own bound must be certified
-    from multistable.inversion import tail_probability_with_error
+    # each cdf meets abs_tol at the larger of their bounds, but the difference
+    # can be off by both: the interval's own bound must be certified
+    from multistable.inversion import _cdf_with_error
     from multistable.quadrature import AccuracyError
 
-    half = [tail_probability_with_error(CAUCHY, x)[1] / 2.0 for x in (1.0, 2.0)]
-    assert min(half) > 0.0
+    bounds = [_cdf_with_error(CAUCHY, x)[1] for x in (1.0, 2.0)]
+    assert min(bounds) > 0.0
     for x in (1.0, 2.0):
-        cdf(CAUCHY, x, QuadratureConfig(abs_tol=max(half)))
+        cdf(CAUCHY, x, QuadratureConfig(abs_tol=max(bounds)))
     with pytest.raises(AccuracyError, match="interval probability"):
-        interval_probability(CAUCHY, 1.0, 2.0, QuadratureConfig(abs_tol=max(half)))
-    p = interval_probability(CAUCHY, 1.0, 2.0, QuadratureConfig(abs_tol=2.0 * sum(half)))
-    assert p == pytest.approx((math.atan(2.0) - math.atan(1.0)) / math.pi, abs=2.0 * sum(half))
+        interval_probability(CAUCHY, 1.0, 2.0, QuadratureConfig(abs_tol=max(bounds)))
+    p = interval_probability(CAUCHY, 1.0, 2.0, QuadratureConfig(abs_tol=2.0 * sum(bounds)))
+    assert p == pytest.approx((math.atan(2.0) - math.atan(1.0)) / math.pi, abs=2.0 * sum(bounds))
 
 
 @pytest.mark.parametrize("omega", [1e-250, 1e-300])

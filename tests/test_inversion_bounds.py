@@ -14,11 +14,14 @@ import pytest
 from multistable.fixtures import fixture
 from multistable.function_space import ExponentFunction, StepFunction, refine
 from multistable.inversion import (
+    _EPS,
+    _cdf_with_error,
     _log_exp1,
     _log_upper_gamma,
     cdf,
     density,
     density_with_error,
+    interval_probability,
     tail_probability_with_error,
 )
 from multistable.quadrature import AccuracyError, QuadratureConfig
@@ -138,6 +141,34 @@ class TestSeriesSweep:
             p, perr = tail_probability_with_error(CAUCHY, x, cfg)
             assert abs(cauchy_tail(x) - p) <= perr, x
             assert abs(1.0 - 0.5 * cauchy_tail(x) - cdf(CAUCHY, x, cfg)) <= tol, x
+
+
+def test_cauchy_sweep_within_every_bound():
+    # density, tail, cdf at +-x and two intervals on 97 points from 1e-12 to
+    # 1e12, each within its own bound of the closed form in mpmath; the cdf
+    # at x > 0 must count the rounding of 1 - P/2 (up to half an ulp of F)
+    def interval(lo, hi):
+        (f_hi, e_hi), (f_lo, e_lo) = _cdf_with_error(CAUCHY, hi), _cdf_with_error(CAUCHY, lo)
+        err = e_hi + e_lo + _EPS * abs(f_hi - f_lo)
+        return interval_probability(CAUCHY, lo, hi, QuadratureConfig(abs_tol=err)), err
+
+    bad = []
+    with mp.workdps(50):
+        for x in log_grid(1e-12, 1e12, 4):
+            mx, hi = mp.mpf(x), x * (1.0 + 1e-6)
+            half = mp.atan(mx) / mp.pi
+            checks = {
+                "density": (1 / (mp.pi * (1 + mx ** 2)), density_with_error(CAUCHY, x)),
+                "tail": (1 - 2 * half, tail_probability_with_error(CAUCHY, x)),
+                "cdf": (mp.mpf(1) / 2 + half, _cdf_with_error(CAUCHY, x)),
+                "cdf at -x": (mp.mpf(1) / 2 - half, _cdf_with_error(CAUCHY, -x)),
+                "(-x, x]": (2 * half, interval(-x, x)),
+                "(x, x (1 + 1e-6)]": ((mp.atan(mp.mpf(hi)) - mp.atan(mx)) / mp.pi,
+                                      interval(x, hi)),
+            }
+            bad += [(what, x) for what, (true, (value, err)) in checks.items()
+                    if not abs(true - value) <= err]
+    assert not bad
 
 
 class TestSmallExponent:
