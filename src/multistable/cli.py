@@ -43,7 +43,7 @@ from .function_space import (
     quasinorm,
     refine,
 )
-from .inversion import _certified_density, _tails_with_error, density_with_error
+from .inversion import _certified_density, _densities_with_error, _tails_with_error
 from .mollifier import build_mollifier
 from .prooflab import (
     LemmaReport,
@@ -165,15 +165,12 @@ def _cmd_quasinorm(args) -> int:
 
 
 def _density_rows(spec, args, clamped):
-    # one density_with_error call a point: it is the seam the certification
-    # tests replace
     cfg = _cfg(args)
 
-    def row(x):
-        raw, err = density_with_error(spec, x, cfg)
+    def row(x, raw, err):
         clamped.append(raw < 0.0)
         return [x, _certified_density(f"density at x={x}", raw, err, cfg), err]
-    return lambda xs: [row(x) for x in xs]
+    return lambda xs: [row(x, *pair) for x, pair in zip(xs, _densities_with_error(spec, xs))]
 
 
 def _tail_rows(spec, args, clamped):
@@ -202,14 +199,15 @@ def _ratio_scan_rows(spec, args, clamped):
 
 
 def _asymptote_rows(spec, args, clamped):
+    # T one lambda at a time, as a grid would move pinned digests (asymptote._asymptote)
     return lambda lams: [[lam, tail_asymptote(spec, lam)] for lam in lams]
 
 
 class _Grid(NamedTuple):
     """A subcommand that writes one CSV row per point of its sorted grid
     --<grid>.  rows(spec, args, clamped) makes the rows function of a run, which
-    takes the whole sorted grid, so the tails of a grid are one batch; a density
-    row also records in clamped whether it was clamped to 0."""
+    takes the whole sorted grid, so the densities or tails of a grid are one
+    batch; a density row also records in clamped whether it was clamped to 0."""
 
     help: str
     grid: str

@@ -304,8 +304,8 @@ def quasinorm(spec: MultistableSpec, rel_tol: float = 1e-12) -> float:
     ``spec.groups``, whose root :func:`exp_sum_root` finds to a relative
     step of ``rel_tol / 4``.
     """
-    if rel_tol <= 0.0:
-        raise ValueError("rel_tol must be positive")
+    if not rel_tol > 0.0:
+        raise ValueError(f"rel_tol must be positive, got {rel_tol}")
     if spec.is_zero:
         return 0.0
     u = exp_sum_root(1.0, [(w, al) for al, w in spec.groups], 0.25 * rel_tol)

@@ -38,8 +38,8 @@ the plans of one spec, groups them by kind (and w), and packs each group
 into blocks that close once they hold _BLOCK_NODES nodes, one
 ``_integrand`` call a block with omega and t0 per node.  A plan of that
 many nodes runs alone on the one-plan path, ``_run``, as does a call with
-one plan.  Every batched (value, err) equals the one-plan call's (``==``),
-by three rules:
+one plan: the scalar density, tail, cdf and eta are one-element calls.
+Every batched (value, err) equals ``_run``'s (``==``), by three rules:
 
 1. each plan's cf exponents (ray.parts t0^alpha) @ (t/t0)^alpha stay one
    matrix product over that plan's own nodes (a product per node rounds
@@ -69,6 +69,7 @@ import numpy as np
 from .function_space import MultistableSpec, exp_sum_root
 from .mollifier import _S_CROSSOVER, _far_amplitude, _kernel, _sin_cos
 from .quadrature import (
+    _EPS,
     _X21,
     AccuracyError,
     QuadratureConfig,
@@ -96,7 +97,6 @@ def _require_nonzero(spec: MultistableSpec):
 # ---------------------------------------------------------------------------
 # rotated-contour rule
 
-_EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 _LOG_HUGE = 700.0            # e^700 is near the top of the float range
 _LN8 = math.log(8.0)        # widest panel: a factor 8 in t
@@ -675,15 +675,6 @@ def _run(ray: _Ray, plan: _Plan) -> tuple[float, float]:
         ray, plan.kind, plan.omega, plan.t0, sigma, plan.w)))
 
 
-def _ray_integral(spec: MultistableSpec, omega: float, kind: str,
-                  w: float = 0.0) -> tuple[float, float]:
-    """The value and error bound of the plan of omega (see _plan); 0 at omega = inf."""
-    if math.isinf(omega):
-        return 0.0, 0.0
-    ray = _ray(spec)
-    return _run(ray, _plan(ray, omega, kind, w))
-
-
 def _blocks(members: list[int], plans: list[_Plan]):
     """The plans named by members, in order, in runs closed once they hold
     _BLOCK_NODES nodes or more, so N nodes take at most ceil(N / _BLOCK_NODES)
@@ -710,8 +701,8 @@ def _evaluate(ray: _Ray | None, plans: list[_Plan | None]) -> list[tuple[float, 
     Plans of one kind and w share _blocks: one _integrand call per block.
     Each plan keeps its own GK21 sums (quadrature._add_up on its own nodes,
     in the one-plan row layout), and a one-plan block runs _run, so every
-    pair equals the one-plan call's.  A single plan goes to _run before any
-    grouping: the scalar entry points are one-request calls.
+    pair equals _run's on its plan.  A single plan goes to _run before any
+    grouping: the scalar density, tail, cdf and eta are one-request calls.
     """
     if len(plans) == 1 and plans[0] is not None:
         return [_run(ray, plans[0])]
@@ -738,8 +729,8 @@ def _evaluate(ray: _Ray | None, plans: list[_Plan | None]) -> list[tuple[float, 
 
 
 def _integrals(spec: MultistableSpec, requests) -> Iterator[tuple[float, float]]:
-    """_ray_integral(spec, omega, kind, w) for each (omega, kind, w) of requests,
-    planned in order and evaluated in blocks.
+    """The pair of each (omega, kind, w) of requests, _run's on its plan (see
+    _plan) and (0, 0) at omega = inf, planned in order and evaluated in blocks.
 
     Yields the pairs in order.  An exception raised while a request or its
     plan is made is raised after the pairs before it, where a loop of scalar
@@ -790,15 +781,23 @@ def _check_lambda(spec: MultistableSpec, lam: float):
         raise ValueError(f"lambda must be positive, got {lam}")
 
 
+def _densities_with_error(spec: MultistableSpec, xs) -> Iterator[tuple[float, float]]:
+    """The density at each x and a bound on the absolute error, evaluated in blocks:
+    yields in order and raises where a loop of one-x calls would (see _integrals)."""
+    def requests():
+        for x in xs:
+            _check_x(spec, x)
+            yield abs(x), "density", 0.0
+    return _integrals(spec, requests())
+
+
 def density_with_error(spec: MultistableSpec, x: float,
                        cfg: QuadratureConfig | None = None) -> tuple[float, float]:
-    """Density at x and a bound on the absolute error.
-
-    The rule picks its own nodes, so cfg is not read; the bound is
-    returned as is and certified by :func:`density`.
-    """
-    _check_x(spec, x)
-    return _ray_integral(spec, abs(x), "density")
+    """Density at x and a bound on the absolute error, the one-x call of
+    :func:`_densities_with_error`; cfg is not read, and :func:`density`
+    certifies the bound."""
+    (pair,) = _densities_with_error(spec, [x])
+    return pair
 
 
 def _certified_density(what: str, val: float, err: float, cfg: QuadratureConfig) -> float:

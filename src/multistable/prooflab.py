@@ -46,7 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .asymptote import TailAsymptote, _require_unit_sphere
+from .asymptote import TailAsymptote, _check_xi, _require_unit_sphere
 from .function_space import MultistableSpec, tail_constant
 from .inversion import _eta_integrals, _pow, _tails_with_error, eta_integral
 from .mollifier import MollifierSpec
@@ -107,11 +107,6 @@ def j0(lam: float, q: float) -> int:
     while _pow(q, j + 1) <= lam:
         j += 1
     return j
-
-
-def _check_xi(xi: float):
-    if not 1.0 <= xi < math.inf:
-        raise ValueError(f"xi must be a finite number >= 1, got {xi}")
 
 
 def eta_with_error(spec: MultistableSpec, moll: MollifierSpec, xi: float,

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from multistable import inversion, prooflab
 from multistable.asymptote import _ratio_parts, ratio_with_error
+from multistable.cli import run_command
 from multistable.fixtures import fixture, random_spec
 from multistable.function_space import normalize_to_sphere
 from multistable.mollifier import build_mollifier
@@ -42,10 +43,13 @@ def kinds(spec, reqs) -> set[str]:
 
 
 def assert_batch_equals_scalar(spec, reqs):
+    # the reference is each plan run on its own, (0, 0) at omega = inf
+    ray = inversion._ray(spec)
     got = list(inversion._integrals(spec, reqs))
     assert len(got) == len(reqs)
     for r, pair in zip(reqs, got):
-        assert pair == inversion._ray_integral(spec, *r), r
+        ref = (0.0, 0.0) if math.isinf(r[0]) else inversion._run(ray, inversion._plan(ray, *r))
+        assert pair == ref, r
 
 
 @pytest.fixture
@@ -114,6 +118,9 @@ def test_batched_entries_equal_the_scalar_entries():
         inversion.eta_integral(spec, xi, 0.25) for xi in xis]
     xs = [-math.inf, -3.0, 0.0, 1e-2, 3.0, math.inf]
     assert inversion._cdfs_with_error(spec, xs) == [inversion._cdf_with_error(spec, x) for x in xs]
+    xs = [-math.inf, -3.0, -0.0, 0.0, 1e-2, 3.0, math.inf]
+    assert list(inversion._densities_with_error(spec, xs)) == [
+        inversion.density_with_error(spec, x) for x in xs]
     unit = normalize_to_sphere(spec)
     lams = [1.0, 10.0, 1e3]
     assert [(p / t, e / t) for t, p, e in _ratio_parts(unit, lams)] == [
@@ -128,6 +135,34 @@ def test_batched_tails_raise_where_a_scalar_loop_would():
     assert next(tails) == inversion.tail_probability_with_error(spec, 1.0)
     with pytest.raises(ValueError, match="lambda must be positive"):
         next(tails)
+
+
+def test_batched_densities_raise_where_a_scalar_loop_would():
+    # the pairs before a NaN x come out, then its error
+    spec = fixture("cauchy")
+    densities = inversion._densities_with_error(spec, [10.0, -1.0, math.nan, 20.0])
+    assert next(densities) == inversion.density_with_error(spec, 10.0)
+    assert next(densities) == inversion.density_with_error(spec, -1.0)
+    with pytest.raises(ValueError, match="x is NaN"):
+        next(densities)
+
+
+def test_batched_densities_refuse_a_zero_spec():
+    zero = fixture("cauchy").with_coefficients_scaled(0.0)
+    with pytest.raises(ValueError, match="no density"):
+        list(inversion._densities_with_error(zero, [1.0, 2.0]))
+
+
+def test_cli_density_grid_is_one_batch(block_calls, tmp_path):
+    # 41 points from 1e-6 to 1e6 on both sides of 0: fewer than half as many
+    # _integrand calls as points
+    g = np.geomspace(1e-6, 1e6, 20).tolist()
+    xs = [-x for x in g] + [0.0] + g
+    rc = run_command(["density", "--fixture", "three_cell", "--x", *map(repr, xs),
+                      "--out", str(tmp_path / "d.csv")])
+    assert rc == 0
+    assert sum(len(s) for s in block_calls) == len(xs)
+    assert len(block_calls) < len(xs) / 2
 
 
 def test_x_side_tails_are_one_batch(block_calls):

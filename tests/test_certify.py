@@ -42,9 +42,8 @@ def test_certification(value, err, expected, achieved, tmp_path, monkeypatch, ca
     _certify("eta error bound", err, None)  # no cfg, no certificate
 
     # the library density and the CLI density agree on the same (value, err)
-    stub = lambda spec, x, cfg: (value, err)  # noqa: E731
-    monkeypatch.setattr(inversion, "density_with_error", stub)
-    monkeypatch.setattr(cli, "density_with_error", stub)
+    monkeypatch.setattr(inversion, "density_with_error", lambda spec, x, cfg: (value, err))
+    monkeypatch.setattr(cli, "_densities_with_error", lambda spec, xs: [(value, err) for _ in xs])
     spec = fixture("cauchy")
     if expected is None:
         with pytest.raises(AccuracyError):

@@ -201,8 +201,9 @@ class TestRunCommand:
         # more than 1% of grid values needing the negative-clamp fails the run
         import multistable.cli as cli
 
-        monkeypatch.setattr(cli, "density_with_error",
-                            lambda spec, x, cfg: (-0.5 * cfg.abs_tol, 1e-15))
+        # each value half the default abs_tol (1e-10) below 0: clamped, not refused
+        monkeypatch.setattr(cli, "_densities_with_error",
+                            lambda spec, xs: [(-0.5e-10, 1e-15) for _ in xs])
         rc = run_command(["density", "--fixture", "cauchy", "--x", "1", "2", "3",
                           "--out", str(tmp_path / "d.csv")])
         assert rc == 4
@@ -355,6 +356,8 @@ def test_real_axis_knobs_rejected(cmd, grid, flag, tmp_path):
     ["verify", "lemma5", "--fixture", "two_exp", "--lambdas", "nan"],
     ["verify", "parseval", "--fixture", "two_exp", "--deltas", "1", "inf"],
     ["asymptote", "--fixture", "two_exp", "--lambdas", "nan"],
+    ["density", "--fixture", "two_exp", "--x", "1", "nan"],
+    ["quasinorm", "--fixture", "three_cell", "--rel-tol", "nan"],
 ])
 def test_non_finite_grid_points_exit_2(argv, tmp_path, capsys):
     # refused with a message, not a ZeroDivisionError or OverflowError (exit 1)

@@ -229,8 +229,9 @@ class TestQuasinorm:
         assert quasinorm(make((0.0, 1.0), (0.0,), (), (1.0,))) == 0.0
 
     def test_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            quasinorm(CAUCHY, rel_tol=-1e-9)
+        for rel_tol in (-1e-9, math.nan):
+            with pytest.raises(ValueError):
+                quasinorm(CAUCHY, rel_tol=rel_tol)
 
     def test_homogeneity(self, rng):
         for _ in range(50):
