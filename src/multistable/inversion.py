@@ -37,9 +37,14 @@ lays out t0, the stub, the truncation and the panels; ``_evaluate`` takes
 the plans of one spec, groups them by kind (and w), and packs each group
 into blocks that close once they hold _BLOCK_NODES nodes, one
 ``_integrand`` call a block with omega and t0 per node.  A plan of that
-many nodes runs alone on the one-plan path, ``_run``, as does a call with
-one plan: the scalar density, tail, cdf and eta are one-element calls.
-Every batched (value, err) equals ``_run``'s (``==``), by three rules:
+many nodes runs alone on the one-plan path, ``_run``.  The scalar density,
+tail, cdf and eta are one-request calls: each makes its batched body's
+checks, in the same order, then ``_integral`` plans its one request and
+runs it on ``_run``, with no generator between.  ``_Ray`` holds what every
+plan would otherwise rebuild (the stub's denominators and powers, the
+truncation's factors at the first decay), so a plan costs little more
+than its panels.  Every batched (value, err) equals ``_run``'s (``==``),
+by three rules:
 
 1. each plan's cf exponents (ray.parts t0^alpha) @ (t/t0)^alpha stay one
    matrix product over that plan's own nodes (a product per node rounds
@@ -169,6 +174,13 @@ def _upper_gamma(s: float, x: float) -> float:
     return math.exp(_log_upper_gamma(s, x))
 
 
+def _decay_factors(alph: list[float], decay: float) -> tuple[float, list, list]:
+    """The truncation bound's factors at one decay: E1(decay) and each group's
+    Gamma(alpha, decay) and Gamma(alpha + 1, decay)."""
+    return (_exp1(decay), [_upper_gamma(al, decay) for al in alph],
+            [_upper_gamma(al + 1.0, decay) for al in alph])
+
+
 class _Ray:
     """Constants of the rotated contour for one spec."""
 
@@ -184,8 +196,10 @@ class _Ray:
         # m(t e^{i phi}) = sum_g W_g turn_g t^alpha_g, Re m = sum_g decay_g t^alpha_g
         self.turn = [complex(math.cos(al * phi), math.sin(al * phi)) for al, _ in self.groups]
         self.phi = phi
-        # rows give M(t) = sum W t^alpha >= |m|, Re m and Im m from t^alpha per group
-        self.parts = np.array([self.w, self.w * np.cos(self.alph * phi),
+        # rows give M(t) = sum W t^alpha >= |m|, -Re m and Im m from t^alpha per
+        # group; the sign carries exactly through every product and sum, so the
+        # integrand needs no negation of its own
+        self.parts = np.array([self.w, -(self.w * np.cos(self.alph * phi)),
                                self.w * np.sin(self.alph * phi)])
         self.decay = [(w * math.cos(al * phi), al) for al, w in self.groups]
         terms = [(w, al) for al, w in self.groups]
@@ -193,6 +207,20 @@ class _Ray:
         self.s_cf = exp_sum_root(_DECAY, self.decay)         # |cf| <= e^-45 beyond
         self.log_w = np.log(self.w)
         self.log_w_list = self.log_w.tolist()
+        # what every _stub and _truncation would rebuild: the stub's denominators
+        # per group and pair of groups (shift 0 for the tail, 1 for the densities)
+        # and the smallest power of its remainder per kind, and the truncation's
+        # factors at the first decay it tries
+        a = self.a
+        self.al1 = [al + 1.0 for al in self.alph_list]
+        self.al2 = [al + 2.0 for al in self.alph_list]
+        self.pair_den = {shift: [[a1 + a2 + shift for a2 in self.alph_list]
+                                 for a1 in self.alph_list] for shift in (0.0, 1.0)}
+        self.stub_power = {"density": min(3.0, 2.0 + a, 1.0 + 2.0 * a),
+                           "density-1": min(2.0 + a, 1.0 + 2.0 * a),
+                           "tail": min(1.0 + a, 2.0 * a),
+                           "tail-cf": min(2.0, 1.0 + a)}
+        self.at_decay = _decay_factors(self.alph_list, _DECAY)
         # leading terms c x^-p of the tail and density expansions, for scale only
         sin_half = np.sin(0.5 * math.pi * self.alph)
         tail_w = (self.w * (2.0 / math.pi) * sin_half
@@ -270,42 +298,34 @@ def _stub(ray: _Ray, kind: str, omega: float, s: float,
     * tail-cf:   i w theta / t,      remainder <= ((wt)^2/2 + w t M) / t
 
     (the densities times e^{i phi}).  Every remainder term falls at least as
-    fast as t^p, p = _stub_power, so moving the end down by log(tgt / bound) / p
-    brings the bound to tgt.
+    fast as t^p, p = ray.stub_power[kind], so moving the end down by
+    log(tgt / bound) / p brings the bound to tgt.
     """
     for moved in (False, True):
         t = math.exp(s)
-        wt = [(w * math.exp(al * s), al, z) for (al, w), z in zip(ray.groups, ray.turn)]
+        wt = [w * math.exp(al * s) for al, w in ray.groups]
         if kind == "tail-cf":
-            rem = 0.25 * (omega * t) ** 2 + omega * t * sum(x / (al + 1.0) for x, al, _ in wt)
+            rem = 0.25 * (omega * t) ** 2 + omega * t * sum(x / d for x, d in zip(wt, ray.al1))
         else:
-            shift = 0.0 if kind == "tail" else 1.0
-            pairs = 0.5 * sum(x * y / (a1 + a2 + shift) for x, a1, _ in wt for y, a2, _ in wt)
+            den = ray.pair_den[0.0 if kind == "tail" else 1.0]
+            pairs = 0.5 * sum(x * y / d for x, row in zip(wt, den) for y, d in zip(wt, row))
             if kind == "tail":
-                rem = omega * t * sum(x / (al + 1.0) for x, al, _ in wt) + pairs
+                rem = omega * t * sum(x / d for x, d in zip(wt, ray.al1)) + pairs
             else:
-                rem = t * (omega * t * sum(x / (al + 2.0) for x, al, _ in wt) + pairs)
+                rem = t * (omega * t * sum(x / d for x, d in zip(wt, ray.al2)) + pairs)
                 if kind == "density":
                     rem += (omega * t) ** 2 * t / 6.0
         if moved or not rem > tgt:
             break
-        s += math.log(tgt / rem) / _stub_power(ray, kind)
+        s += math.log(tgt / rem) / ray.stub_power[kind]
     if kind == "tail-cf":
         return s, 1j * omega * ray.rot * t, rem
     if kind == "tail":
-        return s, sum(x * z / al for x, al, z in wt), rem
-    first = t * sum(x * z / (al + 1.0) for x, al, z in wt)
+        return s, sum(x * z / al for x, al, z in zip(wt, ray.alph_list, ray.turn)), rem
+    first = t * sum(x * z / d for x, d, z in zip(wt, ray.al1, ray.turn))
     if kind == "density-1":
         return s, -ray.rot * first, rem
     return s, ray.rot * (t + 0.5j * omega * ray.rot * t * t - first), rem
-
-
-def _stub_power(ray: _Ray, kind: str) -> float:
-    """Smallest power of t in the stub remainder."""
-    return {"density": min(3.0, 2.0 + ray.a, 1.0 + 2.0 * ray.a),
-            "density-1": min(2.0 + ray.a, 1.0 + 2.0 * ray.a),
-            "tail": min(1.0 + ray.a, 2.0 * ray.a),
-            "tail-cf": min(2.0, 1.0 + ray.a)}[kind]
 
 
 def _truncation(ray: _Ray, kind: str, omega: float, tgt: float) -> tuple[float, float]:
@@ -316,6 +336,7 @@ def _truncation(ray: _Ray, kind: str, omega: float, tgt: float) -> tuple[float, 
     """
     k = omega * ray.sin
     decay = _DECAY
+    e1, g_tail, g_dens = ray.at_decay
     for _ in range(4):
         if kind == "density":
             # e^{-(k t + R(t))} with k t + R(t) >= K (t/T)^p, p = min(a, 1)
@@ -328,23 +349,23 @@ def _truncation(ray: _Ray, kind: str, omega: float, tgt: float) -> tuple[float, 
             log_bound = s_hi - math.log(p) - math.log(kk) / p + _log_upper_gamma(1.0 / p, kk)
             bound = math.exp(log_bound) if log_bound < _LOG_HUGE else math.inf
         elif kind == "tail-cf":
-            # |e^{i w theta} - 1| |cf| / t <= 2 e^{-R(T) (t/T)^a} / t
-            s_hi = exp_sum_root(decay, ray.decay)
-            bound = 2.0 * _exp1(decay) / ray.a
+            # |e^{i w theta} - 1| |cf| / t <= 2 e^{-R(T) (t/T)^a} / t; R(T) = _DECAY at s_cf
+            s_hi = ray.s_cf if decay == _DECAY else exp_sum_root(decay, ray.decay)
+            bound = 2.0 * e1 / ray.a
         else:
             # |1 - cf| <= min(2, M(t)); the tail divides by t, the density does not
             s_hi = math.log(decay / k)
             if kind == "tail":
-                bound = min(2.0 * _exp1(decay),
-                            sum(w * _pow(k, -al) * _upper_gamma(al, decay)
-                                for al, w in ray.groups))
+                bound = min(2.0 * e1,
+                            sum(w * _pow(k, -al) * g for (al, w), g in zip(ray.groups, g_tail)))
             else:
                 bound = min(2.0 * math.exp(-decay) / k,
-                            sum(w * _pow(k, -al - 1.0) * _upper_gamma(al + 1.0, decay)
-                                for al, w in ray.groups))
+                            sum(w * _pow(k, -al - 1.0) * g
+                                for (al, w), g in zip(ray.groups, g_dens)))
         if bound <= tgt:
             break
         decay = 2.0 * decay if math.isinf(bound) else decay + math.log(bound / tgt) + 1.0
+        e1, g_tail, g_dens = _decay_factors(ray.alph_list, decay)
     if kind in ("tail", "density-1") and ray.s_cf < s_hi:
         # the cf's phase is not resolved where |cf| <= e^-45: bound what it adds,
         # once for the integral and once for the rule's sum
@@ -377,7 +398,8 @@ def _panels(al: np.ndarray, lin: float, log_w0: np.ndarray, s_lo: float, s_hi: f
     s_f, s_x = min(max(s_f, s_lo), s_hi), min(max(s_x, s_lo), s_hi)
     # below start every term of Phi is under _TURN / (terms + 1)
     share = _TURN / (al.size + 1 + (lin_f > 0.0))
-    start = min(((math.log(share) - lw) / a for lw, a in zip(log_w0.tolist(), al.tolist())),
+    log_share = math.log(share)
+    start = min(((log_share - lw) / a for lw, a in zip(log_w0.tolist(), al.tolist())),
                 default=s_hi)
     if lin > 0.0:
         start = min(start, math.log(share / lin))
@@ -387,10 +409,10 @@ def _panels(al: np.ndarray, lin: float, log_w0: np.ndarray, s_lo: float, s_hi: f
         start = min(start, s_x)
     start = min(max(start, s_lo), s_hi)
     n = int((s_hi - start) / _GRID) + 1
-    grid = start + (s_hi - start) / n * np.arange(n + 1)
+    grid = start + (s_hi - start) / n * np.arange(n + 1.0)
     kern = lin * np.exp(grid)
     cf_terms = np.exp(np.multiply.outer(al, np.minimum(grid, s_c)) + log_w0[:, None])
-    phi = kern + cf_terms.sum(axis=0)
+    phi = kern + (cf_terms[0] if al.size == 1 else cf_terms.sum(axis=0))
     cuts = [s_lo, s_c, s_hi]
     if lin_f > 0.0:
         phi += lin_f * np.exp(np.minimum(grid, s_f))
@@ -399,15 +421,15 @@ def _panels(al: np.ndarray, lin: float, log_w0: np.ndarray, s_lo: float, s_hi: f
         phi += p_x * np.maximum(grid - s_x, 0.0)
         cuts.append(s_x)
     levels = np.arange(math.floor(phi[0] / _TURN) + 1, math.ceil(phi[-1] / _TURN)) * _TURN
-    edges = np.concatenate((np.interp(levels, phi, grid), cuts))
+    edges = np.interp(levels, phi, grid).tolist() + cuts
     edges.sort()
-    left, right = edges[:-1], edges[1:]
+    bounds = np.array(edges)
+    left, right = bounds[:-1], bounds[1:]
     gaps = right - left
     # Phi' is convex, so interpolating its table overestimates it; on the gaps
     # from s_c on only the kernel term moves; the fast and algebraic terms
     # enter exactly
     slope = np.interp(right, grid, kern + al @ cf_terms)
-    edges = edges.tolist()
     past = edges.index(s_c)
     if past < len(slope):
         slope[past:] = lin * np.exp(right[past:])
@@ -445,12 +467,17 @@ def _integrand(ray: _Ray, kind: str, omega, t0, sigma: np.ndarray, w: float = 0.
     one-plan call forms them; everything else goes node by node, so every
     value and bound equals the one-plan call's.
 
+    The cf exponents are one product of the rows ray.parts (M, -Re m, Im m)
+    with (t/t0)^alpha.  Im m is halved where the half angle is needed, not in
+    the rows: halving a subnormal product rounds, so a halved row would move
+    the values of tails and etas past omega ~ 1e176, whose t0^alpha underflows.
+
     Every sine and cosine comes from the tangent of its half angle
     (:func:`multistable.mollifier._sin_cos`).  cf - 1 = q_r + i q_i comes
-    from tau = tan(m_i/2) without cancellation: q_i = -2 cf tau / (1 + tau^2)
-    = -cf sin(m_i) and q_r = expm1(-m_r) + q_i tau = expm1(-m_r)
-    - 2 cf sin^2(m_i/2), two terms of one sign; "tail-cf" takes
-    sin(m_i) = 2 tau / (1 + tau^2) from the same tau.
+    from tau = tan(Im m/2) without cancellation: q_i = -2 cf tau / (1 + tau^2)
+    = -cf sin(Im m) and q_r = expm1(-Re m) + q_i tau = expm1(-Re m)
+    - 2 cf sin^2(Im m/2), two terms of one sign; "tail-cf" takes
+    sin(Im m) = 2 tau / (1 + tau^2) from the same tau.
 
     The roundoff covers the value's own roundings and those of its share of
     the sum (_ROUNDINGS times the sizes of its components, counted where
@@ -463,16 +490,19 @@ def _integrand(ray: _Ray, kind: str, omega, t0, sigma: np.ndarray, w: float = 0.
     M (_ROUNDINGS + 2 b|sigma|).  Values and bounds are built in place on a
     few buffers.
     """
+    # rows are taken by index: unpacking an array's rows costs about 1 us more
     out = np.empty((2, sigma.size))
-    f, err = out
-    pw = np.exp(np.multiply.outer(ray.alph, sigma))               # (t/t0)^alpha per group
+    f, err = out[0], out[1]
+    pw = np.multiply.outer(ray.alph, sigma)
+    np.exp(pw, out=pw)                                            # (t/t0)^alpha per group
     if sizes is None:
-        big_m, m_r, m_i = (ray.parts * t0 ** ray.alph) @ pw       # M >= |m|, Re m, Im m
+        exps = (ray.parts * t0 ** ray.alph) @ pw
     else:
-        big_m, m_r, m_i = np.concatenate(
+        exps = np.concatenate(
             [(ray.parts * s ** ray.alph) @ p
              for s, p in zip(t0, np.split(pw, np.cumsum(sizes[:-1]), axis=1))], axis=1)
         omega, t0 = np.repeat(omega, sizes), np.repeat(t0, sizes)
+    big_m, m_r, m_i = exps[0], exps[1], exps[2]                   # M >= |m|, -Re m, Im m
     t = np.exp(sigma)
     t *= t0
     wt = omega * t
@@ -483,10 +513,10 @@ def _integrand(ray: _Ray, kind: str, omega, t0, sigma: np.ndarray, w: float = 0.
     spread += _ROUNDINGS
     spread *= big_m
     if kind == "density":
-        # the envelope t e^{-kappa - m_r} times cos(phi + beta - m_i)
+        # the envelope t e^{-kappa - Re m} times cos(phi + beta - m_i)
         beta += ray.phi
         beta -= m_i
-        f -= m_r
+        f += m_r
         np.exp(f, out=f)
         f *= t
         np.add(asig, 4.0, out=err)
@@ -497,7 +527,6 @@ def _integrand(ray: _Ray, kind: str, omega, t0, sigma: np.ndarray, w: float = 0.
         err *= f
         f *= _sin_cos(beta)[1]
         return out
-    np.negative(m_r, out=m_r)
     cf = np.exp(m_r)
     if kind == "tail-cf":
         # cf (e^{-kappa} sin(beta - m_i) + sin(m_i)), and w t cf >= |e^{i w theta} - 1| |cf|
@@ -701,11 +730,8 @@ def _evaluate(ray: _Ray | None, plans: list[_Plan | None]) -> list[tuple[float, 
     Plans of one kind and w share _blocks: one _integrand call per block.
     Each plan keeps its own GK21 sums (quadrature._add_up on its own nodes,
     in the one-plan row layout), and a one-plan block runs _run, so every
-    pair equals _run's on its plan.  A single plan goes to _run before any
-    grouping: the scalar density, tail, cdf and eta are one-request calls.
+    pair equals _run's on its plan.
     """
-    if len(plans) == 1 and plans[0] is not None:
-        return [_run(ray, plans[0])]
     out = [(0.0, 0.0)] * len(plans)
     groups: dict[tuple[str, float], list[int]] = {}
     for i, plan in enumerate(plans):
@@ -751,6 +777,16 @@ def _integrals(spec: MultistableSpec, requests) -> Iterator[tuple[float, float]]
         raise failure
 
 
+def _integral(spec: MultistableSpec, omega: float, kind: str,
+              w: float = 0.0) -> tuple[float, float]:
+    """The pair _integrals gives one request (omega, kind, w), with no generator
+    between: (0, 0) at omega = inf, else _run on its plan."""
+    if math.isinf(omega):
+        return 0.0, 0.0
+    ray = _ray(spec)
+    return _run(ray, _plan(ray, omega, kind, w))
+
+
 def _eta_integrals(spec: MultistableSpec, xis: list[float],
                    w: float) -> list[tuple[float, float]]:
     """2 int_0^inf phi_q(theta) (1 - cf(theta / xi)) dtheta = E[1 - bump(I / xi)] for
@@ -762,8 +798,10 @@ def _eta_integrals(spec: MultistableSpec, xis: list[float],
 
 
 def eta_integral(spec: MultistableSpec, xi: float, w: float) -> tuple[float, float]:
-    """The one-xi call of :func:`_eta_integrals`."""
-    return _eta_integrals(spec, [xi], w)[0]
+    """The one-xi call of :func:`_eta_integrals`: its pair, from one plan."""
+    if spec.is_zero:
+        return 0.0, 0.0
+    return _integral(spec, xi, "eta", w)
 
 
 # ---------------------------------------------------------------------------
@@ -794,10 +832,10 @@ def _densities_with_error(spec: MultistableSpec, xs) -> Iterator[tuple[float, fl
 def density_with_error(spec: MultistableSpec, x: float,
                        cfg: QuadratureConfig | None = None) -> tuple[float, float]:
     """Density at x and a bound on the absolute error, the one-x call of
-    :func:`_densities_with_error`; cfg is not read, and :func:`density`
-    certifies the bound."""
-    (pair,) = _densities_with_error(spec, [x])
-    return pair
+    :func:`_densities_with_error`: the same check, then its pair from one plan;
+    cfg is not read, and :func:`density` certifies the bound."""
+    _check_x(spec, x)
+    return _integral(spec, abs(x), "density")
 
 
 def _certified_density(what: str, val: float, err: float, cfg: QuadratureConfig) -> float:
@@ -835,10 +873,10 @@ def _tails_with_error(spec: MultistableSpec, lams) -> Iterator[tuple[float, floa
 def tail_probability_with_error(spec: MultistableSpec, lam: float,
                                 cfg: QuadratureConfig | None = None) -> tuple[float, float]:
     """P(|I(f)| > lam) and a bound on the absolute error, the one-lambda call of
-    :func:`_tails_with_error`; cfg is not read."""
-    # unpacked rather than next(): closing a suspended generator costs about 1 us
-    (pair,) = _tails_with_error(spec, [lam])
-    return pair
+    :func:`_tails_with_error`: the same check, then its pair from one plan;
+    cfg is not read."""
+    _check_lambda(spec, lam)
+    return _integral(spec, lam, "tail")
 
 
 def tail_probability(spec: MultistableSpec, lam: float,
@@ -850,28 +888,32 @@ def tail_probability(spec: MultistableSpec, lam: float,
     return p
 
 
+def _cdf_from_tail(x: float, p: float, err: float) -> tuple[float, float]:
+    """F(x) and a bound on its absolute error from P = P(|I| > |x|) and its bound:
+    F = P/2 for x <= 0, exact, and F = 1 - P/2 for x > 0, whose rounding adds
+    eps/2 F to the bound."""
+    if x <= 0.0:
+        return 0.5 * p, 0.5 * err
+    f = 1.0 - 0.5 * p
+    return f, 0.5 * err + 0.5 * _EPS * f
+
+
 def _cdfs_with_error(spec: MultistableSpec, xs: list[float]) -> list[tuple[float, float]]:
-    """F(x) at each x and a bound on its absolute error, from P = P(|I| > |x|) and
-    its bound, the tails evaluated in blocks.  F = P/2 for x <= 0, exact, and
-    F = 1 - P/2 for x > 0, whose rounding adds eps/2 F to the bound."""
+    """F(x) at each x and a bound on its absolute error (see _cdf_from_tail), the
+    tails evaluated in blocks."""
     for x in xs:
         _check_x(spec, x)
     # every x is checked, so the tails run to their end at once, never suspended
     tails = iter(list(_integrals(spec, [(abs(x), "tail", 0.0) for x in xs if x != 0.0])))
-    out = []
-    for x in xs:
-        p, err = next(tails) if x != 0.0 else (1.0, 0.0)    # P(|I| > 0) = 1
-        if x <= 0.0:
-            out.append((0.5 * p, 0.5 * err))
-        else:
-            f = 1.0 - 0.5 * p
-            out.append((f, 0.5 * err + 0.5 * _EPS * f))
-    return out
+    return [_cdf_from_tail(x, *(next(tails) if x != 0.0 else (1.0, 0.0)))  # P(|I| > 0) = 1
+            for x in xs]
 
 
 def _cdf_with_error(spec: MultistableSpec, x: float) -> tuple[float, float]:
-    """The one-x call of :func:`_cdfs_with_error`."""
-    return _cdfs_with_error(spec, [x])[0]
+    """The one-x call of :func:`_cdfs_with_error`: the same check, then its tail
+    from one plan."""
+    _check_x(spec, x)
+    return _cdf_from_tail(x, *(_integral(spec, abs(x), "tail") if x != 0.0 else (1.0, 0.0)))
 
 
 def cdf(spec: MultistableSpec, x: float, cfg: QuadratureConfig | None = None) -> float:

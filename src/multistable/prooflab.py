@@ -146,13 +146,19 @@ def tau_with_error(spec: MultistableSpec, moll: MollifierSpec, xi: float,
 
 def _tau(spec: MultistableSpec, hs: list[tuple[float, float]], xi: float,
          cfg: QuadratureConfig | None = None) -> tuple[float, float]:
-    """tau(xi) from hs, each exponent group's moll.h(alpha) in spec.groups order."""
+    """tau(xi) from hs, each exponent group's moll.h(alpha) in spec.groups order.
+
+    The bound adds each h's bound and the sum's own roundings: per term the
+    power (within 1 ulp, two units of eps/2) and two products, one unit of
+    room for second-order terms, and one unit of the running sum."""
     _check_xi(xi)
     val = 0.0
     err = 0.0
     for (alph, wgt), (h, he) in zip(spec.groups, hs):
-        val += wgt * xi ** -alph * h
-        err += wgt * xi ** -alph * he
+        scale = wgt * xi ** -alph
+        term = scale * h
+        val += term
+        err += scale * he + _EPS * (2.5 * abs(term) + 0.5 * abs(val))
     _certify("tau error bound", err, cfg)
     return val, err
 

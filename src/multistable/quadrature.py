@@ -141,7 +141,7 @@ def _add_up(y: np.ndarray, half: np.ndarray) -> tuple[float, float, float]:
     per-panel Kronrod-minus-Gauss differences and the roundoff bound."""
     kron, diff, node_err = _panel_sums(y, half)
     kron *= half
-    return (float(np.sum(kron)), float(np.abs(diff) @ half),
+    return (float(kron.sum()), float(np.abs(diff) @ half),
             float(_EPS * (node_err @ half)))
 
 

@@ -129,6 +129,20 @@ class TestEtaTauRho:
         for xi in (1.0, 7.0, 40.0):
             assert tau(spec, moll15, xi) == pytest.approx(xi ** -1.4 * h, rel=1e-12)
 
+    @pytest.mark.parametrize("name", ["cauchy", "two_exp", "three_cell", "wide_narrow"])
+    def test_tau_bound_covers_its_own_roundings(self, name, moll15):
+        # with exact h values (zero bounds) the bound is the weighted sum's own
+        # rounding: the power, two products and the running sum per group
+        spec = fixture(name)
+        hs = [(moll15.h(alph)[0], 0.0) for alph, _ in spec.groups]
+        with mp.workdps(50):
+            for xi in (1.0, 1.7, 7.0, 123.456, 1e5):
+                val, err = prooflab._tau(spec, hs, xi)
+                exact = mp.fsum(mp.mpf(wgt) * mp.mpf(xi) ** -mp.mpf(alph) * mp.mpf(h)
+                                for (alph, wgt), (h, _) in zip(spec.groups, hs))
+                assert abs(exact - mp.mpf(val)) <= err, (xi, val, err)
+                assert err <= 4.0 * len(hs) * prooflab._EPS * val
+
     def test_rho_nonnegative(self, moll15):
         for xi in (1.0, 10.0, 1e3):
             assert rho(TWO_EXP, moll15, xi) >= 0.0
