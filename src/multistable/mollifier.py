@@ -87,9 +87,11 @@ sin(pi gamma / 2), and phi_q transforms back to the bump, so in y = log x
 
     h_q(gamma) = C(gamma) [(1 + w)^-gamma + gamma integral_0^log1p(w) e^{-gamma y} S5(expm1(y) / w) dy].
 
-:meth:`MollifierSpec.h` sums this smooth band integral on Gauss-Kronrod
+:meth:`MollifierSpec.hs` sums this smooth band integral on Gauss-Kronrod
 panels at most a quarter wide in y, where Kronrod-minus-Gauss stays below
-1e-15 of h_q (6e-11 on unit-wide panels) for q from 1.01 to 1e6.
+1e-15 of h_q (6e-11 on unit-wide panels) for q from 1.01 to 1e6.  It takes
+every gamma of a sweep in one evaluation of the band's gamma-free terms, and
+:meth:`MollifierSpec.h` is its one-element call, with the same bits.
 
 rho integrates |phi_q|, which has a kink at every zero of phi_q, so it alone
 keeps a dense table over [0, theta_max]: one 16-point Gauss-Legendre panel
@@ -111,7 +113,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .function_space import tail_constant
-from .quadrature import _EPS, _rule
+from .quadrature import _EPS, _add_up, _nodes
 
 __all__ = ["MollifierSpec", "build_mollifier", "smoothstep_c5"]
 
@@ -276,15 +278,12 @@ class MollifierSpec:
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "decay_coeff", 10395.0 * (2.0 / w) ** 6 * hypot_ab / math.pi)
         object.__setattr__(self, "theta_fit", 2.0 * _X_ENVELOPE / w)
-        # the bump of this q: 1 at |x| = 1, 0 at |x| = (1+q)/2, in [0, 1] between
-        b_edge = (1.0 + q) / 2.0
+        # the bump of this q: 1 at |x| = 1, 0 at |x| = (1+q)/2; it stays in [0, 1]
+        # between because S5 does on [0, 1] (checked once per process, below)
         if not math.isclose(float(self.bump(1.0)), 1.0, abs_tol=1e-14):
             raise ValueError("bump must equal 1 at |x| = 1")
-        if abs(float(self.bump(b_edge))) > 1e-14:
+        if abs(float(self.bump((1.0 + q) / 2.0))) > 1e-14:
             raise ValueError("bump must vanish at |x| = (1+q)/2")
-        bs = self.bump(np.linspace(0.0, b_edge * 1.1, 2001))
-        if bs.min() < -1e-12 or bs.max() > 1.0 + 1e-12:
-            raise ValueError("bump values must stay in [0, 1]")
 
     # -- pointwise evaluation ------------------------------------------------
 
@@ -344,34 +343,44 @@ class MollifierSpec:
         """h_q(gamma) = integral |theta|^gamma phi_q(theta) dtheta, 0 < gamma < 2, from
         the bump side (module docstring), and a bound on its absolute error:
         the Kronrod-minus-Gauss differences plus counted roundoff."""
-        if not (0.0 < gamma < 2.0):
-            raise ValueError(f"gamma must lie in (0, 2), got {gamma}")
+        return self.hs([gamma])[0]
+
+    def hs(self, gammas) -> list[tuple[float, float]]:
+        """h's (value, bound) at each gamma, every gamma checked before any work, from
+        one band evaluation: the gamma-free terms once, each gamma's rows summed on
+        their own, so each pair has the bits of a one-gamma call."""
+        gs = [float(g) for g in gammas]
+        for g in gs:
+            if not (0.0 < g < 2.0):
+                raise ValueError(f"gamma must lie in (0, 2), got {g}")
         w = self.w
         span, lo, width = self.band()
-        step = width[0]
-
-        def integrand(y):
-            # roundoff in units of eps: 24 of the value (exp 1; product, 1 - v, weight
-            # and half width 2; Kronrod dot product 10.5; numpy's pairwise sum over
-            # at most 128 panels 9.5, q = 1e6 has 53) and gamma y / 2 of it, t's 3/2
-            # through S5'(t) t, Horner's 7 s^6 sum_k |p_k| s^k (s = min(t, 1 - t); p
-            # alternates in sign, so that is S5(-s)), and a node shift of
-            # 2 (y + half width) through the slope
-            t = np.expm1(y) / w
-            s5, horner = _s5(np.stack((t, -np.minimum(t, 1.0 - t))))
-            shift = 2.0 * y + step
-            err = (2772.0 * (t - t * t) ** 5 * (1.5 * t + shift * (t + 1.0 / w))  # S5'(t) terms
-                   + 7.0 * horner + s5 * (24.0 + gamma * (0.5 * y + shift)))
-            return np.stack((s5, err)) * np.exp(-gamma * y)
-
-        body, kg, rounding = _rule(lo, width, integrand)
-        c = tail_constant(gamma)
-        edge = (1.0 + w) ** -gamma
-        h = c * (edge + gamma * body)
-        # the band's end moves by 2 eps span; C(gamma) and the assembly take 12 eps
-        # of h (math.gamma measured within 7 units of 2^-53 on (0, 2))
-        err = c * gamma * (kg + rounding + 2.0 * _EPS * span * edge) + 12.0 * _EPS * h
-        return h, err
+        y, half = _nodes(lo, width)
+        # roundoff in units of eps: 24 of the value (exp 1; product, 1 - v, weight and
+        # half width 2; Kronrod dot product 10.5; numpy's pairwise sum over at most 128
+        # panels 9.5, q = 1e6 has 53) and gamma y / 2 of it, t's 3/2 through S5'(t) t,
+        # Horner's 7 s^6 sum_k |p_k| s^k (s = min(t, 1 - t); p alternates in sign, so
+        # that is S5(-s)), and a node shift of 2 (y + half width) through the slope
+        t = np.expm1(y) / w
+        s5, horner = _s5(np.stack((t, -np.minimum(t, 1.0 - t))))
+        shift = 2.0 * y + width[0]
+        fixed = (2772.0 * (t - t * t) ** 5 * (1.5 * t + shift * (t + 1.0 / w))  # S5'(t) terms
+                 + 7.0 * horner)
+        g = np.array(gs)[:, None]
+        rows = np.empty((len(gs), 2, y.size))
+        rows[:, 0], rows[:, 1] = s5, fixed + s5 * (24.0 + g * (0.5 * y + shift))
+        rows *= np.exp(-g * y)[:, None]
+        out = []
+        for gamma, row in zip(gs, rows):
+            body, kg, rounding = _add_up(row, half)
+            c = tail_constant(gamma)
+            edge = (1.0 + w) ** -gamma
+            h = c * (edge + gamma * body)
+            # the band's end moves by 2 eps span; C(gamma) and the assembly take 12 eps
+            # of h (math.gamma measured within 7 units of 2^-53 on (0, 2))
+            err = c * gamma * (kg + rounding + 2.0 * _EPS * span * edge) + 12.0 * _EPS * h
+            out.append((h, err))
+        return out
 
 
 def _build_panels(theta_max: float, w: float) -> tuple[np.ndarray, np.ndarray, float, float]:
@@ -446,5 +455,14 @@ def _check_junctions(poly: np.ndarray):
             raise ValueError(f"smoothstep derivative {k} does not vanish at a junction")
 
 
-# _S5 is a module constant, so its junctions are checked once per process
+def _check_range(poly: np.ndarray):
+    """Raise ValueError unless the transition polynomial stays in [0, 1] on a
+    2001-point grid of [0, 1], so the bump stays in [0, 1] at every q."""
+    vals = npoly.polyval(np.linspace(0.0, 1.0, 2001), poly)
+    if vals.min() < -1e-12 or vals.max() > 1.0 + 1e-12:
+        raise ValueError("smoothstep values must stay in [0, 1]")
+
+
+# _S5 is a module constant, so its junctions and range are checked once per process
 _check_junctions(_S5)
+_check_range(_S5)

@@ -30,7 +30,8 @@ tails P(|I| > x) against the bump's slope over the bump's transition band,
 on the same Gauss-Kronrod panels as h_q.  A lemma1 or lemma6 grid's
 distinct etas, lemma1's tails and an x side's tails are each one batch of
 the ray rule, whose values equal the one-at-a-time calls'.  h_q (so tau)
-is the bump-side ``MollifierSpec.h``, with its own bound.  Only rho,
+is the bump-side ``MollifierSpec.hs``, with its own bound, every exponent
+of a sweep in one call.  Only rho,
 which integrates the non-analytic |phi_q|, runs on the mollifier's dense
 table, built on its first use; the modular there is m(theta/xi) = sum_g
 W_g xi^-alpha_g theta^alpha_g, and outside the table m - 1 + e^-m <= m^2/2
@@ -141,12 +142,12 @@ def eta(spec: MultistableSpec, moll: MollifierSpec, xi: float,
 def tau_with_error(spec: MultistableSpec, moll: MollifierSpec, xi: float,
                    cfg: QuadratureConfig | None = None) -> tuple[float, float]:
     """tau(xi) via the Fubini form: an exact cell sum against h_q values."""
-    return _tau(spec, [moll.h(alph) for alph, _ in spec.groups], xi, cfg)
+    return _tau(spec, moll.hs([alph for alph, _ in spec.groups]), xi, cfg)
 
 
 def _tau(spec: MultistableSpec, hs: list[tuple[float, float]], xi: float,
          cfg: QuadratureConfig | None = None) -> tuple[float, float]:
-    """tau(xi) from hs, each exponent group's moll.h(alpha) in spec.groups order.
+    """tau(xi) from hs, moll.hs of the exponent groups' alphas in spec.groups order.
 
     The bound adds each h's bound and the sum's own roundings: per term the
     power (within 1 ulp, two units of eps/2) and two products, one unit of
@@ -207,6 +208,14 @@ def verify_elementary_inequality(u_samples: Sequence[float]) -> bool:
 # ---------------------------------------------------------------------------
 # lemma sweeps
 
+def _grid(points: Sequence[float], what: str) -> list[float]:
+    """The grid as floats; ValueError for an empty one, before any work."""
+    grid = [float(p) for p in points]
+    if not grid:
+        raise ValueError(f"need at least one {what}")
+    return grid
+
+
 def _sandwich(lemma: str, q: float, rows: list[dict]) -> LemmaReport:
     """The report of a two-sided check whose rows carry ok and both margins."""
     worst = min(min(r["margin_lower"], r["margin_upper"]) for r in rows)
@@ -214,11 +223,11 @@ def _sandwich(lemma: str, q: float, rows: list[dict]) -> LemmaReport:
 
 
 def verify_lemma3(moll: MollifierSpec, gammas: Sequence[float]) -> LemmaReport:
-    """q^-gamma h_q(gamma) <= C(gamma) <= q^gamma h_q(gamma) on a gamma grid."""
+    """q^-gamma h_q(gamma) <= C(gamma) <= q^gamma h_q(gamma) on a gamma grid, every
+    h_q from one moll.hs call."""
     q = moll.q
     rows = []
-    for g in gammas:
-        h, he = moll.h(float(g))
+    for g, (h, he) in zip(gammas, moll.hs(_grid(gammas, "gamma"))):
         c = tail_constant(float(g))
         lo, hi = q ** -g * h, q ** g * h
         lo_budget, hi_budget = q ** -g * he, q ** g * he
@@ -238,7 +247,7 @@ def verify_lemma1(spec: MultistableSpec, moll: MollifierSpec,
                   lambdas: Sequence[float],
                   cfg: QuadratureConfig | None = None) -> LemmaReport:
     """eta(q^(j0+1)) <= P(|I(f)| > lam) <= eta(q^(j0-1)) over a lambda grid; cfg is not read."""
-    lams = [float(lam) for lam in lambdas]
+    lams = _grid(lambdas, "lambda")
     rows = []
     for lam, (j, (lo, lo_err), (hi, hi_err)), (p, p_err) in zip(
             lams, _eta_sweep(spec, moll, lams), _tails_with_error(spec, lams)):
@@ -255,14 +264,13 @@ def verify_lemma1(spec: MultistableSpec, moll: MollifierSpec,
 
 def verify_lemma5(spec: MultistableSpec, moll: MollifierSpec,
                   xis: Sequence[float]) -> LemmaReport:
-    """T(q xi) <= tau(xi) <= T(xi / q) on a xi grid; h_q is evaluated once per
-    exponent group for the whole grid and T built once."""
-    q = moll.q
-    hs = [moll.h(alph) for alph, _ in spec.groups]
+    """T(q xi) <= tau(xi) <= T(xi / q) on a xi grid; h_q is evaluated in one
+    moll.hs call for the whole grid and T built once."""
+    q, xis = moll.q, _grid(xis, "xi")
+    hs = moll.hs([alph for alph, _ in spec.groups])
     asymptote = TailAsymptote(spec)
     rows = []
     for xi in xis:
-        xi = float(xi)
         t, te = _tau(spec, hs, xi)
         lo = asymptote(q * xi)
         hi = asymptote(xi / q)
@@ -289,11 +297,11 @@ def verify_lemma6(spec: MultistableSpec, moll: MollifierSpec,
     underflows (below the smallest normal float, where the ratios lose
     their digits or divide by 0) is refused with ValueError.
     """
+    lams = _grid(lambda_grid, "lambda")
     _require_unit_sphere(spec)
     asymptote = TailAsymptote(spec)
     q = moll.q
     lo_edge, hi_edge = q ** (-2.0 * spec.b), q ** (3.0 * spec.b)
-    lams = [float(lam) for lam in lambda_grid]
     rows = []
     for lam, (j, (e_lo, e_lo_err), (e_hi, e_hi_err)) in zip(lams, _eta_sweep(spec, moll, lams)):
         t = asymptote(lam)
@@ -350,9 +358,7 @@ def verify_parseval(spec: MultistableSpec, moll: MollifierSpec,
     h_q's band panels.
     A row passes when the sides differ by at most the sum of the bounds; cfg is
     not read."""
-    deltas = [float(d) for d in deltas]
-    if not deltas:
-        raise ValueError("need at least one delta")
+    deltas = _grid(deltas, "delta")
     if not all(0.0 < d < math.inf for d in deltas):
         raise ValueError(f"each delta must be a finite positive number, got {deltas}")
     rows = []

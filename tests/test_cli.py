@@ -474,6 +474,8 @@ def test_sample_tail_at_needs_summary(tmp_path, monkeypatch, capsys):
      "c0dbc9fd6a9399414ab1ae27c1fcf730a25ff91f707bb087e244d45fe6ea14c2"),
     (["verify", "parseval", "--fixture", "two_exp"],
      "487bcd6e2435f126ebdd3a2aaa86800706cdbab3dc7f223b3047b1fc8d7de0ac"),
+    (["verify", "lemma3"],
+     "56a295d2f69e967f807d87d395d4cf876c19587fd8de4da8f95c493cfadf0a7e"),
 ])
 def test_grid_and_verify_csvs_pinned(argv, csv_sha256, tmp_path):
     # every grid command and the verify sweeps on one fixture: rows sorted,

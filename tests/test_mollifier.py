@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 from fractions import Fraction
 
@@ -264,6 +265,38 @@ def test_h_of_a_replace_copy_uses_its_own_q(moll15, moll2):
     assert moll15.h(1.1)[0] == v != other.h(1.1)[0]
 
 
+_HS_GAMMAS = [round(0.05 + 0.1 * k, 10) for k in range(20)]
+_HS_QS = (1.01, 1.25, 2.0, 50.0, 1e6)
+
+
+def test_hs_is_h_bit_for_bit():
+    # one band evaluation for every gamma gives each gamma the bits of its own
+    # call, and those are the bits h had as its own band evaluation: the digest
+    # was taken before h became hs's one-element call
+    values = []
+    for q in _HS_QS:
+        moll = build_mollifier(q)
+        hs = moll.hs(_HS_GAMMAS)
+        assert hs == [moll.h(g) for g in _HS_GAMMAS], q
+        values += hs
+    digest = hashlib.sha256(repr(values).encode()).hexdigest()
+    assert digest == "0c3eb91c43d7cc6201d34fff15d203f5c3cd23ea3bcdb3b0ee22820634594382"
+    assert build_mollifier(1.5).hs([]) == []
+
+
+@pytest.mark.parametrize("bad", [0.0, 2.0, math.nan])
+@pytest.mark.parametrize("where", [0, 2, 4])
+def test_hs_checks_every_gamma_before_the_band(bad, where, moll15, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("band evaluated")
+
+    monkeypatch.setattr(mollifier, "_s5", refuse)
+    gammas = [0.3, 0.7, 1.1, 1.5]
+    gammas.insert(where, bad)
+    with pytest.raises(ValueError, match="gamma must lie in"):
+        moll15.hs(gammas)
+
+
 def _s5_mp(u):
     return u ** 6 * (462 - 1980 * u + 3465 * u ** 2 - 3080 * u ** 3 + 1386 * u ** 4 - 252 * u ** 5)
 
@@ -373,6 +406,29 @@ def test_junctions_checked_once_per_process(monkeypatch):
     mollifier._check_junctions(mollifier._S5)
     with pytest.raises(ValueError, match="derivative 2"):
         mollifier._check_junctions(np.array([0.0, 0.0, 3.0, -2.0]))
+
+
+def test_build_evaluates_no_s5_grid(monkeypatch):
+    # S5's range on [0, 1] is checked once per process; a build evaluates the
+    # bump at its two edges only, one point each
+    s5, sizes = mollifier._s5, []
+
+    def counted(t):
+        sizes.append(np.size(t))
+        return s5(t)
+
+    monkeypatch.setattr(mollifier, "_s5", counted)
+    for q in (1.01, 1.25, 50.0, 1e6):
+        build_mollifier(q)
+    assert sizes == [1] * 8
+
+
+def test_range_check_refuses_a_polynomial_that_leaves_the_unit_interval():
+    mollifier._check_range(mollifier._S5)
+    for poly in (2.0 * mollifier._S5,              # reaches 2 at t = 1
+                 np.array([0.0, -0.5, 1.5])):      # dips to -1/24 at t = 1/6
+        with pytest.raises(ValueError, match="stay in"):
+            mollifier._check_range(poly)
 
 
 def _h_of_z_mpmath(w, rho, psi):

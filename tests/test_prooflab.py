@@ -234,21 +234,47 @@ class TestLemmaSweeps:
 
     @pytest.mark.parametrize("name", ["cauchy", "two_exp", "three_cell"])
     def test_lemma5_takes_h_once_per_group_and_call(self, name, moll15, monkeypatch):
-        # each exponent group's h_q is evaluated once per sweep, not once per xi,
+        # the exponent groups' h_q are one hs call per sweep, not one per xi,
         # and again on the next sweep; the rows equal tau_with_error's
         spec, xis = fixture(name), [1.0, 10.0, 100.0]
         taus = [tau_with_error(spec, moll15, xi) for xi in xis]
-        h, calls = type(moll15).h, []
+        hs, calls = type(moll15).hs, []
 
-        def counted(self, gamma):
-            calls.append(gamma)
-            return h(self, gamma)
+        def counted(self, gammas):
+            calls.append(list(gammas))
+            return hs(self, gammas)
 
-        monkeypatch.setattr(type(moll15), "h", counted)
+        monkeypatch.setattr(type(moll15), "hs", counted)
         for sweep in (1, 2):
             rep = verify_lemma5(spec, moll15, xis)
-            assert calls == [a for a, _ in spec.groups] * sweep
+            assert calls == [[a for a, _ in spec.groups]] * sweep
             assert [(r["tau"], r["tau_err"]) for r in rep.grid] == taus
+
+    def test_lemma3_and_tau_take_one_hs_call(self, moll15, monkeypatch):
+        # every h_q of a lemma3 grid and of a tau comes from one hs call
+        gammas, spec = [0.3, 1.0, 1.9], fixture("three_cell")
+        hs, calls = type(moll15).hs, []
+
+        def counted(self, gs):
+            calls.append(list(gs))
+            return hs(self, gs)
+
+        monkeypatch.setattr(type(moll15), "hs", counted)
+        rep = verify_lemma3(moll15, gammas)
+        tau_with_error(spec, moll15, 10.0)
+        assert calls == [gammas, [a for a, _ in spec.groups]]
+        assert [(r["h"], r["h_err"]) for r in rep.grid] == [moll15.h(g) for g in gammas]
+
+    @pytest.mark.parametrize("sweep, what", [
+        (lambda moll: verify_lemma1(CAUCHY, moll, []), "lambda"),
+        (lambda moll: verify_lemma3(moll, []), "gamma"),
+        (lambda moll: verify_lemma5(CAUCHY, moll, []), "xi"),
+        (lambda moll: verify_lemma6(CAUCHY, moll, []), "lambda"),
+    ], ids=["lemma1", "lemma3", "lemma5", "lemma6"])
+    def test_an_empty_grid_is_refused_by_name(self, sweep, what, moll15):
+        # an empty grid used to end in "min() arg is an empty sequence"
+        with pytest.raises(ValueError, match=f"need at least one {what}$"):
+            sweep(moll15)
 
     def test_lemma6_envelope(self, moll15):
         rep = verify_lemma6(TWO_EXP, moll15, [10.0, 100.0, 1000.0], CFG)
