@@ -231,7 +231,7 @@ def verify_lemma3(moll: MollifierSpec, gammas: Sequence[float]) -> LemmaReport:
         c = tail_constant(float(g))
         lo, hi = q ** -g * h, q ** g * h
         lo_budget, hi_budget = q ** -g * he, q ** g * he
-        ok = (lo - lo_budget <= c) and (c <= hi + hi_budget)
+        ok = bool(lo - lo_budget <= c and c <= hi + hi_budget)
         # margins with the error budget already subtracted
         rows.append({
             "gamma": float(g), "h": h, "h_err": he, "C": c,

@@ -4,26 +4,19 @@ The library's one panel rule is the QUADPACK Gauss-Kronrod 10/21 pair
 (``_X21``, ``_WK21``, ``_WG21``), and ``_panel_sums`` is its one application:
 per panel, the Kronrod sum, the Kronrod-minus-Gauss sum and the counted
 roundoff of an integrand's values and their roundoff at the panel's
-``_nodes``.  So there is one error model: a panel's bound is its
-|Kronrod - Gauss| plus its roundoff.  ``_add_up`` adds it up over a fixed
-panel layout (``_rule`` for an integrand called once on all its nodes), for
-the inversion ray rule, whose batched evaluator sums each plan's share of a
-block with it, and the mollifier's band integrals (h_q and the Parseval x
-side); ``_adaptive`` bisects panels until each piece meets its share of a
-tolerance, for the real-axis engine.
+``_nodes``.  So a panel's bound is its |Kronrod - Gauss| plus its roundoff.
+``_add_up`` adds it up over a fixed panel layout (``_rule`` calls the
+integrand once on all its nodes) for the inversion ray rule and the
+mollifier's band integrals; ``_adaptive`` bisects panels until each piece
+meets its share of a tolerance, for the real-axis engine.
 
 The real-axis engine, :func:`fourier_integral` behind the public
-:func:`oscillatory_integral`, computes
-
-    integral_0^inf  g(theta) * trig(omega * theta)  d(theta)
-
-for a decaying envelope g that need not extend off the real axis
-(``exp(-|t|^0.7)``, say): one loop sums panels between the kernel's zeros,
-Euler-accelerated, at omega > 0 and doubling panels at omega = 0.  The
-density, tail and cdf of the multistable law do not come through here:
-:mod:`multistable.inversion` integrates them with ``_rule`` on a rotated ray,
-where the cf's analytic continuation lets the Fourier kernel decay.  The
-module also holds what every certified result shares:
+:func:`oscillatory_integral`, integrates g(theta) trig(omega theta) over the
+half-line for an envelope g that need not extend off the real axis
+(``exp(-t^0.7)``, say): 48 half periods with a CRVZ-accelerated tail at
+omega > 0, doubling panels at omega = 0.  :mod:`multistable.inversion`
+integrates the multistable density, tail and cdf with ``_rule`` on a rotated
+ray.  The module also holds what every certified result shares:
 :class:`QuadratureConfig`, :class:`AccuracyError` and ``_certify``.
 """
 
@@ -38,10 +31,8 @@ import numpy as np
 __all__ = ["QuadratureConfig", "AccuracyError", "oscillatory_integral"]
 
 _EPS = float(np.finfo(float).eps)
-# most pieces _adaptive splits a panel into
-_MAX_INTERVALS = 400
-# most panels fourier_integral sums on the half-line
-_MAX_PANELS = 8192
+_MAX_INTERVALS = 400  # most pieces _adaptive splits a panel into
+_MAX_PANELS = 8192    # most doubling panels fourier_integral sums at omega = 0
 
 
 class AccuracyError(RuntimeError):
@@ -68,11 +59,11 @@ def _certify(what: str, err: float, cfg: QuadratureConfig | None) -> None:
 class QuadratureConfig:
     """Tolerance for certified integrals, ``QuadratureConfig(abs_tol)``.
 
-    ``abs_tol`` is the absolute error a certified result must meet.
-    :func:`fourier_integral` caps its panels at the module's ``_MAX_PANELS``;
-    the density, tail and cdf use the rotated-contour rule of
-    :mod:`multistable.inversion`, which chooses its own truncation and
-    node set.
+    ``abs_tol`` is the absolute error a certified result must meet.  It is the
+    one setting: :func:`fourier_integral` takes 48 half periods at omega > 0
+    and at most the module's ``_MAX_PANELS`` doubling panels at omega = 0, and
+    the rotated-contour rule of :mod:`multistable.inversion` chooses its own
+    truncation and nodes.
     """
 
     abs_tol: float = 1e-10
@@ -199,57 +190,63 @@ def adaptive_gk(f: Callable, a: float, b: float, tol: float) -> tuple[float, flo
 
 
 # ---------------------------------------------------------------------------
-# Euler transformation of an alternating tail
-
-def _euler_accelerate(us: np.ndarray) -> tuple[float, float]:
-    """The limit of an alternating series from its terms, and an error estimate:
-    the partial sums averaged level by level, taken at the level whose
-    correction was smallest, with that correction."""
-    arr = np.cumsum(us)
-    best, best_err = float(arr[-1]), abs(float(us[-1]))
-    while arr.size > 2:
-        prev, arr = float(arr[-1]), 0.5 * (arr[:-1] + arr[1:])
-        d = abs(float(arr[-1]) - prev)
-        if d < best_err:
-            best, best_err = float(arr[-1]), d
-    return best, best_err
-
-
-# ---------------------------------------------------------------------------
 # main engine
 
-_N_HEAD = 8          # panels summed directly before acceleration
-_BATCH = 48          # panels integrated per _adaptive call, between stop checks
-_SAFETY = 8.0        # multiplier on the acceleration error estimate
+_N_HEAD = 8          # half periods summed directly at omega > 0
+_N_TAIL = 40         # half periods after them, summed with CRVZ weights
+_BATCH = 48          # doubling panels per _adaptive call at omega = 0, between stop checks
+
+
+def _crvz_weights(n: int) -> tuple[np.ndarray, float]:
+    """Algorithm 1 of Cohen, Rodriguez Villegas and Zagier for n alternating terms:
+    the weights |c_k| / d_n, each one correctly rounded ratio of integers (d_n =
+    T_n(3), and the b_k and c_k are integers), and 1 / d_n rounded up."""
+    t0, d = 1, 3  # T_0(3), T_1(3); T_m+1 = 6 T_m - T_m-1
+    for _ in range(n - 1):
+        t0, d = d, 6 * d - t0
+    b, c, w = -1, -d, []
+    for k in range(n):
+        c = b - c
+        w.append(abs(c) / d)
+        b = b * 2 * (k + n) * (k - n) // ((2 * k + 1) * (k + 1))
+    return np.array(w), math.nextafter(1 / d, 1.0)
+
+
+_CRVZ, _REMAINDER = _crvz_weights(_N_TAIL)
+_WEIGHTS = np.concatenate((np.ones(_N_HEAD), _CRVZ))  # of each half period's value
 
 
 def fourier_integral(env: Callable, omega: float, kernel: str,
                      cfg: QuadratureConfig) -> tuple[float, float]:
     """integral_0^inf env(theta) * kernel(omega * theta) dtheta -> (value, error bound).
 
-    ``env`` must accept numpy arrays; ``kernel`` is "cos" or "sin" and omega
-    must be nonnegative.  One loop integrates _BATCH panels per _adaptive call:
-    the half periods between the kernel's zeros at omega > 0, [0, 1] and then
-    doublings at omega = 0.  At omega > 0 it stops on two small terms or once
-    the Euler-accelerated tail meets abs_tol; at omega = 0 once a small panel's
-    decay ratio bounds the rest.  The bound adds the panels' bounds, that
-    remainder and 8 eps (1 + sum |u|) for the sums' roundoff.  It covers the
-    whole half-line, but three of its terms are estimates, not proofs: at
-    omega = 0 the remainder u r / (1 - r) takes the rest to shrink by the last
-    two panels' ratio r; the Euler term is _SAFETY times the smallest correction
-    of the averaged partial sums; and the alternating remainder, the last small
-    term, needs an envelope that decreases monotonically.
+    ``env`` must accept numpy arrays; ``kernel`` is "cos" or "sin".  An omega
+    that is not finite and nonnegative, or whose 48 half periods pi/omega pass
+    the largest float, raises ValueError before env is called.  The pair is
+    returned whatever abs_tol; :func:`oscillatory_integral` certifies it.
 
-    No stop rests on a value that is not finite, nor at omega = 0 on a panel
-    value of 0: an underflow over a doubling panel can hide up to 2^-51 (at
-    omega > 0, a half period times the least subnormal).  When no stop holds
-    within _MAX_PANELS panels or the finite edges, AccuracyError carries the
-    best Euler bound, or inf.
+    At omega > 0 one _adaptive call integrates the 48 half periods u_k between
+    the kernel's zeros (tol 1e-3 abs_tol / (1 + k)^2 each).  The value is
+    u_0 + ... + u_7 plus the CRVZ sum of u_8..u_47, summed with math.fsum.  If
+    env(t) = int e^(-st) dmu(s), mu >= 0, then |u_8+j| = int x^j dnu(x) with
+    nu >= 0, and the CRVZ sum is within |u_8| / d_40 (< 5e-31 |u_8|) of the
+    whole tail (Experimental Math. 9, 2000, Prop. 1).  The bound adds that
+    remainder (with u_8's bound added to |u_8|), sum w_k e_k of the half
+    periods' bounds, and 2 eps sum w_k |u_k| for the rounding of each weight,
+    each product and the sum.  A bound that is not finite raises AccuracyError
+    with achieved inf.
+
+    At omega = 0 a loop integrates [0, 1] and doublings, _BATCH per _adaptive
+    call (tol abs_tol / 100 each), until a small panel u with decay ratio
+    r < 0.9 estimates the rest as u r / (1 - r); the bound adds that, the
+    panels' bounds and 8 eps (1 + sum |u|).  No stop rests on a value that is
+    not finite or on a 0 panel (an underflow can hide 2^-51); with none within
+    _MAX_PANELS panels or the finite edges, AccuracyError carries achieved inf.
     """
     if kernel not in ("cos", "sin"):
         raise ValueError("kernel must be 'cos' or 'sin'")
-    if omega < 0.0:
-        raise ValueError("omega must be nonnegative")
+    if not 0.0 <= omega < math.inf:
+        raise ValueError(f"omega must be finite and nonnegative, got {omega}")
     if omega == 0.0 and kernel == "sin":
         return 0.0, 0.0
     trig = np.cos if kernel == "cos" else np.sin
@@ -257,45 +254,43 @@ def fourier_integral(env: Callable, omega: float, kernel: str,
     def f(t):
         return env(t) * trig(omega * t)
 
-    tol, lo, best = cfg.abs_tol, 0.0, math.inf
+    tol = cfg.abs_tol
+    if omega > 0.0:
+        gap = math.pi / float(omega)
+        if not math.isfinite(gap * _WEIGHTS.size):
+            raise ValueError(f"the half periods of omega={omega} pass the largest float")
+        k = np.arange(_WEIGHTS.size)
+        edges = np.concatenate(([0.0], (0.5 if kernel == "cos" else 1.0) * gap + gap * k))
+        u, e = _adaptive(f, edges[:-1], np.diff(edges), tol * 1e-3 / (1.0 + k) ** 2)
+        err = float(_WEIGHTS @ (e + 2 * _EPS * np.abs(u))
+                    + (abs(u[_N_HEAD]) + e[_N_HEAD]) * _REMAINDER)
+        if not math.isfinite(err):
+            raise AccuracyError("half-line integral has no finite error bound", math.inf)
+        return math.fsum(_WEIGHTS * u), err
+
+    lo = 0.0
     us = qerr = np.empty(0)
     for start in range(0, _MAX_PANELS, _BATCH):
-        k = np.arange(start, min(start + _BATCH, _MAX_PANELS))
-        with np.errstate(over="ignore", invalid="ignore"):
-            if omega == 0.0:  # [0, 1] and then doublings
-                his, shares = np.ldexp(1.0, k), np.full(k.size, tol * 1e-2)
-            else:  # half periods between the kernel's zeros
-                gap = math.pi / omega
-                his = (0.5 if kernel == "cos" else 1.0) * gap + gap * k
-                shares = tol * 1e-3 / (1.0 + k) ** 2
+        with np.errstate(over="ignore"):
+            his = np.ldexp(1.0, np.arange(start, min(start + _BATCH, _MAX_PANELS)))
         his = his[np.isfinite(his)]
         if not his.size:
             break
         edges, lo = np.concatenate(([lo], his)), his[-1]
-        u, e = _adaptive(f, edges[:-1], np.diff(edges), shares[:his.size])
+        u, e = _adaptive(f, edges[:-1], np.diff(edges), np.full(his.size, tol * 1e-2))
         us, qerr = np.append(us, u), np.append(qerr, e)
         a = np.abs(us)
         err = np.cumsum(qerr) + 8 * _EPS * (1.0 + np.cumsum(a))
         j = np.arange(max(start, 2), us.size)
         with np.errstate(divide="ignore", invalid="ignore"):
-            if omega > 0.0:
-                rest = a[j]
-                stop = np.maximum(a[j - 1], a[j]) < tol / 8
-            else:
-                r = a[j] / a[j - 1]
-                rest = a[j] * r / (1.0 - r)
-                stop = (a[j] < tol / 8) & (a[j] > 0.0) & (r < 0.9)
-        stop &= np.isfinite(err[j] + rest)
+            r = a[j] / a[j - 1]
+            rest = a[j] * r / (1.0 - r)
+            stop = (a[j] < tol / 8) & (a[j] > 0.0) & (r < 0.9) & np.isfinite(err[j] + rest)
         if stop.any():
             i = int(np.argmax(stop))
             return float(np.sum(us[:j[i] + 1])), float(err[j[i]] + rest[i])
-        if omega > 0.0 and us.size >= _N_HEAD + 16:
-            est, aerr = _euler_accelerate(us[_N_HEAD:])
-            best = min(best, float(_SAFETY * aerr + err[-1]))
-            if best < tol:
-                return float(np.sum(us[:_N_HEAD]) + est), best
     raise AccuracyError(f"half-line integral did not reach abs_tol={tol:.1e} within "
-                        f"{us.size} panels", best)
+                        f"{us.size} panels", math.inf)
 
 
 def oscillatory_integral(integrand: Callable, frequency: float,
@@ -304,10 +299,13 @@ def oscillatory_integral(integrand: Callable, frequency: float,
     """Public entry point: integral_0^inf integrand(theta)*kernel(frequency*theta).
 
     Raises :class:`AccuracyError` when the tolerance cannot be certified.  At
-    frequency 0 no stop rests on a panel value of 0 (see
-    :func:`fourier_integral`), so an integrand that is 0 on a whole doubling
-    panel, such as one of compact support, always raises, with ``achieved``
-    inf.
+    frequency > 0 the acceleration's remainder is proven when the integrand is
+    completely monotone, integrand(t) = int_0^inf e^(-st) dmu(s) with mu >= 0
+    (e^-t, 1/(1 + t), e^-t / t, e^(-t^0.7)), and not otherwise (e^(-t^2),
+    1/(1 + t^2)); the caller vouches for it, nothing checks it.  At frequency 0
+    the remainder is a decay-ratio estimate and no stop rests on a panel value
+    of 0, so an integrand that is 0 on a whole doubling panel, such as one of
+    compact support, always raises, with ``achieved`` inf.
     """
     cfg = cfg or QuadratureConfig()
     val, err = fourier_integral(integrand, frequency, kernel, cfg)

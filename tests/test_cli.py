@@ -485,6 +485,15 @@ def test_grid_and_verify_csvs_pinned(argv, csv_sha256, tmp_path):
     assert _sha256(out.with_suffix(".csv")) == csv_sha256
 
 
+def test_lemma3_json_rows_write_ok_as_a_boolean(tmp_path):
+    # the default gammas are numpy floats; a numpy.bool_ ok would be written
+    # by json.dump(..., default=float) as 1.0
+    out = tmp_path / "l3.json"
+    assert run_command(["verify", "lemma3", "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["grid"]
+    assert len(rows) == 17 and all(r["ok"] is True for r in rows)
+
+
 def test_tail_refuses_a_nan_abs_tol(tmp_path, capsys):
     # a nan tolerance used to switch certification off: every "err > nan" is false
     out = tmp_path / "t.csv"

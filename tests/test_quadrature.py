@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -149,7 +150,8 @@ def test_zero_frequency_stretched_exponentials_within_bound_or_raise(beta):
 
 @pytest.mark.parametrize("omega", [0.1, 1.0, 5.0, 30.0])
 def test_oscillatory_closed_forms_within_bound_or_raise(omega):
-    # 1/(1+t^2) at 1e-15, like 1/(1+t), runs to the panel cap (seconds a call)
+    # 1/(1+t^2) stops at 1e-14: its 1e-15 call is in
+    # test_formerly_capped_calls_end_within_48_half_periods
     _within_bound_or_raises(lambda t: np.exp(-t), omega, 1.0 / (1.0 + omega * omega),
                             _SWEEP_TOLS)
     _within_bound_or_raises(lambda t: np.exp(-t * t), omega,
@@ -166,3 +168,82 @@ def test_slowly_decaying_power_tails_raise_with_a_bound(p):
     with pytest.raises(AccuracyError) as exc:
         fourier_integral(lambda t: (1.0 + t) ** -p, 0.0, "cos", QuadratureConfig(1e-10))
     assert not math.isnan(exc.value.achieved)
+
+
+@pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf, 1e-310])
+def test_frequency_outside_the_float_range_refused_before_any_call(omega):
+    # refused before any envelope call; at 1e-310 the half period pi/omega overflows
+    def env(t):
+        raise AssertionError("envelope called")
+
+    with pytest.raises(ValueError):
+        fourier_integral(env, omega, "cos", QuadratureConfig())
+
+
+def test_crvz_weights():
+    # Algorithm 1 of Cohen, Rodriguez Villegas and Zagier with n = 40: weights in
+    # (0, 1] summing to n / sqrt 2, and sum (-1)^k / (k + 1) = ln 2 within the
+    # proven |u_0| / d_n plus the rounding of the weights and the sum
+    w = quadrature._WEIGHTS[quadrature._N_HEAD:]
+    n = w.size
+    assert n == quadrature._N_TAIL == 40
+    assert np.all(w > 0.0) and np.all(w <= 1.0)
+    assert math.fsum(w) == pytest.approx(n / math.sqrt(2.0), abs=n * quadrature._EPS)
+    assert quadrature._REMAINDER < 5e-31
+    u = (-1.0) ** np.arange(n) / (1.0 + np.arange(n))
+    got = math.fsum(w * u)
+    assert abs(got - math.log(2.0)) <= quadrature._REMAINDER + 2 * quadrature._EPS
+
+
+def test_one_adaptive_call_at_a_positive_frequency(monkeypatch):
+    # 48 half periods in one call, even where no bound meets abs_tol
+    calls = []
+
+    def spy(*args):
+        calls.append(args[1].size)
+        return adaptive(*args)
+
+    adaptive = quadrature._adaptive
+    monkeypatch.setattr(quadrature, "_adaptive", spy)
+    fourier_integral(lambda t: np.exp(-t) / t, 30.0, "sin", QuadratureConfig(1e-14))
+    assert calls == [48]
+
+
+def _recip_cos(omega):
+    # int_0^inf cos(omega t) / (1 + t) dt = -ci(omega) cos(omega) - (si(omega) - pi/2) sin(omega)
+    with mp.workdps(30):
+        w = mp.mpf(omega)
+        return float(-mp.ci(w) * mp.cos(w) - (mp.si(w) - mp.pi / 2) * mp.sin(w))
+
+
+@pytest.mark.parametrize("omega", [0.3, 2.0, 30.0, 1e4])
+def test_completely_monotone_closed_form_within_its_bound(omega):
+    # 1/(1+t) = int_0^inf e^-st e^-s ds, the hypothesis of the CRVZ remainder
+    true = _recip_cos(omega)
+    for tol in (1e-8, 1e-9, 1e-10, 1e-11, 1e-12, 1e-13):
+        val, err = fourier_integral(lambda t: 1.0 / (1.0 + t), omega, "cos", QuadratureConfig(tol))
+        assert err <= tol and abs(val - true) <= err, (tol, val - true, err)
+
+
+@pytest.mark.parametrize("env, omega, kernel, tol, true", [
+    (lambda t: 1.0 / (1.0 + t * t), 1.0, "cos", 1e-15, 0.5 * math.pi * math.exp(-1.0)),
+    (lambda t: 1.0 / (1.0 + t), 1.0, "cos", 1e-15, _recip_cos(1.0)),
+    (lambda t: np.exp(-t) / t, 1e4, "sin", 1e-14, math.atan(1e4)),
+], ids=["lorentz", "recip", "exp_over_t"])
+def test_formerly_capped_calls_end_within_48_half_periods(env, omega, kernel, tol, true):
+    # calls whose late half periods stall on the kernel argument's rounding end
+    # after 48 half periods of at most _MAX_INTERVALS pieces (they used to run
+    # to the 8192-panel cap: 20M-110M evaluations, 5-10 s)
+    count = [0]
+
+    def counted(t):
+        count[0] += t.size
+        return env(t)
+
+    try:
+        val, err = fourier_integral(counted, omega, kernel, QuadratureConfig(tol))
+    except AccuracyError as exc:
+        assert not math.isnan(exc.achieved)
+    else:
+        assert abs(val - true) <= err
+    assert count[0] <= 48 * 400 * 21
