@@ -28,6 +28,8 @@ def cf_profile(spec: MultistableSpec, thetas) -> np.ndarray:
 
 
 def cf(spec: MultistableSpec, theta: float) -> float:
+    if np.isnan(theta):
+        raise ValueError(f"theta must be a number, got {theta}")
     return float(np.exp(-spec.scaled_modular(abs(theta))))
 
 
@@ -40,6 +42,8 @@ def cf_multivariate(specs: Sequence[MultistableSpec], thetas: Sequence[float]) -
         raise ValueError("need at least one spec")
     if len(specs) != len(thetas):
         raise ValueError(f"{len(specs)} specs but {len(thetas)} thetas")
+    if np.isnan(thetas).any():
+        raise ValueError(f"each theta must be a number, got {list(thetas)}")
     alpha = specs[0].alpha
     for s in specs[1:]:
         if s.alpha != alpha:

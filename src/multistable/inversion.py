@@ -81,7 +81,6 @@ from .quadrature import (
     _add_up,
     _certify,
     _nodes,
-    _rule,
 )
 
 __all__ = [
@@ -700,8 +699,9 @@ def _finish(plan: _Plan, body: float, kg: float, rounding: float) -> tuple[float
 
 def _run(ray: _Ray, plan: _Plan) -> tuple[float, float]:
     """One plan on its own: the scalar path."""
-    return _finish(plan, *_rule(plan.lo, plan.width, lambda sigma: _integrand(
-        ray, plan.kind, plan.omega, plan.t0, sigma, plan.w)))
+    sigma, half = _nodes(plan.lo, plan.width)
+    y = _integrand(ray, plan.kind, plan.omega, plan.t0, sigma, plan.w)
+    return _finish(plan, *_add_up(y, half))
 
 
 def _blocks(members: list[int], plans: list[_Plan]):

@@ -38,10 +38,7 @@ integral term by term), summed by Horner in y = -x^2/4:
 
 Its terms fall by |y| / ((k+1)(k + 13/2)) from k to k + 1, so the 17 terms
 k <= 16 leave at most a_17 9^17 / (1 - 9/423) = 2.6e-18 at |x| < 6; Horner
-rounds by a multiple of S = sum_k a_k |y|^k <= e^{|x|^2/26}.  In the lemma1
-and lemma6 sweeps of six fixtures at q = 1.25, 1.5 and 2, 42% of eta's 447k
-kernel nodes lie below |x| = 1, 73% below 6 and 89% below 12.5; only 1-3% of
-a rho table's nodes lie below 12.5.
+rounds by a multiple of S = sum_k a_k |y|^k <= e^{|x|^2/26}, below 4 there.
 
 The same form bounds the decay.  With a = (15 - 420 r^2 + 945 r^4) r and
 b = 1 - 105 r^2 + 945 r^4, the coefficients of sin(x) and cos(x) above,
@@ -68,17 +65,10 @@ that sector gives
     integral_0^inf phi_q(theta) F(theta) dtheta = (1/pi) Im integral_ray H(theta) F(theta) / theta dtheta.
 
 eta (F = 1 - e^{-m(theta/xi)}) and the Parseval theta side (F = 1 - cf(delta
-theta)) are integrands of the ray rule in :mod:`multistable.inversion` in
-this form.
-
-:func:`_kernel` evaluates H on a ray, x = w z / 2 = x_r + i x_i: below
-|x| = 6 as e^{i z} e^{i x} G(2x), from 6 on with sin x and cos x splitting
-the explicit form into e^{i z} and e^{i (1 + w) z} terms,
-
-    H(z) = (10395 / 2) r^6 e^{i z} [(i a - b) - e^{2 i x} (i a + b)],
-
-where |e^{2 i x}| <= 1 and |e^{i z}| <= 1, so nothing overflows at any q;
-the bound there is min(1, 2 _far_amplitude(|x|)) e^{-Im z}.
+theta)) are ray-rule integrands of :mod:`multistable.inversion` in this form.
+:func:`_kernel` evaluates H on a ray, x = w z / 2: below |x| = 6 as e^{i z}
+e^{i x} G(2x), from 6 on by the explicit form split into e^{i z} and
+e^{i (1 + w) z} terms, which cannot overflow at any q.
 
 h_q needs no phi_q.  The stable Levy measure (Samorodnitsky and Taqqu 1994)
 writes |theta|^gamma, 0 < gamma < 2, as gamma C(gamma) integral_0^inf
@@ -87,19 +77,17 @@ sin(pi gamma / 2), and phi_q transforms back to the bump, so in y = log x
 
     h_q(gamma) = C(gamma) [(1 + w)^-gamma + gamma integral_0^log1p(w) e^{-gamma y} S5(expm1(y) / w) dy].
 
-:meth:`MollifierSpec.hs` sums this smooth band integral on Gauss-Kronrod
-panels at most a quarter wide in y, where Kronrod-minus-Gauss stays below
-1e-15 of h_q (6e-11 on unit-wide panels) for q from 1.01 to 1e6.  It takes
-every gamma of a sweep in one evaluation of the band's gamma-free terms, and
-:meth:`MollifierSpec.h` is its one-element call, with the same bits.
+:meth:`MollifierSpec.hs` sums this smooth band integral, every gamma of a sweep
+at once, on GK21 panels at most a quarter wide in y, where Kronrod-minus-Gauss
+stays below 1e-15 of h_q (6e-11 on unit-wide panels) for q from 1.01 to 1e6.
 
 rho integrates |phi_q|, which has a kink at every zero of phi_q, so it alone
-keeps a dense table over [0, theta_max]: one 16-point Gauss-Legendre panel
-between consecutive zeros (j pi / (1 + w/2) of the sine; 2x / w of G, with
-x = n pi + atan(b / a) for n >= 3 by fixed point, as a > 0 from x = 5.05 on
-and j5 has no zero below 9.36), after dyadic panels below the first.  The
-table is built on first use and kept in a weak memo; the proven envelope
-above bounds the mass beyond theta_max.
+keeps a dense table over [0, theta_max]: one GK21 panel between consecutive
+zeros (j pi / (1 + w/2) of the sine; 2x / w of G, with x = n pi + atan(b / a)
+for n >= 3 by fixed point, as a > 0 from x = 5.05 on and j5 has no zero below
+9.36), after dyadic panels below the first; the proven envelope bounds the
+mass beyond theta_max.  Built on first use and kept in a weak memo, it holds
+log theta, phi_q and the bound of :func:`_phi` on phi_q's rounding at each node.
 """
 
 from __future__ import annotations
@@ -113,7 +101,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .function_space import tail_constant
-from .quadrature import _EPS, _add_up, _nodes
+from .quadrature import _EPS, _WK21, _X21, _add_up, _nodes
 
 __all__ = ["MollifierSpec", "build_mollifier", "smoothstep_c5"]
 
@@ -128,20 +116,23 @@ _SERIES = [2 ** k / (math.factorial(k) * math.prod(range(13, 13 + 2 * k, 2)))
 _S_CROSSOVER = 25.0        # the ray rule's panels count H's r^6 decay from s = w |z| = 25 on
 # the proven envelope holds from x = w theta / 2 = 18.75 on
 _X_ENVELOPE = 18.75
-# Gauss-Legendre order per table panel; bound on the envelope's theta^gamma
-# tails for gamma in [0, 1.9]
-_TABLE_RESOLUTION, _TAIL_TOL = 16, 1e-8
+_TAIL_TOL = 1e-8           # bound on the envelope's theta^gamma tails, gamma in [0, 1.9]
+# roundings in units of eps: H's on the real axis, of its bound (in units of eps/2
+# as for inversion._KERNEL_ROUNDINGS: |x| < 6 52.8 of S < 4 and 14.5; |x| >= 6 67.2,
+# and 57 from x's and the node's 5 units through r^11; e^{i theta} 9.2: 117.5 eps),
+# and the rule's of |phi_q| F (product, weight, dot product 10.5, half width 2 and
+# numpy's pairwise sum over _MAX_TABLE_NODES / 21 panels 18)
+_REAL_ROUNDINGS, _RULE_ROUNDINGS = 120.0, 32.0
 # largest q: at q = 1e100 the tail bound's theta_max^(gamma - 6) overflows
 _MAX_Q = 1e6
 # points per vectorized pass: a block's temporaries stay in cache and their
 # memory is reused, where whole-table temporaries are fresh pages each time
 _BLOCK = 16384
-# largest phi_q table: the node count grows like w^-1.5 (q = 1.03 needs 3.06M
-# nodes, q = 1.01 would need 15M, about 360 MB over three arrays)
+# largest phi_q table: the node count grows like w^-1.5 (q = 1.03 needs 4.02M
+# nodes, about 160 MB over five arrays; q = 1.01 would need 19.8M)
 _MAX_TABLE_NODES = 1 << 22
-# the rho table of each mollifier, built on first use.  Keyed by the
-# (identity-hashed) spec, so a dataclasses.replace copy starts empty; weak
-# keys never keep a spec alive
+# the rho table of each mollifier, keyed by the (identity-hashed) spec, so a
+# dataclasses.replace copy starts empty; weak keys never keep a spec alive
 _TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -225,28 +216,33 @@ def _kernel(w: float, rho: np.ndarray, cos_psi: float, sin_psi: float,
 
 
 def _phi(w: float, theta):
-    """phi_q at theta for the transition half-width w, Im H(theta) / (pi theta);
-    accepts arrays."""
+    """phi_q = Im H(theta) / (pi theta) and a bound on its rounding in eps, H's and its
+    phases' over pi theta (so growing toward 0): two floats, or two arrays of theta's shape."""
     t = np.abs(np.asarray(theta, dtype=float))
     flat = t.ravel()
-    out = np.empty_like(flat)
+    out = np.empty((2, flat.size))
     for i in range(0, flat.size, _BLOCK):
-        out[i:i + _BLOCK] = _kernel(w, flat[i:i + _BLOCK], 1.0, 0.0)[1]
+        _, out[0, i:i + _BLOCK], out[1, i:i + _BLOCK] = _kernel(w, flat[i:i + _BLOCK], 1.0, 0.0)
+    out[1] *= _REAL_ROUNDINGS + 4.0 * (1.0 + w) * flat
     np.divide(out, flat, out=out, where=flat > 0.0)
-    out[flat == 0.0] = 1.0 + 0.5 * w          # H(theta) / theta -> 1 + w/2
+    out[:, flat == 0.0] = [[1.0 + 0.5 * w], [0.0]]    # H(theta) / theta -> 1 + w/2
     out /= math.pi
-    return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
+    out[1] += 3.0 * np.abs(out[0])            # the division, pi and the node in 1/theta
+    return (float(out[0, 0]), float(out[1, 0])) if t.ndim == 0 else out.reshape(2, *t.shape)
 
 
 @dataclass(frozen=True)
 class _Table:
-    """Gauss-Legendre nodes on (stub, theta_max] with phi_q at each node."""
+    """GK21 panels on (stub, theta_max]: nodes, Kronrod weights and half widths."""
 
     theta_max: float
     stub: float                    # untabulated initial interval [0, stub]
     nodes: np.ndarray
     weights: np.ndarray
+    half: np.ndarray
+    log_nodes: np.ndarray
     phi_values: np.ndarray
+    unit_err: np.ndarray           # eps units of |phi_q| F per unit F: phi_q's and the rule's
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,9 +252,8 @@ class MollifierSpec:
 
     The other fields are derived from q, and q and the bump are checked
     (ValueError), so a ``dataclasses.replace`` copy is recomputed from its
-    own q.  ``theta_max``, ``stub``, ``nodes``, ``weights`` and
-    ``phi_values`` describe the dense table that only rho integrates over;
-    reading any of them builds it on first use.
+    own q.  ``theta_max``, ``stub``, ``nodes``, ``weights`` (Kronrod) and ``phi_values``
+    describe rho's GK21 table (:meth:`abs_integral`), built on first reading.
     """
 
     q: float
@@ -295,15 +290,36 @@ class MollifierSpec:
 
     def phi(self, theta):
         """phi_q(theta) = G(w theta) sin((1 + w/2) theta) / (pi theta); accepts arrays."""
-        return _phi(self.w, theta)
+        return _phi(self.w, theta)[0]
 
     # -- the rho table ---------------------------------------------------------
 
     @property
     def _table(self) -> _Table:
-        table = _TABLES.get(self)
-        if table is None:
-            table = _TABLES[self] = _build_table(self)
+        """The rho table, built on first use: panels up to where the envelope bounds
+        every weighted tail.  ValueError, before allocating, for a table over the node
+        budget, and after building it, for a table that does not integrate to 1."""
+        if self in _TABLES:
+            return _TABLES[self]
+        # extend the table until every weighted tail for gamma in [0, 1.9] is small:
+        # the log of the bound is convex in gamma, so its worst is gamma = 1.9 while
+        # theta_max >= 1 and gamma = 0 below (large q)
+        coeff, p, w = self.decay_coeff, self.decay_power, self.w
+        theta_max = max((coeff / (k * _TAIL_TOL)) ** (1.0 / k) for k in (p - 2.9, p - 1.0))
+        theta_max = max(theta_max, 2.0 * self.theta_fit)
+        nodes, weights, stub, last_edge = _build_panels(theta_max, w)
+        phi, err = _phi(w, nodes)
+        # normalization: integral phi = bump(0) = 1, up to the mass outside the table
+        total = 2.0 * float(np.sum(weights * phi))
+        outside = coeff * last_edge ** (1.0 - p) / (p - 1.0) + (1.0 + 0.5 * w) / math.pi * stub
+        if abs(total - 1.0) > 2.0 * outside + 1e-10 + 1e-9:
+            raise ValueError(f"integral of phi_q is {total}, expected 1")
+        err += _RULE_ROUNDINGS * np.abs(phi)
+        # half widths from the centre nodes' weights, each within an ulp
+        table = _TABLES[self] = _Table(
+            theta_max=last_edge, stub=stub, nodes=nodes, weights=weights,
+            half=weights[10::21] / _WK21[10], log_nodes=np.log(nodes), phi_values=phi,
+            unit_err=err)
         return table
 
     theta_max = property(lambda self: self._table.theta_max)
@@ -312,10 +328,20 @@ class MollifierSpec:
     weights = property(lambda self: self._table.weights)
     phi_values = property(lambda self: self._table.phi_values, doc="phi_q at the nodes")
 
-    def integrate_abs(self, factor_values: np.ndarray) -> float:
-        """sum of weights * |phi| * factor over the table (one-sided, theta > 0), summed
-        pairwise: a dot product rounded the integral of phi_q by 3.5e-14 at q = 1.05."""
-        return float(np.sum(self.weights * np.abs(self.phi_values) * factor_values))
+    def abs_integral(self, factor) -> tuple[float, float, float]:
+        """_add_up of |phi_q| F >= 0 on the table (theta > 0), phi_q's and the rule's roundoff
+        added: factor(log theta) gives F and its eps roundoff, arrays it may overwrite."""
+        table = self._table
+        rows = np.empty((2, table.nodes.size))
+        for i in range(0, table.nodes.size, _BLOCK):
+            block = slice(i, i + _BLOCK)
+            f, f_err = factor(table.log_nodes[block])
+            absphi = np.abs(table.phi_values[block])
+            np.multiply(absphi, f, out=rows[0, block])
+            f_err *= absphi
+            f *= table.unit_err[block]
+            np.add(f_err, f, out=rows[1, block])
+        return _add_up(rows, table.half)
 
     def tail_power_bound(self, gamma: float) -> float:
         """Bound on integral_theta_max^inf theta^gamma |phi_q| dtheta."""
@@ -384,16 +410,16 @@ class MollifierSpec:
 
 
 def _build_panels(theta_max: float, w: float) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """Gauss-Legendre panels on (stub, last edge]: one between consecutive zeros
-    of phi_q up to the first sine zero past theta_max, after dyadic ones below
-    the first zero.  Raises ValueError, before allocating the table, when it
-    would exceed _MAX_TABLE_NODES nodes."""
+    """GK21 nodes and Kronrod weights on (stub, last edge], and those two edges: a
+    panel between consecutive zeros of phi_q up to the first sine zero past
+    theta_max, after dyadic ones below the first zero.  Raises ValueError, before
+    allocating the table, when it would exceed _MAX_TABLE_NODES nodes."""
     rate = 1.0 + 0.5 * w
     n_sine = max(1, math.ceil(theta_max * rate / math.pi))
     last = n_sine * math.pi / rate
     # one candidate zero x of G(2x) in (n pi - pi/2, n pi + pi/2) for each n >= 3
     n_top = 0.5 * w * last / math.pi + 1.0
-    n_nodes = _TABLE_RESOLUTION * (41 + n_sine + max(0, math.floor(n_top) - 2))
+    n_nodes = _X21.size * (41 + n_sine + max(0, math.floor(n_top) - 2))
     if n_nodes > _MAX_TABLE_NODES:
         raise ValueError(f"the phi_q table up to theta = {theta_max:.3g} needs {n_nodes} "
                          f"nodes, more than the budget of {_MAX_TABLE_NODES}; "
@@ -407,37 +433,8 @@ def _build_panels(theta_max: float, w: float) -> tuple[np.ndarray, np.ndarray, f
     zeros = np.union1d(np.arange(1, n_sine + 1) * (math.pi / rate), g_zeros[g_zeros < last])
     # dyadic grading toward 0 keeps theta^gamma factors exact for gamma < 2
     edges = np.concatenate([zeros[0] * 0.5 ** np.arange(42, 0, -1), zeros])
-    gx, gw = np.polynomial.legendre.leggauss(_TABLE_RESOLUTION)
-    los, his = edges[:-1], edges[1:]
-    mid = 0.5 * (los + his)
-    half = 0.5 * (his - los)
-    nodes = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
-    weights = (half[:, None] * gw[None, :]).ravel()
-    return nodes, weights, float(edges[0]), float(edges[-1])
-
-
-def _build_table(moll: MollifierSpec) -> _Table:
-    """The rho table: panels up to where the envelope bounds every weighted tail.
-
-    Raises ValueError, before allocating, for a table over the node budget,
-    and after building it for a table that does not integrate to 1.
-    """
-    # extend the table until every weighted tail for gamma in [0, 1.9] is small:
-    # the log of the bound is convex in gamma, so its worst is gamma = 1.9 while
-    # theta_max >= 1 and gamma = 0 below (large q)
-    coeff, p = moll.decay_coeff, moll.decay_power
-    theta_max = max((coeff / (k * _TAIL_TOL)) ** (1.0 / k) for k in (p - 2.9, p - 1.0))
-    theta_max = max(theta_max, 2.0 * moll.theta_fit)
-    nodes, weights, stub, last_edge = _build_panels(theta_max, moll.w)
-    table = _Table(theta_max=last_edge, stub=stub, nodes=nodes, weights=weights,
-                   phi_values=_phi(moll.w, nodes))
-    # normalization: integral phi = bump(0) = 1, up to the mass outside the table
-    total = 2.0 * float(np.sum(weights * table.phi_values))
-    outside = coeff * last_edge ** (1.0 - p) / (p - 1.0) \
-        + (1.0 + 0.5 * moll.w) / math.pi * stub
-    if abs(total - 1.0) > 2.0 * outside + 1e-10 + 1e-9:
-        raise ValueError(f"integral of phi_q is {total}, expected 1")
-    return table
+    nodes, half = _nodes(edges[:-1], np.diff(edges))
+    return nodes, (half[:, None] * _WK21).ravel(), float(edges[0]), float(edges[-1])
 
 
 def build_mollifier(q: float) -> MollifierSpec:

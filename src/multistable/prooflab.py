@@ -31,11 +31,10 @@ on the same Gauss-Kronrod panels as h_q.  A lemma1 or lemma6 grid's
 distinct etas, lemma1's tails and an x side's tails are each one batch of
 the ray rule, whose values equal the one-at-a-time calls'.  h_q (so tau)
 is the bump-side ``MollifierSpec.hs``, with its own bound, every exponent
-of a sweep in one call.  Only rho,
-which integrates the non-analytic |phi_q|, runs on the mollifier's dense
-table, built on its first use; the modular there is m(theta/xi) = sum_g
-W_g xi^-alpha_g theta^alpha_g, and outside the table m - 1 + e^-m <= m^2/2
-bounds the untabulated mass group by group.
+of a sweep in one call.  Only rho, which integrates the non-analytic
+|phi_q|, runs on the mollifier's GK21 table, with the rule's bound; there
+m(theta/xi) = sum_g W_g xi^-alpha_g exp(alpha_g log theta), and beyond the
+table m - 1 + e^-m <= m^2/2 bounds the mass group by group.
 """
 
 from __future__ import annotations
@@ -171,22 +170,34 @@ def tau(spec: MultistableSpec, moll: MollifierSpec, xi: float,
 
 def rho_with_error(spec: MultistableSpec, moll: MollifierSpec, xi: float,
                    cfg: QuadratureConfig | None = None) -> tuple[float, float]:
-    """rho(xi): the absolute exponential remainder integrated against |phi_q|."""
+    """rho(xi): m - 1 + e^-m against |phi_q| on the mollifier's GK21 table.  Its
+    bound adds the rule's Kronrod-minus-Gauss term and counted roundoff, and the
+    envelope's bound on m^2 / 2 beyond the table and the stub's below it."""
     _check_xi(xi)
-    m_vals = spec.scaled_modular(moll.nodes / xi)
-    remainder = m_vals + np.expm1(-m_vals)  # m - 1 + e^-m >= 0
-    body = 2.0 * moll.integrate_abs(np.abs(remainder))
-    # tail: remainder <= m^2 / 2, expand the square over exponent groups
-    groups = spec.groups
-    tail = 0.0
-    for a1, w1 in groups:
-        for a2, w2 in groups:
-            tail += 0.5 * w1 * w2 * xi ** -(a1 + a2) * moll.tail_power_bound(a1 + a2)
-    total_w = sum(wgt for _, wgt in groups)
-    err = 2.0 * tail + total_w ** 2 * moll.stub_bound(2.0 * spec.a) \
-        + 4e-16 * (1.0 + abs(body))
+    alph, wgt = np.array(spec.groups).reshape(-1, 2).T
+    scale = wgt * xi ** -alph
+    # m = scale @ theta^alph rounds by eps m delta: log's ulp and the product's half of
+    # alph |log theta| through exp (|log theta| <= -log(stub): the table ends far below
+    # 1/stub), the node's shift 1.5 alph, exp 1, the scale 3/2 and the sum G/2.  That
+    # moves m - 1 + e^-m by |e1| eps m delta, e1 = expm1(-m); expm1 adds eps |e1| and the
+    # sum eps/2 of the remainder, so as m -> 0, where the sum cancels, the bound is eps m
+    delta = 1.5 * spec.b * (1.0 - math.log(moll.stub)) + 3.0 + 0.5 * alph.size
+
+    def remainder(log_theta):
+        powers = np.multiply.outer(alph, log_theta)
+        m = scale @ np.exp(powers, out=powers)
+        e1 = np.expm1(-m)
+        err = (delta * m + 1.0) * e1                # -|e1| (1 + delta m), as e1 <= 0
+        m += e1
+        return m, 0.5 * m - err
+
+    body, kg, rounding = moll.abs_integral(remainder)
+    # beyond the table m - 1 + e^-m <= m^2 / 2: expand the square over exponent groups
+    tail = sum(w1 * w2 * xi ** -(a1 + a2) * moll.tail_power_bound(a1 + a2)
+               for a1, w1 in spec.groups for a2, w2 in spec.groups)
+    err = float(2.0 * (kg + rounding) + tail + sum(wgt) ** 2 * moll.stub_bound(2.0 * spec.a))
     _certify("rho error bound", err, cfg)
-    return body, err
+    return 2.0 * body, err
 
 
 def rho(spec: MultistableSpec, moll: MollifierSpec, xi: float,

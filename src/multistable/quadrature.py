@@ -5,18 +5,17 @@ The library's one panel rule is the QUADPACK Gauss-Kronrod 10/21 pair
 per panel, the Kronrod sum, the Kronrod-minus-Gauss sum and the counted
 roundoff of an integrand's values and their roundoff at the panel's
 ``_nodes``.  So a panel's bound is its |Kronrod - Gauss| plus its roundoff.
-``_add_up`` adds it up over a fixed panel layout (``_rule`` calls the
-integrand once on all its nodes) for the inversion ray rule and the
-mollifier's band integrals; ``_adaptive`` bisects panels until each piece
-meets its share of a tolerance, for the real-axis engine.
+``_add_up`` adds it up over a fixed panel layout for the inversion ray rule,
+the mollifier's band integrals and rho's table; ``_adaptive`` bisects panels
+until each piece meets its share of a tolerance, for the real-axis engine.
 
 The real-axis engine, :func:`fourier_integral` behind the public
 :func:`oscillatory_integral`, integrates g(theta) trig(omega theta) over the
 half-line for an envelope g that need not extend off the real axis
 (``exp(-t^0.7)``, say): 48 half periods with a CRVZ-accelerated tail at
 omega > 0, doubling panels at omega = 0.  :mod:`multistable.inversion`
-integrates the multistable density, tail and cdf with ``_rule`` on a rotated
-ray.  The module also holds what every certified result shares:
+integrates the multistable density, tail and cdf with ``_add_up`` on a
+rotated ray.  The module also holds what every certified result shares:
 :class:`QuadratureConfig`, :class:`AccuracyError` and ``_certify``.
 """
 
@@ -121,12 +120,6 @@ def _panel_sums(y: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, ...]:
     return sums[:n, 0], sums[:n, 1], sums[n:, 0]
 
 
-def _sums(lo: np.ndarray, width: np.ndarray, integrand) -> tuple[np.ndarray, ...]:
-    """The _panel_sums of ``integrand(x)`` over the panels (lo, width), and the half widths."""
-    x, half = _nodes(lo, width)
-    return *_panel_sums(integrand(x), half), half
-
-
 def _add_up(y: np.ndarray, half: np.ndarray) -> tuple[float, float, float]:
     """The Gauss-Kronrod sum of y (see _panel_sums) over its panels, the sum of the
     per-panel Kronrod-minus-Gauss differences and the roundoff bound."""
@@ -136,19 +129,13 @@ def _add_up(y: np.ndarray, half: np.ndarray) -> tuple[float, float, float]:
             float(_EPS * (node_err @ half)))
 
 
-def _rule(lo: np.ndarray, width: np.ndarray, integrand) -> tuple[float, float, float]:
-    """_add_up of ``integrand(x)`` at the nodes of the panels (lo, width)."""
-    x, half = _nodes(lo, width)
-    return _add_up(integrand(x), half)
-
-
 def _adaptive(f: Callable, lo: np.ndarray, width: np.ndarray,
               tol) -> tuple[np.ndarray, np.ndarray]:
     """Adaptive GK21 on the panels (lo, width) -> each panel's value and error bound.
 
-    Each round takes the _sums of every unresolved piece in one call of f.  A
-    piece's bound is its |Kronrod - Gauss| plus its Kronrod dot product's
-    rounding on the integral of |f|, as in _rule.  A piece is bisected until its
+    Each round takes the _panel_sums of every unresolved piece in one call of
+    f.  A piece's bound is its |Kronrod - Gauss| plus its Kronrod dot product's
+    rounding on the integral of |f|.  A piece is bisected until its
     |K - G| is within its share of its panel's tol (tol times its share of the
     width), is within that rounding, or the piece is at machine resolution, and
     until its panel's whole bound is within tol; a panel takes at most
@@ -165,7 +152,8 @@ def _adaptive(f: Callable, lo: np.ndarray, width: np.ndarray,
         return np.stack((y, 11.0 * np.abs(y)))
 
     while owner.size:
-        kron, diff, rounding, half = _sums(lo, width, integrand)
+        x, half = _nodes(lo, width)
+        kron, diff, rounding = _panel_sums(integrand(x), half)
         kron *= half
         kg, rounding = np.abs(diff) * half, _EPS * rounding * half
         bound = err + np.bincount(owner, kg + rounding, n)

@@ -48,6 +48,17 @@ def test_bounds_and_strict_decay(rng):
         assert np.all(np.diff(vals[alive]) < 0.0)
 
 
+def test_nan_theta_refused_and_infinite_theta_is_zero():
+    # a NaN theta came back as a NaN cf, and in cf_multivariate as a complaint
+    # about the combined step function's coefficients
+    spec = fixture("two_exp")
+    with pytest.raises(ValueError, match="theta"):
+        cf(spec, math.nan)
+    with pytest.raises(ValueError, match="theta"):
+        cf_multivariate([spec, spec], [1.0, math.nan])
+    assert cf(spec, math.inf) == cf(spec, -math.inf) == 0.0
+
+
 def test_lp_truncated_integral_converges():
     # integral of cf^p stabilizes as the truncation grows, for p in {0.5, 1, 2}
     spec = fixture("two_exp")

@@ -357,6 +357,7 @@ def test_real_axis_knobs_rejected(cmd, grid, flag, tmp_path):
     ["verify", "parseval", "--fixture", "two_exp", "--deltas", "1", "inf"],
     ["asymptote", "--fixture", "two_exp", "--lambdas", "nan"],
     ["density", "--fixture", "two_exp", "--x", "1", "nan"],
+    ["cf", "--fixture", "two_exp", "--theta", "1", "nan"],
     ["quasinorm", "--fixture", "three_cell", "--rel-tol", "nan"],
 ])
 def test_non_finite_grid_points_exit_2(argv, tmp_path, capsys):

@@ -228,11 +228,14 @@ def _rho_on_the_zeros(spec, moll, xis):
 def test_rho_within_its_bound_against_a_rule_on_the_zeros(q):
     # |phi_q| has a kink at each zero; on panels that straddled them rho was
     # 4.1e-3 / 1.3e-4 / 4.1e-8 off at q = 1.5, xi = 1 / 10 / 1000, against
-    # claimed bounds of 5.1e-5 / 5.2e-8 / 8.1e-14
-    moll, spec, xis = build_mollifier(q), fixture("two_exp"), (1.0, 10.0, 1000.0)
-    for xi, ref in zip(xis, _rho_on_the_zeros(spec, moll, xis)):
-        val, err = rho_with_error(spec, moll, xi)
-        assert abs(val - ref) <= err, (xi, val - ref, err)
+    # claimed bounds of 5.1e-5 / 5.2e-8 / 8.1e-14.  At xi = 1e4 the bound, about
+    # 3e-16, is within 3-10x of the actual error
+    moll, xis = build_mollifier(q), (1.0, 10.0, 1000.0, 1e4)
+    for name in ("two_exp", "three_cell"):
+        spec = fixture(name)
+        for xi, ref in zip(xis, _rho_on_the_zeros(spec, moll, xis)):
+            val, err = rho_with_error(spec, moll, xi)
+            assert abs(val - ref) <= err, (name, xi, val - ref, err)
 
 
 def test_weighted_moments_stabilize(moll15):
@@ -353,9 +356,9 @@ def test_h_within_its_bound_against_mpmath_on_the_ray(q):
 
 
 def test_table_node_budget():
-    # the rho table grows like w^-1.5: q = 1.02 would need 5.5M nodes, q = 1.01
-    # 15M; the mollifier builds, and reading its table raises before allocating.
-    # q = 1.03 takes 3.06M nodes, one panel between each pair of zeros
+    # the rho table grows like w^-1.5: q = 1.02 would need 7.2M nodes, q = 1.01
+    # 19.8M; the mollifier builds, and reading its table raises before allocating.
+    # q = 1.03 takes 4.02M nodes, one GK21 panel between each pair of zeros
     for q in (1.01, 1.02):
         moll = build_mollifier(q)
         with pytest.raises(ValueError, match="budget"):
@@ -565,6 +568,26 @@ def test_phi_far_field_matches_mpmath(moll125, moll15, moll2):
         for theta in np.geomspace(25.0 / moll.w, 200.0 / moll.w, 4):
             ref = _phi_mpmath(moll.q, theta)
             assert abs(float((moll.phi(theta) - ref) / ref)) <= 1e-10
+
+
+def test_counted_phi_rounding_covers_mpmath(moll125, moll15, moll2):
+    # the table's per-node bound on phi_q's rounding, in units of eps: on the
+    # dyadic head, where it grows like 1/theta, around the kernel's switch to
+    # the explicit form (s = w theta = 12) and the crossover s = 25, where it
+    # is absolute against a bound of 1, and at the far end, where phi_q is
+    # below 1e-20 and the bound follows the kernel's r^6 decay
+    eps = float(np.finfo(float).eps)
+    for moll in (moll125, moll15, moll2):
+        nodes = moll.nodes
+        picks = [0, 1, 20, 21 * 20 + 10, 21 * 41 - 1, nodes.size - 1]
+        for s in (12.0, 25.0):
+            k = int(np.searchsorted(nodes, s / moll.w))
+            picks += [k - 1, k, k + 1, k + 10]
+        phi, err = mollifier._phi(moll.w, nodes[picks])
+        assert phi.tobytes() == moll.phi_values[picks].tobytes()
+        for theta, value, bound in zip(nodes[picks], phi, err):
+            ref = _phi_mpmath(moll.q, theta)
+            assert abs(float(value - ref)) <= eps * bound, (moll.q, theta)
 
 
 def test_phi_near_origin_matches_mpmath(moll125, moll15, moll2):
