@@ -22,8 +22,10 @@ __all__ = ["cf", "cf_multivariate", "cf_profile"]
 
 
 def cf_profile(spec: MultistableSpec, thetas) -> np.ndarray:
-    """Vectorized cf over an array of theta values."""
+    """Vectorized cf over an array of theta values; a NaN theta is refused, as by cf."""
     t = np.abs(np.asarray(thetas, dtype=float))
+    if np.isnan(t).any():
+        raise ValueError(f"each theta must be a number, got {np.count_nonzero(np.isnan(t))} NaN")
     return np.exp(-spec.scaled_modular(t))
 
 

@@ -71,6 +71,11 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
+try:  # np.interp's compiled core: its float arrays need none of the wrapper's checks
+    from numpy._core.multiarray import interp as _interp
+except ImportError:
+    _interp = np.interp
+
 from .function_space import MultistableSpec, exp_sum_root
 from .mollifier import _S_CROSSOVER, _far_amplitude, _kernel, _sin_cos
 from .quadrature import (
@@ -107,6 +112,7 @@ _LN8 = math.log(8.0)        # widest panel: a factor 8 in t
 _TURN = math.pi             # spacing of the level edges in Phi (see _panels)
 _REACH = 4.5                # largest panel width in s times Phi' at its right end
 _GRID = 1.0 / 8.0           # s-spacing of the table that places the level edges
+_LEVELS = np.arange(1024) * _TURN   # the first level edges' Phi values, j pi
 _DECAY = 45.0               # envelopes are cut where they fall below e^-45
 _REL = 2.0 ** -60           # stub and truncation bounds aim below this share of the result
 _MAX_PANELS = 8192          # budget of one call: about 170 000 nodes
@@ -169,15 +175,11 @@ def _log_upper_gamma(s: float, x: float) -> float:
     return math.inf
 
 
-def _upper_gamma(s: float, x: float) -> float:
-    return math.exp(_log_upper_gamma(s, x))
-
-
 def _decay_factors(alph: list[float], decay: float) -> tuple[float, list, list]:
     """The truncation bound's factors at one decay: E1(decay) and each group's
     Gamma(alpha, decay) and Gamma(alpha + 1, decay)."""
-    return (_exp1(decay), [_upper_gamma(al, decay) for al in alph],
-            [_upper_gamma(al + 1.0, decay) for al in alph])
+    return (_exp1(decay), [math.exp(_log_upper_gamma(al, decay)) for al in alph],
+            [math.exp(_log_upper_gamma(al + 1.0, decay)) for al in alph])
 
 
 class _Ray:
@@ -206,6 +208,8 @@ class _Ray:
         self.s_cf = exp_sum_root(_DECAY, self.decay)         # |cf| <= e^-45 beyond
         self.log_w = np.log(self.w)
         self.log_w_list = self.log_w.tolist()
+        # log(W t0^alpha) of every plan with omega t_cf < 1, where t0 = t_cf
+        self.log_w_cf = self.log_w + self.alph * math.log(self.t_cf)
         # what every _stub and _truncation would rebuild: the stub's denominators
         # per group and pair of groups (shift 0 for the tail, 1 for the densities)
         # and the smallest power of its remainder per kind, and the truncation's
@@ -213,8 +217,8 @@ class _Ray:
         a = self.a
         self.al1 = [al + 1.0 for al in self.alph_list]
         self.al2 = [al + 2.0 for al in self.alph_list]
-        self.pair_den = {shift: [[a1 + a2 + shift for a2 in self.alph_list]
-                                 for a1 in self.alph_list] for shift in (0.0, 1.0)}
+        self.pair_den = tuple([(i, j, a1 + a2 + shift) for i, a1 in enumerate(self.alph_list)
+                               for j, a2 in enumerate(self.alph_list)] for shift in (0.0, 1.0))
         self.stub_power = {"density": min(3.0, 2.0 + a, 1.0 + 2.0 * a),
                            "density-1": min(2.0 + a, 1.0 + 2.0 * a),
                            "tail": min(1.0 + a, 2.0 * a),
@@ -306,8 +310,7 @@ def _stub(ray: _Ray, kind: str, omega: float, s: float,
         if kind == "tail-cf":
             rem = 0.25 * (omega * t) ** 2 + omega * t * sum(x / d for x, d in zip(wt, ray.al1))
         else:
-            den = ray.pair_den[0.0 if kind == "tail" else 1.0]
-            pairs = 0.5 * sum(x * y / d for x, row in zip(wt, den) for y, d in zip(wt, row))
+            pairs = 0.5 * sum(wt[i] * wt[j] / d for i, j, d in ray.pair_den[kind != "tail"])
             if kind == "tail":
                 rem = omega * t * sum(x / d for x, d in zip(wt, ray.al1)) + pairs
             else:
@@ -335,8 +338,8 @@ def _truncation(ray: _Ray, kind: str, omega: float, tgt: float) -> tuple[float, 
     """
     k = omega * ray.sin
     decay = _DECAY
-    e1, g_tail, g_dens = ray.at_decay
     for _ in range(4):
+        e1, g_tail, g_dens = ray.at_decay if decay == _DECAY else _decay_factors(ray.alph_list, decay)
         if kind == "density":
             # e^{-(k t + R(t))} with k t + R(t) >= K (t/T)^p, p = min(a, 1)
             s_hi = exp_sum_root(decay, ([(k, 1.0)] if k > 0.0 else []) + ray.decay)
@@ -364,7 +367,6 @@ def _truncation(ray: _Ray, kind: str, omega: float, tgt: float) -> tuple[float, 
         if bound <= tgt:
             break
         decay = 2.0 * decay if math.isinf(bound) else decay + math.log(bound / tgt) + 1.0
-        e1, g_tail, g_dens = _decay_factors(ray.alph_list, decay)
     if kind in ("tail", "density-1") and ray.s_cf < s_hi:
         # the cf's phase is not resolved where |cf| <= e^-45: bound what it adds,
         # once for the integral and once for the rule's sum
@@ -382,9 +384,10 @@ def _panels(al: np.ndarray, lin: float, log_w0: np.ndarray, s_lo: float, s_hi: f
     Phi(sigma) = lin e^sigma + sum w0 e^{alpha min(sigma, s_c)}, with
     lin = omega t0 and w0 = W t0^alpha = e^log_w0, bounds the change of the
     integrand's complex exponent; beyond s_c the cf's phase is left
-    unresolved.  A second kernel term ``fast = (lin_f, s_f)`` adds
-    lin_f e^{min(sigma, s_f)}, and ``power = (p, s_x)`` adds
-    p max(sigma - s_x, 0), an algebraic factor t^-p from s_x on.  Edges sit
+    unresolved.  Eta's kernel adds two terms, ``fast = (lin_f, s_f)`` and
+    ``power = (p, s_x)``, both or neither: a second kernel term
+    lin_f e^{min(sigma, s_f)} and p max(sigma - s_x, 0), an algebraic factor
+    t^-p from s_x on.  Edges sit
     near the levels Phi = j pi, read off a table of Phi.  Each gap is then
     cut into equal pieces at most log 8 wide and at most _REACH / Phi'
     wide, with Phi' = dPhi/dsigma at the gap's right end, its largest value
@@ -394,7 +397,6 @@ def _panels(al: np.ndarray, lin: float, log_w0: np.ndarray, s_lo: float, s_hi: f
     """
     lin_f, s_f = fast
     p_x, s_x = power
-    s_f, s_x = min(max(s_f, s_lo), s_hi), min(max(s_x, s_lo), s_hi)
     # below start every term of Phi is under _TURN / (terms + 1)
     share = _TURN / (al.size + 1 + (lin_f > 0.0))
     log_share = math.log(share)
@@ -403,56 +405,55 @@ def _panels(al: np.ndarray, lin: float, log_w0: np.ndarray, s_lo: float, s_hi: f
     if lin > 0.0:
         start = min(start, math.log(share / lin))
     if lin_f > 0.0:
-        start = min(start, math.log(share / lin_f))
-    if p_x > 0.0:
-        start = min(start, s_x)
+        s_f, s_x = min(max(s_f, s_lo), s_hi), min(max(s_x, s_lo), s_hi)
+        start = min(start, math.log(share / lin_f), s_x)
     start = min(max(start, s_lo), s_hi)
     n = int((s_hi - start) / _GRID) + 1
     grid = start + (s_hi - start) / n * np.arange(n + 1.0)
     kern = lin * np.exp(grid)
-    cf_terms = np.exp(np.multiply.outer(al, np.minimum(grid, s_c)) + log_w0[:, None])
+    cf_terms = np.exp(np.multiply.outer(al, grid if s_c >= grid[-1] else np.minimum(grid, s_c))
+                      + log_w0[:, None])
     phi = kern + (cf_terms[0] if al.size == 1 else cf_terms.sum(axis=0))
     cuts = [s_lo, s_c, s_hi]
     if lin_f > 0.0:
         phi += lin_f * np.exp(np.minimum(grid, s_f))
-        cuts.append(s_f)
-    if p_x > 0.0:
         phi += p_x * np.maximum(grid - s_x, 0.0)
-        cuts.append(s_x)
-    levels = np.arange(math.floor(phi[0] / _TURN) + 1, math.ceil(phi[-1] / _TURN)) * _TURN
-    edges = np.interp(levels, phi, grid).tolist() + cuts
+        cuts += [s_f, s_x]
+    k0, k1 = math.floor(phi[0] / _TURN) + 1, math.ceil(phi[-1] / _TURN)
+    levels = _LEVELS[k0:k1] if k1 <= _LEVELS.size else np.arange(k0, k1) * _TURN
+    edges = _interp(levels, phi, grid).tolist() + cuts
     edges.sort()
     bounds = np.array(edges)
     left, right = bounds[:-1], bounds[1:]
     gaps = right - left
     # Phi' is convex, so interpolating its table overestimates it; on the gaps
-    # from s_c on only the kernel term moves; the fast and algebraic terms
-    # enter exactly
-    slope = np.interp(right, grid, kern + al @ cf_terms)
-    past = edges.index(s_c)
-    if past < len(slope):
+    # from s_c on (empty when s_c is the last edge) only the kernel term moves;
+    # the fast and algebraic terms enter exactly
+    slope = _interp(right, grid, kern + al @ cf_terms)
+    if edges[-1] > s_c:
+        past = edges.index(s_c)
         slope[past:] = lin * np.exp(right[past:])
     if lin_f > 0.0:
         slope += np.where(left < s_f, lin_f * np.exp(right), 0.0)
-    if p_x > 0.0:
         slope += np.where(left >= s_x, p_x, 0.0)
-    pieces = np.ceil(gaps * np.maximum(1.0 / _LN8, slope / _REACH)).tolist()
-    total = sum(pieces)
+    pieces = np.ceil(gaps * np.maximum(1.0 / _LN8, slope / _REACH))
+    total = sum(pieces.tolist())
     if not total <= _MAX_PANELS:
         raise AccuracyError(f"rotated-contour rule needs {total:.0f} panels, "
                             f"more than its budget of {_MAX_PANELS}", math.inf)
-    # nine gaps in ten hold one panel, so a plain loop lays them out fastest;
-    # the k-th panel of a gap starts at left + k h, never at a running sum
-    lo, width = [], []
-    for x, gap, n in zip(edges, gaps.tolist(), pieces):
-        if n == 1.0:
-            lo.append(x)
-            width.append(gap)
-        elif n:
-            h = gap / n
-            lo += [x + k * h for k in range(int(n))]
-            width += [h] * int(n)
-    return np.array(lo), np.array(width)
+    # np.repeat lays out the gaps, then the few of several panels are cut: the
+    # k-th panel of a gap starts at left + k h, never at a running sum
+    reps = pieces.astype(np.intp)
+    lo, width = left.repeat(reps), gaps.repeat(reps)
+    at = 0
+    for i, n in enumerate(reps.tolist()):
+        if n > 1:
+            x = edges[i]
+            h = (edges[i + 1] - x) / n
+            lo[at:at + n] = [x + k * h for k in range(n)]
+            width[at:at + n] = h
+        at += n
+    return lo, width
 
 
 def _integrand(ray: _Ray, kind: str, omega, t0, sigma: np.ndarray, w: float = 0.0,
@@ -650,10 +651,8 @@ def _plan(ray: _Ray, omega: float, kind: str, w: float = 0.0) -> _Plan:
         scale = min(1.0, _power_sum(ray.tail_terms, omega * (1.0 + w)))
     elif kind == "tail-cf":
         scale = 1.0
-    elif omega > 0.0:
+    else:                   # _power_sum is inf at omega = 0
         scale = min(ray.d0, _power_sum(ray.dens_terms, omega))
-    else:
-        scale = ray.d0
     tgt = max(_REL * scale, _TINY)
 
     # stub [0, t_lo], with t_lo <= t0 where its remainder bound meets tgt
@@ -678,7 +677,7 @@ def _plan(ray: _Ray, omega: float, kind: str, w: float = 0.0) -> _Plan:
         fast = (w * omega * t0, s_f - s0)
         power = (_FAR_POWER, math.log(_S_CROSSOVER / (w * omega)) - s0)
     # nodes in sigma = s - s0, so rounding moves a node by eps |sigma| at most
-    lo, width = _panels(al, omega * t0, ray.log_w + al * s0,
+    lo, width = _panels(al, omega * t0, ray.log_w_cf if t0 == ray.t_cf else ray.log_w + al * s0,
                         s_lo - s0, s_hi - s0, s_c - s0, fast, power)
     return _Plan(kind, omega, w, t0, lo, width,
                  stub.real if kind.startswith("density") else stub.imag, stub_rem, trunc)

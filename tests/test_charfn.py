@@ -49,14 +49,18 @@ def test_bounds_and_strict_decay(rng):
 
 
 def test_nan_theta_refused_and_infinite_theta_is_zero():
-    # a NaN theta came back as a NaN cf, and in cf_multivariate as a complaint
-    # about the combined step function's coefficients
+    # a NaN theta came back as a NaN cf (cf_profile: a NaN entry), and in
+    # cf_multivariate as a complaint about the combined step function's
+    # coefficients
     spec = fixture("two_exp")
     with pytest.raises(ValueError, match="theta"):
         cf(spec, math.nan)
     with pytest.raises(ValueError, match="theta"):
         cf_multivariate([spec, spec], [1.0, math.nan])
+    with pytest.raises(ValueError, match="theta"):
+        cf_profile(spec, [1.0, math.nan])
     assert cf(spec, math.inf) == cf(spec, -math.inf) == 0.0
+    assert cf_profile(spec, [math.inf, -math.inf]).tolist() == [0.0, 0.0]
 
 
 def test_lp_truncated_integral_converges():

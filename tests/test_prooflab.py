@@ -362,7 +362,7 @@ class TestLemmaSweeps:
 
 def _table_route(spec, moll, scale):
     """The former table route for 2 int phi_q (1 - cf(scale theta)) dtheta: the
-    GL16 table sum with m evaluated per cell, and its budget (the envelope
+    GK21 table sum with m evaluated per cell, and its budget (the envelope
     and stub bounds group by group, plus 4e-16 relative)."""
     body = 2.0 * float(np.sum(moll.weights * moll.phi_values
                               * -np.expm1(-spec.scaled_modular(scale * moll.nodes))))

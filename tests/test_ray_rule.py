@@ -203,3 +203,24 @@ def test_far_pairs_pinned():
             pairs.append(inversion.tail_probability_with_error(spec, 10.0 ** k))
     assert hashlib.sha256(repr(pairs).encode()).hexdigest() == \
         "eb86752e8b9da3f11791d92cc20584c81cbc6c3fc80c99872e69fbf4d17e25bf"
+
+
+@pytest.mark.parametrize("name, kind, x", [("two_exp", "density", 1e-3),
+                                           ("two_exp", "density", 100.0),
+                                           ("three_cell", "tail", 10.0),
+                                           ("cauchy", "tail", 1e-3)])
+def test_panel_budget_refuses_one_panel_short(monkeypatch, name, kind, x):
+    # one panel under a grid call's count, the rule refuses it and names the
+    # count; at the count, the call gives the same pair as under the default
+    # budget
+    spec = fixture(name)
+    call = {"density": inversion.density_with_error,
+            "tail": inversion.tail_probability_with_error}[kind]
+    pair = call(spec, x)
+    need = inversion._plan(inversion._ray(spec), x, kind).lo.size
+    monkeypatch.setattr(inversion, "_MAX_PANELS", need - 1)
+    with pytest.raises(inversion.AccuracyError,
+                       match=f"needs {need} panels, more than its budget of {need - 1}"):
+        call(spec, x)
+    monkeypatch.setattr(inversion, "_MAX_PANELS", need)
+    assert call(spec, x) == pair
