@@ -35,16 +35,16 @@ engine.
 Each integral is planned, then evaluated.  ``_plan`` chooses the kind and
 lays out t0, the stub, the truncation and the panels; ``_evaluate`` takes
 the plans of one spec, groups them by kind (and w), and packs each group
-into blocks that close once they hold _BLOCK_NODES nodes, one
-``_integrand`` call a block with omega and t0 per node.  A plan of that
-many nodes runs alone on the one-plan path, ``_run``.  The scalar density,
-tail, cdf and eta are one-request calls: each makes its batched body's
-checks, in the same order, then ``_integral`` plans its one request and
-runs it on ``_run``, with no generator between.  ``_Ray`` holds what every
-plan would otherwise rebuild (the stub's denominators and powers, the
-truncation's factors at the first decay), so a plan costs little more
-than its panels.  Every batched (value, err) equals ``_run``'s (``==``),
-by three rules:
+into blocks that close once they hold _BLOCK_NODES nodes, one ``_integrand``
+call a block with omega and t0 per node.  A plan of that many nodes runs
+alone on the one-plan path, ``_run``.  The scalar density, tail, cdf and eta
+are one-request calls: each makes its batched body's checks, in the same
+order, then ``_integral`` plans its one request and runs it on ``_run``,
+with no generator between.  ``_Ray`` holds what every plan would otherwise
+rebuild (the stub's sums' denominators and powers, the truncation's factors
+at the first decay, W t0^alpha at t0 = t_cf); three fifths of a plan is its
+panel layout, a few dozen numpy calls on arrays of 20 to 60 floats.  Every
+batched (value, err) equals ``_run``'s (``==``), by three rules:
 
 1. each plan's cf exponents (ray.parts t0^alpha) @ (t/t0)^alpha stay one
    matrix product over that plan's own nodes (a product per node rounds
@@ -67,6 +67,7 @@ from __future__ import annotations
 
 import math
 import weakref
+from operator import truediv
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -208,12 +209,10 @@ class _Ray:
         self.s_cf = exp_sum_root(_DECAY, self.decay)         # |cf| <= e^-45 beyond
         self.log_w = np.log(self.w)
         self.log_w_list = self.log_w.tolist()
-        # log(W t0^alpha) of every plan with omega t_cf < 1, where t0 = t_cf
-        self.log_w_cf = self.log_w + self.alph * math.log(self.t_cf)
-        # what every _stub and _truncation would rebuild: the stub's denominators
-        # per group and pair of groups (shift 0 for the tail, 1 for the densities)
-        # and the smallest power of its remainder per kind, and the truncation's
-        # factors at the first decay it tries
+        # what every plan would rebuild: the stub's denominators per group and
+        # pair of groups (shift 0 for the tail, 1 for the densities) and the
+        # smallest power of its remainder per kind, the truncation's factors at
+        # the first decay it tries, and log(W t0^alpha) where t0 = t_cf
         a = self.a
         self.al1 = [al + 1.0 for al in self.alph_list]
         self.al2 = [al + 2.0 for al in self.alph_list]
@@ -224,6 +223,7 @@ class _Ray:
                            "tail": min(1.0 + a, 2.0 * a),
                            "tail-cf": min(2.0, 1.0 + a)}
         self.at_decay = _decay_factors(self.alph_list, _DECAY)
+        self.log_w_cf = self.log_w + self.alph * math.log(self.t_cf)
         # leading terms c x^-p of the tail and density expansions, for scale only
         sin_half = np.sin(0.5 * math.pi * self.alph)
         tail_w = (self.w * (2.0 / math.pi) * sin_half
@@ -308,13 +308,13 @@ def _stub(ray: _Ray, kind: str, omega: float, s: float,
         t = math.exp(s)
         wt = [w * math.exp(al * s) for al, w in ray.groups]
         if kind == "tail-cf":
-            rem = 0.25 * (omega * t) ** 2 + omega * t * sum(x / d for x, d in zip(wt, ray.al1))
+            rem = 0.25 * (omega * t) ** 2 + omega * t * sum(map(truediv, wt, ray.al1))
         else:
             pairs = 0.5 * sum(wt[i] * wt[j] / d for i, j, d in ray.pair_den[kind != "tail"])
             if kind == "tail":
-                rem = omega * t * sum(x / d for x, d in zip(wt, ray.al1)) + pairs
+                rem = omega * t * sum(map(truediv, wt, ray.al1)) + pairs
             else:
-                rem = t * (omega * t * sum(x / d for x, d in zip(wt, ray.al2)) + pairs)
+                rem = t * (omega * t * sum(map(truediv, wt, ray.al2)) + pairs)
                 if kind == "density":
                     rem += (omega * t) ** 2 * t / 6.0
         if moved or not rem > tgt:
@@ -384,12 +384,11 @@ def _panels(al: np.ndarray, lin: float, log_w0: np.ndarray, s_lo: float, s_hi: f
     Phi(sigma) = lin e^sigma + sum w0 e^{alpha min(sigma, s_c)}, with
     lin = omega t0 and w0 = W t0^alpha = e^log_w0, bounds the change of the
     integrand's complex exponent; beyond s_c the cf's phase is left
-    unresolved.  Eta's kernel adds two terms, ``fast = (lin_f, s_f)`` and
-    ``power = (p, s_x)``, both or neither: a second kernel term
-    lin_f e^{min(sigma, s_f)} and p max(sigma - s_x, 0), an algebraic factor
-    t^-p from s_x on.  Edges sit
-    near the levels Phi = j pi, read off a table of Phi.  Each gap is then
-    cut into equal pieces at most log 8 wide and at most _REACH / Phi'
+    unresolved.  Eta's kernel adds ``fast = (lin_f, s_f)`` and
+    ``power = (p, s_x)`` together: lin_f e^{min(sigma, s_f)}, a second kernel
+    term, and p max(sigma - s_x, 0), an algebraic factor t^-p from s_x on.
+    Edges sit near the levels Phi = j pi, read off a table of Phi.  Each gap
+    is then cut into equal pieces at most log 8 wide and at most _REACH / Phi'
     wide, with Phi' = dPhi/dsigma at the gap's right end, its largest value
     on the gap.  So no panel sees Phi change by more than _REACH, whatever
     the table's accuracy, and none is so wide that the rule's complex
@@ -411,9 +410,13 @@ def _panels(al: np.ndarray, lin: float, log_w0: np.ndarray, s_lo: float, s_hi: f
     n = int((s_hi - start) / _GRID) + 1
     grid = start + (s_hi - start) / n * np.arange(n + 1.0)
     kern = lin * np.exp(grid)
-    cf_terms = np.exp(np.multiply.outer(al, grid if s_c >= grid[-1] else np.minimum(grid, s_c))
-                      + log_w0[:, None])
-    phi = kern + (cf_terms[0] if al.size == 1 else cf_terms.sum(axis=0))
+    capped = grid if s_c >= grid[-1] else np.minimum(grid, s_c)
+    if al.size == 1:    # one group: the same tables with no matrix products
+        cf = np.exp(capped * al[0] + log_w0[0])
+        phi, rate = kern + cf, kern + al[0] * cf
+    else:
+        cf = np.exp(np.multiply.outer(al, capped) + log_w0[:, None])
+        phi, rate = kern + cf.sum(axis=0), kern + al @ cf
     cuts = [s_lo, s_c, s_hi]
     if lin_f > 0.0:
         phi += lin_f * np.exp(np.minimum(grid, s_f))
@@ -429,7 +432,7 @@ def _panels(al: np.ndarray, lin: float, log_w0: np.ndarray, s_lo: float, s_hi: f
     # Phi' is convex, so interpolating its table overestimates it; on the gaps
     # from s_c on (empty when s_c is the last edge) only the kernel term moves;
     # the fast and algebraic terms enter exactly
-    slope = _interp(right, grid, kern + al @ cf_terms)
+    slope = _interp(right, grid, rate)
     if edges[-1] > s_c:
         past = edges.index(s_c)
         slope[past:] = lin * np.exp(right[past:])
@@ -441,18 +444,16 @@ def _panels(al: np.ndarray, lin: float, log_w0: np.ndarray, s_lo: float, s_hi: f
     if not total <= _MAX_PANELS:
         raise AccuracyError(f"rotated-contour rule needs {total:.0f} panels, "
                             f"more than its budget of {_MAX_PANELS}", math.inf)
-    # np.repeat lays out the gaps, then the few of several panels are cut: the
-    # k-th panel of a gap starts at left + k h, never at a running sum
+    # of a median plan's 22 gaps, one is split and one empty: np.repeat lays them
+    # out, then the k-th panel of a split gap starts at left + k h, not a running sum
     reps = pieces.astype(np.intp)
     lo, width = left.repeat(reps), gaps.repeat(reps)
-    at = 0
-    for i, n in enumerate(reps.tolist()):
-        if n > 1:
-            x = edges[i]
-            h = (edges[i + 1] - x) / n
-            lo[at:at + n] = [x + k * h for k in range(n)]
-            width[at:at + n] = h
-        at += n
+    counts = reps.tolist()
+    for i in (reps > 1).nonzero()[0].tolist():
+        n, at, x = counts[i], sum(counts[:i]), edges[i]
+        h = (edges[i + 1] - x) / n
+        lo[at:at + n] = [x + k * h for k in range(n)]
+        width[at:at + n] = h
     return lo, width
 
 
