@@ -41,10 +41,10 @@ alone on the one-plan path, ``_run``.  The scalar density, tail, cdf and eta
 are one-request calls: each makes its batched body's checks, in the same
 order, then ``_integral`` plans its one request and runs it on ``_run``,
 with no generator between.  ``_Ray`` holds what every plan would otherwise
-rebuild (the stub's sums' denominators and powers, the truncation's factors
-at the first decay, W t0^alpha at t0 = t_cf); three fifths of a plan is its
-panel layout, a few dozen numpy calls on arrays of 20 to 60 floats.  Every
-batched (value, err) equals ``_run``'s (``==``), by three rules:
+rebuild (the stub's denominators and powers, the truncation's factors at the
+first decay, W t0^alpha at t0 = t_cf); three fifths of a plan is its panel
+layout, a few dozen numpy calls on arrays of 20 to 60 floats.  Every batched
+(value, err) equals ``_run``'s (``==``), by three rules:
 
 1. each plan's cf exponents (ray.parts t0^alpha) @ (t/t0)^alpha stay one
    matrix product over that plan's own nodes (a product per node rounds
@@ -339,7 +339,8 @@ def _truncation(ray: _Ray, kind: str, omega: float, tgt: float) -> tuple[float, 
     k = omega * ray.sin
     decay = _DECAY
     for _ in range(4):
-        e1, g_tail, g_dens = ray.at_decay if decay == _DECAY else _decay_factors(ray.alph_list, decay)
+        e1, g_tail, g_dens = (ray.at_decay if decay == _DECAY
+                              else _decay_factors(ray.alph_list, decay))
         if kind == "density":
             # e^{-(k t + R(t))} with k t + R(t) >= K (t/T)^p, p = min(a, 1)
             s_hi = exp_sum_root(decay, ([(k, 1.0)] if k > 0.0 else []) + ray.decay)
@@ -394,8 +395,7 @@ def _panels(al: np.ndarray, lin: float, log_w0: np.ndarray, s_lo: float, s_hi: f
     the table's accuracy, and none is so wide that the rule's complex
     neighbourhood turns theta out of the sector where the cf decays.
     """
-    lin_f, s_f = fast
-    p_x, s_x = power
+    (lin_f, s_f), (p_x, s_x) = fast, power
     # below start every term of Phi is under _TURN / (terms + 1)
     share = _TURN / (al.size + 1 + (lin_f > 0.0))
     log_share = math.log(share)
