@@ -1,8 +1,8 @@
 """The rotated-ray rule's integrand and panel layout against their plain forms.
 
 The rule takes every sine and cosine from the tangent of a half angle and
-lays its panels out in a Python loop.  These tests hold each against the
-straightforward form it replaced: the integrands written with np.sin and
+cuts its split panel gaps one by one.  These tests hold each against the
+straightforward form: the integrands written with np.sin and
 np.cos must agree within the roundoff bound the rule reports per node,
 and the panels must sit where the np.repeat layout puts them.  Two digests
 pin the bits of every (value, err) the grid gives and of densities and
