@@ -411,7 +411,7 @@ def _panels(al: np.ndarray, lin: float, log_w0: np.ndarray, s_lo: float, s_hi: f
     grid = start + (s_hi - start) / n * np.arange(n + 1.0)
     kern = lin * np.exp(grid)
     capped = grid if s_c >= grid[-1] else np.minimum(grid, s_c)
-    if al.size == 1:    # one group: the same tables with no matrix products
+    if al.size == 1:    # tables of Phi and of Phi' (rate); one group needs no matrix product
         cf = np.exp(capped * al[0] + log_w0[0])
         phi, rate = kern + cf, kern + al[0] * cf
     else:
