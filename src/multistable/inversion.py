@@ -41,10 +41,10 @@ alone on the one-plan path, ``_run``.  The scalar density, tail, cdf and eta
 are one-request calls: each makes its batched body's checks, in the same
 order, then ``_integral`` plans its one request and runs it on ``_run``,
 with no generator between.  ``_Ray`` holds what every plan would otherwise
-rebuild (the stub's denominators and powers, the truncation's factors at the
-first decay, W t0^alpha at t0 = t_cf); three fifths of a plan is its panel
-layout, a few dozen numpy calls on arrays of 20 to 60 floats.  Every batched
-(value, err) equals ``_run``'s (``==``), by three rules:
+rebuild (the stub's denominators and powers, the truncation's first factors,
+W t_cf^alpha); three fifths of a plan is its panel layout, about 30 numpy
+calls on arrays of 20 to 60 floats.  Every batched (value, err) equals
+``_run``'s (``==``), by three rules:
 
 1. each plan's cf exponents (ray.parts t0^alpha) @ (t/t0)^alpha stay one
    matrix product over that plan's own nodes (a product per node rounds
@@ -72,9 +72,9 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-try:  # np.interp's compiled core: its float arrays need none of the wrapper's checks
+try:  # np.interp's compiled core, past the wrapper's checks (1 us a call); numpy >= 2.0
     from numpy._core.multiarray import interp as _interp
-except ImportError:
+except ImportError:     # numpy < 2.0
     _interp = np.interp
 
 from .function_space import MultistableSpec, exp_sum_root
@@ -113,7 +113,7 @@ _LN8 = math.log(8.0)        # widest panel: a factor 8 in t
 _TURN = math.pi             # spacing of the level edges in Phi (see _panels)
 _REACH = 4.5                # largest panel width in s times Phi' at its right end
 _GRID = 1.0 / 8.0           # s-spacing of the table that places the level edges
-_LEVELS = np.arange(1024) * _TURN   # the first level edges' Phi values, j pi
+_LEVELS = np.arange(256) * _TURN   # level edges' Phi values j pi; plans past j = 255 use arange
 _DECAY = 45.0               # envelopes are cut where they fall below e^-45
 _REL = 2.0 ** -60           # stub and truncation bounds aim below this share of the result
 _MAX_PANELS = 8192          # budget of one call: about 170 000 nodes
@@ -209,10 +209,8 @@ class _Ray:
         self.s_cf = exp_sum_root(_DECAY, self.decay)         # |cf| <= e^-45 beyond
         self.log_w = np.log(self.w)
         self.log_w_list = self.log_w.tolist()
-        # what every plan would rebuild: the stub's denominators per group and
-        # pair of groups (shift 0 for the tail, 1 for the densities) and the
-        # smallest power of its remainder per kind, the truncation's factors at
-        # the first decay it tries, and log(W t0^alpha) where t0 = t_cf
+        # what every plan would rebuild: the stub's denominators (pairs: shift 0 for the tail,
+        # 1 for the densities) and powers, the truncation's first factors, log(W t_cf^alpha)
         a = self.a
         self.al1 = [al + 1.0 for al in self.alph_list]
         self.al2 = [al + 2.0 for al in self.alph_list]
@@ -385,27 +383,28 @@ def _panels(al: np.ndarray, lin: float, log_w0: np.ndarray, s_lo: float, s_hi: f
     Phi(sigma) = lin e^sigma + sum w0 e^{alpha min(sigma, s_c)}, with
     lin = omega t0 and w0 = W t0^alpha = e^log_w0, bounds the change of the
     integrand's complex exponent; beyond s_c the cf's phase is left
-    unresolved.  Eta's kernel adds ``fast = (lin_f, s_f)`` and
-    ``power = (p, s_x)`` together: lin_f e^{min(sigma, s_f)}, a second kernel
-    term, and p max(sigma - s_x, 0), an algebraic factor t^-p from s_x on.
-    Edges sit near the levels Phi = j pi, read off a table of Phi.  Each gap
-    is then cut into equal pieces at most log 8 wide and at most _REACH / Phi'
+    unresolved.  A second kernel term ``fast = (lin_f, s_f)`` adds
+    lin_f e^{min(sigma, s_f)}, and ``power = (p, s_x)`` adds
+    p max(sigma - s_x, 0), an algebraic factor t^-p from s_x on.  Edges sit
+    near the levels Phi = j pi, read off a table of Phi.  Each gap is then
+    cut into equal pieces at most log 8 wide and at most _REACH / Phi'
     wide, with Phi' = dPhi/dsigma at the gap's right end, its largest value
     on the gap.  So no panel sees Phi change by more than _REACH, whatever
     the table's accuracy, and none is so wide that the rule's complex
     neighbourhood turns theta out of the sector where the cf decays.
     """
     (lin_f, s_f), (p_x, s_x) = fast, power
+    s_f, s_x = min(max(s_f, s_lo), s_hi), min(max(s_x, s_lo), s_hi)
     # below start every term of Phi is under _TURN / (terms + 1)
     share = _TURN / (al.size + 1 + (lin_f > 0.0))
-    log_share = math.log(share)
-    start = min(((log_share - lw) / a for lw, a in zip(log_w0.tolist(), al.tolist())),
+    start = min(((math.log(share) - lw) / a for lw, a in zip(log_w0.tolist(), al.tolist())),
                 default=s_hi)
     if lin > 0.0:
         start = min(start, math.log(share / lin))
     if lin_f > 0.0:
-        s_f, s_x = min(max(s_f, s_lo), s_hi), min(max(s_x, s_lo), s_hi)
-        start = min(start, math.log(share / lin_f), s_x)
+        start = min(start, math.log(share / lin_f))
+    if p_x > 0.0:
+        start = min(start, s_x)
     start = min(max(start, s_lo), s_hi)
     n = int((s_hi - start) / _GRID) + 1
     grid = start + (s_hi - start) / n * np.arange(n + 1.0)
@@ -420,8 +419,10 @@ def _panels(al: np.ndarray, lin: float, log_w0: np.ndarray, s_lo: float, s_hi: f
     cuts = [s_lo, s_c, s_hi]
     if lin_f > 0.0:
         phi += lin_f * np.exp(np.minimum(grid, s_f))
+        cuts.append(s_f)
+    if p_x > 0.0:
         phi += p_x * np.maximum(grid - s_x, 0.0)
-        cuts += [s_f, s_x]
+        cuts.append(s_x)
     k0, k1 = math.floor(phi[0] / _TURN) + 1, math.ceil(phi[-1] / _TURN)
     levels = _LEVELS[k0:k1] if k1 <= _LEVELS.size else np.arange(k0, k1) * _TURN
     edges = _interp(levels, phi, grid).tolist() + cuts
@@ -429,15 +430,15 @@ def _panels(al: np.ndarray, lin: float, log_w0: np.ndarray, s_lo: float, s_hi: f
     bounds = np.array(edges)
     left, right = bounds[:-1], bounds[1:]
     gaps = right - left
-    # Phi' is convex, so interpolating its table overestimates it; on the gaps
-    # from s_c on (empty when s_c is the last edge) only the kernel term moves;
-    # the fast and algebraic terms enter exactly
+    # Phi' is convex, so interpolating its table overestimates it; from s_c on (no gaps
+    # when s_c is the last edge) only the kernel term moves; fast and power enter exactly
     slope = _interp(right, grid, rate)
     if edges[-1] > s_c:
         past = edges.index(s_c)
         slope[past:] = lin * np.exp(right[past:])
     if lin_f > 0.0:
         slope += np.where(left < s_f, lin_f * np.exp(right), 0.0)
+    if p_x > 0.0:
         slope += np.where(left >= s_x, p_x, 0.0)
     pieces = np.ceil(gaps * np.maximum(1.0 / _LN8, slope / _REACH))
     total = sum(pieces.tolist())
@@ -451,9 +452,8 @@ def _panels(al: np.ndarray, lin: float, log_w0: np.ndarray, s_lo: float, s_hi: f
     counts = reps.tolist()
     for i in (reps > 1).nonzero()[0].tolist():
         n, at, x = counts[i], sum(counts[:i]), edges[i]
-        h = (edges[i + 1] - x) / n
+        width[at:at + n] = h = (edges[i + 1] - x) / n
         lo[at:at + n] = [x + k * h for k in range(n)]
-        width[at:at + n] = h
     return lo, width
 
 

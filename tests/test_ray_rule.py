@@ -224,3 +224,19 @@ def test_panel_budget_refuses_one_panel_short(monkeypatch, name, kind, x):
         call(spec, x)
     monkeypatch.setattr(inversion, "_MAX_PANELS", need)
     assert call(spec, x) == pair
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_level_edges_past_the_table_fall_back_bit_for_bit(monkeypatch, name):
+    # grid plans need level edges j pi up to j = 58 and the lemma sweeps' etas
+    # up to 136, inside the 256-entry table; cut to two entries, every plan
+    # takes np.arange and must lay out the same panels, bit for bit
+    ray = inversion._ray(fixture(name))
+    calls = [(x, kind, 0.0) for kind in ("density", "tail") for x in GRID]
+    calls += [(xi, "eta", w) for w in (0.1, 0.25, 1.0) for xi in (10.0, 100.0, 1000.0)]
+    plans = [inversion._plan(ray, x, kind, w) for x, kind, w in calls]
+    monkeypatch.setattr(inversion, "_LEVELS", inversion._LEVELS[:2])
+    for (x, kind, w), plan in zip(calls, plans):
+        again = inversion._plan(ray, x, kind, w)
+        assert again.lo.tobytes() == plan.lo.tobytes()
+        assert again.width.tobytes() == plan.width.tobytes()
