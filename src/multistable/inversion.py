@@ -109,6 +109,7 @@ def _require_nonzero(spec: MultistableSpec):
 
 _TINY = float(np.finfo(float).tiny)
 _LOG_HUGE = 700.0            # e^700 is near the top of the float range
+_LOG_MAX = math.log(np.finfo(float).max)   # np.exp overflows above this
 _LN8 = math.log(8.0)        # widest panel: a factor 8 in t
 _TURN = math.pi             # spacing of the level edges in Phi (see _panels)
 _REACH = 4.5                # largest panel width in s times Phi' at its right end
@@ -153,8 +154,9 @@ _FAR_POWER = 6.0
 
 def _log_exp1(x: float) -> float:
     """Upper bound on log E1(x), E1(x) = int_x^inf e^-v / v dv, for x > 0: A&S 5.1.20
-    gives E1(x) < e^-x ln(1 + 1/x), within a factor 1 + 1/(2x) for large x."""
-    return math.log(math.log1p(1.0 / x)) - x
+    gives E1(x) < e^-x ln(1 + 1/x), within a factor 1 + 1/(2x) for large x.
+    inf at x = 0, where E1 is infinite (a product that underflowed)."""
+    return math.log(math.log1p(1.0 / x)) - x if x > 0.0 else math.inf
 
 
 def _exp1(x: float) -> float:
@@ -659,6 +661,11 @@ def _plan(ray: _Ray, omega: float, kind: str, w: float = 0.0) -> _Plan:
     # stub [0, t_lo], with t_lo <= t0 where its remainder bound meets tgt
     s_lo, stub, stub_rem = _stub(ray, shape, omega * (1.0 + 0.5 * w), s0, tgt)
     s_hi, trunc = _truncation(ray, shape, omega, tgt)
+    if s_hi - s0 > _LOG_MAX:
+        # _panels' tables hold e^(s - s0) up to s_hi, which would overflow: at a
+        # tiny xi with a tiny t_cf only the kernel cuts eta's integrand, that far out
+        raise AccuracyError("the panel table's e^(s - s0) passes the floating-point "
+                            "range before the integrand is cut", math.inf)
     if kind == "eta" and any(max(lw + a * s_hi, a * (s_hi - s0)) > _LOG_HUGE
                              for a, lw in zip(ray.alph_list, ray.log_w_list)):
         # at a tiny xi only the kernel cuts eta's integrand, so far out that

@@ -14,20 +14,34 @@ The transform is taken with one power,
 
     Z = sin(alpha u) / cos u * (cos((1 - alpha) u) / (w cos u))^((1 - alpha)/alpha),
 
-since (1/cos u)^(1/alpha) = (1/cos u) (1/cos u)^((1 - alpha)/alpha).  It
-needs sin(alpha u), cos((1 - alpha) u) and cos u.  Each comes from np.tan
-of a half angle: numpy vectorizes its float64 tan, while its sin and cos
-can fall back to scalar libm calls at 3-5 times the cost per element
-(measured on x86-64 with AVX-512, numpy 2.4):
+since (1/cos u)^(1/alpha) = (1/cos u) (1/cos u)^((1 - alpha)/alpha), and
+from two half-angle tangents: numpy vectorizes its float64 tan, while its
+sin and cos can fall back to scalar libm calls at about twice the cost per
+element (measured on x86-64 with AVX-512, numpy 2.4).  With
 
-    sin(alpha u)       = 2a / (1 + a^2),            a = tan(alpha u / 2),
-    cos((1 - alpha) u) = (1 - b)(1 + b) / (1 + b^2), b = tan((1 - alpha) u / 2),
-    1 / cos u          = (c + 1/c) / 2,              c = tan(v / 2),
+    a = tan(alpha u / 2),    c = tan(v / 2),    v = pi/2 - |u|,
 
-with v = pi/2 - |u| formed in double-double (fl(pi/2) - |u| is exact for
-|u| >= pi/4, and pi/2 - fl(pi/2) is added back), so cos u keeps its
-relative accuracy near |u| = pi/2, where the heavy tail comes from; and
-|b| < 1, so (1 - b)(1 + b) does not cancel for alpha in (0, 2).
+sin(alpha u) = 2a / (1 + a^2), 1/cos u = (1/c + c)/2, tan|u| = (1/c - c)/2,
+and, by cos((1 - alpha) u) = cos u cos(alpha u) + sin u sin(alpha u),
+
+    cos((1 - alpha) u) / cos u = cos(alpha u) + sin(alpha u) tan u
+                               = ((1 - a^2) + 2 |a| tan|u|) / (1 + a^2),
+
+since a and tan u share the sign of u.  v is formed in double-double
+(fl(pi/2) - |u| is exact for |u| >= pi/4, and pi/2 - fl(pi/2) is added
+back), so 1/cos u and tan|u| keep their relative accuracy near |u| = pi/2,
+where the heavy tail comes from.  The bracket's two terms may have opposite
+signs (1 - a^2 < 0 once |alpha u| > pi/2), but cos((1 - alpha) u) >= cos u
+for alpha in (0, 2), so the bracket is at least 1 + a^2 >= |1 - a^2| and
+the sum of the terms' sizes is at most 3 times the bracket: cancellation
+amplifies their rounding by at most 3.
+
+The exponential is w = -log(1 - U) from a second uniform fill.  U lies on
+the 2^-53 grid in [0, 1), so 1 - U is exact and in (0, 1], and w = 0 only
+at U = 0: an atom of probability 2^-53 (numpy's ziggurat exponential has
+one at 0 too), where w is +0 and the variate is +-inf for alpha < 1 and 0
+for alpha > 1, the transform's limit (NaN for alpha < 1 if u = 0 as well,
+at probability 2^-106).
 
 Generation is chunked: chunk k of CHUNK draws comes from its own SFC64
 stream, seeded by SeedSequence(seed, spawn_key=(k,)), numpy's way of
@@ -38,14 +52,14 @@ chunks concurrently, one worker per CPU the process may run on (at most
 one per chunk): the calling thread and, beyond one worker, the threads of
 a pool opened per call.  The output is bit-identical for any number of
 workers.  An exception in any worker, or an interrupt, stops the others
-before their next block and reaches the caller.  Each worker fills
-its chunks in blocks of _BLOCK draws from one scratch array of four
+before their next block and reaches the caller.  Each worker fills its
+chunks in blocks of _BLOCK draws from one scratch array of four
 block-sized rows (u, w, the variate z and a temporary), which every
-uniform and exponential fill and every ufunc writes in place; each block
-adds its groups into its slice of the output.  Within a chunk's stream
-the draws come block by block, and within a block group by group: first
-the group's uniforms u, then (alpha != 1) its exponentials w.  So the
-whole chunks, and the whole blocks of a chunk, of a shorter run are a
+uniform fill and every ufunc writes in place; each block adds its groups
+into its slice of the output.  Within a chunk's stream the draws come
+block by block, and within a block group by group: first the group's
+uniforms u, then (alpha != 1) the uniforms behind its exponentials w.
+So the whole chunks, and the whole blocks of a chunk, of a shorter run are a
 prefix of a longer one.  Draws are reproducible per seed within a
 version; the exact bits may change between versions (they did when the
 chunk streams moved from Philox substreams to spawned SFC64 streams).
@@ -102,12 +116,16 @@ def mixture_decompose(spec: MultistableSpec) -> list[tuple[float, float]]:
 
 
 def _draw(alpha: float, rng: np.random.Generator, u: np.ndarray, w: np.ndarray) -> None:
-    """Fill u ~ Uniform(-pi/2, pi/2), then (alpha != 1) w ~ Exp(1), from rng."""
+    """Fill u ~ Uniform(-pi/2, pi/2), then (alpha != 1) w = -log(1 - U) ~ Exp(1)
+    from a second uniform fill, from rng (module docstring)."""
     rng.random(out=u)
     u *= math.pi
     u -= math.pi / 2.0
     if alpha != 1.0:
-        rng.standard_exponential(out=w)
+        rng.random(out=w)
+        np.subtract(1.0, w, out=w)
+        np.log(w, out=w)
+        np.abs(w, out=w)  # -log(1 - U), but +0 at U = 0, where negation gives -0
 
 
 def _cms(alpha: float, u: np.ndarray, w: np.ndarray, z: np.ndarray, t: np.ndarray) -> None:
@@ -115,41 +133,42 @@ def _cms(alpha: float, u: np.ndarray, w: np.ndarray, z: np.ndarray, t: np.ndarra
     variates from u ~ Uniform(-pi/2, pi/2) and w ~ Exp(1); alpha = 1 is
     tan(u) and ignores w.  u, w and t are overwritten as scratch.
 
-    Sines and cosines come from half-angle tangents (module docstring)."""
+    Two half-angle tangents per variate, a = tan(alpha u/2) and c = tan(v/2)
+    with v = pi/2 - |u| in double-double; with Q = 1/c + c and D = 1/c - c,
+
+        z = a Q / (1 + a^2) * [((1 - a^2) + |a| D) / ((1 + a^2) w)]^((1 - alpha)/alpha),
+
+    whose bracket over 1 + a^2 is cos((1 - alpha) u) / cos u >= 1 (module
+    docstring).  a Q is kept in u and |a| D in t, as a/c + a c and
+    |a/c - a c|."""
     if alpha == 1.0:
         np.tan(u, out=z)
         return
-    # z = 1/cos u = (c + 1/c)/2, c = tan(v/2); then w <- w cos u
+    a = np.multiply(u, 0.5 * alpha, out=z)
+    np.tan(a, out=a)
     c = np.abs(u, out=t)
     np.subtract(math.pi / 2.0, c, out=c)
     c += _HALF_PI_LO
     c *= 0.5
     np.tan(c, out=c)
-    np.divide(1.0, c, out=z)
-    z += c
-    z *= 0.5
-    w /= z
-    # times sin(alpha u) = 2a/(1 + a^2)
-    a = np.multiply(u, 0.5 * alpha, out=t)
-    np.tan(a, out=a)
-    z *= a
+    # u <- a/c + a c = a Q, t <- |a/c - a c| = |a| D, z <- 1 + a^2
+    q = np.divide(a, c, out=u)
+    c *= a
     np.multiply(a, a, out=a)
     a += 1.0
-    z /= a
-    z *= 2.0
-    # times (cos((1 - alpha) u) / (w cos u))^((1 - alpha)/alpha), cos from
-    # b = tan((1 - alpha) u/2)
-    b = np.multiply(u, 0.5 * (1.0 - alpha), out=u)
-    np.tan(b, out=b)
-    d = np.multiply(b, b, out=t)
-    d += 1.0
-    d *= w
-    x = np.subtract(1.0, b, out=w)
-    b += 1.0
-    x *= b
-    x /= d
-    np.power(x, (1.0 - alpha) / alpha, out=x)
-    z *= x
+    q += c
+    c *= 2.0
+    d = np.subtract(q, c, out=t)
+    np.abs(d, out=d)
+    # t <- (|a| D + 2) - (1 + a^2), u <- a Q / (1 + a^2) = sin(alpha u) / cos u
+    d += 2.0
+    d -= a
+    q /= a
+    # times ((cos((1 - alpha) u) / cos u) / w)^((1 - alpha)/alpha)
+    a *= w
+    d /= a
+    np.power(d, (1.0 - alpha) / alpha, out=d)
+    np.multiply(q, d, out=z)
 
 
 def sample_standard_stable(alpha: float, rng: np.random.Generator,

@@ -546,3 +546,24 @@ def test_parseval_at_a_tiny_xi_ends_in_an_accuracy_error(delta, tmp_path, capsys
     assert run_command(["verify", "parseval", "--fixture", "two_exp", "--deltas", delta,
                         "--out", str(out)]) == 3
     assert "floating-point range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [
+    dict(CAUCHY_DOC, breakpoints=[0.0, 1e6], alpha_values=[0.2]),
+    dict(CAUCHY_DOC, breakpoints=[0.0, 1e12], alpha_values=[0.05])])
+def test_parseval_at_a_huge_delta_on_a_tiny_t_cf_exits_3(doc, tmp_path):
+    # the panel table's e^(s - s0) would pass the float range: an OverflowError
+    # (or ZeroDivisionError) used to escape run_command with a traceback
+    spec = tmp_path / "wide.json"
+    spec.write_text(json.dumps(doc))
+    out = tmp_path / "p.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH"))
+        if p))
+    proc = subprocess.run([sys.executable, "-m", "multistable.cli", "verify", "parseval",
+                           "--spec", str(spec), "--q", "2.5", "--deltas", "1e290",
+                           "--out", str(out)], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert "floating-point range" in proc.stderr and "Traceback" not in proc.stderr
+    assert not out.exists()

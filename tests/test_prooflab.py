@@ -581,3 +581,23 @@ def test_j0_where_the_next_power_passes_the_float_range():
     assert j0(1e308, 1e6) == 51
     with pytest.raises(ValueError, match="passes the largest float"):
         verify_lemma1(CAUCHY, build_mollifier(1e6), [1e308])
+
+
+# one cell of width 1e6 at alpha 0.2 (t_cf = 1e-30) and one of width 1e12 at
+# alpha 0.05 (t_cf = 1e-240): at a tiny xi only the kernel cuts eta's integrand,
+# so far out that the panel table's e^(s - s0) would overflow
+_TINY_T_CF = {"w1e6_a02": (1e6, 0.2), "w1e12_a005": (1e12, 0.05)}
+
+
+@pytest.mark.parametrize("name, delta", [("w1e6_a02", 1e290), ("w1e6_a02", 1e300),
+                                         ("w1e12_a005", 1e200)])
+def test_a_huge_delta_ends_in_an_accuracy_error(name, delta):
+    # np.exp overflowed in _panels' table (then OverflowError or a NaN level
+    # count's ValueError), or E1 of an underflowed product divided by zero
+    width, alpha = _TINY_T_CF[name]
+    spec = refine(StepFunction((0.0, width), (1.0,)), ExponentFunction((), (alpha,)))
+    moll = build_mollifier(2.5)
+    with pytest.raises(inversion.AccuracyError, match="floating-point range"):
+        eta_integral(spec, 1.0 / delta, moll.w)
+    with pytest.raises(inversion.AccuracyError, match="floating-point range"):
+        verify_parseval(spec, moll, [1.0, delta])

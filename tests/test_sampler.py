@@ -264,8 +264,8 @@ def cms_points():
 def test_cms_matches_mpmath(alpha, cms_points):
     # the half-angle kernel against the transform at 40 digits; near |u| = pi/2
     # cos u keeps its relative accuracy only through v = pi/2 - |u| in
-    # double-double (measured worst: 9.1e-14 at alpha = 0.05, the power
-    # (1 - alpha)/alpha amplifying rounding)
+    # double-double (measured worst: 8.8e-14 at alpha = 0.05, the power
+    # (1 - alpha)/alpha amplifying rounding; 7.3e-15 at alpha = 1.99)
     u, w = cms_points
     with mp.workdps(40):
         a = mp.mpf(alpha)
@@ -281,6 +281,76 @@ def test_cms_matches_mpmath(alpha, cms_points):
     big = np.isinf(ref)
     assert np.array_equal(z[big], ref[big])
     assert np.max(np.abs(z[~big] / ref[~big] - 1.0)) <= 1e-13
+
+
+def _cms_reference(alpha, u, w):
+    """The transform at 40 digits, rounded to a double (inf past the float range)."""
+    with mp.workdps(40):
+        a = mp.mpf(alpha)
+        return float(mp.sin(a * u) / mp.cos(u) ** (1 / a)
+                     * (mp.cos((1 - a) * u) / w) ** ((1 - a) / a))
+
+
+class _ZeroUniforms:
+    """Stands in for a Generator whose every uniform is U = 0."""
+
+    def random(self, out):
+        out[...] = 0.0
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.3, 0.8, 1.0, 1.5, 1.99])
+def test_cms_at_the_uniform_edge(alpha):
+    # U = 0 gives u = -fl(pi/2), where cos u = 6.1e-17 and the variate is
+    # largest; it must have the transform's sign and size, or be -inf where
+    # that passes the float range.  The exponential's U = 0 gives w = +0 (not
+    # -0), where the variate is -inf for alpha < 1 and 0 for alpha > 1
+    u, w = np.empty((2, 3))
+    sampler._draw(alpha, _ZeroUniforms(), u, w)
+    assert np.all(u == -math.pi / 2.0)
+    if alpha != 1.0:
+        assert np.all(w == 0.0) and not np.any(np.signbit(w))
+    ws = np.array([1e-10, 1.0, 40.0])
+    ref = np.array([_cms_reference(alpha, -math.pi / 2.0, y) for y in ws.tolist()])
+    z, t = np.empty((2, 3))
+    with np.errstate(over="ignore"):
+        sampler._cms(alpha, u.copy(), ws.copy(), z, t)
+    big = np.isinf(ref)
+    assert np.array_equal(z[big], ref[big])
+    assert np.all(np.abs(z[~big] / ref[~big] - 1.0) <= 1e-13)
+    if alpha != 1.0:
+        with np.errstate(over="ignore", divide="ignore"):
+            sampler._cms(alpha, u.copy(), np.zeros(3), z, t)
+        assert np.all(z == (-math.inf if alpha < 1.0 else 0.0))
+
+
+def test_exponentials_from_uniforms():
+    # w = -log(1 - U) on 2^20 draws: finite and >= 0, mean 1 and P(w > x) = e^-x
+    # each within 5 SE
+    n = 1 << 20
+    u, w = np.empty((2, n))
+    sampler._draw(0.5, sampler._chunk_rng(2718, 0), u, w)
+    assert np.all(np.isfinite(w)) and np.all(w >= 0.0)
+    assert abs(w.mean() - 1.0) <= 5.0 / math.sqrt(n)
+    for x in (1.0, 5.0, 10.0):
+        p = math.exp(-x)
+        assert abs(np.count_nonzero(w > x) / n - p) <= 5.0 * math.sqrt(p * (1.0 - p) / n)
+
+
+def test_three_cell_draws_follow_the_inverted_cdf():
+    # 2^20 draws of three_cell (alpha 0.5, 1.1 and 1.9): at 41 fixed x the
+    # empirical cdf lies within the DKW bound of the inverted cdf, eps with
+    # 2 exp(-2 n eps^2) = 1e-6, a false-alarm probability of 1e-6
+    from multistable.inversion import cdf
+
+    spec = fixture("three_cell")
+    n = 1 << 20
+    draws = np.sort(sample(spec, n, seed=60613))
+    eps = math.sqrt(math.log(2e6) / (2.0 * n))
+    g = np.geomspace(1e-2, 1e2, 20)
+    xs = np.concatenate([-g[::-1], [0.0], g])
+    emp = np.searchsorted(draws, xs, side="right") / n
+    exact = np.array([cdf(spec, float(x)) for x in xs])
+    assert np.max(np.abs(emp - exact)) <= eps
 
 
 class TestMcTail:
