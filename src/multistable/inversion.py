@@ -16,35 +16,37 @@ with a fixed rule: Gauss-Kronrod panels (the 10 Gauss-Legendre nodes and
 their 21-point Kronrod extension, the table shared with
 :mod:`multistable.quadrature`) in s = log t, each spanning at most a
 factor 8 in t and a bounded change of the integrand's complex exponent,
-all evaluated in vectorized passes.  For x * t_cf >= 1 (t_cf: the
-scale where the modular is 1) the density integrates e^{i x theta}(cf - 1)
-instead, which drops the term int e^{i x theta} dtheta = i/x whose real
-part is 0 but whose size would swamp the small density.  Where the cf
-dies before the kernel (small lam), the tail integrates
-(e^{i lam theta} - 1) cf(theta) / theta, whose imaginary part gives
-1 - P.  The returned error bound adds closed-form parts only: the
-Kronrod-minus-Gauss difference per panel, the remainder of the
-first-order stub on [0, t_lo], a truncation bound beyond the last panel
-and a roundoff bound.
+all evaluated in vectorized passes.  For x * t_cf >= 1 (t_cf: the scale
+where the modular is 1) the density integrates e^{i x theta}(cf - 1)
+instead, dropping int e^{i x theta} dtheta = i/x, whose real part is 0
+but whose size would swamp the small density; where the cf dies before
+the kernel (small lam), the tail integrates (e^{i lam theta} - 1)
+cf(theta) / theta, which gives 1 - P.  The returned error bound adds
+closed-form parts only: the Kronrod-minus-Gauss difference per panel,
+the remainder of the first-order stub on [0, t_lo], a truncation bound
+beyond the last panel and a roundoff bound.
 
 This rule is the only inversion route; :mod:`multistable.quadrature`
 contributes the shared :class:`QuadratureConfig`, :class:`AccuracyError`,
 certification check and Gauss-Kronrod panel sum, but none of its real-axis
 engine.
 
-Each integral is planned, then evaluated.  ``_plan`` chooses the kind and
-lays out t0, the stub, the truncation and the panels; ``_evaluate`` takes
-the plans of one spec, groups them by kind (and w), and packs each group
-into blocks that close once they hold _BLOCK_NODES nodes, one ``_integrand``
-call a block with omega and t0 per node.  A plan of that many nodes runs
-alone on the one-plan path, ``_run``.  The scalar density, tail, cdf and eta
-are one-request calls: each makes its batched body's checks, in the same
-order, then ``_integral`` plans its one request and runs it on ``_run``,
-with no generator between.  ``_Ray`` holds what every plan would otherwise
-rebuild (the stub's denominators and powers, the truncation's first factors,
-W t_cf^alpha); three fifths of a plan is its panel layout, about 30 numpy
-calls on arrays of 20 to 60 floats.  Every batched (value, err) equals
-``_run``'s (``==``), by three rules:
+Each kind (density, density-1, tail, tail-cf, eta) is a row of ``_KINDS``,
+which ``_stub``, ``_truncation``, ``_plan``, ``_integrand`` and ``_finish``
+read: adding a kind takes a row, its ``_integrand`` body, and its first order
+in ``_stub`` if its form is new.  Each integral is planned, then evaluated.
+``_plan`` chooses the kind and lays out t0, the stub, the truncation and the
+panels; ``_evaluate`` takes the plans of one spec, groups them by kind (and
+w), and packs each group into blocks that close once they hold _BLOCK_NODES
+nodes, one ``_integrand`` call a block with omega and t0 per node.  A plan
+of that many nodes runs alone on the one-plan path, ``_run``.  The scalar
+density, tail, cdf and eta are one-request calls: each makes its batched
+body's checks, in the same order, then ``_integral`` plans its one request
+and runs it on ``_run``, with no generator between.  ``_Ray`` holds what
+every plan would otherwise rebuild (the stub's denominators, the
+truncation's first factors, W t_cf^alpha); three fifths of a plan is its
+panel layout, about 30 numpy calls on arrays of 20 to 60 floats.  Every
+batched (value, err) equals ``_run``'s (``==``), by three rules:
 
 1. each plan's cf exponents (ray.parts t0^alpha) @ (t/t0)^alpha stay one
    matrix product over that plan's own nodes (a product per node rounds
@@ -178,11 +180,10 @@ def _log_upper_gamma(s: float, x: float) -> float:
     return math.inf
 
 
-def _decay_factors(alph: list[float], decay: float) -> tuple[float, list, list]:
-    """The truncation bound's factors at one decay: E1(decay) and each group's
-    Gamma(alpha, decay) and Gamma(alpha + 1, decay)."""
-    return (_exp1(decay), [math.exp(_log_upper_gamma(al, decay)) for al in alph],
-            [math.exp(_log_upper_gamma(al + 1.0, decay)) for al in alph])
+def _kernel_factors(d: int, shifted: list[float], decay: float) -> tuple[float, list[float]]:
+    """Gamma(d, decay) (E1 at d = 0) and Gamma(alpha + d, decay) for each alpha + d."""
+    return ((_exp1(decay) if d == 0 else math.exp(-decay)),
+            [math.exp(_log_upper_gamma(sh, decay)) for sh in shifted])
 
 
 class _Ray:
@@ -211,30 +212,25 @@ class _Ray:
         self.s_cf = exp_sum_root(_DECAY, self.decay)         # |cf| <= e^-45 beyond
         self.log_w = np.log(self.w)
         self.log_w_list = self.log_w.tolist()
-        # what every plan would rebuild: the stub's denominators (pairs: shift 0 for the tail,
-        # 1 for the densities) and powers, the truncation's first factors, log(W t_cf^alpha)
-        a = self.a
-        self.al1 = [al + 1.0 for al in self.alph_list]
-        self.al2 = [al + 2.0 for al in self.alph_list]
+        # what every plan would rebuild: by a kind's d, the stub's denominators alpha + d,
+        # alpha + d + 1 and alpha_i + alpha_j + d and the kernel cut's first factors; by
+        # kind, the stub's least power (see _stub); log(W t_cf^alpha)
+        self.shifted = tuple([al + j for al in self.alph_list] for j in (0.0, 1.0, 2.0))
         self.pair_den = tuple([(i, j, a1 + a2 + shift) for i, a1 in enumerate(self.alph_list)
                                for j, a2 in enumerate(self.alph_list)] for shift in (0.0, 1.0))
-        self.stub_power = {"density": min(3.0, 2.0 + a, 1.0 + 2.0 * a),
-                           "density-1": min(2.0 + a, 1.0 + 2.0 * a),
-                           "tail": min(1.0 + a, 2.0 * a),
-                           "tail-cf": min(2.0, 1.0 + a)}
-        self.at_decay = _decay_factors(self.alph_list, _DECAY)
+        self.stub_power = {kind: min(d + 1.0 + self.a, d + 2.0 if cut != "kernel" else math.inf,
+                                     d + 2.0 * self.a if cut != "cf" else math.inf)
+                           for kind, (d, cut, _) in _KINDS.items()}
+        self.at_decay = tuple(_kernel_factors(d, self.shifted[d], _DECAY) for d in (0, 1))
         self.log_w_cf = self.log_w + self.alph * math.log(self.t_cf)
-        # leading terms c x^-p of the tail and density expansions, for scale only
+        # for scale only, by d: leading terms W sin(pi alpha/2) Gamma(alpha + d) (2 or 1) / pi
+        # x^-(alpha + d), caps P <= 1, D(0) <= min_g Gamma(1 + 1/alpha_g) W_g^(-1/alpha_g) / pi
         sin_half = np.sin(0.5 * math.pi * self.alph)
-        tail_w = (self.w * (2.0 / math.pi) * sin_half
-                  * np.array([math.gamma(al) for al in self.alph_list]))
-        dens_w = (self.w * sin_half / math.pi
-                  * np.array([math.gamma(al + 1.0) for al in self.alph_list]))
-        self.tail_terms = list(zip(tail_w.tolist(), self.alph_list))
-        self.dens_terms = list(zip(dens_w.tolist(), (self.alph + 1.0).tolist()))
-        # D(0) <= min_g Gamma(1 + 1/alpha_g) W_g^(-1/alpha_g) / pi, capped below overflow
+        coef = (self.w * (2.0 / math.pi) * sin_half, self.w * sin_half / math.pi)
+        self.lead_terms = tuple(list(zip((c * [math.gamma(x) for x in xs]).tolist(), xs))
+                                for c, xs in zip(coef, self.shifted))
         log_d0 = min(math.lgamma(1.0 + 1.0 / al) - math.log(w) / al for al, w in self.groups)
-        self.d0 = math.exp(min(log_d0, _LOG_HUGE)) / math.pi
+        self.lead_cap = (1.0, math.exp(min(log_d0, _LOG_HUGE)) / math.pi)
 
 
 # The constants depend only on the immutable spec and cost about a sixth of
@@ -249,17 +245,28 @@ def _ray(spec: MultistableSpec) -> _Ray:
     return ray
 
 
-# The integrands, as functions of t on the ray (theta = t e^{i phi}):
-#
-#   "density"    e^{i w theta} cf(theta) e^{i phi}          D = Re(int) / pi
-#   "density-1"  e^{i w theta} (cf(theta) - 1) e^{i phi}    D = Re(int) / pi,       w t_cf >= 1
-#   "tail"       e^{i w theta} (1 - cf(theta)) / t          P = 2 Im(int) / pi,     w t_cf >= 1
-#   "tail-cf"    (e^{i w theta} - 1) cf(theta) / t          P = 1 - 2 Im(int) / pi, small w
-#   "eta"        H(w theta) (1 - cf(theta)) / t             eta = 2 Im(int) / pi
-#
-# The "-1" and "tail" forms vanish like m(theta) near 0, so a small density
-# or tail keeps its relative accuracy; "tail-cf" decays with the cf instead
-# of the kernel, and serves w t_cf < 1 where the cf dies first.
+class _Kind(NamedTuple):
+    """A row of _KINDS.  d: the power of t in the weight, 1 for e^{i phi} dt (D =
+    Re(int) / pi), 0 for dt / t (P = 2 Im(int) / pi).  cut: what ends the integrand,
+    "both", the "kernel" (its cf - 1's phase unresolved past s_cf) or the "cf" (the
+    value is 1 - P).  h: eta's kernel H(w theta) in place of e^{i w theta}."""
+
+    d: int
+    cut: str
+    h: bool = False
+
+
+# Each kind's integrand on the ray (theta = t e^{i phi}) and its first order as t -> 0
+# (see _stub).  The "-1" and "tail" forms vanish like m(theta) there, so a small value
+# keeps its relative accuracy; "tail-cf" serves w t_cf < 1, where the cf dies first.
+_KINDS = {
+    "density": _Kind(1, "both"),        # e^{i w theta} cf e^{i phi}: 1 + i w theta - m
+    "density-1": _Kind(1, "kernel"),    # e^{i w theta} (cf - 1) e^{i phi}: -m; w t_cf >= 1
+    "tail": _Kind(0, "kernel"),         # e^{i w theta} (1 - cf) / t: m / t; w t_cf >= 1
+    "tail-cf": _Kind(0, "cf"),          # (e^{i w theta} - 1) cf / t: i w theta / t; small w
+    "eta": _Kind(0, "kernel", True),    # H(w theta) (1 - cf) / t: m / t, as the tail
+}
+
 
 def _pow(x: float, p: float) -> float:
     """x ** p, inf where it passes the float range."""
@@ -287,61 +294,56 @@ def _unit(p: float) -> float:
 
 def _stub(ray: _Ray, kind: str, omega: float, s: float,
           tgt: float = math.inf) -> tuple[float, complex, float]:
-    """First-order int_0^{e^s} of the integrand and a bound on its remainder,
-    with the end moved down from e^s when that bound exceeds tgt:
-    (log of the end, value, bound).
+    """int_0^{e^s} of the integrand's first order (see _KINDS; times e^{i phi} for
+    d = 1) and a bound on its remainder, with the end moved down from e^s when
+    that bound exceeds tgt: (log of the end, value, bound).
 
     With M(t) = sum W t^alpha >= |m|, |e^{i w theta} - 1| <= wt,
     |e^{i w theta} - 1 - i w theta| <= (wt)^2/2, |cf| <= 1, |cf - 1| <= M and
-    |cf - 1 + m| <= M^2/2 (Im theta >= 0, Re m >= 0), the integrands are
-
-    * density:   1 + i w theta - m,  remainder <= (wt)^2/2 + w t M + M^2/2
-    * density-1: -m,                 remainder <= w t M + M^2/2
-    * tail:      m / t,              remainder <= (w t M + M^2/2) / t
-    * tail-cf:   i w theta / t,      remainder <= ((wt)^2/2 + w t M) / t
-
-    (the densities times e^{i phi}).  Every remainder term falls at least as
-    fast as t^p, p = ray.stub_power[kind], so moving the end down by
-    log(tgt / bound) / p brings the bound to tgt.
+    |cf - 1 + m| <= M^2/2 (Im theta >= 0, Re m >= 0), the remainder is at most
+    t^(d-1) times w t M, plus (wt)^2/2 for a bare kernel (cut "both" or "cf")
+    and M^2/2 for cf - 1 (cut "both" or "kernel").  Integrated, these grow like
+    t^(d+1+a), t^(d+2) and t^(d+2a): moving the end down by log(tgt / bound) / p,
+    p the least power present (ray.stub_power), brings the bound to tgt.
     """
+    d, cut, _ = _KINDS[kind]
     for moved in (False, True):
         t = math.exp(s)
         wt = [w * math.exp(al * s) for al, w in ray.groups]
-        if kind == "tail-cf":
-            rem = 0.25 * (omega * t) ** 2 + omega * t * sum(map(truediv, wt, ray.al1))
-        else:
-            pairs = 0.5 * sum(wt[i] * wt[j] / d for i, j, d in ray.pair_den[kind != "tail"])
-            if kind == "tail":
-                rem = omega * t * sum(map(truediv, wt, ray.al1)) + pairs
-            else:
-                rem = t * (omega * t * sum(map(truediv, wt, ray.al2)) + pairs)
-                if kind == "density":
-                    rem += (omega * t) ** 2 * t / 6.0
+        rem = omega * t * sum(map(truediv, wt, ray.shifted[d + 1]))
+        if cut != "cf":
+            rem += 0.5 * sum(wt[i] * wt[j] / den for i, j, den in ray.pair_den[d])
+        rem *= t ** d
+        if cut != "kernel":
+            rem += (omega * t) ** 2 * t ** d / (4.0 + 2.0 * d)
         if moved or not rem > tgt:
             break
         s += math.log(tgt / rem) / ray.stub_power[kind]
-    if kind == "tail-cf":
+    if cut == "cf":
         return s, 1j * omega * ray.rot * t, rem
-    if kind == "tail":
-        return s, sum(x * z / al for x, al, z in zip(wt, ray.alph_list, ray.turn)), rem
-    first = t * sum(x * z / d for x, d, z in zip(wt, ray.al1, ray.turn))
-    if kind == "density-1":
-        return s, -ray.rot * first, rem
-    return s, ray.rot * (t + 0.5j * omega * ray.rot * t * t - first), rem
+    first = sum(x * z / den for x, den, z in zip(wt, ray.shifted[d], ray.turn))
+    if not d:
+        return s, first, rem
+    if cut == "kernel":
+        return s, -ray.rot * (t * first), rem
+    return s, ray.rot * (t + 0.5j * omega * ray.rot * t * t - t * first), rem
 
 
 def _truncation(ray: _Ray, kind: str, omega: float, tgt: float) -> tuple[float, float]:
     """(log T, bound on int_T^inf |integrand| dt) with the bound near tgt or below.
 
     For t >= T the kernel gives |e^{i w theta}| = e^{-k t}, k = w sin phi, and
-    |cf| <= e^{-R(t)} with R(t) = sum decay t^alpha >= R(T) (t/T)^a.
+    |cf| <= e^{-R(t)} with R(t) = sum decay t^alpha >= R(T) (t/T)^a.  A kernel cut
+    ends at k T = decay: |1 - cf| <= min(2, M), weight t^(d-1) dt, gives the less of
+    2 k^-d Gamma(d, decay) and sum W k^(-alpha-d) Gamma(alpha + d, decay).
     """
+    d, cut, _ = _KINDS[kind]
     k = omega * ray.sin
+    if cut == "kernel" and k == 0.0:
+        raise AccuracyError("omega sin(phi) underflows to 0: the kernel never cuts", math.inf)
     decay = _DECAY
     for _ in range(4):
-        e1, g_tail, g_dens = (ray.at_decay if decay == _DECAY
-                              else _decay_factors(ray.alph_list, decay))
-        if kind == "density":
+        if cut == "both":
             # e^{-(k t + R(t))} with k t + R(t) >= K (t/T)^p, p = min(a, 1)
             s_hi = exp_sum_root(decay, ([(k, 1.0)] if k > 0.0 else []) + ray.decay)
             if s_hi > _LOG_HUGE:
@@ -351,29 +353,24 @@ def _truncation(ray: _Ray, kind: str, omega: float, tgt: float) -> tuple[float, 
             p = min(ray.a, 1.0)
             log_bound = s_hi - math.log(p) - math.log(kk) / p + _log_upper_gamma(1.0 / p, kk)
             bound = math.exp(log_bound) if log_bound < _LOG_HUGE else math.inf
-        elif kind == "tail-cf":
+        elif cut == "cf":
             # |e^{i w theta} - 1| |cf| / t <= 2 e^{-R(T) (t/T)^a} / t; R(T) = _DECAY at s_cf
             s_hi = ray.s_cf if decay == _DECAY else exp_sum_root(decay, ray.decay)
-            bound = 2.0 * e1 / ray.a
+            bound = 2.0 * (ray.at_decay[0][0] if decay == _DECAY else _exp1(decay)) / ray.a
         else:
-            # |1 - cf| <= min(2, M(t)); the tail divides by t, the density does not
             s_hi = math.log(decay / k)
-            if kind == "tail":
-                bound = min(2.0 * e1,
-                            sum(w * _pow(k, -al) * g for (al, w), g in zip(ray.groups, g_tail)))
-            else:
-                bound = min(2.0 * math.exp(-decay) / k,
-                            sum(w * _pow(k, -al - 1.0) * g
-                                for (al, w), g in zip(ray.groups, g_dens)))
+            whole, gammas = (ray.at_decay[d] if decay == _DECAY else
+                             _kernel_factors(d, ray.shifted[d], decay))
+            bound = min(2.0 * whole / k ** d, sum(w * _pow(k, -sh) * g for (_, w), sh, g
+                                               in zip(ray.groups, ray.shifted[d], gammas)))
         if bound <= tgt:
             break
         decay = 2.0 * decay if math.isinf(bound) else decay + math.log(bound / tgt) + 1.0
-    if kind in ("tail", "density-1") and ray.s_cf < s_hi:
+    if cut == "kernel" and ray.s_cf < s_hi:
         # the cf's phase is not resolved where |cf| <= e^-45: bound what it adds,
         # once for the integral and once for the rule's sum
-        t_end = math.exp(ray.s_cf)
-        kernel = _exp1(k * t_end) if kind == "tail" else math.exp(-k * t_end) / k
-        bound += 2.0 * math.exp(-_DECAY) * kernel
+        x = k * math.exp(ray.s_cf)
+        bound += 2.0 * math.exp(-_DECAY) * ((_exp1(x) if d == 0 else math.exp(-x)) / k ** d)
     return s_hi, bound
 
 
@@ -493,6 +490,7 @@ def _integrand(ray: _Ray, kind: str, omega, t0, sigma: np.ndarray, w: float = 0.
     M (_ROUNDINGS + 2 b|sigma|).  Values and bounds are built in place on a
     few buffers.
     """
+    d, cut, h = _KINDS[kind]
     # rows are taken by index: unpacking an array's rows costs about 1 us more
     out = np.empty((2, sigma.size))
     f, err = out[0], out[1]
@@ -515,8 +513,8 @@ def _integrand(ray: _Ray, kind: str, omega, t0, sigma: np.ndarray, w: float = 0.
     spread = asig * (2.0 * ray.b)                 # the cf's share: M (_ROUNDINGS + 2 b|sigma|)
     spread += _ROUNDINGS
     spread *= big_m
-    if kind == "density":
-        # the envelope t e^{-kappa - Re m} times cos(phi + beta - m_i)
+    if cut == "both":
+        # density: the envelope t e^{-kappa - Re m} times cos(phi + beta - m_i)
         beta += ray.phi
         beta -= m_i
         f += m_r
@@ -531,8 +529,8 @@ def _integrand(ray: _Ray, kind: str, omega, t0, sigma: np.ndarray, w: float = 0.
         f *= _sin_cos(beta)[1]
         return out
     cf = np.exp(m_r)
-    if kind == "tail-cf":
-        # cf (e^{-kappa} sin(beta - m_i) + sin(m_i)), and w t cf >= |e^{i w theta} - 1| |cf|
+    if cut == "cf":
+        # tail-cf: cf (e^{-kappa} sin(beta - m_i) + sin(m_i)); w t cf >= |e^{i w theta} - 1| |cf|
         beta -= m_i
         a1 = _sin_cos(beta)[0]
         np.exp(f, out=f)
@@ -567,8 +565,8 @@ def _integrand(ray: _Ray, kind: str, omega, t0, sigma: np.ndarray, w: float = 0.
     q_r += tau
     qa = np.abs(q_r)
     qa += np.abs(q_i)
-    rounds, lead = _ROUNDINGS, 0.0
-    if kind == "eta":
+    rounds, lead = _ROUNDINGS, float(d)
+    if h:
         # the mollifier kernel H(omega theta) in place of e^{i w theta}: kern
         # bounds |H|, its phases turn at most (1 + w) omega t per unit of s,
         # and its far form carries r^6
@@ -579,16 +577,7 @@ def _integrand(ray: _Ray, kind: str, omega, t0, sigma: np.ndarray, w: float = 0.
         np.negative(f, out=f)
         wt *= 1.0 + w
         rounds, lead = _ROUNDINGS + _KERNEL_ROUNDINGS, _FAR_POWER
-    elif kind == "tail":
-        # -e^{-kappa} Im(e^{i beta} (cf - 1))
-        kern = np.exp(f)
-        sin, cos = _sin_cos(beta)
-        sin *= q_r
-        cos *= q_i
-        np.add(sin, cos, out=f)
-        np.negative(f, out=f)
-        f *= kern
-    else:
+    elif d:
         # density-1: t e^{-kappa} Re(e^{i (phi + beta)} (cf - 1))
         kern = np.exp(f)
         kern *= t
@@ -598,7 +587,15 @@ def _integrand(ray: _Ray, kind: str, omega, t0, sigma: np.ndarray, w: float = 0.
         sin *= q_i
         np.subtract(cos, sin, out=f)
         f *= kern
-        lead = 1.0
+    else:
+        # tail: -e^{-kappa} Im(e^{i beta} (cf - 1))
+        kern = np.exp(f)
+        sin, cos = _sin_cos(beta)
+        sin *= q_r
+        cos *= q_i
+        np.add(sin, cos, out=f)
+        np.negative(f, out=f)
+        f *= kern
     np.add(asig, 4.0, out=err)
     err *= wt
     if lead:
@@ -632,50 +629,48 @@ class _Plan(NamedTuple):
 
 def _plan(ray: _Ray, omega: float, kind: str, w: float = 0.0) -> _Plan:
     """The layout of one finite omega's integral: D(omega) for kind "density",
-    P(|I| > omega) for kind "tail".
+    P(|I| > omega) for kind "tail", switched to density-1 or tail-cf where
+    those serve; the kind's row sets the scale, s_c and eta's kernel terms.
 
     Kind "eta" gives E[1 - bump(I / omega)] for the mollifier's bump of
     half-width w: the tail smoothed over [omega, (1 + w) omega], with the
     kernel H(omega theta) of :func:`multistable.mollifier._kernel` in place
     of e^{i omega theta}.  As |H(omega theta)| <= e^{-omega Im theta} and
-    |H(omega theta) - 1| <= (1 + w/2) omega |theta|, it shares the tail's
-    truncation, and its stub with omega (1 + w/2) in the remainder.
+    |H(omega theta) - 1| <= (1 + w/2) omega |theta|, its row is the tail's
+    but for h, and its stub takes omega (1 + w/2) in the remainder.
     """
     al = ray.alph
     if kind == "density" and omega * ray.t_cf >= 1.0:
         kind = "density-1"
-    elif (kind == "tail" and omega * ray.t_cf < 1.0
-          and math.log(omega * ray.sin) + ray.s_cf < math.log(_DECAY)):
+    elif (kind == "tail" and omega * ray.t_cf < 1.0 and (
+            omega * ray.sin == 0.0 or math.log(omega * ray.sin) + ray.s_cf < math.log(_DECAY))):
         kind = "tail-cf"        # the cf dies before the kernel does
-    shape = "tail" if kind == "eta" else kind
+    d, cut, h = _KINDS[kind]
     t0 = ray.t_cf if omega == 0.0 else min(1.0 / omega, ray.t_cf)
     s0 = math.log(t0)
-    if shape == "tail":     # eta >= P(|I| > (1 + w) omega)
-        scale = min(1.0, _power_sum(ray.tail_terms, omega * (1.0 + w)))
-    elif kind == "tail-cf":
-        scale = 1.0
-    else:                   # _power_sum is inf at omega = 0
-        scale = min(ray.d0, _power_sum(ray.dens_terms, omega))
+    # the leading term, capped (eta >= P(|I| > (1 + w) omega); inf at omega = 0); 1 - P: 1
+    scale = (ray.lead_cap[d] if cut == "cf" else
+             min(ray.lead_cap[d], _power_sum(ray.lead_terms[d], omega * (1.0 + w))))
     tgt = max(_REL * scale, _TINY)
 
     # stub [0, t_lo], with t_lo <= t0 where its remainder bound meets tgt
-    s_lo, stub, stub_rem = _stub(ray, shape, omega * (1.0 + 0.5 * w), s0, tgt)
-    s_hi, trunc = _truncation(ray, shape, omega, tgt)
+    s_lo, stub, stub_rem = _stub(ray, kind, omega * (1.0 + 0.5 * w), s0, tgt)
+    s_hi, trunc = _truncation(ray, kind, omega, tgt)
     if s_hi - s0 > _LOG_MAX:
         # _panels' tables hold e^(s - s0) up to s_hi, which would overflow: at a
         # tiny xi with a tiny t_cf only the kernel cuts eta's integrand, that far out
         raise AccuracyError("the panel table's e^(s - s0) passes the floating-point "
                             "range before the integrand is cut", math.inf)
-    if kind == "eta" and any(max(lw + a * s_hi, a * (s_hi - s0)) > _LOG_HUGE
-                             for a, lw in zip(ray.alph_list, ray.log_w_list)):
+    if h and any(max(lw + a * s_hi, a * (s_hi - s0)) > _LOG_HUGE
+                 for a, lw in zip(ray.alph_list, ray.log_w_list)):
         # at a tiny xi only the kernel cuts eta's integrand, so far out that
         # W t^alpha or (t/t0)^alpha would overflow on the last panels
         raise AccuracyError("the cf's exponent passes the floating-point range before "
                             "the kernel cuts the integrand", math.inf)
     # resolve the cf's phase to the end unless the kernel alone cuts the integrand
-    s_c = min(ray.s_cf, s_hi) if kind in ("tail", "density-1", "eta") else s_hi
+    s_c = min(ray.s_cf, s_hi) if cut == "kernel" else s_hi
     fast, power = (0.0, 0.0), (0.0, 0.0)
-    if kind == "eta":
+    if h:
         # H's e^{i(1+w) z} term is e^{-45} of its e^{i z} term from s_f on, where
         # its phase is left unresolved: bound what it adds, once for the
         # integral and once for the rule's sum (|1 - cf| <= 2)
@@ -687,19 +682,19 @@ def _plan(ray: _Ray, omega: float, kind: str, w: float = 0.0) -> _Plan:
     # nodes in sigma = s - s0, so rounding moves a node by eps |sigma| at most
     lo, width = _panels(al, omega * t0, ray.log_w_cf if t0 == ray.t_cf else ray.log_w + al * s0,
                         s_lo - s0, s_hi - s0, s_c - s0, fast, power)
-    return _Plan(kind, omega, w, t0, lo, width,
-                 stub.real if kind.startswith("density") else stub.imag, stub_rem, trunc)
+    return _Plan(kind, omega, w, t0, lo, width, stub.real if d else stub.imag, stub_rem, trunc)
 
 
 def _finish(plan: _Plan, body: float, kg: float, rounding: float) -> tuple[float, float]:
     """The plan's value and error bound from its rule sums (see quadrature._add_up)."""
+    d, cut, _ = _KINDS[plan.kind]
     total = body + plan.stub
     err = kg + plan.stub_rem + plan.trunc + rounding
-    if plan.kind.startswith("density"):
-        d = total / math.pi
-        return d, err / math.pi + 2.0 * _EPS * abs(d)
+    if d:
+        dens = total / math.pi
+        return dens, err / math.pi + 2.0 * _EPS * abs(dens)
     p = 2.0 / math.pi * total
-    if plan.kind == "tail-cf":
+    if cut == "cf":
         p = 1.0 - p
     return _unit(p), 2.0 / math.pi * err + 2.0 * _EPS * abs(p)
 
@@ -798,17 +793,17 @@ def _eta_integrals(spec: MultistableSpec, xis: list[float],
                    w: float) -> list[tuple[float, float]]:
     """2 int_0^inf phi_q(theta) (1 - cf(theta / xi)) dtheta = E[1 - bump(I / xi)] for
     the mollifier of half-width w at each xi > 0, with an absolute error bound,
-    evaluated in blocks."""
+    evaluated in blocks; ValueError, before any is evaluated, if an xi is not."""
     if spec.is_zero:
         return [(0.0, 0.0)] * len(xis)
-    return list(_integrals(spec, [(xi, "eta", w) for xi in xis]))
+    return list(_integrals(spec, [(_positive("xi", xi), "eta", w) for xi in xis]))
 
 
 def eta_integral(spec: MultistableSpec, xi: float, w: float) -> tuple[float, float]:
     """The one-xi call of :func:`_eta_integrals`: its pair, from one plan."""
     if spec.is_zero:
         return 0.0, 0.0
-    return _integral(spec, xi, "eta", w)
+    return _integral(spec, _positive("xi", xi), "eta", w)
 
 
 # ---------------------------------------------------------------------------
@@ -820,10 +815,15 @@ def _check_x(spec: MultistableSpec, x: float):
         raise ValueError("x is NaN")
 
 
+def _positive(name: str, value: float) -> float:
+    if not value > 0.0:
+        raise ValueError(f"{name} must be positive, got {value}")
+    return value
+
+
 def _check_lambda(spec: MultistableSpec, lam: float):
     _require_nonzero(spec)
-    if not lam > 0.0:
-        raise ValueError(f"lambda must be positive, got {lam}")
+    _positive("lambda", lam)
 
 
 def _densities_with_error(spec: MultistableSpec, xs) -> Iterator[tuple[float, float]]:

@@ -567,3 +567,14 @@ def test_parseval_at_a_huge_delta_on_a_tiny_t_cf_exits_3(doc, tmp_path):
     assert proc.returncode == 3, proc.stderr
     assert "floating-point range" in proc.stderr and "Traceback" not in proc.stderr
     assert not out.exists()
+
+
+def test_tail_at_a_subnormal_lambda(tmp_path):
+    # lambda sin(phi) underflows to 0 at 5e-324 on two_exp's ray, where the
+    # tail-cf switch took its log: the command exited 2 with a math domain error
+    out = tmp_path / "t.csv"
+    assert run_command(["tail", "--fixture", "two_exp", "--lambdas", "5e-324", "1",
+                        "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.open()))
+    assert [float(r["x_or_lambda"]) for r in rows] == [5e-324, 1.0]
+    assert float(rows[0]["value"]) == 1.0 and 0.0 < float(rows[1]["value"]) < 1.0

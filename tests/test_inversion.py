@@ -203,3 +203,47 @@ def test_truncation_bound_at_a_tiny_frequency_is_not_an_overflow(omega):
 
     s_hi, bound = _truncation(_ray(TWO_EXP), "tail", omega, 1e-30)
     assert math.isfinite(s_hi) and math.isfinite(bound)
+
+
+@pytest.mark.parametrize("name", ["two_exp", "alpha18", "three_cell"])
+def test_tail_and_cdf_at_a_subnormal_argument(name):
+    # omega sin(phi) underflows to 0 on these rays (sin(phi) <= 1/2), where the
+    # tail-cf switch took its log, a math domain error; the cf dies long before
+    # the kernel there, so the tail is tail-cf's 1
+    from multistable.inversion import _cdf_with_error, tail_probability_with_error
+
+    spec = fixture(name)
+    p, err = tail_probability_with_error(spec, 5e-324)
+    assert p == 1.0 and 0.0 < err < 1e-14
+    for x in (5e-324, -5e-324):
+        f, f_err = _cdf_with_error(spec, x)
+        assert f == 0.5 and 0.0 < f_err < 1e-14
+    assert interval_probability(spec, -5e-324, 5e-324) == 0.0
+
+
+@pytest.mark.parametrize("xi", [0.0, -0.0, -1.0, -math.inf, math.nan])
+def test_eta_refuses_an_xi_that_is_not_positive(xi):
+    # these raised ZeroDivisionError, a math domain error or a NaN conversion
+    from multistable.inversion import _eta_integrals, eta_integral
+
+    with pytest.raises(ValueError, match="xi must be positive"):
+        eta_integral(TWO_EXP, xi, 0.25)
+    with pytest.raises(ValueError, match="xi must be positive"):
+        _eta_integrals(TWO_EXP, [1.0, xi], 0.25)
+    zero = refine(StepFunction((0.0, 1.0), (0.0,)), ExponentFunction.constant(1.0))
+    assert eta_integral(zero, 1.0, 0.25) == (0.0, 0.0)
+    assert _eta_integrals(zero, [1.0, 2.0], 0.25) == [(0.0, 0.0)] * 2
+
+
+@pytest.mark.parametrize("name", ["two_exp", "alpha18", "three_cell"])
+def test_eta_where_the_kernel_rate_underflows_is_an_accuracy_error(name):
+    # xi sin(phi) rounds to 0 (sin(phi) <= 1/2): the kernel never cuts the
+    # integrand, where math.log(decay / k) divided by zero
+    from multistable.inversion import _eta_integrals, eta_integral
+    from multistable.quadrature import AccuracyError
+
+    spec = fixture(name)
+    with pytest.raises(AccuracyError, match="underflows to 0"):
+        eta_integral(spec, 5e-324, 0.25)
+    with pytest.raises(AccuracyError, match="underflows to 0"):
+        _eta_integrals(spec, [1.0, 5e-324], 0.25)

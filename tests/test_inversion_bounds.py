@@ -18,6 +18,9 @@ from multistable.inversion import (
     _cdf_with_error,
     _log_exp1,
     _log_upper_gamma,
+    _plan,
+    _ray,
+    _stub,
     cdf,
     density,
     density_with_error,
@@ -209,3 +212,45 @@ class TestTruncationSpecialFunctionBounds:
 
     def test_upper_gamma_out_of_range_is_infinite(self):
         assert _log_upper_gamma(20.0, 10.0) == math.inf
+
+
+class TestStubRemainder:
+    # Each of the four stub forms against its exact value: the integrand less
+    # its first order, integrated in mpmath from 0 to the stub's float end,
+    # must lie within the stub's remainder bound.  The bound has little slack
+    # (6e-9 of it on three_cell's tail at 1e-18), so the integral runs on a log
+    # scale, where the t^(alpha - 1) ends are smooth: at 30 digits on [0, t_lo]
+    # mpmath's own error read as a violation there.  The first order is built
+    # in mpmath too, as the float value's rounding (1.6e-26 there) exceeds the
+    # slack (8e-28).  On alpha18 (alpha > 1) the bare kernel's (wt)^2/2 leads the
+    # density's and tail-cf's remainder; on the other two it is a small share.
+    @pytest.mark.parametrize("name", ["two_exp", "three_cell", "alpha18"])
+    @pytest.mark.parametrize("kind, omega", [("density", 0.3), ("density-1", 3.0),
+                                             ("tail", 3.0), ("tail-cf", 0.3)])
+    @pytest.mark.parametrize("tgt", [1e-10, 1e-18])
+    def test_remainder_within_its_bound(self, name, kind, omega, tgt):
+        ray = _ray(fixture(name))
+        assert _plan(ray, omega, kind.split("-")[0]).kind == kind
+        s_lo, _, rem = _stub(ray, kind, omega, math.log(min(1.0 / omega, ray.t_cf)), tgt)
+        with mp.workdps(30):
+            end = mp.mpf(math.exp(s_lo))
+            w, rot = mp.mpf(omega), mp.expj(mp.mpf(ray.phi))
+            groups = [(mp.mpf(a), mp.mpf(c), mp.expj(mp.mpf(a) * mp.mpf(ray.phi)))
+                      for a, c in ray.groups]
+
+            def weighted(s):          # the integrand times t, at t = e^s
+                t = mp.exp(s)
+                kern, m = mp.exp(1j * w * t * rot), sum(c * z * t ** a for a, c, z in groups)
+                return {"density": kern * mp.exp(-m) * rot * t,
+                        "density-1": kern * mp.expm1(-m) * rot * t,
+                        "tail": -kern * mp.expm1(-m),
+                        "tail-cf": mp.expm1(1j * w * t * rot) * mp.exp(-m)}[kind]
+
+            first = {"density": rot * end * (1 + 0.5j * w * rot * end - sum(
+                         c * z * end ** a / (a + 1) for a, c, z in groups)),
+                     "density-1": -rot * end * sum(c * z * end ** a / (a + 1)
+                                                   for a, c, z in groups),
+                     "tail": sum(c * z * end ** a / a for a, c, z in groups),
+                     "tail-cf": 1j * w * rot * end}[kind]
+            actual = abs(mp.quad(weighted, [-mp.inf, mp.log(end)]) - first)
+        assert 0.0 < actual <= rem, (actual, rem)
