@@ -102,33 +102,30 @@ def _check_ratio_lambda(lam: float):
 
 
 def _ratio_parts(spec: MultistableSpec, lams: list[float],
-                 cfg: QuadratureConfig | None = None):
+                 cfg: QuadratureConfig | None = None) -> list[tuple[float, float, float]]:
     """(T(lam), P(|I(f)| > lam), P's certified error bound) at each lambda: the
-    tails evaluated in blocks, each lambda range-checked, the unit sphere
-    checked at the first lambda and T built once.  Yields in order and
-    raises where a loop of ratio_with_error calls would."""
+    tails evaluated in blocks.  Before any is planned, each lambda is
+    range-checked, in order, the unit sphere checked after the first and T
+    built once; ValueError at the first check that fails."""
     cfg = cfg or QuadratureConfig()
-    asymptote = None
-
-    def checked():
-        nonlocal asymptote
-        for lam in lams:
-            _check_ratio_lambda(lam)
-            if asymptote is None:   # the spec is on the unit sphere, so not 0
-                _require_unit_sphere(spec)
-                asymptote = TailAsymptote(spec)
-            yield lam
-    for lam, (p, perr) in zip(lams, _tails_with_error(spec, checked())):
+    for i, lam in enumerate(lams):
+        _check_ratio_lambda(lam)
+        if not i:   # the spec is on the unit sphere, so not 0
+            _require_unit_sphere(spec)
+            asymptote = TailAsymptote(spec)
+    parts = []
+    for lam, (p, perr) in zip(lams, _tails_with_error(spec, lams)):
         _certify("tail probability inside ratio", perr, cfg)
         # T one lambda at a time, as a grid would move pinned digests (see _asymptote)
-        yield asymptote(lam), p, perr
+        parts.append((asymptote(lam), p, perr))
+    return parts
 
 
 def ratio_with_error(spec: MultistableSpec, lam: float,
                      cfg: QuadratureConfig | None = None) -> tuple[float, float]:
     """(P(|I(f)| > lam) / T(lam), error bound on the ratio): the one-lambda call
     of _ratio_parts."""
-    t, p, perr = next(_ratio_parts(spec, [lam], cfg))
+    (t, p, perr), = _ratio_parts(spec, [lam], cfg)
     return p / t, perr / t
 
 

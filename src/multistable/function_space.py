@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(float).eps)
+_LOG_MAX = math.log(np.finfo(float).max)   # math.exp overflows above this
 
 
 def tail_constant(gamma: float) -> float:
@@ -191,7 +192,12 @@ def _cells_and_groups(bp: Sequence[float], coefs: Sequence[float],
     weights: dict[float, float] = {}
     for lo, hi, c, a in cells:
         if c != 0.0:
-            weights[a] = weights.get(a, 0.0) + abs(c) ** a * (hi - lo)
+            try:
+                weights[a] = weights.get(a, 0.0) + abs(c) ** a * (hi - lo)
+            except OverflowError:
+                weights[a] = math.inf
+    if math.inf in weights.values():
+        raise ValueError("a weight sum |c|^alpha |cell| passes the floating-point range")
     return cells, tuple(sorted(weights.items()))
 
 
@@ -279,13 +285,23 @@ def exp_sum_root(y: float, terms, step_tol: float = 0.0) -> float:
     ``step_tol`` plus a few ulps of u (by convexity the error left is then
     about b step^2 or less, b the largest alpha), once the sum is no longer
     above y (exact iterates never cross the root, so that is rounding), or
-    after a cap of steps.
+    after a cap of steps.  A c below y / (float max) is taken in logarithms
+    where y / c or e^(alpha u) would overflow; ValueError for a c of 0 (a
+    spec's weight sum |c|^alpha |cell| that underflowed, say).
     """
-    u = min(math.log(y / c) / al for c, al in terms)
+    try:
+        u = min((math.log(y / c) if y / c < math.inf else math.log(y) - math.log(c)) / al
+                for c, al in terms)
+    except ZeroDivisionError:
+        raise ValueError(f"every coefficient c of sum c e^(alpha u) must be positive: {terms}"
+                         ) from None
     for _ in range(_NEWTON_CAP):
         f, df = -y, 0.0
         for c, al in terms:
-            v = c * math.exp(al * u)
+            try:
+                v = c * math.exp(al * u)
+            except OverflowError:
+                v = math.exp(al * u + math.log(c))
             f += v
             df += al * v
         if f <= 0.0:
@@ -298,7 +314,8 @@ def exp_sum_root(y: float, terms, step_tol: float = 0.0) -> float:
 
 
 def quasinorm(spec: MultistableSpec, rel_tol: float = 1e-12) -> float:
-    """The unique lam > 0 with modular_integral(spec, lam) == 1 (0 for f == 0).
+    """The unique lam > 0 with modular_integral(spec, lam) == 1 (0 for f == 0);
+    ValueError where lam lies beyond e^709 or e^-709, the float range's ends.
 
     With u = -log lam the modular is sum_g W_g e^(alpha_g u) over
     ``spec.groups``, whose root :func:`exp_sum_root` finds to a relative
@@ -309,6 +326,8 @@ def quasinorm(spec: MultistableSpec, rel_tol: float = 1e-12) -> float:
     if spec.is_zero:
         return 0.0
     u = exp_sum_root(1.0, [(w, al) for al, w in spec.groups], 0.25 * rel_tol)
+    if not abs(u) < _LOG_MAX:
+        raise ValueError(f"the quasinorm e^{-u:.6g} is outside the floating-point range")
     return math.exp(-u)
 
 

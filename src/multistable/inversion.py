@@ -36,17 +36,18 @@ which ``_stub``, ``_truncation``, ``_plan``, ``_integrand`` and ``_finish``
 read: adding a kind takes a row, its ``_integrand`` body, and its first order
 in ``_stub`` if its form is new.  Each integral is planned, then evaluated.
 ``_plan`` chooses the kind and lays out t0, the stub, the truncation and the
-panels; ``_evaluate`` takes the plans of one spec, groups them by kind (and
-w), and packs each group into blocks that close once they hold _BLOCK_NODES
-nodes, one ``_integrand`` call a block with omega and t0 per node.  A plan
-of that many nodes runs alone on the one-plan path, ``_run``.  The scalar
-density, tail, cdf and eta are one-request calls: each makes its batched
-body's checks, in the same order, then ``_integral`` plans its one request
-and runs it on ``_run``, with no generator between.  ``_Ray`` holds what
-every plan would otherwise rebuild (the stub's denominators, the
-truncation's first factors, W t_cf^alpha); three fifths of a plan is its
-panel layout, about 30 numpy calls on arrays of 20 to 60 floats.  Every
-batched (value, err) equals ``_run``'s (``==``), by three rules:
+panels.  A batch checks every input, then ``_integrals`` plans every request
+of one spec before it evaluates any, so a refusal returns no pair; it groups
+the plans by kind (and w) and packs each group into blocks that close once
+they hold _BLOCK_NODES nodes, one ``_integrand`` call a block with omega and
+t0 per node.  A plan of that many nodes runs alone on the one-plan path,
+``_run``.  The scalar density, tail, cdf and eta are one-request calls: each
+makes its batched body's checks, then ``_integral`` plans its one request and
+runs it on ``_run``, with no grouping or blocks.  ``_Ray`` holds what every
+plan would otherwise rebuild (the stub's denominators, the truncation's first
+factors, W t_cf^alpha); three fifths of a plan is its panel layout, about 30
+numpy calls on arrays of 20 to 60 floats.  Every batched (value, err) equals
+``_run``'s (``==``), by three rules:
 
 1. each plan's cf exponents (ray.parts t0^alpha) @ (t/t0)^alpha stay one
    matrix product over that plan's own nodes (a product per node rounds
@@ -70,7 +71,7 @@ from __future__ import annotations
 import math
 import weakref
 from operator import truediv
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -120,7 +121,7 @@ _LEVELS = np.arange(256) * _TURN   # level edges' Phi values j pi; plans past j 
 _DECAY = 45.0               # envelopes are cut where they fall below e^-45
 _REL = 2.0 ** -60           # stub and truncation bounds aim below this share of the result
 _MAX_PANELS = 8192          # budget of one call: about 170 000 nodes
-# A batched _integrand call (see _evaluate) takes plans until it holds this many
+# A batched _integrand call (see _integrals) takes plans until it holds this many
 # nodes or more: N nodes take at most ceil(N / _BLOCK_NODES) calls of fewer than
 # 2 _BLOCK_NODES nodes each.  Per node, on one core of a shared 2-core x86-64 box
 # (two_exp, medians of 300 calls), a tail costs 100 ns at 800 nodes, 62 at 1600,
@@ -207,8 +208,11 @@ class _Ray:
         self.parts = np.array([self.w, -(self.w * np.cos(self.alph * phi)),
                                self.w * np.sin(self.alph * phi)])
         self.decay = [(w * math.cos(al * phi), al) for al, w in self.groups]
-        terms = [(w, al) for al, w in self.groups]
-        self.t_cf = math.exp(exp_sum_root(1.0, terms))       # 1 / quasinorm
+        log_t_cf = exp_sum_root(1.0, [(w, al) for al, w in self.groups])
+        if not -_LOG_HUGE <= log_t_cf <= _LOG_HUGE / max(1.0, self.b):
+            raise AccuracyError(f"the cf's scale t_cf = e^{log_t_cf:.6g} takes t_cf or t_cf^alpha "
+                                "past the floating-point range", math.inf)
+        self.t_cf = math.exp(log_t_cf)                       # 1 / quasinorm
         self.s_cf = exp_sum_root(_DECAY, self.decay)         # |cf| <= e^-45 beyond
         self.log_w = np.log(self.w)
         self.log_w_list = self.log_w.tolist()
@@ -366,6 +370,8 @@ def _truncation(ray: _Ray, kind: str, omega: float, tgt: float) -> tuple[float, 
         if bound <= tgt:
             break
         decay = 2.0 * decay if math.isinf(bound) else decay + math.log(bound / tgt) + 1.0
+    if s_hi > _LOG_MAX:
+        raise AccuracyError("the integrand outlives the floating-point range of theta", math.inf)
     if cut == "kernel" and ray.s_cf < s_hi:
         # the cf's phase is not resolved where |cf| <= e^-45: bound what it adds,
         # once for the integral and once for the rule's sum
@@ -706,7 +712,7 @@ def _run(ray: _Ray, plan: _Plan) -> tuple[float, float]:
     return _finish(plan, *_add_up(y, half))
 
 
-def _blocks(members: list[int], plans: list[_Plan]):
+def _blocks(members: list[int], plans: dict[int, _Plan]):
     """The plans named by members, in order, in runs closed once they hold
     _BLOCK_NODES nodes or more, so N nodes take at most ceil(N / _BLOCK_NODES)
     runs; a plan of that many nodes runs alone."""
@@ -725,20 +731,23 @@ def _blocks(members: list[int], plans: list[_Plan]):
         yield block
 
 
-def _evaluate(ray: _Ray | None, plans: list[_Plan | None]) -> list[tuple[float, float]]:
-    """The (value, err) of each plan, None standing for omega = inf, (0, 0); ray
-    may be None when every plan is.
+def _integrals(spec: MultistableSpec, requests: list) -> list[tuple[float, float]]:
+    """The pair of each (omega, kind, w) of requests, _run's on its plan (see
+    _plan) and (0, 0) at omega = inf.  Every request is planned, in order,
+    before any is evaluated; the caller has checked every input.
 
     Plans of one kind and w share _blocks: one _integrand call per block.
     Each plan keeps its own GK21 sums (quadrature._add_up on its own nodes,
     in the one-plan row layout), and a one-plan block runs _run, so every
     pair equals _run's on its plan.
     """
-    out = [(0.0, 0.0)] * len(plans)
-    groups: dict[tuple[str, float], list[int]] = {}
-    for i, plan in enumerate(plans):
-        if plan is not None:
-            groups.setdefault((plan.kind, plan.w), []).append(i)
+    ray, plans, groups = None, {}, {}
+    for i, (omega, kind, w) in enumerate(requests):
+        if not math.isinf(omega):
+            ray = ray or _ray(spec)
+            plans[i] = plan = _plan(ray, omega, kind, w)
+            groups.setdefault((plan.kind, w), []).append(i)
+    out = [(0.0, 0.0)] * len(requests)
     for (kind, w), members in groups.items():
         for block in _blocks(members, plans):
             if len(block) == 1:
@@ -756,33 +765,10 @@ def _evaluate(ray: _Ray | None, plans: list[_Plan | None]) -> list[tuple[float, 
     return out
 
 
-def _integrals(spec: MultistableSpec, requests) -> Iterator[tuple[float, float]]:
-    """The pair of each (omega, kind, w) of requests, _run's on its plan (see
-    _plan) and (0, 0) at omega = inf, planned in order and evaluated in blocks.
-
-    Yields the pairs in order.  An exception raised while a request or its
-    plan is made is raised after the pairs before it, where a loop of scalar
-    calls would raise it.
-    """
-    ray, plans, failure = None, [], None
-    try:
-        for omega, kind, w in requests:
-            if math.isinf(omega):
-                plans.append(None)
-            else:
-                ray = ray or _ray(spec)
-                plans.append(_plan(ray, omega, kind, w))
-    except (ValueError, ArithmeticError, AccuracyError) as exc:  # re-raised in order below
-        failure = exc
-    yield from _evaluate(ray, plans)
-    if failure is not None:
-        raise failure
-
-
 def _integral(spec: MultistableSpec, omega: float, kind: str,
               w: float = 0.0) -> tuple[float, float]:
-    """The pair _integrals gives one request (omega, kind, w), with no generator
-    between: (0, 0) at omega = inf, else _run on its plan."""
+    """The pair _integrals gives one request (omega, kind, w), with no grouping or
+    blocks: (0, 0) at omega = inf, else _run on its plan."""
     if math.isinf(omega):
         return 0.0, 0.0
     ray = _ray(spec)
@@ -793,10 +779,10 @@ def _eta_integrals(spec: MultistableSpec, xis: list[float],
                    w: float) -> list[tuple[float, float]]:
     """2 int_0^inf phi_q(theta) (1 - cf(theta / xi)) dtheta = E[1 - bump(I / xi)] for
     the mollifier of half-width w at each xi > 0, with an absolute error bound,
-    evaluated in blocks; ValueError, before any is evaluated, if an xi is not."""
+    evaluated in blocks; ValueError, before any is planned, if an xi is not."""
     if spec.is_zero:
         return [(0.0, 0.0)] * len(xis)
-    return list(_integrals(spec, [(_positive("xi", xi), "eta", w) for xi in xis]))
+    return _integrals(spec, [(_positive("xi", xi), "eta", w) for xi in xis])
 
 
 def eta_integral(spec: MultistableSpec, xi: float, w: float) -> tuple[float, float]:
@@ -826,14 +812,12 @@ def _check_lambda(spec: MultistableSpec, lam: float):
     _positive("lambda", lam)
 
 
-def _densities_with_error(spec: MultistableSpec, xs) -> Iterator[tuple[float, float]]:
-    """The density at each x and a bound on the absolute error, evaluated in blocks:
-    yields in order and raises where a loop of one-x calls would (see _integrals)."""
-    def requests():
-        for x in xs:
-            _check_x(spec, x)
-            yield abs(x), "density", 0.0
-    return _integrals(spec, requests())
+def _densities_with_error(spec: MultistableSpec, xs: list[float]) -> list[tuple[float, float]]:
+    """The density at each x and a bound on the absolute error, evaluated in blocks;
+    ValueError, before any is planned, at the first x a one-x call would refuse."""
+    for x in xs:
+        _check_x(spec, x)
+    return _integrals(spec, [(abs(x), "density", 0.0) for x in xs])
 
 
 def density_with_error(spec: MultistableSpec, x: float,
@@ -866,15 +850,12 @@ def density(spec: MultistableSpec, x: float,
     return _certified_density("density", val, err, cfg)
 
 
-def _tails_with_error(spec: MultistableSpec, lams) -> Iterator[tuple[float, float]]:
-    """P(|I(f)| > lam) and a bound on the absolute error at each lambda, evaluated
-    in blocks: yields in order and raises where a loop of one-lambda calls
-    would (see _integrals)."""
-    def requests():
-        for lam in lams:
-            _check_lambda(spec, lam)
-            yield lam, "tail", 0.0
-    return _integrals(spec, requests())
+def _tails_with_error(spec: MultistableSpec, lams: list[float]) -> list[tuple[float, float]]:
+    """P(|I(f)| > lam) and its absolute error bound at each lambda, evaluated in blocks;
+    ValueError, before any is planned, at the first lambda a one-lambda call refuses."""
+    for lam in lams:
+        _check_lambda(spec, lam)
+    return _integrals(spec, [(lam, "tail", 0.0) for lam in lams])
 
 
 def tail_probability_with_error(spec: MultistableSpec, lam: float,
@@ -907,11 +888,11 @@ def _cdf_from_tail(x: float, p: float, err: float) -> tuple[float, float]:
 
 def _cdfs_with_error(spec: MultistableSpec, xs: list[float]) -> list[tuple[float, float]]:
     """F(x) at each x and a bound on its absolute error (see _cdf_from_tail), the
-    tails evaluated in blocks."""
+    tails evaluated in blocks; ValueError, before any is planned, at the first x
+    a one-x call would refuse."""
     for x in xs:
         _check_x(spec, x)
-    # every x is checked, so the tails run to their end at once, never suspended
-    tails = iter(list(_integrals(spec, [(abs(x), "tail", 0.0) for x in xs if x != 0.0])))
+    tails = iter(_integrals(spec, [(abs(x), "tail", 0.0) for x in xs if x != 0.0]))
     return [_cdf_from_tail(x, *(next(tails) if x != 0.0 else (1.0, 0.0)))  # P(|I| > 0) = 1
             for x in xs]
 

@@ -127,24 +127,41 @@ def test_batched_entries_equal_the_scalar_entries():
         ratio_with_error(unit, lam) for lam in lams]
 
 
-def test_batched_tails_raise_where_a_scalar_loop_would():
-    # the pairs before a refused lambda come out, then its error
-    spec = fixture("cauchy")
-    tails = inversion._tails_with_error(spec, [10.0, 1.0, -1.0, 20.0])
-    assert next(tails) == inversion.tail_probability_with_error(spec, 10.0)
-    assert next(tails) == inversion.tail_probability_with_error(spec, 1.0)
-    with pytest.raises(ValueError, match="lambda must be positive"):
-        next(tails)
+@pytest.fixture
+def work(monkeypatch):
+    """The names of the _plan and _integrand calls made."""
+    calls = []
+    for name in ("_plan", "_integrand"):
+        def spy(*args, _name=name, _real=getattr(inversion, name)):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(inversion, name, spy)
+    return calls
 
 
-def test_batched_densities_raise_where_a_scalar_loop_would():
-    # the pairs before a NaN x come out, then its error
+def test_batched_tails_raise_where_a_scalar_loop_would(work):
+    # the error a loop of one-lambda calls raises first, naming its lambda,
+    # before any lambda is planned: no pair comes out
     spec = fixture("cauchy")
-    densities = inversion._densities_with_error(spec, [10.0, -1.0, math.nan, 20.0])
-    assert next(densities) == inversion.density_with_error(spec, 10.0)
-    assert next(densities) == inversion.density_with_error(spec, -1.0)
+    lams = [10.0, 1.0, -1.0, 20.0, -2.0]
+    with pytest.raises(ValueError, match=r"lambda must be positive, got -1\.0"):
+        inversion._tails_with_error(spec, lams)
+    assert work == []
+    with pytest.raises(ValueError, match=r"lambda must be positive, got -1\.0"):
+        [inversion.tail_probability_with_error(spec, lam) for lam in lams]
+    assert work == ["_plan", "_integrand"] * 2     # the scalar loop ran its first two
+
+
+def test_batched_densities_raise_where_a_scalar_loop_would(work):
+    # the error a loop of one-x calls raises first, before any x is planned
+    spec = fixture("cauchy")
+    xs = [10.0, -1.0, math.nan, 20.0]
     with pytest.raises(ValueError, match="x is NaN"):
-        next(densities)
+        inversion._densities_with_error(spec, xs)
+    assert work == []
+    with pytest.raises(ValueError, match="x is NaN"):
+        [inversion.density_with_error(spec, x) for x in xs]
+    assert work == ["_plan", "_integrand"] * 2
 
 
 def test_batched_densities_refuse_a_zero_spec():

@@ -184,6 +184,15 @@ class TestRunCommand:
         assert rc == 0
         assert json.loads(out.read_text())["passed"] is True
 
+    def test_verify_lemma2(self, tmp_path):
+        out = tmp_path / "l2.json"
+        rc = run_command(["verify", "lemma2", "--samples", "1e4", "--seed", "3",
+                          "--out", str(out)])
+        assert rc == 0
+        assert json.loads(out.read_text())["passed"] is True
+        rows = list(csv.DictReader(open(tmp_path / "l2.csv")))
+        assert len(rows) == 1 and rows[0]["passed"] == "1"
+
     def test_verify_remarks_random_sweep(self, tmp_path):
         out = tmp_path / "rem.json"
         rc = run_command(["verify", "remarks", "--samples", "100",
@@ -364,6 +373,16 @@ def test_non_finite_grid_points_exit_2(argv, tmp_path, capsys):
     # refused with a message, not a ZeroDivisionError or OverflowError (exit 1)
     assert run_command(argv + ["--out", str(tmp_path / "o.json")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_a_refused_lambda_wins_over_an_earlier_certificate(tmp_path, capsys):
+    # the ratio grid is checked before any tail is planned, so lambda = inf is
+    # refused (exit 2) though the tail at 10 would miss abs-tol 1e-25 (exit 3)
+    out = tmp_path / "o.csv"
+    rc = run_command(["ratio-scan", "--fixture", "two_exp", "--lambdas", "10", "inf",
+                      "--abs-tol", "1e-25", "--out", str(out)])
+    assert rc == 2
+    assert "lambda" in capsys.readouterr().err and not out.exists()
 
 
 def test_verify_takes_no_abs_tol(tmp_path):

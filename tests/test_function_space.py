@@ -15,6 +15,7 @@ from multistable.function_space import (
     MultistableSpec,
     StepFunction,
     combine_steps,
+    exp_sum_root,
     modular_integral,
     normalize_to_sphere,
     quasinorm,
@@ -264,6 +265,27 @@ def _brentq_quasinorm(spec):
             lo /= 4.0
         hi = lo * 4.0
     return brentq(excess, lo, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps, maxiter=300)
+
+
+def test_unknown_fixture_lists_the_names():
+    with pytest.raises(ValueError, match="unknown fixture 'nope'") as info:
+        fixture("nope")
+    assert all(repr(name) in str(info.value) for name in fixture_names())
+
+
+@pytest.mark.parametrize("terms", [[(1e-310, 1.5)], [(1e-310, 1.0), (1e-20, 0.05)],
+                                   [(5e-324, 1.95), (2.5e-308, 0.5)]])
+def test_exp_sum_root_with_a_coefficient_below_y_over_the_float_max(terms):
+    # y / c and e^(alpha u) overflow for such a c: its terms are taken in
+    # logarithms, and the root matches one found in mpmath
+    import mpmath as mp
+
+    u = exp_sum_root(45.0, terms)
+    ref = mp.findroot(lambda v: sum(c * mp.exp(al * v) for c, al in terms) - 45,
+                      min((math.log(45.0) - math.log(c)) / al for c, al in terms))
+    assert u == pytest.approx(float(ref), rel=1e-13)
+    with pytest.raises(ValueError, match="must be positive"):
+        exp_sum_root(45.0, terms + [(0.0, 1.0)])
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -247,3 +248,57 @@ def test_eta_where_the_kernel_rate_underflows_is_an_accuracy_error(name):
         eta_integral(spec, 5e-324, 0.25)
     with pytest.raises(AccuracyError, match="underflows to 0"):
         _eta_integrals(spec, [1.0, 5e-324], 0.25)
+
+
+def test_density_whose_integrand_outlives_theta_is_an_accuracy_error():
+    # one cell of width 1e-15 at alpha 0.05: t_cf is e^691, and at x = 0 the
+    # envelope e^-R(t) falls to e^-45 only past t = e^700
+    from multistable.inversion import density_with_error
+    from multistable.quadrature import AccuracyError
+
+    spec = refine(StepFunction((0.0, 1e-15), (1.0,)), ExponentFunction.constant(0.05))
+    with pytest.raises(AccuracyError, match="density's integrand outlives"):
+        density_with_error(spec, 0.0)
+
+
+EDGE_SIZES = (1e-300, 1e-100, 1e-30, 1e-15, 1.0, 1e100, 1e300)
+EDGE_ARGS = (0.0, 1e-310, 1e-300, 1e-100, 1e-10, 1.0, 1e10, 1e100, 1e308)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("alpha", [0.05, 0.5, 1.0, 1.5, 1.95])
+def test_specs_at_the_float_range_edges_are_refused_by_name(alpha):
+    # one cell per width and coefficient from 1e-300 to 1e300: a spec is built
+    # or refused, and its quasinorm, density, tail, cdf and eta at arguments from
+    # 0 to 1e308 each return finite numbers or raise ValueError or AccuracyError,
+    # never OverflowError, ZeroDivisionError or a RuntimeWarning; a nonzero spec's
+    # quasinorm is never 0
+    from multistable.function_space import quasinorm
+    from multistable.inversion import (
+        _cdf_with_error,
+        density_with_error,
+        eta_integral,
+        tail_probability_with_error,
+    )
+    from multistable.quadrature import AccuracyError
+
+    returned = 0
+    for width, coef in itertools.product(EDGE_SIZES, EDGE_SIZES + (1e200,)):
+        try:
+            spec = refine(StepFunction((0.0, width), (coef,)), ExponentFunction.constant(alpha))
+        except ValueError:
+            continue
+        calls = [(quasinorm, ())] + [
+            (call, (x,)) for x in EDGE_ARGS
+            for call in (density_with_error, tail_probability_with_error, _cdf_with_error)]
+        calls += [(eta_integral, (x, 0.125)) for x in EDGE_ARGS]
+        for call, args in calls:
+            try:
+                got = call(spec, *args)
+            except (ValueError, AccuracyError):
+                continue
+            returned += 1
+            assert all(map(math.isfinite, np.atleast_1d(got))), (call.__name__, width, coef, args)
+            if call is quasinorm:
+                assert got > 0.0, (width, coef)
+    assert returned > 0

@@ -48,6 +48,13 @@ class TestJ0:
     def test_exact_power_boundary(self):
         assert j0(1.5 ** 3, 1.5) == 3
 
+    @pytest.mark.parametrize("lam, floored", [(7.59375, 4), (11.390624999999998, 6)])
+    def test_integer_search_corrects_the_float_floor(self, lam, floored):
+        # 7.59375 = 1.5^5 exactly, whose float log ratio floors one low; the float
+        # below 1.5^6 floors one high
+        assert math.floor(math.log(lam) / math.log(1.5)) == floored
+        assert j0(lam, 1.5) == 5
+
     def test_bracketing_property(self, rng):
         for _ in range(200):
             q = float(rng.uniform(1.05, 3.0))
