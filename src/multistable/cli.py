@@ -164,50 +164,42 @@ def _cmd_quasinorm(args) -> int:
     return 0
 
 
-def _density_rows(spec, args, clamped):
+class _Clamped(Exception):
+    """More than 1% of a density grid needed clamping to 0 (exit code 4)."""
+
+
+def _density_rows(spec, args, xs):
     cfg = _cfg(args)
-
-    def row(x, raw, err):
-        clamped.append(raw < 0.0)
-        return [x, _certified_density(f"density at x={x}", raw, err, cfg), err]
-    return lambda xs: [row(x, *pair) for x, pair in zip(xs, _densities_with_error(spec, xs))]
-
-
-def _tail_rows(spec, args, clamped):
-    cfg = _cfg(args)
-
-    def rows(lams):
-        out = []
-        for lam, (val, err) in zip(lams, _tails_with_error(spec, lams)):
-            _certify(f"tail at lambda={lam}", err, cfg)
-            out.append([lam, val, err])
-        return out
+    pairs = _densities_with_error(spec, xs)
+    rows = [[x, _certified_density(f"density at x={x}", raw, err, cfg), err]
+            for x, (raw, err) in zip(xs, pairs)]
+    clamped = sum(raw < 0.0 for raw, _ in pairs)
+    if clamped > 0.01 * len(rows):
+        raise _Clamped(f"{clamped}/{len(rows)} density values needed clamping to 0")
     return rows
 
 
-def _ratio_scan_rows(spec, args, clamped):
+def _tail_rows(spec, args, lams):
+    cfg = _cfg(args)
+    pairs = _tails_with_error(spec, lams)
+    for lam, (_, err) in zip(lams, pairs):
+        _certify(f"tail at lambda={lam}", err, cfg)
+    return [[lam, val, err] for lam, (val, err) in zip(lams, pairs)]
+
+
+def _ratio_scan_rows(spec, args, lams):
     spec = normalize_to_sphere(spec) if args.normalize else spec
-    cfg = _cfg(args)
-
-    def rows(lams):
-        out = []
-        for lam, (t, p, perr) in zip(lams, _ratio_parts(spec, lams, cfg)):
-            r = p / t
-            out.append([lam, t, r * t, r, perr / t])
-        return out
+    rows = []
+    for lam, (t, p, perr) in zip(lams, _ratio_parts(spec, lams, _cfg(args))):
+        r = p / t
+        rows.append([lam, t, r * t, r, perr / t])
     return rows
-
-
-def _asymptote_rows(spec, args, clamped):
-    # T one lambda at a time, as a grid would move pinned digests (asymptote._asymptote)
-    return lambda lams: [[lam, tail_asymptote(spec, lam)] for lam in lams]
 
 
 class _Grid(NamedTuple):
     """A subcommand that writes one CSV row per point of its sorted grid
-    --<grid>.  rows(spec, args, clamped) makes the rows function of a run, which
-    takes the whole sorted grid, so the densities or tails of a grid are one
-    batch; a density row also records in clamped whether it was clamped to 0."""
+    --<grid>.  rows(spec, args, points) takes the whole sorted grid and returns
+    its rows, so the densities or tails of a grid are one batch."""
 
     help: str
     grid: str
@@ -219,13 +211,14 @@ class _Grid(NamedTuple):
 
 _GRIDS = {
     "cf": _Grid("characteristic function on a theta grid", "theta", ["theta", "cf"],
-                lambda spec, args, clamped: lambda ts: [[t, float(cf(spec, t))] for t in ts]),
+                lambda spec, args, ts: [[t, float(cf(spec, t))] for t in ts]),
     "density": _Grid("density on an x grid (CSV)", "x", ["x_or_lambda", "value", "est_error"],
                      _density_rows, abs_tol=True),
     "tail": _Grid("two-sided tail probabilities (CSV)", "lambdas",
                   ["x_or_lambda", "value", "est_error"], _tail_rows, abs_tol=True),
+    # T one lambda at a time, as a grid would move pinned digests (asymptote._asymptote)
     "asymptote": _Grid("tail asymptote T(lambda) (CSV)", "lambdas", ["lambda", "T"],
-                       _asymptote_rows),
+                       lambda spec, args, lams: [[x, tail_asymptote(spec, x)] for x in lams]),
     "ratio-scan": _Grid("tail/asymptote ratio over lambda (CSV)", "lambdas",
                         ["lambda", "T", "P", "ratio", "abs_err_bound"], _ratio_scan_rows,
                         [100.0, 1000.0, 10000.0], abs_tol=True),
@@ -234,12 +227,7 @@ _GRIDS = {
 
 def _cmd_grid(args) -> int:
     grid = _GRIDS[args.command]
-    clamped = []
-    rows = grid.rows(_load_spec(args), args, clamped)(sorted(getattr(args, grid.grid)))
-    if sum(clamped) > 0.01 * len(rows):
-        print(f"error: {sum(clamped)}/{len(rows)} density values needed clamping to 0",
-              file=sys.stderr)
-        return 4
+    rows = grid.rows(_load_spec(args), args, sorted(getattr(args, grid.grid)))
     out = _outpath(args, f"{args.command.replace('-', '_')}.csv")
     _write_csv(out, grid.header, rows)
     print(f"wrote {out}")
@@ -453,6 +441,9 @@ def run_command(argv: list[str]) -> int:
     except AccuracyError as exc:
         print(f"accuracy error: {exc}", file=sys.stderr)
         return 3
+    except _Clamped as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

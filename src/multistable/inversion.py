@@ -41,9 +41,9 @@ of one spec before it evaluates any, so a refusal returns no pair; it groups
 the plans by kind (and w) and packs each group into blocks that close once
 they hold _BLOCK_NODES nodes, one ``_integrand`` call a block with omega and
 t0 per node.  A plan of that many nodes runs alone on the one-plan path,
-``_run``.  The scalar density, tail, cdf and eta are one-request calls: each
-makes its batched body's checks, then ``_integral`` plans its one request and
-runs it on ``_run``, with no grouping or blocks.  ``_Ray`` holds what every
+``_run``, and so does a lone request, with no grouping or blocks.  The scalar
+density, tail, cdf and eta are one-element calls of their batched bodies, so
+each quantity has one body and one set of checks.  ``_Ray`` holds what every
 plan would otherwise rebuild (the stub's denominators, the truncation's first
 factors, W t_cf^alpha); three fifths of a plan is its panel layout, about 30
 numpy calls on arrays of 20 to 60 floats.  Every batched (value, err) equals
@@ -736,11 +736,19 @@ def _integrals(spec: MultistableSpec, requests: list) -> list[tuple[float, float
     _plan) and (0, 0) at omega = inf.  Every request is planned, in order,
     before any is evaluated; the caller has checked every input.
 
-    Plans of one kind and w share _blocks: one _integrand call per block.
-    Each plan keeps its own GK21 sums (quadrature._add_up on its own nodes,
-    in the one-plan row layout), and a one-plan block runs _run, so every
-    pair equals _run's on its plan.
+    A lone request, a scalar call's, runs on _run with no grouping or blocks:
+    grouping it gives the same pair but costs about 5 us of a 120 us call.
+    Otherwise plans of one kind and w share _blocks: one _integrand call per
+    block.  Each plan keeps its own GK21 sums (quadrature._add_up on its own
+    nodes, in the one-plan row layout), and a one-plan block runs _run, so
+    every pair equals _run's on its plan.
     """
+    if len(requests) == 1:
+        (omega, kind, w), = requests
+        if math.isinf(omega):
+            return [(0.0, 0.0)]
+        ray = _ray(spec)
+        return [_run(ray, _plan(ray, omega, kind, w))]
     ray, plans, groups = None, {}, {}
     for i, (omega, kind, w) in enumerate(requests):
         if not math.isinf(omega):
@@ -765,31 +773,24 @@ def _integrals(spec: MultistableSpec, requests: list) -> list[tuple[float, float
     return out
 
 
-def _integral(spec: MultistableSpec, omega: float, kind: str,
-              w: float = 0.0) -> tuple[float, float]:
-    """The pair _integrals gives one request (omega, kind, w), with no grouping or
-    blocks: (0, 0) at omega = inf, else _run on its plan."""
-    if math.isinf(omega):
-        return 0.0, 0.0
-    ray = _ray(spec)
-    return _run(ray, _plan(ray, omega, kind, w))
-
-
 def _eta_integrals(spec: MultistableSpec, xis: list[float],
                    w: float) -> list[tuple[float, float]]:
     """2 int_0^inf phi_q(theta) (1 - cf(theta / xi)) dtheta = E[1 - bump(I / xi)] for
     the mollifier of half-width w at each xi > 0, with an absolute error bound,
-    evaluated in blocks; ValueError, before any is planned, if an xi is not."""
+    evaluated in blocks; before any is planned, ValueError if an xi is not, and
+    AccuracyError if its kernel's reach xi (1 + w) passes the float max."""
     if spec.is_zero:
         return [(0.0, 0.0)] * len(xis)
-    return _integrals(spec, [(_positive("xi", xi), "eta", w) for xi in xis])
+    for xi in xis:
+        if math.isinf(_positive("xi", xi) * (1.0 + w)):
+            raise AccuracyError(f"xi (1 + w) passes the floating-point range at xi = {xi!r}, "
+                                f"w = {w!r}", math.inf)
+    return _integrals(spec, [(xi, "eta", w) for xi in xis])
 
 
 def eta_integral(spec: MultistableSpec, xi: float, w: float) -> tuple[float, float]:
-    """The one-xi call of :func:`_eta_integrals`: its pair, from one plan."""
-    if spec.is_zero:
-        return 0.0, 0.0
-    return _integral(spec, _positive("xi", xi), "eta", w)
+    """The one-element call of :func:`_eta_integrals`: its pair, from one plan."""
+    return _eta_integrals(spec, [xi], w)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -807,14 +808,9 @@ def _positive(name: str, value: float) -> float:
     return value
 
 
-def _check_lambda(spec: MultistableSpec, lam: float):
-    _require_nonzero(spec)
-    _positive("lambda", lam)
-
-
 def _densities_with_error(spec: MultistableSpec, xs: list[float]) -> list[tuple[float, float]]:
     """The density at each x and a bound on the absolute error, evaluated in blocks;
-    ValueError, before any is planned, at the first x a one-x call would refuse."""
+    ValueError, before any is planned, at the first refused x (NaN, or f == 0)."""
     for x in xs:
         _check_x(spec, x)
     return _integrals(spec, [(abs(x), "density", 0.0) for x in xs])
@@ -822,11 +818,10 @@ def _densities_with_error(spec: MultistableSpec, xs: list[float]) -> list[tuple[
 
 def density_with_error(spec: MultistableSpec, x: float,
                        cfg: QuadratureConfig | None = None) -> tuple[float, float]:
-    """Density at x and a bound on the absolute error, the one-x call of
-    :func:`_densities_with_error`: the same check, then its pair from one plan;
-    cfg is not read, and :func:`density` certifies the bound."""
-    _check_x(spec, x)
-    return _integral(spec, abs(x), "density")
+    """Density at x and a bound on the absolute error, the one-element call of
+    :func:`_densities_with_error`; cfg is not read, and :func:`density`
+    certifies the bound."""
+    return _densities_with_error(spec, [x])[0]
 
 
 def _certified_density(what: str, val: float, err: float, cfg: QuadratureConfig) -> float:
@@ -852,19 +847,18 @@ def density(spec: MultistableSpec, x: float,
 
 def _tails_with_error(spec: MultistableSpec, lams: list[float]) -> list[tuple[float, float]]:
     """P(|I(f)| > lam) and its absolute error bound at each lambda, evaluated in blocks;
-    ValueError, before any is planned, at the first lambda a one-lambda call refuses."""
+    ValueError, before any is planned, at the first refused lambda (not > 0, or f == 0)."""
     for lam in lams:
-        _check_lambda(spec, lam)
+        _require_nonzero(spec)
+        _positive("lambda", lam)
     return _integrals(spec, [(lam, "tail", 0.0) for lam in lams])
 
 
 def tail_probability_with_error(spec: MultistableSpec, lam: float,
                                 cfg: QuadratureConfig | None = None) -> tuple[float, float]:
-    """P(|I(f)| > lam) and a bound on the absolute error, the one-lambda call of
-    :func:`_tails_with_error`: the same check, then its pair from one plan;
-    cfg is not read."""
-    _check_lambda(spec, lam)
-    return _integral(spec, lam, "tail")
+    """P(|I(f)| > lam) and a bound on the absolute error, the one-element call of
+    :func:`_tails_with_error`; cfg is not read."""
+    return _tails_with_error(spec, [lam])[0]
 
 
 def tail_probability(spec: MultistableSpec, lam: float,
@@ -888,8 +882,8 @@ def _cdf_from_tail(x: float, p: float, err: float) -> tuple[float, float]:
 
 def _cdfs_with_error(spec: MultistableSpec, xs: list[float]) -> list[tuple[float, float]]:
     """F(x) at each x and a bound on its absolute error (see _cdf_from_tail), the
-    tails evaluated in blocks; ValueError, before any is planned, at the first x
-    a one-x call would refuse."""
+    tails evaluated in blocks; ValueError, before any is planned, at the first
+    refused x (NaN, or f == 0)."""
     for x in xs:
         _check_x(spec, x)
     tails = iter(_integrals(spec, [(abs(x), "tail", 0.0) for x in xs if x != 0.0]))
@@ -898,10 +892,8 @@ def _cdfs_with_error(spec: MultistableSpec, xs: list[float]) -> list[tuple[float
 
 
 def _cdf_with_error(spec: MultistableSpec, x: float) -> tuple[float, float]:
-    """The one-x call of :func:`_cdfs_with_error`: the same check, then its tail
-    from one plan."""
-    _check_x(spec, x)
-    return _cdf_from_tail(x, *(_integral(spec, abs(x), "tail") if x != 0.0 else (1.0, 0.0)))
+    """The one-element call of :func:`_cdfs_with_error`."""
+    return _cdfs_with_error(spec, [x])[0]
 
 
 def cdf(spec: MultistableSpec, x: float, cfg: QuadratureConfig | None = None) -> float:

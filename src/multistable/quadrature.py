@@ -46,11 +46,12 @@ class AccuracyError(RuntimeError):
 
 
 def _certify(what: str, err: float, cfg: QuadratureConfig | None) -> None:
-    """Raise :class:`AccuracyError` when the error bound err exceeds cfg.abs_tol.
+    """Raise :class:`AccuracyError` unless the error bound err is at most cfg.abs_tol;
+    a NaN bound is unmet.
 
     A cfg of None asks for no certificate.
     """
-    if cfg is not None and err > cfg.abs_tol:
+    if cfg is not None and not err <= cfg.abs_tol:
         raise AccuracyError(f"{what} did not meet abs_tol", err)
 
 

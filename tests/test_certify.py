@@ -1,5 +1,7 @@
 """The one certification check shared by the library and the CLI."""
 
+import math
+
 import pytest
 
 import multistable.cli as cli
@@ -58,3 +60,11 @@ def test_certification(value, err, expected, achieved, tmp_path, monkeypatch, ca
     else:
         # one clamped value out of one is over the CLI's 1% clamp budget
         assert rc == (4 if value < 0.0 else 0)
+
+
+def test_a_nan_bound_is_unmet():
+    # err > abs_tol is False for a NaN err, which every certified entry accepted
+    with pytest.raises(AccuracyError):
+        _certify("x", math.nan, QuadratureConfig())
+    with pytest.raises(AccuracyError):
+        _certified_density("density", 0.25, math.nan, CFG)

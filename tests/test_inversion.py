@@ -302,3 +302,37 @@ def test_specs_at_the_float_range_edges_are_refused_by_name(alpha):
             if call is quasinorm:
                 assert got > 0.0, (width, coef)
     assert returned > 0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_eta_whose_kernel_passes_the_float_max_is_refused_by_name():
+    # eta's kernel reaches xi (1 + w) and its stub xi (1 + w/2): where that
+    # passed the float max, the stub raised a raw math domain error or the call
+    # returned a NaN error bound; on the edge specs each call now returns finite
+    # numbers or raises ValueError or AccuracyError, and the public eta refuses
+    import multistable as ms
+    from multistable.inversion import eta_integral
+    from multistable.mollifier import build_mollifier
+    from multistable.quadrature import AccuracyError
+
+    named = 0
+    for alpha in (0.05, 0.5, 1.0, 1.5, 1.95):
+        for width, coef in itertools.product(EDGE_SIZES, EDGE_SIZES + (1e200,)):
+            try:
+                spec = refine(StepFunction((0.0, width), (coef,)), ExponentFunction.constant(alpha))
+            except ValueError:
+                continue
+            for xi, w in ((1.7e308, 0.125), (1e308, 0.25), (float(np.finfo(float).max), 0.001)):
+                try:
+                    got = eta_integral(spec, xi, w)
+                except AccuracyError as exc:
+                    named += "xi (1 + w)" in str(exc)
+                    continue
+                except ValueError as exc:
+                    assert "math domain" not in str(exc), (alpha, width, coef, xi, w)
+                    continue
+                assert all(map(math.isfinite, got)), (alpha, width, coef, xi, w)
+    assert named > 0
+    spec = refine(StepFunction((0.0, 1e-300), (1.0,)), ExponentFunction.constant(1.0))
+    with pytest.raises(AccuracyError, match=r"xi \(1 \+ w\) passes"):
+        ms.eta(spec, build_mollifier(1.25), 1.7e308, QuadratureConfig(1e-10))
