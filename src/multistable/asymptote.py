@@ -74,15 +74,18 @@ class TailAsymptote:
         return TailAsymptote(spec)
 
     def __call__(self, lam) -> float | np.ndarray:
+        """T at each lambda of lam; ValueError for one that is not positive
+        (NaN included), and T(inf) = 0."""
         lam = np.asarray(lam, dtype=float)
-        out = _asymptote(lam.reshape(-1), self.exponents, self.weights).reshape(lam.shape)
+        flat = lam.reshape(-1)
+        if flat.size and not flat.min() > 0.0:
+            raise ValueError(f"lambda must be positive, got {flat[~(flat > 0.0)][0]}")
+        out = _asymptote(flat, self.exponents, self.weights).reshape(lam.shape)
         return float(out) if out.shape == () else out
 
 
 def tail_asymptote(spec: MultistableSpec, lam: float) -> float:
     """T(lam) = sum_g w_g lam^(-alpha_g), exact for step data."""
-    if not lam > 0.0:
-        raise ValueError(f"lambda must be positive, got {lam}")
     return TailAsymptote(spec)(lam)
 
 
@@ -101,31 +104,27 @@ def _check_ratio_lambda(lam: float):
         raise ValueError(f"ratio is defined for finite lambda >= 1, got {lam}")
 
 
-def _ratio_parts(spec: MultistableSpec, lams: list[float],
-                 cfg: QuadratureConfig | None = None) -> list[tuple[float, float, float]]:
-    """(T(lam), P(|I(f)| > lam), P's certified error bound) at each lambda: the
+def _ratio_parts(spec: MultistableSpec, lams: list[float]) -> list[tuple[float, float, float]]:
+    """(T(lam), P(|I(f)| > lam), P's error bound) at each lambda, uncertified: the
     tails evaluated in blocks.  Before any is planned, each lambda is
     range-checked, in order, the unit sphere checked after the first and T
     built once; ValueError at the first check that fails."""
-    cfg = cfg or QuadratureConfig()
     for i, lam in enumerate(lams):
         _check_ratio_lambda(lam)
         if not i:   # the spec is on the unit sphere, so not 0
             _require_unit_sphere(spec)
             asymptote = TailAsymptote(spec)
-    parts = []
-    for lam, (p, perr) in zip(lams, _tails_with_error(spec, lams)):
-        _certify("tail probability inside ratio", perr, cfg)
-        # T one lambda at a time, as a grid would move pinned digests (see _asymptote)
-        parts.append((asymptote(lam), p, perr))
-    return parts
+    # T one lambda at a time, as a grid would move pinned digests (see _asymptote)
+    tails = _tails_with_error(spec, lams)
+    return [(asymptote(lam), p, perr) for lam, (p, perr) in zip(lams, tails)]
 
 
 def ratio_with_error(spec: MultistableSpec, lam: float,
                      cfg: QuadratureConfig | None = None) -> tuple[float, float]:
     """(P(|I(f)| > lam) / T(lam), error bound on the ratio): the one-lambda call
-    of _ratio_parts."""
-    (t, p, perr), = _ratio_parts(spec, [lam], cfg)
+    of _ratio_parts, with P's bound certified against cfg (default abs_tol 1e-10)."""
+    (t, p, perr), = _ratio_parts(spec, [lam])
+    _certify("tail probability inside ratio", perr, cfg or QuadratureConfig())
     return p / t, perr / t
 
 

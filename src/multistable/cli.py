@@ -189,11 +189,10 @@ def _tail_rows(spec, args, lams):
 
 def _ratio_scan_rows(spec, args, lams):
     spec = normalize_to_sphere(spec) if args.normalize else spec
-    rows = []
-    for lam, (t, p, perr) in zip(lams, _ratio_parts(spec, lams, _cfg(args))):
-        r = p / t
-        rows.append([lam, t, r * t, r, perr / t])
-    return rows
+    cfg, parts = _cfg(args), _ratio_parts(spec, lams)
+    for _, _, perr in parts:
+        _certify("tail probability inside ratio", perr, cfg)
+    return [[lam, t, p, p / t, perr / t] for lam, (t, p, perr) in zip(lams, parts)]
 
 
 class _Grid(NamedTuple):

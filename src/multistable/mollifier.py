@@ -114,8 +114,9 @@ _X_SERIES, _SERIES_TAIL = 6.0, 2.6e-18
 _SERIES = [2 ** k / (math.factorial(k) * math.prod(range(13, 13 + 2 * k, 2)))
            for k in range(16, -1, -1)]
 _S_CROSSOVER = 25.0        # the ray rule's panels count H's r^6 decay from s = w |z| = 25 on
-# the proven envelope holds from x = w theta / 2 = 18.75 on
+# the proven envelope holds from x = w theta / 2 = 18.75 on, where hypot(a, b) = 1.02243
 _X_ENVELOPE = 18.75
+_HYPOT_AB = math.sqrt(npoly.polyval(_X_ENVELOPE ** -2, [1, 15, 315, 6300, 99225, 893025]))
 _TAIL_TOL = 1e-8           # bound on the envelope's theta^gamma tails, gamma in [0, 1.9]
 # roundings in units of eps: H's on the real axis, of its bound (in units of eps/2
 # as for inversion._KERNEL_ROUNDINGS: |x| < 6 52.8 of S < 4 and 14.5; |x| >= 6 67.2,
@@ -250,10 +251,11 @@ class MollifierSpec:
     """Mollifier for a fixed q in (1, 1e6], ``MollifierSpec(q)``, and its
     proven decay envelope.
 
-    The other fields are derived from q, and q and the bump are checked
-    (ValueError), so a ``dataclasses.replace`` copy is recomputed from its
-    own q.  ``theta_max``, ``stub``, ``nodes``, ``weights`` (Kronrod) and ``phi_values``
-    describe rho's GK21 table (:meth:`abs_integral`), built on first reading.
+    The other fields are derived from q, and q is checked (ValueError), so a
+    ``dataclasses.replace`` copy is recomputed from its own q.  ``theta_max``,
+    ``stub``, ``nodes``, ``weights`` (Kronrod) and ``phi_values`` describe rho's
+    GK21 table (:meth:`abs_integral`), built on first reading.  A build evaluates
+    no S5: S5(0) = 0 and S5(1) = 1 exactly, and its range is checked at import.
     """
 
     q: float
@@ -269,16 +271,9 @@ class MollifierSpec:
             raise ValueError(f"q must lie in (1, {_MAX_Q:g}], got {q}")
         w = (q - 1.0) / 2.0
         # the proven envelope |phi| <= coeff theta^-7 beyond theta_fit (module docstring)
-        hypot_ab = math.sqrt(npoly.polyval(_X_ENVELOPE ** -2, [1, 15, 315, 6300, 99225, 893025]))
         object.__setattr__(self, "w", w)
-        object.__setattr__(self, "decay_coeff", 10395.0 * (2.0 / w) ** 6 * hypot_ab / math.pi)
+        object.__setattr__(self, "decay_coeff", 10395.0 * (2.0 / w) ** 6 * _HYPOT_AB / math.pi)
         object.__setattr__(self, "theta_fit", 2.0 * _X_ENVELOPE / w)
-        # the bump of this q: 1 at |x| = 1, 0 at |x| = (1+q)/2; it stays in [0, 1]
-        # between because S5 does on [0, 1] (checked once per process, below)
-        if not math.isclose(float(self.bump(1.0)), 1.0, abs_tol=1e-14):
-            raise ValueError("bump must equal 1 at |x| = 1")
-        if abs(float(self.bump((1.0 + q) / 2.0))) > 1e-14:
-            raise ValueError("bump must vanish at |x| = (1+q)/2")
 
     # -- pointwise evaluation ------------------------------------------------
 

@@ -13,9 +13,9 @@ with m(s) the modular of f at scale factor s, and
 
 Each lemma's sandwich is checked on grids with the quadrature error
 budgets subtracted from the margins.  Every sweep reports through
-``_sandwich``: each row carries its ok and its two margins, and the
-verdict is that every row holds.  No constant is fitted to make a check
-pass, and the proof-internal constants are never computed.
+``_sandwich``, which reads each row's ok off its two margins (both >= 0),
+and the verdict is that every row holds.  No constant is fitted to make a
+check pass, and the proof-internal constants are never computed.
 
 eta and the Parseval theta side are integrals of analytic functions
 against phi_q.  They run on the rotated-ray rule of
@@ -141,12 +141,14 @@ def eta(spec: MultistableSpec, moll: MollifierSpec, xi: float,
 def tau_with_error(spec: MultistableSpec, moll: MollifierSpec, xi: float,
                    cfg: QuadratureConfig | None = None) -> tuple[float, float]:
     """tau(xi) via the Fubini form: an exact cell sum against h_q values."""
-    return _tau(spec, moll.hs([alph for alph, _ in spec.groups]), xi, cfg)
+    val, err = _tau(spec, moll.hs([alph for alph, _ in spec.groups]), xi)
+    _certify("tau error bound", err, cfg)
+    return val, err
 
 
-def _tau(spec: MultistableSpec, hs: list[tuple[float, float]], xi: float,
-         cfg: QuadratureConfig | None = None) -> tuple[float, float]:
-    """tau(xi) from hs, moll.hs of the exponent groups' alphas in spec.groups order.
+def _tau(spec: MultistableSpec, hs: list[tuple[float, float]], xi: float) -> tuple[float, float]:
+    """tau(xi) and its error bound, uncertified, from hs, moll.hs of the exponent
+    groups' alphas in spec.groups order.
 
     The bound adds each h's bound and the sum's own roundings: per term the
     power (within 1 ulp, two units of eps/2) and two products, one unit of
@@ -159,7 +161,6 @@ def _tau(spec: MultistableSpec, hs: list[tuple[float, float]], xi: float,
         term = scale * h
         val += term
         err += scale * he + _EPS * (2.5 * abs(term) + 0.5 * abs(val))
-    _certify("tau error bound", err, cfg)
     return val, err
 
 
@@ -228,7 +229,11 @@ def _grid(points: Sequence[float], what: str) -> list[float]:
 
 
 def _sandwich(lemma: str, q: float, rows: list[dict]) -> LemmaReport:
-    """The report of a two-sided check whose rows carry ok and both margins."""
+    """The report of a two-sided check whose rows carry both margins, error
+    bounds subtracted: each row's ok is that both are >= 0, and the row's own
+    ok, if it has one (lemma6's middle inequality), as well."""
+    for r in rows:
+        r["ok"] = bool(r.get("ok", True) and r["margin_lower"] >= 0.0 and r["margin_upper"] >= 0.0)
     worst = min(min(r["margin_lower"], r["margin_upper"]) for r in rows)
     return LemmaReport(lemma, all(r["ok"] for r in rows), rows, {"q": q, "worst_margin": worst})
 
@@ -241,15 +246,12 @@ def verify_lemma3(moll: MollifierSpec, gammas: Sequence[float]) -> LemmaReport:
     for g, (h, he) in zip(gammas, moll.hs(_grid(gammas, "gamma"))):
         c = tail_constant(float(g))
         lo, hi = q ** -g * h, q ** g * h
-        lo_budget, hi_budget = q ** -g * he, q ** g * he
-        ok = bool(lo - lo_budget <= c and c <= hi + hi_budget)
         # margins with the error budget already subtracted
         rows.append({
             "gamma": float(g), "h": h, "h_err": he, "C": c,
             "lower": lo, "upper": hi,
-            "margin_lower": c - lo - lo_budget,
-            "margin_upper": hi - c - hi_budget,
-            "ok": ok,
+            "margin_lower": c - lo - q ** -g * he,
+            "margin_upper": hi - c - q ** g * he,
         })
     return _sandwich("lemma3", q, rows)
 
@@ -262,13 +264,11 @@ def verify_lemma1(spec: MultistableSpec, moll: MollifierSpec,
     rows = []
     for lam, (j, (lo, lo_err), (hi, hi_err)), (p, p_err) in zip(
             lams, _eta_sweep(spec, moll, lams), _tails_with_error(spec, lams)):
-        ok = (lo - lo_err <= p + p_err) and (p - p_err <= hi + hi_err)
         rows.append({
             "lambda": lam, "j0": j,
             "eta_upper_arg": lo, "tail": p, "eta_lower_arg": hi,
             "margin_lower": p - lo - lo_err - p_err,
             "margin_upper": hi - p - hi_err - p_err,
-            "ok": ok,
         })
     return _sandwich("lemma1", moll.q, rows)
 
@@ -285,10 +285,9 @@ def verify_lemma5(spec: MultistableSpec, moll: MollifierSpec,
         t, te = _tau(spec, hs, xi)
         lo = asymptote(q * xi)
         hi = asymptote(xi / q)
-        ok = (lo <= t + te) and (t - te <= hi)
         rows.append({
             "xi": xi, "T_qxi": lo, "tau": t, "tau_err": te, "T_xi_over_q": hi,
-            "margin_lower": t - lo - te, "margin_upper": hi - t - te, "ok": ok,
+            "margin_lower": t - lo - te, "margin_upper": hi - t - te,
         })
     return _sandwich("lemma5", q, rows)
 
@@ -319,14 +318,12 @@ def verify_lemma6(spec: MultistableSpec, moll: MollifierSpec,
         if t < sys.float_info.min:
             raise ValueError(f"T(lambda={lam}) = {t:.6g} underflows: it is below the "
                              f"smallest normal float {sys.float_info.min:.6g}")
-        margin_lower = (e_lo - e_lo_err) / t - lo_edge
-        margin_upper = hi_edge - (e_hi + e_hi_err) / t
         rows.append({
             "lambda": lam, "j0": j, "ratio_lower": e_lo / t, "ratio_upper": e_hi / t,
             "lower_edge": lo_edge, "upper_edge": hi_edge,
-            "margin_lower": margin_lower, "margin_upper": margin_upper,
-            "ok": margin_lower >= 0.0 and margin_upper >= 0.0
-            and e_lo <= e_hi + e_lo_err + e_hi_err,
+            "margin_lower": (e_lo - e_lo_err) / t - lo_edge,
+            "margin_upper": hi_edge - (e_hi + e_hi_err) / t,
+            "ok": e_lo <= e_hi + e_lo_err + e_hi_err,     # the middle inequality
         })
     return _sandwich("lemma6", q, rows)
 
@@ -367,8 +364,8 @@ def verify_parseval(spec: MultistableSpec, moll: MollifierSpec,
     work), both sides at xi = 1/delta with their error bounds: the theta side
     is eta on the ray, the x side certified tails against the bump's slope on
     h_q's band panels.
-    A row passes when the sides differ by at most the sum of the bounds; cfg is
-    not read."""
+    A row passes when the sides differ by at most the sum of the bounds (both
+    margins >= 0); cfg is not read."""
     deltas = _grid(deltas, "delta")
     if not all(0.0 < d < math.inf for d in deltas):
         raise ValueError(f"each delta must be a finite positive number, got {deltas}")
@@ -380,6 +377,6 @@ def verify_parseval(spec: MultistableSpec, moll: MollifierSpec,
         rows.append({
             "delta": delta, "theta_side": theta_side, "x_side": x_side,
             "difference": diff, "theta_err": theta_err, "x_err": x_err, "tolerance": tol,
-            "margin_lower": tol + diff, "margin_upper": tol - diff, "ok": abs(diff) <= tol,
+            "margin_lower": tol + diff, "margin_upper": tol - diff,
         })
     return _sandwich("parseval", moll.q, rows)

@@ -98,6 +98,17 @@ class TestTailAsymptote:
         with pytest.raises(ValueError, match="lambda must be positive"):
             tail_asymptote(CAUCHY, math.nan)
 
+    @pytest.mark.parametrize("lam", [-1.0, 0.0, math.nan, [10.0, -2.0], [math.nan, 10.0]])
+    def test_call_refuses_a_lambda_that_is_not_positive(self, lam):
+        # the callable used to give NaN or inf with a RuntimeWarning, or NaN silently
+        with pytest.raises(ValueError, match="lambda must be positive"):
+            TailAsymptote(fixture("two_exp"))(lam)
+
+    def test_call_takes_inf_and_an_empty_grid(self):
+        asym = TailAsymptote(fixture("two_exp"))
+        assert asym(math.inf) == 0.0
+        assert asym(np.array([])).shape == (0,)
+
     def test_zero_function_rejected(self):
         zero = refine(StepFunction((0.0, 1.0), (0.0,)), ExponentFunction.constant(1.0))
         with pytest.raises(ValueError):

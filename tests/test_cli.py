@@ -18,7 +18,9 @@ from multistable.cli import (
     parse_spec_dict,
     run_command,
 )
-from multistable.function_space import quasinorm
+from multistable.asymptote import _ratio_parts
+from multistable.fixtures import fixture, fixture_names
+from multistable.function_space import normalize_to_sphere, quasinorm
 from multistable.sampler import mc_tail
 
 CAUCHY_DOC = {
@@ -118,6 +120,19 @@ class TestRunCommand:
         assert all(abs(r - 1.0) < 0.05 for r in ratios)
         devs = [abs(r - 1.0) for r in ratios]
         assert devs[0] > devs[1] > devs[2]
+
+    def test_ratio_scan_writes_the_certified_tail(self, tmp_path):
+        # the P column is the tail itself, not (P/T) T, which was 1 ulp off on
+        # some rows
+        lams = np.geomspace(10.0, 1e6, 41).tolist()
+        for name in fixture_names():
+            out = tmp_path / f"{name}.csv"
+            assert run_command(["ratio-scan", "--fixture", name, "--normalize", "--lambdas",
+                                *map(repr, lams), "--out", str(out)]) == 0
+            with open(out) as fh:
+                got = [float(row["P"]) for row in csv.DictReader(fh)]
+            parts = _ratio_parts(normalize_to_sphere(fixture(name)), lams)
+            assert got == [p for _, p, _ in parts], name
 
     def test_density_csv_and_17_digits(self, tmp_path):
         out = tmp_path / "d.csv"

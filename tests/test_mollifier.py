@@ -412,8 +412,8 @@ def test_junctions_checked_once_per_process(monkeypatch):
 
 
 def test_build_evaluates_no_s5_grid(monkeypatch):
-    # S5's range on [0, 1] is checked once per process; a build evaluates the
-    # bump at its two edges only, one point each
+    # S5's range on [0, 1] is checked once per process, and its edge values
+    # S5(0) = 0, S5(1) = 1 are exact, so a build evaluates S5 nowhere
     s5, sizes = mollifier._s5, []
 
     def counted(t):
@@ -423,7 +423,7 @@ def test_build_evaluates_no_s5_grid(monkeypatch):
     monkeypatch.setattr(mollifier, "_s5", counted)
     for q in (1.01, 1.25, 50.0, 1e6):
         build_mollifier(q)
-    assert sizes == [1] * 8
+    assert sizes == []
 
 
 def test_range_check_refuses_a_polynomial_that_leaves_the_unit_interval():

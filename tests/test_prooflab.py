@@ -338,6 +338,50 @@ class TestLemmaSweeps:
             assert row["margin_lower"] <= row["ratio_lower"] - row["lower_edge"]
             assert row["margin_upper"] <= row["upper_edge"] - row["ratio_upper"]
 
+    @pytest.mark.parametrize("lemma", ["lemma1", "lemma3", "lemma5"])
+    def test_a_row_inside_its_error_window_fails(self, lemma, moll15, monkeypatch):
+        # the value sits on the lower edge with a bound of 1e-3 of it: inside the
+        # bounds counted in its favour, but its margin is negative, so the row
+        # fails and the report with it
+        spec, q = TWO_EXP, moll15.q
+        if lemma == "lemma1":
+            def on_the_edge(spec, lams):
+                return [(lo, 1e-3 * lo) for _, (lo, _), _ in prooflab._eta_sweep(spec, moll15, lams)]
+
+            monkeypatch.setattr(prooflab, "_tails_with_error", on_the_edge)
+            rep = verify_lemma1(spec, moll15, [100.0])
+        elif lemma == "lemma3":
+            def on_the_edge(self, gammas):
+                return [(q ** g * tail_constant(g), 1e-3 * q ** g * tail_constant(g))
+                        for g in gammas]
+
+            monkeypatch.setattr(type(moll15), "hs", on_the_edge)
+            rep = verify_lemma3(moll15, [1.0])
+        else:
+            t = tail_asymptote(spec, q * 10.0)
+            monkeypatch.setattr(prooflab, "_tau", lambda spec, hs, xi: (t, 1e-3 * t))
+            rep = verify_lemma5(spec, moll15, [10.0])
+        row, = rep.grid
+        assert row["margin_lower"] < 0.0 < row["margin_upper"]
+        assert row["ok"] is False and rep.passed is False
+        assert rep.summary["worst_margin"] == row["margin_lower"]
+
+    @pytest.mark.parametrize("q", [1.25, 1.5, 2.0])
+    @pytest.mark.parametrize("name", ["cauchy", "alpha06", "alpha18", "two_exp",
+                                      "three_cell", "wide_narrow"])
+    def test_a_report_passes_exactly_when_its_margins_hold(self, name, q):
+        # lemma6 also asks for its middle inequality, which has no margin
+        spec, moll, lams = fixture(name), build_mollifier(q), [10.0, 50.0, 100.0, 1000.0]
+        middle = all(lo <= hi + lo_err + hi_err
+                     for _, (lo, lo_err), (hi, hi_err) in prooflab._eta_sweep(spec, moll, lams))
+        for rep, extra in ((verify_lemma1(spec, moll, lams), True),
+                           (verify_lemma3(moll, [0.3, 1.0, 1.9]), True),
+                           (verify_lemma5(spec, moll, [1.0, 10.0, 100.0]), True),
+                           (verify_lemma6(spec, moll, lams), middle),
+                           (verify_parseval(spec, moll, [0.1, 1.0]), True)):
+            assert rep.passed is (rep.summary["worst_margin"] >= 0.0 and extra), rep.lemma
+            assert all(type(row["ok"]) is bool for row in rep.grid)
+
     @pytest.mark.parametrize("verify, args", [
         (verify_lemma1, [10.0, 100.0]), (verify_lemma5, [1.0, 10.0]),
         (verify_lemma6, [10.0, 100.0]), (verify_parseval, [0.1, 1.0])])

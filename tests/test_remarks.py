@@ -15,7 +15,7 @@ import json
 import numpy as np
 import pytest
 
-from multistable import cli
+from multistable import asymptote, cli
 from multistable.asymptote import (
     TailAsymptote,
     _ratio_parts,
@@ -31,6 +31,7 @@ from multistable.function_space import (
     _cells_and_groups,
     refine,
 )
+from multistable.quadrature import AccuracyError
 
 
 def _philox(seed):
@@ -222,6 +223,16 @@ def test_ratio_grid_t_is_tail_asymptote():
     parts = list(_ratio_parts(spec, lams))
     assert [t for t, _, _ in parts] == [tail_asymptote(spec, lam) for lam in lams]
     assert [(p / t, e / t) for t, p, e in parts] == [ratio_with_error(spec, lam) for lam in lams]
+
+
+def test_ratio_grid_leaves_its_bound_uncertified(monkeypatch):
+    # the grid hands back P's bound as it is; ratio_with_error certifies it
+    monkeypatch.setattr(asymptote, "_tails_with_error",
+                        lambda spec, lams: [(0.5, 1e-9)] * len(lams))
+    spec = fixture("two_exp")
+    assert [(p, e) for _, p, e in _ratio_parts(spec, [10.0, 100.0])] == [(0.5, 1e-9)] * 2
+    with pytest.raises(AccuracyError, match="tail probability inside ratio"):
+        ratio_with_error(spec, 10.0)
 
 
 def test_ratio_scan_refuses_a_spec_off_the_unit_sphere(tmp_path, capsys):
