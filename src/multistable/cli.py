@@ -109,15 +109,13 @@ def emit_spec(spec: MultistableSpec) -> dict:
 
 
 def _load_spec(args) -> MultistableSpec:
-    if getattr(args, "fixture", None):
-        return fixtures.fixture(args.fixture)
-    if getattr(args, "spec", None):
-        return parse_spec(args.spec)
-    raise SpecFormatError("provide --spec FILE or --fixture NAME")
+    if not (args.spec or args.fixture):
+        raise SpecFormatError("provide --spec FILE or --fixture NAME")
+    return fixtures.fixture(args.fixture) if args.fixture else parse_spec(args.spec)
 
 
 def _outpath(args, default_name: str) -> Path:
-    if getattr(args, "out", None):
+    if args.out:
         return Path(args.out)
     outdir = Path(os.environ.get(OUTDIR_ENV, "."))
     return outdir / default_name
@@ -158,9 +156,7 @@ def _cfg(args) -> QuadratureConfig:
 # subcommand handlers
 
 def _cmd_quasinorm(args) -> int:
-    spec = _load_spec(args)
-    val = quasinorm(spec, args.rel_tol)
-    print(_fmt(val))
+    print(_fmt(quasinorm(_load_spec(args), args.rel_tol)))
     return 0
 
 
@@ -288,56 +284,66 @@ def _remarks(rng: np.random.Generator, samples: int):
 _LEMMA_DEFAULT_LAMBDAS = [10.0, 50.0, 100.0, 1000.0]
 _LEMMA3_GAMMAS = [round(g, 10) for g in np.arange(0.3, 1.95, 0.1)]
 
-# the verify targets that return a LemmaReport: (sweep(args, moll), CSV header),
-# the header naming the grid keys the CSV holds.  Each sweep loads its spec, if
-# any, after the mollifier is built, so a bad q is reported first.
-_SWEEPS = {
-    "lemma1": (lambda args, moll: verify_lemma1(
-                   _load_spec(args), moll, args.lambdas or _LEMMA_DEFAULT_LAMBDAS),
-               ["lambda", "eta_upper_arg", "tail", "eta_lower_arg"]),
-    "lemma3": (lambda args, moll: verify_lemma3(moll, _LEMMA3_GAMMAS),
-               ["gamma", "lower", "C", "upper", "margin_lower", "margin_upper"]),
-    "lemma5": (lambda args, moll: verify_lemma5(
-                   _load_spec(args), moll, args.lambdas or [1.0, 10.0, 100.0]),
-               ["xi", "T_qxi", "tau", "T_xi_over_q"]),
-    "lemma6": (lambda args, moll: verify_lemma6(
-                   _load_spec(args), moll, args.lambdas or _LEMMA_DEFAULT_LAMBDAS),
-               ["lambda", "ratio_lower", "ratio_upper", "margin_lower", "margin_upper"]),
-    "parseval": (lambda args, moll: verify_parseval(_load_spec(args), moll, args.deltas),
-                 ["delta", "theta_side", "x_side", "difference", "tolerance"]),
+
+class _Target(NamedTuple):  # run(args) -> (LemmaReport, its CSV writer); flags it reads
+    run: Callable
+    flags: tuple[str, ...]  # "spec" (--spec or --fixture) and keys of _VERIFY_FLAGS
+
+
+def _sweep(flags, header, sweep) -> _Target:
+    """The target whose sweep(args, moll) returns a LemmaReport, its CSV the grid
+    keys header; --q's mollifier is built first, so a bad q is reported first."""
+    def run(args):
+        rep = sweep(args, build_mollifier(args.q))
+        return rep, lambda out: _write_csv(out, header, [[r[k] for k in header] for r in rep.grid])
+    return _Target(run, flags)
+
+
+def _run_lemma2(args):
+    us = np.random.Generator(np.random.Philox(key=args.seed)).uniform(0.0, 1e3, args.samples)
+    ok = verify_elementary_inequality(us)
+    return (LemmaReport("lemma2", ok, [], {"samples": args.samples}),
+            lambda out: _write_csv(out, ["u_max", "passed"], [[float(us.max()), int(ok)]]))
+
+
+def _run_remarks(args):
+    xi, delta, ok = _remarks(np.random.Generator(np.random.Philox(key=args.seed)), args.samples)
+    columns = (np.arange(args.samples), xi, delta, *ok.T)
+    return (LemmaReport("remarks", bool(ok.all()), [], {"samples": args.samples}),
+            lambda out: _write_column(out, _REMARKS_HEADER, *columns, fmt=_REMARKS_FORMAT))
+
+
+# every verify target, each a subparser of verify that takes only its flags
+_TARGETS = {
+    "lemma1": _sweep(("spec", "q", "lambdas"), ["lambda", "eta_upper_arg", "tail", "eta_lower_arg"],
+                     lambda args, moll: verify_lemma1(
+                         _load_spec(args), moll, args.lambdas or _LEMMA_DEFAULT_LAMBDAS)),
+    "lemma2": _Target(_run_lemma2, ("samples", "seed")),
+    "lemma3": _sweep(("q",), ["gamma", "lower", "C", "upper", "margin_lower", "margin_upper"],
+                     lambda args, moll: verify_lemma3(moll, _LEMMA3_GAMMAS)),
+    "lemma5": _sweep(("spec", "q", "lambdas"), ["xi", "T_qxi", "tau", "T_xi_over_q"],
+                     lambda args, moll: verify_lemma5(
+                         _load_spec(args), moll, args.lambdas or [1.0, 10.0, 100.0])),
+    "lemma6": _sweep(("spec", "q", "lambdas"),
+                     ["lambda", "ratio_lower", "ratio_upper", "margin_lower", "margin_upper"],
+                     lambda args, moll: verify_lemma6(
+                         _load_spec(args), moll, args.lambdas or _LEMMA_DEFAULT_LAMBDAS)),
+    "parseval": _sweep(("spec", "q", "deltas"),
+                       ["delta", "theta_side", "x_side", "difference", "tolerance"],
+                       lambda args, moll: verify_parseval(_load_spec(args), moll, args.deltas)),
+    "remarks": _Target(_run_remarks, ("samples", "seed")),
 }
 
 
 def _cmd_verify(args) -> int:
-    which = args.lemma
-    if which == "lemma2":
-        rng = np.random.Generator(np.random.Philox(key=args.seed))
-        us = rng.uniform(0.0, 1e3, args.samples)
-        ok = verify_elementary_inequality(us)
-        rep = LemmaReport("lemma2", ok, [], {"samples": args.samples})
-        write_csv = functools.partial(_write_csv, header=["u_max", "passed"],
-                                      rows=[[float(us.max()), int(ok)]])
-    elif which == "remarks":
-        rng = np.random.Generator(np.random.Philox(key=args.seed))
-        xi, delta, ok = _remarks(rng, args.samples)
-        rep = LemmaReport("remarks", bool(ok.all()), [], {"samples": args.samples})
-        columns = (np.arange(args.samples), xi, delta, *ok.T)
-
-        def write_csv(path):
-            _write_column(path, _REMARKS_HEADER, *columns, fmt=_REMARKS_FORMAT)
-    else:
-        sweep, header = _SWEEPS[which]
-        rep = sweep(args, build_mollifier(args.q))
-        write_csv = functools.partial(_write_csv, header=header,
-                                      rows=[[r[k] for k in header] for r in rep.grid])
-
-    out_json = _outpath(args, f"verify_{which}.json")
+    rep, write_csv = _TARGETS[args.lemma].run(args)
+    out_json = _outpath(args, f"verify_{args.lemma}.json")
     out_json.parent.mkdir(parents=True, exist_ok=True)
     with open(out_json, "w") as fh:
         json.dump(rep.to_dict(), fh, indent=2, sort_keys=True, default=float)
         fh.write("\n")
     write_csv(out_json.with_suffix(".csv"))
-    print(f"{which}: {'pass' if rep.passed else 'FAIL'} ({out_json})")
+    print(f"{args.lemma}: {'pass' if rep.passed else 'FAIL'} ({out_json})")
     return 0 if rep.passed else 3
 
 
@@ -370,12 +376,26 @@ class _Parser(argparse.ArgumentParser):
         return None
 
 
-def _add_spec_args(p: argparse.ArgumentParser):
-    p.add_argument("--spec", help="path to a JSON spec file")
-    p.add_argument("--fixture", choices=fixtures.fixture_names(),
-                   help="use a built-in unit-sphere fixture instead of a file")
-    p.add_argument("--out", help="output path (default: per-command name in "
-                                 f"${OUTDIR_ENV} or the working directory)")
+def _add_spec_args(p: argparse.ArgumentParser, spec: bool = True, out: bool = True):
+    if spec:
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--spec", help="path to a JSON spec file")
+        group.add_argument("--fixture", choices=fixtures.fixture_names(),
+                           help="use a built-in unit-sphere fixture instead of a file")
+    if out:
+        p.add_argument("--out", help="output path (default: per-command name in "
+                                     f"${OUTDIR_ENV} or the working directory)")
+
+
+# the verify flags but --spec, --fixture and --out, in the order they are registered
+_VERIFY_FLAGS = {
+    "q": dict(type=float, default=1.5),
+    "lambdas": dict(type=float, nargs="+", default=None,
+                    help="lambda grid, default 10 50 100 1000 (lemma5: xi grid, default 1 10 100)"),
+    "deltas": dict(type=float, nargs="*", default=[0.1, 1.0]),
+    "samples": dict(type=_count, default=1000),
+    "seed": dict(type=int, default=0),
+}
 
 
 @functools.cache  # one parser per process: no handler may mutate its list defaults
@@ -385,8 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Numerics and theorem verification for multistable distributions")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("quasinorm", help="quasinorm of a spec")
-    _add_spec_args(p)
+    p = sub.add_parser("quasinorm", help="quasinorm of a spec (printed, no file)")
+    _add_spec_args(p, out=False)
     p.add_argument("--rel-tol", type=float, default=1e-12)
     p.set_defaults(fn=_cmd_quasinorm)
 
@@ -411,16 +431,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_sample)
 
     p = sub.add_parser("verify", help="lemma verification sweeps (JSON + CSV)")
-    p.add_argument("lemma", choices=sorted([*_SWEEPS, "lemma2", "remarks"]))
-    _add_spec_args(p)
-    p.add_argument("--q", type=float, default=1.5)
-    p.add_argument("--lambdas", type=float, nargs="+", default=None,
-                   help="lambda grid for lemma1 and lemma6 (default 10 50 100 1000); "
-                        "for lemma5 the xi grid (default 1 10 100)")
-    p.add_argument("--deltas", type=float, nargs="*", default=[0.1, 1.0])
-    p.add_argument("--samples", type=_count, default=1000)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_verify)
+    targets = p.add_subparsers(dest="lemma", required=True)
+    for name, target in _TARGETS.items():
+        t = targets.add_parser(name)
+        _add_spec_args(t, spec="spec" in target.flags)
+        for flag in [f for f in _VERIFY_FLAGS if f in target.flags]:
+            t.add_argument(f"--{flag}", **_VERIFY_FLAGS[flag])
 
     return ap
 

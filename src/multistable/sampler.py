@@ -112,7 +112,11 @@ _HALF_PI_LO = 6.123233995736766e-17
 
 def mixture_decompose(spec: MultistableSpec) -> list[tuple[float, float]]:
     """Stable-mixture decomposition [(alpha_i, sigma_i)], sorted by alpha."""
-    return [(a, w ** (1.0 / a)) for a, w in spec.groups]
+    try:
+        return [(a, w ** (1.0 / a)) for a, w in spec.groups]
+    except OverflowError:
+        raise ValueError("a group's scale W^(1/alpha) lies past the float range: "
+                         f"(alpha, W) = {spec.groups}") from None
 
 
 def _draw(alpha: float, rng: np.random.Generator, u: np.ndarray, w: np.ndarray) -> None:

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -385,8 +386,10 @@ def test_real_axis_knobs_rejected(cmd, grid, flag, tmp_path):
     ["quasinorm", "--fixture", "three_cell", "--rel-tol", "nan"],
 ])
 def test_non_finite_grid_points_exit_2(argv, tmp_path, capsys):
-    # refused with a message, not a ZeroDivisionError or OverflowError (exit 1)
-    assert run_command(argv + ["--out", str(tmp_path / "o.json")]) == 2
+    # refused with a message, not a ZeroDivisionError or OverflowError (exit 1);
+    # quasinorm only prints its value, so it takes no --out
+    out = [] if argv[0] == "quasinorm" else ["--out", str(tmp_path / "o.json")]
+    assert run_command(argv + out) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
 
@@ -433,7 +436,7 @@ def test_cached_parser_keeps_its_list_defaults(tmp_path):
                  ["verify", "parseval", "--fixture", "two_exp"],
                  ["ratio-scan", "--fixture", "two_exp"]):
         assert cli.run_command(argv + ["--out", str(tmp_path / "out.json")]) == 0
-    assert ap.parse_args(["verify", "lemma1"]).deltas == [0.1, 1.0]
+    assert ap.parse_args(["verify", "parseval"]).deltas == [0.1, 1.0]
     assert ap.parse_args(["verify", "lemma1"]).lambdas is None
     assert ap.parse_args(["ratio-scan"]).lambdas == [100.0, 1000.0, 10000.0]
     assert ap.parse_args(["sample", "--n", "1"]).tail_at == []
@@ -612,3 +615,96 @@ def test_tail_at_a_subnormal_lambda(tmp_path):
     rows = list(csv.DictReader(out.open()))
     assert [float(r["x_or_lambda"]) for r in rows] == [5e-324, 1.0]
     assert float(rows[0]["value"]) == 1.0 and 0.0 < float(rows[1]["value"]) < 1.0
+
+
+# what each verify target reads, besides --out, and a value for every verify flag:
+# (argv tokens, the parsed value, the default)
+_VERIFY_READS = {
+    "lemma1": ("--spec", "--fixture", "--q", "--lambdas"),
+    "lemma2": ("--samples", "--seed"),
+    "lemma3": ("--q",),
+    "lemma5": ("--spec", "--fixture", "--q", "--lambdas"),
+    "lemma6": ("--spec", "--fixture", "--q", "--lambdas"),
+    "parseval": ("--spec", "--fixture", "--q", "--deltas"),
+    "remarks": ("--samples", "--seed"),
+}
+_FLAG_VALUES = {
+    "--spec": (["s.json"], "s.json", None),
+    "--fixture": (["two_exp"], "two_exp", None),
+    "--q": (["2"], 2.0, 1.5),
+    "--lambdas": (["10", "1e3"], [10.0, 1000.0], None),
+    "--deltas": (["0.5"], [0.5], [0.1, 1.0]),
+    "--samples": (["1e4"], 10000, 1000),
+    "--seed": (["7"], 7, 0),
+}
+_UNREAD = [(target, flag) for target, reads in _VERIFY_READS.items()
+           for flag in _FLAG_VALUES if flag not in reads]
+
+
+def test_the_verify_targets_and_their_unread_flags():
+    assert list(cli._TARGETS) == list(_VERIFY_READS)
+    assert len(_UNREAD) == 28
+
+
+@pytest.mark.parametrize("target, flag", _UNREAD)
+def test_verify_refuses_a_flag_its_target_does_not_read(target, flag, tmp_path, capsys):
+    # the flag was accepted and ignored: `verify lemma2 --spec missing.json
+    # --q 7` reported "lemma2: pass"
+    spec = ["--fixture", "two_exp"] if "--fixture" in _VERIFY_READS[target] else []
+    rc = run_command(["verify", target, *spec, flag, *_FLAG_VALUES[flag][0],
+                      "--out", str(tmp_path / "v.json")])
+    assert rc == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("target", _VERIFY_READS)
+def test_verify_target_help_lists_only_its_flags(target, capsys):
+    assert run_command(["verify", target, "-h"]) == 0
+    listed = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+    assert listed == {*_VERIFY_READS[target], "--out", "--help"}
+
+
+@pytest.mark.parametrize("target", _VERIFY_READS)
+def test_verify_flags_a_target_reads_parse_as_before(target):
+    ap = cli.build_parser()
+    bare = ap.parse_args(["verify", target])
+    assert bare.lemma == target and bare.out is None
+    for flag in _FLAG_VALUES:
+        assert hasattr(bare, flag[2:]) is (flag in _VERIFY_READS[target])
+    for flag in _VERIFY_READS[target]:
+        tokens, value, default = _FLAG_VALUES[flag]
+        assert getattr(bare, flag[2:]) == default
+        assert getattr(ap.parse_args(["verify", target, flag, *tokens]), flag[2:]) == value
+
+
+@pytest.mark.parametrize("argv", [
+    ["quasinorm"], ["cf", "--theta", "1"], ["density", "--x", "1"], ["tail", "--lambdas", "10"],
+    ["asymptote", "--lambdas", "10"], ["ratio-scan"], ["sample", "--n", "10"],
+    ["verify", "lemma1"], ["verify", "lemma5"], ["verify", "lemma6"], ["verify", "parseval"]])
+def test_spec_and_fixture_together_exit_2(argv, cauchy_file, tmp_path, capsys):
+    # the fixture used to win and the file was never read
+    out = tmp_path / "o.json"
+    rc = run_command(argv + ["--fixture", "two_exp", "--spec", str(cauchy_file)]
+                     + ([] if argv[0] == "quasinorm" else ["--out", str(out)]))
+    assert rc == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not out.exists() and not out.with_suffix(".csv").exists()
+
+
+def test_quasinorm_takes_no_out(tmp_path, capsys):
+    # quasinorm only prints its value; --out used to be accepted and unwritten
+    out = tmp_path / "q.txt"
+    assert run_command(["quasinorm", "--fixture", "two_exp", "--out", str(out)]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sample_refuses_a_scale_past_the_float_range(tmp_path, capsys):
+    # W = 1e18 at alpha 0.05: W^(1/alpha) raised a raw OverflowError (exit 1)
+    spec = tmp_path / "big.json"
+    spec.write_text(json.dumps(dict(CAUCHY_DOC, breakpoints=[0.0, 1e18], alpha_values=[0.05])))
+    out = tmp_path / "s.csv"
+    assert run_command(["sample", "--spec", str(spec), "--n", "10", "--out", str(out)]) == 2
+    assert "W^(1/alpha)" in capsys.readouterr().err
+    assert not out.exists()

@@ -37,6 +37,17 @@ class TestMixtureDecompose:
             prod = math.prod(math.exp(-abs(theta * s) ** a) for a, s in mix)
             assert prod == pytest.approx(cf(TWO_EXP, theta), rel=1e-15)
 
+    def test_a_scale_past_the_float_range_is_refused_by_name(self):
+        # W = 1e18 at alpha 0.05 has W^(1/alpha) = 1e360, past the float max;
+        # refused as a ValueError, not Python's raw OverflowError
+        from multistable.function_space import ExponentFunction, StepFunction, refine
+
+        spec = refine(StepFunction((0.0, 1e18), (1.0,)), ExponentFunction.constant(0.05))
+        with pytest.raises(ValueError, match=r"W\^\(1/alpha\)"):
+            mixture_decompose(spec)
+        with pytest.raises(ValueError, match=r"W\^\(1/alpha\)"):
+            sample(spec, 10)
+
 
 class TestStandardStable:
     def test_domain(self, rng):
