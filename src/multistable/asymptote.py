@@ -75,12 +75,14 @@ class TailAsymptote:
 
     def __call__(self, lam) -> float | np.ndarray:
         """T at each lambda of lam; ValueError for one that is not positive
-        (NaN included), and T(inf) = 0."""
+        (NaN included), T(inf) = 0, and inf, with no warning, where T passes
+        the float max (a tiny lambda with a large weight)."""
         lam = np.asarray(lam, dtype=float)
         flat = lam.reshape(-1)
         if flat.size and not flat.min() > 0.0:
             raise ValueError(f"lambda must be positive, got {flat[~(flat > 0.0)][0]}")
-        out = _asymptote(flat, self.exponents, self.weights).reshape(lam.shape)
+        with np.errstate(over="ignore"):    # a power or the sum past the float max is inf
+            out = _asymptote(flat, self.exponents, self.weights).reshape(lam.shape)
         return float(out) if out.shape == () else out
 
 

@@ -32,22 +32,34 @@ certification check and Gauss-Kronrod panel sum, but none of its real-axis
 engine.
 
 Each kind (density, density-1, tail, tail-cf, eta) is a row of ``_KINDS``,
-which ``_stub``, ``_truncation``, ``_plan``, ``_integrand`` and ``_finish``
+which ``_stub``, ``_truncation``, ``_frame``, ``_integrand`` and ``_finish``
 read: adding a kind takes a row, its ``_integrand`` body, and its first order
 in ``_stub`` if its form is new.  Each integral is planned, then evaluated.
-``_plan`` chooses the kind and lays out t0, the stub, the truncation and the
-panels.  A batch checks every input, then ``_integrals`` plans every request
-of one spec before it evaluates any, so a refusal returns no pair; it groups
-the plans by kind (and w) and packs each group into blocks that close once
-they hold _BLOCK_NODES nodes, one ``_integrand`` call a block with omega and
-t0 per node.  A plan of that many nodes runs alone on the one-plan path,
-``_run``, and so does a lone request, with no grouping or blocks.  The scalar
-density, tail, cdf and eta are one-element calls of their batched bodies, so
-each quantity has one body and one set of checks.  ``_Ray`` holds what every
+``_plan`` chooses the kind and lays out t0, the stub, the truncation
+(``_frame``) and the panels.  The panels are a plan's own layout
+(``_panels``) unless the request lies in one of two frequency regimes: far
+above the cf's scale (omega >= omega_hi, the kernel-cut kinds, the paper's
+lam -> inf) and far below it (omega <= omega_lo, density and tail-cf).  In
+sigma = log(t / t0) a plan there depends on omega in one term only, the cf's
+(high) or the kernel's (low), and that term is largest at the regime's edge,
+so the layout laid out there once per spec, kind and w serves every request
+in the regime; each request cuts only its own first gap, up to the stored
+layout's first edge, and lays out its own where the stored one does not
+cover it (see ``_panels``).  A batch checks every input, then
+``_integrals`` plans every request of one spec before it evaluates any, so a
+refusal returns no pair; it groups the plans by kind (and w) and packs each
+group into blocks that close once they hold _BLOCK_NODES nodes, one
+``_integrand`` call a block with omega and t0 per node.  A plan of that many
+nodes runs alone on the one-plan path, ``_run``, and so does a lone request,
+with no grouping or blocks.  The scalar density, tail, cdf and eta are
+one-element calls of their batched bodies, so each quantity has one body and
+one set of checks.  ``_Ray`` holds what every
 plan would otherwise rebuild (the stub's denominators, the truncation's first
-factors, W t_cf^alpha); three fifths of a plan is its panel layout, about 30
-numpy calls on arrays of 20 to 60 floats.  Every batched (value, err) equals
-``_run``'s (``==``), by three rules:
+factors, W t_cf^alpha, the stub's first remainder sums at t0 = t_cf and the
+regimes' stored layouts, the last two built on first use).  A plan's own
+layout is about 30 numpy calls on arrays of 20 to 60 floats and three fifths
+of its planning; a stored one costs a plan about 6 numpy calls.  Every
+batched (value, err) equals ``_run``'s (``==``), by three rules:
 
 1. each plan's cf exponents (ray.parts t0^alpha) @ (t/t0)^alpha stay one
    matrix product over that plan's own nodes (a product per node rounds
@@ -235,6 +247,22 @@ class _Ray:
                                 for c, xs in zip(coef, self.shifted))
         log_d0 = min(math.lgamma(1.0 + 1.0 / al) - math.log(w) / al for al, w in self.groups)
         self.lead_cap = (1.0, math.exp(min(log_d0, _LOG_HUGE)) / math.pi)
+        # the frequency regimes (see _plan and _panels).  High: omega >= omega_hi, the
+        # power of two at or above 1/t_cf and (45 / sin phi) max W^(1/alpha): t0 = 1/omega,
+        # each W t^alpha <= 1 at the kernel's cut t = 45 / (omega sin phi), and at the
+        # edge itself t0 and omega t0 = 1 are exact.  Low: omega <= omega_lo: t0 = t_cf
+        # and omega t <= 0.1 up to the cf's cut e^s_cf (the stored layout also keeps it
+        # below 0.1 up to its own end, see _regime_layout).
+        log_hi = max(-log_t_cf, math.log(_DECAY / self.sin) + max(
+            lw / al for al, lw in zip(self.alph_list, self.log_w_list)))
+        k = math.ceil(log_hi / math.log(2.0)) if log_hi < _LOG_MAX else 1024
+        while k < 1024 and math.ldexp(1.0, -k) > self.t_cf:
+            k += 1
+        self.omega_hi = math.ldexp(1.0, k) if k < 1024 else math.inf
+        self.omega_lo = 0.1 * math.exp(-self.s_cf)
+        self.log_t_cf = math.log(self.t_cf)     # s0 of every plan with t0 = t_cf
+        self.at_cf = {}         # by kind: _stub's remainder sums at s0 = log t_cf, lazily
+        self.layouts = {}       # by (kind, w): the regime's stored layout, lazily
 
 
 # The constants depend only on the immutable spec and cost about a sixth of
@@ -296,6 +324,18 @@ def _unit(p: float) -> float:
     return 0.0 if p < 0.0 else 1.0 if p > 1.0 else p
 
 
+def _remainder_sums(ray: _Ray, kind: str, s: float) -> tuple:
+    """The omega-free parts of _stub's remainder bound at the end e^s: t, W t^alpha
+    per group, sum W t^alpha / (alpha + d + 1), half the pair sum (cut "cf": none)
+    and t^d."""
+    d, cut, _ = _KINDS[kind]
+    t = math.exp(s)
+    wt = [w * math.exp(al * s) for al, w in ray.groups]
+    pairs = (0.5 * sum(wt[i] * wt[j] / den for i, j, den in ray.pair_den[d])
+             if cut != "cf" else None)
+    return t, wt, sum(map(truediv, wt, ray.shifted[d + 1])), pairs, t ** d
+
+
 def _stub(ray: _Ray, kind: str, omega: float, s: float,
           tgt: float = math.inf) -> tuple[float, complex, float]:
     """int_0^{e^s} of the integrand's first order (see _KINDS; times e^{i phi} for
@@ -312,14 +352,17 @@ def _stub(ray: _Ray, kind: str, omega: float, s: float,
     """
     d, cut, _ = _KINDS[kind]
     for moved in (False, True):
-        t = math.exp(s)
-        wt = [w * math.exp(al * s) for al, w in ray.groups]
-        rem = omega * t * sum(map(truediv, wt, ray.shifted[d + 1]))
+        if moved or s != ray.log_t_cf:
+            t, wt, kern, pairs, t_d = _remainder_sums(ray, kind, s)
+        else:   # every plan with t0 = t_cf starts here, at the same sums
+            t, wt, kern, pairs, t_d = (ray.at_cf.get(kind)
+                                       or ray.at_cf.setdefault(kind, _remainder_sums(ray, kind, s)))
+        rem = omega * t * kern
         if cut != "cf":
-            rem += 0.5 * sum(wt[i] * wt[j] / den for i, j, den in ray.pair_den[d])
-        rem *= t ** d
+            rem += pairs
+        rem *= t_d
         if cut != "kernel":
-            rem += (omega * t) ** 2 * t ** d / (4.0 + 2.0 * d)
+            rem += (omega * t) ** 2 * t_d / (4.0 + 2.0 * d)
         if moved or not rem > tgt:
             break
         s += math.log(tgt / rem) / ray.stub_power[kind]
@@ -380,24 +423,11 @@ def _truncation(ray: _Ray, kind: str, omega: float, tgt: float) -> tuple[float, 
     return s_hi, bound
 
 
-def _panels(al: np.ndarray, lin: float, log_w0: np.ndarray, s_lo: float, s_hi: float,
-            s_c: float, fast: tuple[float, float] = (0.0, 0.0),
-            power: tuple[float, float] = (0.0, 0.0)) -> tuple[np.ndarray, np.ndarray]:
-    """Panels (lo, width) covering [s_lo, s_hi] in sigma = log(t / t0).
-
-    Phi(sigma) = lin e^sigma + sum w0 e^{alpha min(sigma, s_c)}, with
-    lin = omega t0 and w0 = W t0^alpha = e^log_w0, bounds the change of the
-    integrand's complex exponent; beyond s_c the cf's phase is left
-    unresolved.  A second kernel term ``fast = (lin_f, s_f)`` adds
-    lin_f e^{min(sigma, s_f)}, and ``power = (p, s_x)`` adds
-    p max(sigma - s_x, 0), an algebraic factor t^-p from s_x on.  Edges sit
-    near the levels Phi = j pi, read off a table of Phi.  Each gap is then
-    cut into equal pieces at most log 8 wide and at most _REACH / Phi'
-    wide, with Phi' = dPhi/dsigma at the gap's right end, its largest value
-    on the gap.  So no panel sees Phi change by more than _REACH, whatever
-    the table's accuracy, and none is so wide that the rule's complex
-    neighbourhood turns theta out of the sector where the cf decays.
-    """
+def _gaps(al: np.ndarray, lin: float, log_w0: np.ndarray, s_lo: float, s_hi: float,
+          s_c: float, fast: tuple[float, float], power: tuple[float, float]
+          ) -> tuple[list[float], np.ndarray, np.ndarray]:
+    """_panels' split of [s_lo, s_hi]: the sorted edges, the gaps between them and
+    each gap's piece rate, max(1 / log 8, Phi' / _REACH) at the gap's right end."""
     (lin_f, s_f), (p_x, s_x) = fast, power
     s_f, s_x = min(max(s_f, s_lo), s_hi), min(max(s_x, s_lo), s_hi)
     # below start every term of Phi is under _TURN / (terms + 1)
@@ -445,21 +475,70 @@ def _panels(al: np.ndarray, lin: float, log_w0: np.ndarray, s_lo: float, s_hi: f
         slope += np.where(left < s_f, lin_f * np.exp(right), 0.0)
     if p_x > 0.0:
         slope += np.where(left >= s_x, p_x, 0.0)
-    pieces = np.ceil(gaps * np.maximum(1.0 / _LN8, slope / _REACH))
-    total = sum(pieces.tolist())
+    return edges, gaps, np.maximum(1.0 / _LN8, slope / _REACH)
+
+
+def _check_budget(total: float):
     if not total <= _MAX_PANELS:
         raise AccuracyError(f"rotated-contour rule needs {total:.0f} panels, "
                             f"more than its budget of {_MAX_PANELS}", math.inf)
+
+
+def _cut(edges: list[float], gaps: np.ndarray, pieces: np.ndarray
+         ) -> tuple[np.ndarray, np.ndarray]:
+    """Panels (lo, width): gap i of the sorted edges cut into pieces[i] equal parts."""
     # of a median plan's 22 gaps, one is split and one empty: np.repeat lays them
     # out, then the k-th panel of a split gap starts at left + k h, not a running sum
     reps = pieces.astype(np.intp)
-    lo, width = left.repeat(reps), gaps.repeat(reps)
+    lo, width = np.array(edges[:-1]).repeat(reps), gaps.repeat(reps)
     counts = reps.tolist()
     for i in (reps > 1).nonzero()[0].tolist():
         n, at, x = counts[i], sum(counts[:i]), edges[i]
         width[at:at + n] = h = (edges[i + 1] - x) / n
         lo[at:at + n] = [x + k * h for k in range(n)]
     return lo, width
+
+
+def _panels(al: np.ndarray, lin: float, log_w0: np.ndarray, s_lo: float, s_hi: float,
+            s_c: float, fast: tuple[float, float] = (0.0, 0.0),
+            power: tuple[float, float] = (0.0, 0.0)) -> tuple[np.ndarray, np.ndarray]:
+    """Panels (lo, width) covering [s_lo, s_hi] in sigma = log(t / t0).
+
+    Phi(sigma) = lin e^sigma + sum w0 e^{alpha min(sigma, s_c)}, with
+    lin = omega t0 and w0 = W t0^alpha = e^log_w0, bounds the change of the
+    integrand's complex exponent; beyond s_c the cf's phase is left
+    unresolved.  A second kernel term ``fast = (lin_f, s_f)`` adds
+    lin_f e^{min(sigma, s_f)}, and ``power = (p, s_x)`` adds
+    p max(sigma - s_x, 0), an algebraic factor t^-p from s_x on.  Edges sit
+    near the levels Phi = j pi, read off a table of Phi.  Each gap is then
+    cut into equal pieces at most log 8 wide and at most _REACH / Phi'
+    wide, with Phi' = dPhi/dsigma at the gap's right end, its largest value
+    on the gap.  So no panel sees Phi change by more than _REACH, whatever
+    the table's accuracy, and none is so wide that the rule's complex
+    neighbourhood turns theta out of the sector where the cf decays.  A
+    layout of more than _MAX_PANELS panels is refused.
+
+    In sigma a plan depends on omega in one place only (see _plan's regimes).
+    For omega >= omega_hi, where t0 = 1/omega and lin = omega t0 <= 1, it is
+    the cf's w0 = W omega^-alpha, which falls as omega grows; for omega <=
+    omega_lo, where t0 = t_cf and w0 = W t_cf^alpha, it is lin = omega t_cf,
+    which rises with omega.  The kernel's term, eta's fast and power terms
+    and every cut but s_lo are otherwise the same in sigma in exact
+    arithmetic.  So Phi' at a regime's edge is at least every request's in
+    the regime, on all of that request's [s_lo, s_hi], and the edge's layout
+    serves them all.  _regime_layout lays it out once per spec, kind and w,
+    with its end, s_c and eta's terms moved outward by _SLACK, past each
+    request's rounding of them; the low regime's runs to the omega -> 0 cut,
+    the regime's farthest.  A request takes its panels from their first edge
+    on (_stored_panels) and cuts only its own first gap, [s_lo, first edge],
+    at the rate the layout gives that gap: Phi' is largest at the gap's
+    right end, and the layout's Phi' is at least the request's there.  A
+    request with a term of its own outside the layout's lays out its own.
+    """
+    edges, gaps, rates = _gaps(al, lin, log_w0, s_lo, s_hi, s_c, fast, power)
+    pieces = np.ceil(gaps * rates)
+    _check_budget(sum(pieces.tolist()))
+    return _cut(edges, gaps, pieces)
 
 
 def _integrand(ray: _Ray, kind: str, omega, t0, sigma: np.ndarray, w: float = 0.0,
@@ -633,19 +712,10 @@ class _Plan(NamedTuple):
     trunc: float
 
 
-def _plan(ray: _Ray, omega: float, kind: str, w: float = 0.0) -> _Plan:
-    """The layout of one finite omega's integral: D(omega) for kind "density",
-    P(|I| > omega) for kind "tail", switched to density-1 or tail-cf where
-    those serve; the kind's row sets the scale, s_c and eta's kernel terms.
-
-    Kind "eta" gives E[1 - bump(I / omega)] for the mollifier's bump of
-    half-width w: the tail smoothed over [omega, (1 + w) omega], with the
-    kernel H(omega theta) of :func:`multistable.mollifier._kernel` in place
-    of e^{i omega theta}.  As |H(omega theta)| <= e^{-omega Im theta} and
-    |H(omega theta) - 1| <= (1 + w/2) omega |theta|, its row is the tail's
-    but for h, and its stub takes omega (1 + w/2) in the remainder.
-    """
-    al = ray.alph
+def _frame(ray: _Ray, omega: float, kind: str, w: float) -> tuple:
+    """All of _plan's layout of one request but its panels: the kind chosen, t0,
+    the stub's value, its remainder bound, the truncation bound and the
+    arguments of _panels after al, every position in sigma = log(t / t0)."""
     if kind == "density" and omega * ray.t_cf >= 1.0:
         kind = "density-1"
     elif (kind == "tail" and omega * ray.t_cf < 1.0 and (
@@ -686,9 +756,119 @@ def _plan(ray: _Ray, omega: float, kind: str, w: float = 0.0) -> _Plan:
         fast = (w * omega * t0, s_f - s0)
         power = (_FAR_POWER, math.log(_S_CROSSOVER / (w * omega)) - s0)
     # nodes in sigma = s - s0, so rounding moves a node by eps |sigma| at most
-    lo, width = _panels(al, omega * t0, ray.log_w_cf if t0 == ray.t_cf else ray.log_w + al * s0,
-                        s_lo - s0, s_hi - s0, s_c - s0, fast, power)
-    return _Plan(kind, omega, w, t0, lo, width, stub.real if d else stub.imag, stub_rem, trunc)
+    return (kind, t0, stub.real if d else stub.imag, stub_rem, trunc,
+            (omega * t0, ray.log_w_cf if t0 == ray.t_cf else ray.log_w + ray.alph * s0,
+             s_lo - s0, s_hi - s0, s_c - s0, fast, power))
+
+
+class _Layout(NamedTuple):
+    """A regime's stored layout (see _panels), in sigma: its first edge, the piece
+    rate of the gap that ends there, the arguments of _panels after al that laid
+    it out, and the rows lo and width of its panels from the first edge on."""
+
+    first: float
+    rate: float
+    args: tuple
+    panels: np.ndarray
+
+
+# a stored layout's end and cuts are moved this far from its edge's own, each the way
+# that adds to its Phi', and eta's second kernel rate w omega t0 is raised by this
+# share, so that the rounding of a request's own terms, the same in exact
+# arithmetic, stays inside them
+_SLACK = 2.0 ** -30
+
+
+def _regime_layout(ray: _Ray, kind: str, w: float) -> _Layout | None:
+    """The stored layout of kind's regime, laid out on first use at the regime's
+    edge: omega_hi for the kernel-cut kinds; for density and tail-cf, up to the
+    omega -> 0 cut, the regime's farthest, at omega_lo or, where the kernel's
+    omega t would pass 0.1 before that cut, at the omega where it reaches 0.1
+    there (a request above it lays out its own).  None where the edge's own
+    plan is refused."""
+    key = (kind, w)
+    if key in ray.layouts:
+        return ray.layouts[key]
+    high = _KINDS[kind].cut == "kernel"
+    layout = None
+    try:
+        lin, log_w0, s_lo, s_hi, s_c, fast, power = _frame(
+            ray, ray.omega_hi if high else ray.omega_lo, kind, w)[5]
+        if not high:    # to the omega -> 0 cut
+            s_hi = s_c = max(s_hi, _frame(ray, 0.0, kind, w)[5][3])
+    except AccuracyError:
+        pass
+    else:
+        end = s_hi + _SLACK
+        if not high:    # omega t <= 0.1 up to the end
+            lin = min(lin, 0.1 * math.exp(-end))
+        args = (lin, log_w0, s_lo, end, end if s_c == s_hi else s_c,
+                (fast[0] * (1.0 + _SLACK), fast[1] + _SLACK), (power[0], power[1] - _SLACK))
+        edges, gaps, rates = _gaps(ray.alph, *args)
+        i = next((i for i, g in enumerate(gaps.tolist()) if g > 0.0), None)
+        if i is not None:
+            rest = gaps[i + 1:]
+            layout = _Layout(edges[i + 1], float(rates[i]), args, np.array(
+                _cut(edges[i + 1:], rest, np.ceil(rest * rates[i + 1:]))))
+    ray.layouts[key] = layout
+    return layout
+
+
+def _stored_panels(layout: _Layout | None, lin: float, log_w0: np.ndarray, s_lo: float,
+                   s_hi: float, s_c: float, fast: tuple[float, float],
+                   power: tuple[float, float]):
+    """The layout's panels behind the plan's own first gap [s_lo, layout.first],
+    cut as _panels cuts a gap and refused past _MAX_PANELS as _panels refuses;
+    None where the layout does not serve the plan: a term of the plan's own is
+    not inside the layout's (the kernel, eta's kernel terms, the cf resolved
+    farther, the end later), or a cut of its own falls in its first gap.  The
+    cf's w0 needs no check: it is monotone in t0 under rounding too."""
+    if layout is None:
+        return None
+    first = layout.first
+    lin_e, _, _, end, s_c_e, (lin_f, s_f), (_, s_x) = layout.args
+    if not (s_lo < first <= (min(s_c, fast[1], power[1]) if fast[0] else s_c)
+            and s_hi <= end and s_c <= s_c_e and lin <= lin_e
+            and fast[0] <= lin_f and fast[1] <= s_f and power[1] >= s_x):
+        return None
+    gap = first - s_lo
+    n = math.ceil(gap * layout.rate)
+    m = layout.panels.shape[1]
+    _check_budget(n + m)
+    h = gap / n
+    out = np.empty((2, n + m))
+    out[:, n:] = layout.panels
+    lo = out[0, :n]     # s_lo + k h, as _cut lays out a split gap
+    np.multiply(np.arange(n), h, out=lo)
+    lo += s_lo
+    out[1, :n] = h
+    return out[0], out[1]
+
+
+def _plan(ray: _Ray, omega: float, kind: str, w: float = 0.0) -> _Plan:
+    """The layout of one finite omega's integral: D(omega) for kind "density",
+    P(|I| > omega) for kind "tail", switched to density-1 or tail-cf where
+    those serve; the kind's row sets the scale, s_c and eta's kernel terms.
+
+    Kind "eta" gives E[1 - bump(I / omega)] for the mollifier's bump of
+    half-width w: the tail smoothed over [omega, (1 + w) omega], with the
+    kernel H(omega theta) of :func:`multistable.mollifier._kernel` in place
+    of e^{i omega theta}.  As |H(omega theta)| <= e^{-omega Im theta} and
+    |H(omega theta) - 1| <= (1 + w/2) omega |theta|, its row is the tail's
+    but for h, and its stub takes omega (1 + w/2) in the remainder.
+
+    Two frequency regimes take a stored layout (see _panels) behind their own
+    first gap: the high one, the kernel-cut kinds (density-1, tail, eta) at
+    omega >= ray.omega_hi, and the low one, density and tail-cf at omega <=
+    ray.omega_lo.  Every other request, and one the stored layout does not
+    serve, lays out its own.
+    """
+    kind, t0, stub, stub_rem, trunc, args = _frame(ray, omega, kind, w)
+    panels = None
+    if omega >= ray.omega_hi if _KINDS[kind].cut == "kernel" else omega <= ray.omega_lo:
+        panels = _stored_panels(_regime_layout(ray, kind, w), *args)
+    lo, width = panels or _panels(ray.alph, *args)
+    return _Plan(kind, omega, w, t0, lo, width, stub, stub_rem, trunc)
 
 
 def _finish(plan: _Plan, body: float, kg: float, rounding: float) -> tuple[float, float]:

@@ -109,6 +109,21 @@ class TestTailAsymptote:
         assert asym(math.inf) == 0.0
         assert asym(np.array([])).shape == (0,)
 
+    def test_call_past_the_float_max_is_inf(self):
+        # one cell [0, 1e18] at alpha 1.5: W lam^-1.5 at lam = 1e-300 passes the float
+        # max, as does the sum of two finite terms; each T is inf with no
+        # RuntimeWarning, and a finite T beside them keeps its value
+        spec = refine(StepFunction((0.0, 1e18), (1.0,)), ExponentFunction.constant(1.5))
+        asym = TailAsymptote(spec)
+        assert asym(1e-300) == math.inf
+        assert tail_asymptote(spec, 1e-300) == math.inf
+        two = refine(StepFunction((0.0, 1.0, 2.0), (1.0, 1.0)),
+                     ExponentFunction((1.0,), (1.0, 1.0 + 1e-9)))
+        tiny = 1.0 / (0.9 * float(np.finfo(float).max))   # each term 0.57 of the max
+        assert TailAsymptote(two)(tiny) == math.inf
+        vals = asym([1e-300, 1.0])
+        assert vals[0] == math.inf and vals[1] == asym(1.0)
+
     def test_zero_function_rejected(self):
         zero = refine(StepFunction((0.0, 1.0), (0.0,)), ExponentFunction.constant(1.0))
         with pytest.raises(ValueError):

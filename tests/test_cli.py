@@ -495,21 +495,21 @@ def test_sample_tail_at_needs_summary(tmp_path, monkeypatch, capsys):
     (["cf", "--fixture", "two_exp", "--theta", "2", "-0.5", "1e-3", "10"],
      "f323819e2a2aa2ac9a27979a8e05832b8c0e0ea8e41f1c25f0043d5528c182b9"),
     (["density", "--fixture", "cauchy", "--x", "-1e-6", "1", "1e6"],
-     "b46d7a0c7db8beece54cdd9514155ae8036249b731eada5ceea10c563fdaca29"),
+     "3fff66946a760330b65be6082efa18fe0fc69a9402ff3c369a19e2e4cf6e056c"),
     (["tail", "--fixture", "two_exp", "--lambdas", "1000", "1", "10", "--abs-tol", "1e-13"],
-     "94529bd83ad5af38f1da9d2fbc4a3ab8d0d4d92c88375fb8639e7ecd6a6296ed"),
+     "feca572875b126911b32927724ebf60642aa05cf7136c1f8b969606774895fea"),
     (["asymptote", "--fixture", "two_exp", "--lambdas", "1000", "10", "100"],
      "c031a59ee65ec574fd9b5dbe52d5f47e0aeb6bf93c9b74b8114fde670c763a7b"),
     (["ratio-scan", "--fixture", "two_exp", "--lambdas", "10", "1000"],
-     "07a272bbdf02cd7ae467b094e054fd050ecee002b166e1d50857c901524ad7a8"),
+     "4b344aa55f479f1cc4bd83f471e39539d232c9ca83b860841ff814d8989a345c"),
     (["ratio-scan", "--fixture", "two_exp", "--normalize", "--lambdas", "10", "1000"],
-     "5d45e5ffb0bbbe5142414ef361a88b9ddedf8162b5df05c104484a7562d50092"),
+     "3d47041af7ec432210c0e267580f0537aa5a0bc2c16d039c49fa0b56da8da55c"),
     (["verify", "lemma1", "--fixture", "two_exp"],
-     "d44e3f8117451c720a93eea92fb362b1e7035fd051fb0f1bdf0f9a209d51fb15"),
+     "e8c70ca2c8fe7fcc64cd1a5e5e932b4a38e4ebdfeffe783e5157544e04266341"),
     (["verify", "lemma5", "--fixture", "two_exp"],
      "e42ca801858d8758561f9e3412bb801af06dc32fa3a5fe646fa699b0d66a5f0e"),
     (["verify", "lemma6", "--fixture", "two_exp"],
-     "c0dbc9fd6a9399414ab1ae27c1fcf730a25ff91f707bb087e244d45fe6ea14c2"),
+     "5134165411550644c068278086105bf452eaab20302df6627f4ebd5b538f9df2"),
     (["verify", "parseval", "--fixture", "two_exp"],
      "487bcd6e2435f126ebdd3a2aaa86800706cdbab3dc7f223b3047b1fc8d7de0ac"),
     (["verify", "lemma3"],

@@ -96,11 +96,22 @@ def test_negative_frequency():
 
 
 def test_accuracy_error_carries_achieved_bound(monkeypatch):
-    monkeypatch.setattr(quadrature, "_MAX_PANELS", 48)
+    # omega > 0: a 1e-16 target is beyond the 48 half periods' bound, which the
+    # error carries
     cfg = QuadratureConfig(abs_tol=1e-16)
+    env = lambda t: np.exp(-t) / t
     with pytest.raises(AccuracyError) as exc:
-        oscillatory_integral(lambda t: np.exp(-t) / t, 5000.0, cfg, kernel="sin")
-    assert exc.value.achieved > 0.0
+        oscillatory_integral(env, 5000.0, cfg, kernel="sin")
+    assert exc.value.achieved == fourier_integral(env, 5000.0, "sin", cfg)[1] > cfg.abs_tol
+    # omega = 0: the doublings stop within _MAX_PANELS; 1/(1 + t)^2 needs about 38
+    # of them at 1e-10, so under a budget of 8 no stop is reached and the bound is inf
+    env = lambda t: 1.0 / (1.0 + t) ** 2
+    cfg = QuadratureConfig(abs_tol=1e-10)
+    assert oscillatory_integral(env, 0.0, cfg) == pytest.approx(1.0, abs=1e-10)
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 8)
+    with pytest.raises(AccuracyError, match="within 8 panels") as exc:
+        oscillatory_integral(env, 0.0, cfg)
+    assert exc.value.achieved == math.inf
 
 
 def test_adaptive_panels_matches_default_policy():

@@ -129,11 +129,13 @@ def test_panels_sit_where_the_repeat_layout_puts_them(monkeypatch, name, moll125
     # tails have no eta terms; the etas of the lemma1 and lemma6 sweeps at
     # three q have both
     panels, _ = _calls(monkeypatch, name)
-    assert len(panels) == 2 * len(GRID)
+    # the grid's plans inside a frequency regime take its stored layout instead
+    grid_calls = len(panels)
+    assert 0 < grid_calls < 2 * len(GRID)
     assert all(args[6] == args[7] == (0.0, 0.0) for args in panels)
     for moll in (moll125, moll15, moll2):
         prooflab._eta_sweep(fixture(name), moll, [10.0, 50.0, 100.0, 1000.0])
-    etas = panels[2 * len(GRID):]
+    etas = panels[grid_calls:]
     assert etas and all(args[6][0] > 0.0 and args[7][0] > 0.0 for args in etas)
     for args in panels:
         lo, width = _panels(*args)
@@ -187,7 +189,7 @@ def test_grid_pairs_pinned():
         pairs += inversion._eta_integrals(fixture(name), xis, 0.25)
     assert len(pairs) == 3 * len(FIXTURES) * len(GRID) + 3 * len(xis)
     assert hashlib.sha256(repr(pairs).encode()).hexdigest() == \
-        "4e0d3dbf12a955e7ec86da168c9f13f7290871aed64ecb7e3cfc929b41059d24"
+        "3515888d905ce9b83fc4b8150d0229d01936640c82792222088af42c97587bb1"
 
 
 def test_far_pairs_pinned():
@@ -202,7 +204,7 @@ def test_far_pairs_pinned():
             pairs.append(inversion.density_with_error(spec, 10.0 ** k))
             pairs.append(inversion.tail_probability_with_error(spec, 10.0 ** k))
     assert hashlib.sha256(repr(pairs).encode()).hexdigest() == \
-        "eb86752e8b9da3f11791d92cc20584c81cbc6c3fc80c99872e69fbf4d17e25bf"
+        "378642946f932c504608d7773df4fa077221f17679e2802b5a1e450043bc8f6b"
 
 
 @pytest.mark.parametrize("name, kind, x", [("two_exp", "density", 1e-3),
