@@ -247,7 +247,8 @@ def _cmd_sample(args) -> int:
             rows.append([float(lam), p])
         _write_csv(Path(str(out) + ".summary.csv"), ["quantile_or_lambda", "value"], rows)
     if args.format == "npy":
-        np.save(out, draws)
+        with open(out, "wb") as fh:     # np.save would add ".npy" to a path without it
+            np.save(fh, draws)
     else:
         _write_column(out, "draw", draws)
     print(f"wrote {out}")

@@ -53,13 +53,14 @@ group into blocks that close once they hold _BLOCK_NODES nodes, one
 nodes runs alone on the one-plan path, ``_run``, and so does a lone request,
 with no grouping or blocks.  The scalar density, tail, cdf and eta are
 one-element calls of their batched bodies, so each quantity has one body and
-one set of checks.  ``_Ray`` holds what every
-plan would otherwise rebuild (the stub's denominators, the truncation's first
-factors, W t_cf^alpha, the stub's first remainder sums at t0 = t_cf and the
-regimes' stored layouts, the last two built on first use).  A plan's own
-layout is about 30 numpy calls on arrays of 20 to 60 floats and three fifths
-of its planning; a stored one costs a plan about 6 numpy calls.  Every
-batched (value, err) equals ``_run``'s (``==``), by three rules:
+one set of checks.  ``_Ray`` holds what every plan would otherwise rebuild
+(the stub's denominators, the truncation's first factors, W t_cf^alpha, the
+stub's first remainder sums at t0 = t_cf and the regimes' stored layouts, the
+last two built on first use) and the two limits a plan's nodes must meet, by
+which ``_frame`` refuses a plan of any kind whose W t^alpha, (t/t0)^alpha or
+panel table would pass the float range.  A plan's own layout is about 30 numpy
+calls on 20 to 60 floats, three fifths of its planning; a stored one about 6.
+Every batched (value, err) equals ``_run``'s (``==``), by three rules:
 
 1. each plan's cf exponents (ray.parts t0^alpha) @ (t/t0)^alpha stay one
    matrix product over that plan's own nodes (a product per node rounds
@@ -228,6 +229,11 @@ class _Ray:
         self.s_cf = exp_sum_root(_DECAY, self.decay)         # |cf| <= e^-45 beyond
         self.log_w = np.log(self.w)
         self.log_w_list = self.log_w.tolist()
+        # the limits of a plan's nodes (see _frame): W t^alpha < e^700 up to log t = end_max
+        # (implied by span_max while t0 <= t_cf, as then W t0^alpha <= 1), and e^(s - s0)
+        # and (t/t0)^alpha in range up to s_hi - s0 = span_max
+        self.end_max = min((_LOG_HUGE - lw) / al for al, lw in zip(self.alph_list, self.log_w_list))
+        self.span_max = min(_LOG_MAX, _LOG_HUGE / self.b)
         # what every plan would rebuild: by a kind's d, the stub's denominators alpha + d,
         # alpha + d + 1 and alpha_i + alpha_j + d and the kernel cut's first factors; by
         # kind, the stub's least power (see _stub); log(W t_cf^alpha)
@@ -715,7 +721,8 @@ class _Plan(NamedTuple):
 def _frame(ray: _Ray, omega: float, kind: str, w: float) -> tuple:
     """All of _plan's layout of one request but its panels: the kind chosen, t0,
     the stub's value, its remainder bound, the truncation bound and the
-    arguments of _panels after al, every position in sigma = log(t / t0)."""
+    arguments of _panels after al, every position in sigma = log(t / t0).
+    Any kind whose nodes pass ray.end_max or ray.span_max is refused."""
     if kind == "density" and omega * ray.t_cf >= 1.0:
         kind = "density-1"
     elif (kind == "tail" and omega * ray.t_cf < 1.0 and (
@@ -732,17 +739,10 @@ def _frame(ray: _Ray, omega: float, kind: str, w: float) -> tuple:
     # stub [0, t_lo], with t_lo <= t0 where its remainder bound meets tgt
     s_lo, stub, stub_rem = _stub(ray, kind, omega * (1.0 + 0.5 * w), s0, tgt)
     s_hi, trunc = _truncation(ray, kind, omega, tgt)
-    if s_hi - s0 > _LOG_MAX:
-        # _panels' tables hold e^(s - s0) up to s_hi, which would overflow: at a
-        # tiny xi with a tiny t_cf only the kernel cuts eta's integrand, that far out
-        raise AccuracyError("the panel table's e^(s - s0) passes the floating-point "
-                            "range before the integrand is cut", math.inf)
-    if h and any(max(lw + a * s_hi, a * (s_hi - s0)) > _LOG_HUGE
-                 for a, lw in zip(ray.alph_list, ray.log_w_list)):
-        # at a tiny xi only the kernel cuts eta's integrand, so far out that
-        # W t^alpha or (t/t0)^alpha would overflow on the last panels
-        raise AccuracyError("the cf's exponent passes the floating-point range before "
-                            "the kernel cuts the integrand", math.inf)
+    if s_hi > ray.end_max or s_hi - s0 > ray.span_max:
+        # W t^alpha, (t/t0)^alpha or e^(s - s0) would overflow on the last panels
+        raise AccuracyError("the plan's nodes pass the floating-point range before "
+                            "the integrand is cut", math.inf)
     # resolve the cf's phase to the end unless the kernel alone cuts the integrand
     s_c = min(ray.s_cf, s_hi) if cut == "kernel" else s_hi
     fast, power = (0.0, 0.0), (0.0, 0.0)

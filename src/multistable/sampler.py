@@ -41,7 +41,9 @@ the 2^-53 grid in [0, 1), so 1 - U is exact and in (0, 1], and w = 0 only
 at U = 0: an atom of probability 2^-53 (numpy's ziggurat exponential has
 one at 0 too), where w is +0 and the variate is +-inf for alpha < 1 and 0
 for alpha > 1, the transform's limit (NaN for alpha < 1 if u = 0 as well,
-at probability 2^-106).
+at probability 2^-106).  A variate past the float max is +-inf.  `sample`
+and `sample_standard_stable` run the kernel under one `np.errstate` per
+worker (_SILENT), so none of these warns.
 
 Generation is chunked: chunk k of CHUNK draws comes from its own SFC64
 stream, seeded by SeedSequence(seed, spawn_key=(k,)), numpy's way of
@@ -108,6 +110,10 @@ _BLOCK = 1 << 15
 _TAIL_BLOCK = 1 << 16
 # pi/2 - fl(pi/2), the low half of pi/2 in double-double
 _HALF_PI_LO = 6.123233995736766e-17
+# what the kernel's callers let pass with no warning: a variate past the float max
+# is +-inf (overflow, or the w = +0 atom's division by zero), and a draw whose
+# groups came out +inf and -inf, or the atom at u = 0 and w = +0, is NaN (invalid)
+_SILENT = dict(over="ignore", divide="ignore", invalid="ignore")
 
 
 def mixture_decompose(spec: MultistableSpec) -> list[tuple[float, float]]:
@@ -184,7 +190,8 @@ def sample_standard_stable(alpha: float, rng: np.random.Generator,
     z = np.empty(n)  # owns its n doubles; the scratch is freed on return
     u, w, t = np.empty((3, n))
     _draw(alpha, rng, u, w)
-    _cms(alpha, u, w, z, t)
+    with np.errstate(**_SILENT):
+        _cms(alpha, u, w, z, t)
     return float(z[0]) if size is None else z
 
 
@@ -201,19 +208,20 @@ def _fill_chunks(out: np.ndarray, mixture: list[tuple[float, float]], seed: int,
     before the next block once stop is set; set stop on any exception."""
     try:
         scratch = np.empty((4, min(_BLOCK, out.size)))
-        for start in range(first * CHUNK, out.size, step * CHUNK):
-            rng = _chunk_rng(seed, start // CHUNK)
-            end = min(start + CHUNK, out.size)
-            for lo in range(start, end, _BLOCK):
-                if stop.is_set():
-                    return
-                acc = out[lo:min(lo + _BLOCK, end)]
-                u, w, z, t = scratch[:, :acc.size]
-                for alpha, sigma in mixture:
-                    _draw(alpha, rng, u, w)
-                    _cms(alpha, u, w, z, t)
-                    z *= sigma
-                    acc += z
+        with np.errstate(**_SILENT):    # per thread: a pool thread has its own state
+            for start in range(first * CHUNK, out.size, step * CHUNK):
+                rng = _chunk_rng(seed, start // CHUNK)
+                end = min(start + CHUNK, out.size)
+                for lo in range(start, end, _BLOCK):
+                    if stop.is_set():
+                        return
+                    acc = out[lo:min(lo + _BLOCK, end)]
+                    u, w, z, t = scratch[:, :acc.size]
+                    for alpha, sigma in mixture:
+                        _draw(alpha, rng, u, w)
+                        _cms(alpha, u, w, z, t)
+                        z *= sigma
+                        acc += z
     except BaseException:
         stop.set()
         raise
@@ -245,7 +253,10 @@ def sample(spec: MultistableSpec, n: int, seed: int = 0) -> np.ndarray:
     stream spawned as child k of seed, drawn block by block, and the chunks
     are filled concurrently (module docstring).  n is a whole number >= 1 and
     seed a whole number >= 0 (not a bool); both are checked before anything
-    is allocated."""
+    is allocated.  A draw past the float max is +-inf, with no warning (a
+    group at a tiny alpha: one cell [0, 1] at alpha 0.01 gives about one in
+    1000); a draw two of whose groups overflow with opposite signs is NaN,
+    also with no warning, and `mc_tail` counts it in neither tail."""
     n, seed = _whole("n", n, 1), _whole("seed", seed, 0)
     mixture = mixture_decompose(spec)
     out = np.zeros(n)

@@ -708,3 +708,29 @@ def test_sample_refuses_a_scale_past_the_float_range(tmp_path, capsys):
     assert run_command(["sample", "--spec", str(spec), "--n", "10", "--out", str(out)]) == 2
     assert "W^(1/alpha)" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_sample_npy_writes_the_out_path_as_given(tmp_path, capsys):
+    # np.save added ".npy" to a path without it: --out draws.bin wrote
+    # draws.bin.npy and printed "wrote draws.bin"
+    out = tmp_path / "draws.bin"
+    assert run_command(["sample", "--fixture", "cauchy", "--n", "1000", "--format", "npy",
+                        "--out", str(out)]) == 0
+    assert f"wrote {out}" in capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["draws.bin"]
+    assert np.array_equal(np.load(out), cli.sample(fixture("cauchy"), 1000, seed=0))
+
+
+def test_density_whose_plan_passes_the_float_range_exits_3(tmp_path, capsys):
+    # alpha 0.01 next to alpha 1.5: the density's last nodes overflowed
+    # (t/t0)^1.5, and the command printed two RuntimeWarnings, then exited 3
+    # with "achieved error bound nan"
+    spec = tmp_path / "mixed.json"
+    spec.write_text(json.dumps({"breakpoints": [0.0, 823.87, 9.0466e20],
+                                "coefficients": [7.0114, -1.3784e-75],
+                                "alpha_breakpoints": [823.87], "alpha_values": [0.01, 1.5]}))
+    out = tmp_path / "d.csv"
+    assert run_command(["density", "--spec", str(spec), "--x", "1", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "floating-point range" in err and "nan" not in err
+    assert not out.exists()

@@ -336,3 +336,70 @@ def test_eta_whose_kernel_passes_the_float_max_is_refused_by_name():
     spec = refine(StepFunction((0.0, 1e-300), (1.0,)), ExponentFunction.constant(1.0))
     with pytest.raises(AccuracyError, match=r"xi \(1 \+ w\) passes"):
         ms.eta(spec, build_mollifier(1.25), 1.7e308, QuadratureConfig(1e-10))
+
+
+# cell [0, 823.87] at alpha 0.01 and [823.87, 9.0466e20] at alpha 1.5 (groups
+# (0.01, 840.07) and (1.5, 4.6e-92)): the density's plans end 529.6 past s0, where
+# the alpha 1.5 group's (t/t0)^alpha is e^794
+MIXED_ALPHA = refine(StepFunction((0.0, 823.87, 9.0466e20), (7.0114, -1.3784e-75)),
+                     ExponentFunction((823.87,), (0.01, 1.5)))
+
+
+@pytest.mark.parametrize("x", [5e-324, 1.0])
+def test_a_density_whose_nodes_pass_the_float_range_is_refused_by_name(x):
+    # it returned (nan, nan) after "overflow encountered in exp" and "invalid
+    # value encountered in matmul"; the tail and the cdf keep their pairs
+    from multistable.inversion import _cdf_with_error, density_with_error, tail_probability_with_error
+    from multistable.quadrature import AccuracyError
+
+    with pytest.raises(AccuracyError, match="floating-point range"):
+        density_with_error(MIXED_ALPHA, x)
+    assert tail_probability_with_error(MIXED_ALPHA, x) == (1.0, 2.841418247630041e-15)
+    assert _cdf_with_error(MIXED_ALPHA, x) == (0.5, 1.4762202750462782e-15)
+
+
+def test_frame_refuses_the_eta_plans_the_eta_only_rule_refused(monkeypatch):
+    # _frame's one check, s_hi > end_max or s_hi - s0 > span_max, against the rule
+    # it replaced for eta: the panel table's e^(s - s0) past the float max, or a
+    # W t^alpha or (t/t0)^alpha past e^700 at the end
+    from multistable import inversion
+    from multistable.fixtures import fixture_names, random_spec
+    from multistable.quadrature import AccuracyError
+
+    ends = []
+    truncation = inversion._truncation
+
+    def recorded(*args):
+        out = truncation(*args)
+        ends.append(out[0])
+        return out
+
+    monkeypatch.setattr(inversion, "_truncation", recorded)
+    rng = np.random.default_rng(45)
+    specs = [fixture(name) for name in fixture_names()]
+    specs += [refine(StepFunction((0.0, width), (1.0,)), ExponentFunction.constant(alpha))
+              for width, alpha in ((1e6, 0.2), (1e12, 0.05))]     # tiny t_cf
+    specs += [random_spec(rng) for _ in range(40)]
+    ws = [0.5 * (q - 1.0) for q in (1.01, 1.25, 2.5, 50.0, 1e6)]
+    plans = refused = 0
+    for spec in specs:
+        ray = inversion._ray(spec)
+        for xi, w in itertools.product([10.0 ** -k for k in range(0, 301, 10)], ws):
+            ends.clear()
+            try:
+                inversion._frame(ray, xi, "eta", w)
+                frame_refuses = False
+            except AccuracyError as exc:
+                if not ends:        # refused by _truncation, before the check
+                    continue
+                assert "floating-point range" in str(exc)
+                frame_refuses = True
+            s_hi, s0 = ends[0], math.log(min(1.0 / xi, ray.t_cf))
+            eta_rule = s_hi - s0 > inversion._LOG_MAX or any(
+                max(lw + a * s_hi, a * (s_hi - s0)) > inversion._LOG_HUGE
+                for a, lw in zip(ray.alph_list, ray.log_w_list))
+            limits = s_hi > ray.end_max or s_hi - s0 > ray.span_max
+            assert eta_rule == limits == frame_refuses, (spec.groups, xi, w)
+            plans += 1
+            refused += frame_refuses
+    assert 0 < refused < plans

@@ -13,6 +13,7 @@ import pytest
 from multistable import sampler
 from multistable.charfn import cf
 from multistable.fixtures import fixture
+from multistable.function_space import ExponentFunction, StepFunction, refine
 from multistable.sampler import mc_tail, mixture_decompose, sample, sample_standard_stable
 
 CAUCHY = fixture("cauchy")
@@ -498,3 +499,33 @@ def test_import_loads_no_executor():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_draws_past_the_float_max_are_infinite_with_no_warning(monkeypatch):
+    # one cell [0, 1] at alpha 0.01: about one draw in 1000 passes the float
+    # max, where the kernel's power warned "overflow encountered in power"; two
+    # workers, so that a pool thread fills the second chunk and must not warn
+    monkeypatch.setattr(sampler, "CHUNK", 1 << 15)
+    monkeypatch.setattr(sampler, "_cpus", lambda: 2)
+    spec = refine(StepFunction((0.0, 1.0), (1.0,)), ExponentFunction.constant(0.01))
+    draws = sample(spec, 1 << 16, seed=3)
+    big = np.isinf(draws)
+    assert 0 < np.count_nonzero(big) < 200 and not np.isnan(draws).any()
+    assert np.any(draws[big] > 0.0) and np.any(draws[big] < 0.0)
+    # mc_tail counts every infinite draw past any finite lambda
+    assert mc_tail(draws, 1e300)[0] == np.count_nonzero(np.abs(draws) > 1e300) / draws.size
+    assert mc_tail(draws, 1.7e308)[0] == np.count_nonzero(big) / draws.size
+    z = sample_standard_stable(0.01, sampler._chunk_rng(3, 0), 1 << 16)
+    assert 0 < np.count_nonzero(np.isinf(z)) < 200
+
+
+def test_groups_overflowing_with_opposite_signs_give_nan_with_no_warning():
+    # scales 1e300 (alpha 0.01) and 5.3e272 (alpha 0.011): most draws of each
+    # group pass the float max, and +inf plus -inf is NaN, which mc_tail
+    # counts in neither tail
+    spec = refine(StepFunction((0.0, 1000.0, 2000.0), (1.0, 1.0)),
+                  ExponentFunction((1000.0,), (0.01, 0.011)))
+    draws = sample(spec, 4096, seed=3)
+    nan = np.isnan(draws)
+    assert np.any(nan) and np.any(np.isposinf(draws)) and np.any(np.isneginf(draws))
+    assert mc_tail(draws, 1e300)[0] == np.count_nonzero(np.abs(draws[~nan]) > 1e300) / draws.size
